@@ -18,7 +18,7 @@ from .digitalrights import DrCapExceeded, compile_dr
 from .formulas import check_spec, encode_run, evaluate, pretty_formula
 from .licenses import pretty_action, pretty_license
 from .licsat import lic_sat, lic_valid
-from .ltl import implicit_restrictions, pretty_ltl, translate
+from .ltl import implicit_restrictions, translate
 from .parsing import ParseError, parse_dr, parse_formula, parse_run
 from .repl import step_repl
 from .runs import compute_permissions, pretty_run
@@ -116,9 +116,9 @@ def _cmd_encode_run(args) -> _Outcome:
 
 def _cmd_translate_ltl(args) -> _Outcome:
     formula = parse_formula(_read(args.formula_file))
-    text = pretty_ltl(translate(formula))
+    text = pretty_formula(translate(formula))
     if args.with_restrictions:
-        text += "\n" + pretty_ltl(implicit_restrictions(formula))
+        text += "\n" + pretty_formula(implicit_restrictions(formula))
     return _Outcome("ok", EXIT_OK, text)
 
 
@@ -197,6 +197,8 @@ def main(argv=None) -> int:
             outcome = _Outcome("budget-exceeded", EXIT_BUDGET, str(exc))
         else:
             outcome = _Outcome("error", EXIT_USAGE, str(exc))
+    except RecursionError:
+        outcome = _Outcome("error", EXIT_USAGE, "the input is nested too deeply to process")
     if args.format == "json":
         payload = {
             "command": args.command,

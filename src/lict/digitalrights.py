@@ -26,6 +26,7 @@ from .licenses import (
     Render,
     Trace,
     concat,
+    fold_balanced,
     union,
 )
 
@@ -182,10 +183,8 @@ def _license_power(lic: License, count: int) -> License:
 
 
 def _union_all(parts: list[License]) -> License:
-    result = parts[0]
-    for part in parts[1:]:
-        result = union(result, part)
-    return result
+    # balanced, so a peruse period's 2^(p-1) alternatives nest only p deep
+    return fold_balanced(parts, union)
 
 
 def _period_license(dr: DrLicense) -> License:

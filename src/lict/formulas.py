@@ -1,12 +1,18 @@
-"""The license logic: formulas, their run semantics, and encoding generators.
+"""The temporal core and the license logic built on it.
 
-Formulas speak about issued licenses, the actions a client performs, and the
-actions the client is permitted to perform.  Obligation is an abbreviation:
-being obligated to do an action means no other action is permitted for that
-license name.  Temporal operators are evaluated over the infinite extension
-of a finite run, in which nothing further is issued and every name does
-``bot`` forever; the permission timeline of that extension is ultimately
-periodic, so evaluation works on a prefix plus a loop.
+One formula AST serves both temporal logics of the toolkit.  Its connectives
+(``Truth``, ``Not``, ``And``, ``Next``, ``Always``, ``Until``) are shared; the
+two logics differ only in their atoms.  The license logic's atoms, defined
+here, speak about issued licenses, the actions a client performs, and the
+actions the client is permitted to perform; the target logic's atoms live in
+:mod:`lict.ltl`.  Every atom renders itself, so one printer, one size
+function, one atom walker and one evaluator serve both logics.
+
+Obligation is an abbreviation: being obligated to do an action means no
+other action is permitted for that license name.  Temporal operators are
+evaluated over an ultimately periodic model (a prefix plus a loop): for a
+finite run that is its infinite extension, in which nothing further is
+issued and every name does ``bot`` forever.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .licenses import (
     action_key,
     derivative,
     first_actions,
+    fold_balanced,
     pretty_action,
     pretty_license,
 )
@@ -70,6 +77,9 @@ class Formula:
 class Truth(Formula):
     """The constant true formula (the empty conjunction)."""
 
+    def pretty(self) -> str:
+        return "true"
+
 
 @dataclass(frozen=True)
 class Issue(Formula):
@@ -78,6 +88,9 @@ class Issue(Formula):
     name: str
     license: License
 
+    def pretty(self) -> str:
+        return f"issue({self.name}, {pretty_license(self.license)})"
+
 
 @dataclass(frozen=True)
 class Act(Formula):
@@ -85,12 +98,18 @@ class Act(Formula):
 
     expr: ActionExpr
 
+    def pretty(self) -> str:
+        return _pair(self.expr)
+
 
 @dataclass(frozen=True)
 class Perm(Formula):
     """Some action matching the expression is permitted right now."""
 
     expr: ActionExpr
+
+    def pretty(self) -> str:
+        return f"P{_pair(self.expr)}"
 
 
 @dataclass(frozen=True)
@@ -120,28 +139,12 @@ class Until(Formula):
     right: Formula
 
 
+_UNARY_NODES = (Not, Next, Always)
+_BINARY_NODES = (And, Until)
+
+
 # Derived forms normalize to the core connectives at construction time; the
 # pretty printer re-sugars the recognizable patterns.
-
-def f_not(operand: Formula) -> Formula:
-    return Not(operand)
-
-
-def f_and(left: Formula, right: Formula) -> Formula:
-    return And(left, right)
-
-
-def f_next(operand: Formula) -> Formula:
-    return Next(operand)
-
-
-def f_always(operand: Formula) -> Formula:
-    return Always(operand)
-
-
-def f_until(left: Formula, right: Formula) -> Formula:
-    return Until(left, right)
-
 
 def f_or(left: Formula, right: Formula) -> Formula:
     return Not(And(Not(left), Not(right)))
@@ -163,15 +166,7 @@ def f_oblig(action: Action, name: str) -> Formula:
 def f_and_all(parts: Iterable[Formula]) -> Formula:
     """Conjoin as a balanced tree (keeps nesting shallow for long lists)."""
     parts = list(parts)
-    if not parts:
-        return Truth()
-    while len(parts) > 1:
-        paired = [
-            And(parts[i], parts[i + 1]) if i + 1 < len(parts) else parts[i]
-            for i in range(0, len(parts), 2)
-        ]
-        parts = paired
-    return parts[0]
+    return fold_balanced(parts, And) if parts else Truth()
 
 
 def f_nexts(formula: Formula, count: int) -> Formula:
@@ -180,70 +175,66 @@ def f_nexts(formula: Formula, count: int) -> Formula:
     return formula
 
 
-def formula_names(formula: Formula) -> frozenset[str]:
-    """Every license name appearing in the formula."""
-    if isinstance(formula, Issue):
-        return frozenset({formula.name})
-    if isinstance(formula, (Act, Perm)):
-        return frozenset({formula.expr.name})
-    if isinstance(formula, (Not, Next, Always)):
-        return formula_names(formula.operand)
-    if isinstance(formula, (And, Until)):
-        return formula_names(formula.left) | formula_names(formula.right)
-    return frozenset()
+def _children(node: Formula) -> tuple:
+    if isinstance(node, _UNARY_NODES):
+        return (node.operand,)
+    if isinstance(node, _BINARY_NODES):
+        return (node.left, node.right)
+    return ()
 
 
-def formula_actions(formula: Formula) -> frozenset[Action]:
-    """Every action literally appearing in the formula's action expressions."""
-    if isinstance(formula, (Act, Perm)):
-        return frozenset({formula.expr.action})
-    if isinstance(formula, (Not, Next, Always)):
-        return formula_actions(formula.operand)
-    if isinstance(formula, (And, Until)):
-        return formula_actions(formula.left) | formula_actions(formula.right)
-    return frozenset()
-
-
-def formula_action_pairs(formula: Formula) -> frozenset[tuple[Action, str]]:
-    """Every (action, name) pair appearing in the formula's action expressions."""
-    if isinstance(formula, (Act, Perm)):
-        return frozenset({(formula.expr.action, formula.expr.name)})
-    if isinstance(formula, (Not, Next, Always)):
-        return formula_action_pairs(formula.operand)
-    if isinstance(formula, (And, Until)):
-        return formula_action_pairs(formula.left) | formula_action_pairs(formula.right)
-    return frozenset()
-
-
-def formula_licenses(formula: Formula) -> frozenset[tuple[str, License]]:
-    """Every named license appearing in issuance atoms."""
-    if isinstance(formula, Issue):
-        return frozenset({(formula.name, formula.license)})
-    if isinstance(formula, (Not, Next, Always)):
-        return formula_licenses(formula.operand)
-    if isinstance(formula, (And, Until)):
-        return formula_licenses(formula.left) | formula_licenses(formula.right)
-    return frozenset()
+def formula_atoms(formula: Formula) -> frozenset[Formula]:
+    """Every atom of the formula: each leaf other than ``Truth``."""
+    atoms = set()
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        children = _children(node)
+        if children:
+            stack.extend(children)
+        elif not isinstance(node, Truth):
+            atoms.add(node)
+    return frozenset(atoms)
 
 
 def formula_size(formula: Formula) -> int:
-    if isinstance(formula, (Not, Next, Always)):
-        return 1 + formula_size(formula.operand)
-    if isinstance(formula, (And, Until)):
-        return 1 + formula_size(formula.left) + formula_size(formula.right)
-    return 1
+    """Number of AST nodes, atoms counting one each."""
+    size = 0
+    stack = [formula]
+    while stack:
+        size += 1
+        stack.extend(_children(stack.pop()))
+    return size
 
 
-def evaluate(run: Run, perms: PermissionInterpretation, t: int, formula: Formula) -> bool:
-    """Truth of a formula in a run at time t.
+def map_atoms(formula: Formula, atom_map: Callable[[Formula], Formula]) -> Formula:
+    """The formula with every atom replaced by its image; connectives kept."""
+    if isinstance(formula, _UNARY_NODES):
+        return type(formula)(map_atoms(formula.operand, atom_map))
+    if isinstance(formula, _BINARY_NODES):
+        return type(formula)(
+            map_atoms(formula.left, atom_map), map_atoms(formula.right, atom_map)
+        )
+    if isinstance(formula, Truth):
+        return formula
+    return atom_map(formula)
 
-    ``perms`` must be the permission interpretation computed from ``run``.
-    Box and until are decided on the run's ultimately periodic extension;
+
+def lasso_eval(
+    prefix_len: int,
+    loop_len: int,
+    atom_holds: Callable[[int, Formula], bool],
+    t: int,
+    formula: Formula,
+) -> bool:
+    """Truth of a formula at time t of an ultimately periodic model.
+
+    The model has ``prefix_len`` prefix times followed by a loop of
+    ``loop_len`` times repeated forever; ``atom_holds(time, atom)`` reads an
+    atom at a canonical time.  Box and until are decided on the lasso, and
     results are memoized per (canonical time, subformula).
     """
     memo: dict[tuple[int, int], bool] = {}
-    prefix_len = perms.prefix_len
-    loop_len = perms.loop_len
 
     def canonical(time: int) -> int:
         if time < prefix_len:
@@ -261,17 +252,6 @@ def evaluate(run: Run, perms: PermissionInterpretation, t: int, formula: Formula
         return result
 
     def _clause(time: int, node: Formula) -> bool:
-        if isinstance(node, Truth):
-            return True
-        if isinstance(node, Issue):
-            return (node.name, node.license) in run.licenses_at(time)
-        if isinstance(node, Act):
-            return expr_matches(node.expr, run.action(node.expr.name, time), node.expr.name)
-        if isinstance(node, Perm):
-            permitted = perms.permitted(node.expr.name, time)
-            if node.expr.positive:
-                return node.expr.action in permitted
-            return any(action != node.expr.action for action in permitted)
         if isinstance(node, Not):
             return not recur(time, node.operand)
         if isinstance(node, And):
@@ -288,16 +268,40 @@ def evaluate(run: Run, perms: PermissionInterpretation, t: int, formula: Formula
                 if not recur(j, node.left):
                     return False
             return False
-        raise TypeError(f"not a formula: {node!r}")
+        if isinstance(node, Truth):
+            return True
+        return atom_holds(time, node)
 
     return recur(t, formula)
 
 
+def evaluate(run: Run, perms: PermissionInterpretation, t: int, formula: Formula) -> bool:
+    """Truth of a license-logic formula in a run at time t.
+
+    ``perms`` must be the permission interpretation computed from ``run``;
+    the model is the run's ultimately periodic extension.
+    """
+
+    def atom_holds(time: int, node: Formula) -> bool:
+        if isinstance(node, Issue):
+            return (node.name, node.license) in run.licenses_at(time)
+        if isinstance(node, Act):
+            return expr_matches(node.expr, run.action(node.expr.name, time), node.expr.name)
+        if isinstance(node, Perm):
+            permitted = perms.permitted(node.expr.name, time)
+            if node.expr.positive:
+                return node.expr.action in permitted
+            return any(action != node.expr.action for action in permitted)
+        raise TypeError(f"not a license-logic formula: {node!r}")
+
+    return lasso_eval(perms.prefix_len, perms.loop_len, atom_holds, t, formula)
+
+
 def check_spec(run: Run, formula: Formula) -> bool:
     """Whether the formula holds at every time of the run's extension."""
-    perms = compute_permissions(run)
-    horizon = perms.prefix_len + perms.loop_len
-    return all(evaluate(run, perms, t, formula) for t in range(horizon))
+    # G at time 0 ranges over exactly the canonical times, prefix plus loop,
+    # so one evaluation with one memo decides every time at once.
+    return evaluate(run, compute_permissions(run), 0, Always(formula))
 
 
 def encode_run(run: Run) -> Formula:
@@ -354,7 +358,7 @@ _IMPLIES, _OR, _AND, _UNTIL, _UNARY, _ATOM = range(6)
 
 
 def pretty_formula(formula: Formula) -> str:
-    """Render a formula in the surface grammar, re-sugaring O, F, |, and ->."""
+    """Render a formula of either logic, re-sugaring O, F, |, and ->."""
     return _pf(formula, _IMPLIES)
 
 
@@ -364,15 +368,7 @@ def _pair(expr: ActionExpr) -> str:
 
 
 def _pf(formula: Formula, minimum: int) -> str:
-    if isinstance(formula, Truth):
-        text, level = "true", _ATOM
-    elif isinstance(formula, Issue):
-        text, level = f"issue({formula.name}, {pretty_license(formula.license)})", _ATOM
-    elif isinstance(formula, Act):
-        text, level = _pair(formula.expr), _ATOM
-    elif isinstance(formula, Perm):
-        text, level = f"P{_pair(formula.expr)}", _ATOM
-    elif isinstance(formula, Not):
+    if isinstance(formula, Not):
         inner = formula.operand
         if isinstance(inner, Perm) and not inner.expr.positive:
             text = f"O({pretty_action(inner.expr.action)}, {inner.expr.name})"
@@ -399,6 +395,8 @@ def _pf(formula: Formula, minimum: int) -> str:
     elif isinstance(formula, Until):
         text = f"{_pf(formula.left, _UNARY)} U {_pf(formula.right, _UNTIL)}"
         level = _UNTIL
+    elif isinstance(formula, Formula):
+        text, level = formula.pretty(), _ATOM
     else:
         raise TypeError(f"not a formula: {formula!r}")
     if level < minimum:

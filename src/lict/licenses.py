@@ -138,6 +138,16 @@ def union(left: License, right: License) -> License:
     return Union(left, right)
 
 
+def fold_balanced(parts: list, combine):
+    """Combine a nonempty list pairwise into a tree of logarithmic depth."""
+    while len(parts) > 1:
+        parts = [
+            combine(parts[i], parts[i + 1]) if i + 1 < len(parts) else parts[i]
+            for i in range(0, len(parts), 2)
+        ]
+    return parts[0]
+
+
 def star(body: License) -> License:
     if isinstance(body, (Zero, One)):
         return ONE

@@ -22,12 +22,7 @@ from decimal import Decimal
 from itertools import product
 
 from .automata import padded_nfa, permitted_from, reachable_subsets
-from .formulas import (
-    Formula,
-    Not,
-    evaluate,
-    formula_action_pairs,
-)
+from .formulas import Act, Formula, Not, Perm, evaluate, formula_atoms
 from .licenses import BOT, Action, License, Pay, action_key, license_actions
 from .ltl import (
     Done,
@@ -76,14 +71,14 @@ class _RunSpace:
     def __init__(self, formula: Formula):
         self.vocab = build_vocabulary(formula)
         self.names = self.vocab.names
-        pairs = formula_action_pairs(formula)
+        exprs = [atom.expr for atom in formula_atoms(formula) if isinstance(atom, (Act, Perm))]
         self.start_subsets: dict[License, frozenset] = {}
         self.graphs: dict[License, dict] = {}
         self.alphabet: dict[str, tuple] = {}
         self.issue_options: dict[str, tuple] = {}
         for name in self.names:
             actions = {BOT}
-            actions |= {action for action, n in pairs if n == name}
+            actions |= {expr.action for expr in exprs if expr.name == name}
             for lic in self.vocab.licenses_of(name):
                 actions |= license_actions(lic)
                 if lic not in self.graphs:

@@ -1,17 +1,20 @@
-"""The temporal target logic: structures, translation, restriction encodings.
+"""The temporal target logic: atoms, translation, restrictions, structures.
 
 Formulas of the license logic translate, atom by atom, into a propositional
 temporal logic over a vocabulary describing runs: which licenses are issued,
-what the client does, what is permitted, and what is obligated.  A run's
-model is ultimately periodic (prefix plus loop).  ``implicit_restrictions``
-produces the temporal formula that makes arbitrary models of a translated
-formula behave like runs; it embeds each mentioned license's deterministic
-subset automaton through ``instate``/``over`` propositions.
+what the client does, what is permitted, and what is obligated.  Both logics
+share the formula AST, evaluator and printer of :mod:`lict.formulas`; this
+module adds the target atoms.  A run's model is ultimately periodic (prefix
+plus loop).  ``implicit_restrictions`` produces the temporal formula that
+makes arbitrary models of a translated formula behave like runs; it embeds
+each mentioned license's deterministic subset automaton through
+``instate``/``over`` propositions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .automata import SubsetState, padded_nfa, permitted_from, reachable_subsets
 from .formulas import (
@@ -25,9 +28,13 @@ from .formulas import (
     Perm,
     Truth,
     Until,
-    formula_actions,
-    formula_licenses,
-    formula_names,
+    f_and_all,
+    f_eventually,
+    f_implies,
+    f_or,
+    formula_atoms,
+    lasso_eval,
+    map_atoms,
 )
 from .licenses import (
     BOT,
@@ -42,42 +49,57 @@ from .runs import Run, compute_permissions
 
 
 # ---------------------------------------------------------------------------
-# Proposition vocabulary
+# Target atoms
 
 
 @dataclass(frozen=True)
-class Issued:
+class Issued(Formula):
     name: str
     license: License
 
+    def pretty(self) -> str:
+        return f"issued({self.name}, {pretty_license(self.license)})"
+
 
 @dataclass(frozen=True)
-class Done:
+class _ActionAtom(Formula):
     action: Action
     name: str
 
-
-@dataclass(frozen=True)
-class Permitted:
-    action: Action
-    name: str
+    def pretty(self) -> str:
+        return f"{type(self).__name__.lower()}({pretty_action(self.action)}, {self.name})"
 
 
 @dataclass(frozen=True)
-class Obligated:
-    action: Action
-    name: str
+class Done(_ActionAtom):
+    pass
 
 
 @dataclass(frozen=True)
-class InState:
+class Permitted(_ActionAtom):
+    pass
+
+
+@dataclass(frozen=True)
+class Obligated(_ActionAtom):
+    pass
+
+
+@dataclass(frozen=True)
+class InState(Formula):
     name: str
     subset: SubsetState
 
+    def pretty(self) -> str:
+        return f"instate({self.name}, {subset_label(self.subset)})"
+
 
 @dataclass(frozen=True)
-class Over:
+class Over(Formula):
     name: str
+
+    def pretty(self) -> str:
+        return f"over({self.name})"
 
 
 Prop = Issued | Done | Permitted | Obligated | InState | Over
@@ -85,155 +107,6 @@ Prop = Issued | Done | Permitted | Obligated | InState | Over
 
 def subset_label(subset: SubsetState) -> str:
     return "s" + "_".join(str(q) for q in sorted(subset))
-
-
-def pretty_prop(prop: Prop) -> str:
-    if isinstance(prop, Issued):
-        return f"issued({prop.name}, {pretty_license(prop.license)})"
-    if isinstance(prop, Done):
-        return f"done({pretty_action(prop.action)}, {prop.name})"
-    if isinstance(prop, Permitted):
-        return f"permitted({pretty_action(prop.action)}, {prop.name})"
-    if isinstance(prop, Obligated):
-        return f"obligated({pretty_action(prop.action)}, {prop.name})"
-    if isinstance(prop, InState):
-        return f"instate({prop.name}, {subset_label(prop.subset)})"
-    return f"over({prop.name})"
-
-
-# ---------------------------------------------------------------------------
-# Formulas of the target logic
-
-
-@dataclass(frozen=True)
-class LtlFormula:
-    pass
-
-
-@dataclass(frozen=True)
-class LTrue(LtlFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class LProp(LtlFormula):
-    prop: Prop
-
-
-@dataclass(frozen=True)
-class LNot(LtlFormula):
-    operand: LtlFormula
-
-
-@dataclass(frozen=True)
-class LAnd(LtlFormula):
-    left: LtlFormula
-    right: LtlFormula
-
-
-@dataclass(frozen=True)
-class LNext(LtlFormula):
-    operand: LtlFormula
-
-
-@dataclass(frozen=True)
-class LAlways(LtlFormula):
-    operand: LtlFormula
-
-
-@dataclass(frozen=True)
-class LUntil(LtlFormula):
-    left: LtlFormula
-    right: LtlFormula
-
-
-def l_or(left: LtlFormula, right: LtlFormula) -> LtlFormula:
-    return LNot(LAnd(LNot(left), LNot(right)))
-
-
-def l_implies(left: LtlFormula, right: LtlFormula) -> LtlFormula:
-    return LNot(LAnd(left, LNot(right)))
-
-
-def l_iff(left: LtlFormula, right: LtlFormula) -> LtlFormula:
-    return LAnd(l_implies(left, right), l_implies(right, left))
-
-
-def l_eventually(operand: LtlFormula) -> LtlFormula:
-    return LNot(LAlways(LNot(operand)))
-
-
-def l_and_all(parts) -> LtlFormula:
-    """Conjoin as a balanced tree, dropping constant-true parts."""
-    parts = [part for part in parts if not isinstance(part, LTrue)]
-    if not parts:
-        return LTrue()
-    while len(parts) > 1:
-        parts = [
-            LAnd(parts[i], parts[i + 1]) if i + 1 < len(parts) else parts[i]
-            for i in range(0, len(parts), 2)
-        ]
-    return parts[0]
-
-
-def l_or_all(parts) -> LtlFormula:
-    parts = list(parts)
-    if not parts:
-        return LNot(LTrue())
-    out = parts[0]
-    for part in parts[1:]:
-        out = l_or(out, part)
-    return out
-
-
-def ltl_size(formula: LtlFormula) -> int:
-    if isinstance(formula, (LNot, LNext, LAlways)):
-        return 1 + ltl_size(formula.operand)
-    if isinstance(formula, (LAnd, LUntil)):
-        return 1 + ltl_size(formula.left) + ltl_size(formula.right)
-    return 1
-
-
-_IMPLIES, _OR, _AND, _UNTIL, _UNARY, _ATOM = range(6)
-
-
-def pretty_ltl(formula: LtlFormula) -> str:
-    """Render a target-logic formula, re-sugaring F, |, and ->."""
-    return _pl(formula, _IMPLIES)
-
-
-def _pl(formula: LtlFormula, minimum: int) -> str:
-    if isinstance(formula, LTrue):
-        text, level = "true", _ATOM
-    elif isinstance(formula, LProp):
-        text, level = pretty_prop(formula.prop), _ATOM
-    elif isinstance(formula, LNot):
-        inner = formula.operand
-        if isinstance(inner, LAlways) and isinstance(inner.operand, LNot):
-            text, level = f"F {_pl(inner.operand.operand, _UNARY)}", _UNARY
-        elif isinstance(inner, LAnd) and isinstance(inner.left, LNot) and isinstance(inner.right, LNot):
-            text = f"{_pl(inner.left.operand, _OR)} | {_pl(inner.right.operand, _AND)}"
-            level = _OR
-        elif isinstance(inner, LAnd) and isinstance(inner.right, LNot):
-            text = f"{_pl(inner.left, _OR)} -> {_pl(inner.right.operand, _IMPLIES)}"
-            level = _IMPLIES
-        else:
-            text, level = f"!{_pl(inner, _UNARY)}", _UNARY
-    elif isinstance(formula, LAnd):
-        text = f"{_pl(formula.left, _AND)} & {_pl(formula.right, _UNTIL)}"
-        level = _AND
-    elif isinstance(formula, LNext):
-        text, level = f"X {_pl(formula.operand, _UNARY)}", _UNARY
-    elif isinstance(formula, LAlways):
-        text, level = f"G {_pl(formula.operand, _UNARY)}", _UNARY
-    elif isinstance(formula, LUntil):
-        text = f"{_pl(formula.left, _UNARY)} U {_pl(formula.right, _UNTIL)}"
-        level = _UNTIL
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    if level < minimum:
-        return f"({text})"
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -265,81 +138,35 @@ class LinearStructure:
         return self.loop[(t - len(self.prefix)) % len(self.loop)]
 
 
-def ltl_eval(structure: LinearStructure, t: int, formula: LtlFormula) -> bool:
+def ltl_eval(structure: LinearStructure, t: int, formula: Formula) -> bool:
     """Truth of a target-logic formula at state ``t`` of the structure."""
-    memo: dict[tuple[int, int], bool] = {}
-    prefix_len = structure.prefix_len
-    loop_len = structure.loop_len
 
-    def canonical(time: int) -> int:
-        if time < prefix_len:
-            return time
-        return prefix_len + (time - prefix_len) % loop_len
+    def atom_holds(time: int, atom: Formula) -> bool:
+        return atom in structure.label(time)
 
-    def recur(time: int, node: LtlFormula) -> bool:
-        time = canonical(time)
-        key = (time, id(node))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = _clause(time, node)
-        memo[key] = result
-        return result
-
-    def _clause(time: int, node: LtlFormula) -> bool:
-        if isinstance(node, LTrue):
-            return True
-        if isinstance(node, LProp):
-            return node.prop in structure.label(time)
-        if isinstance(node, LNot):
-            return not recur(time, node.operand)
-        if isinstance(node, LAnd):
-            return recur(time, node.left) and recur(time, node.right)
-        if isinstance(node, LNext):
-            return recur(time + 1, node.operand)
-        if isinstance(node, LAlways):
-            start = time if time < prefix_len else prefix_len
-            return all(recur(j, node.operand) for j in range(start, prefix_len + loop_len))
-        if isinstance(node, LUntil):
-            for j in range(time, prefix_len + 2 * loop_len):
-                if recur(j, node.right):
-                    return True
-                if not recur(j, node.left):
-                    return False
-            return False
-        raise TypeError(f"not a formula: {node!r}")
-
-    return recur(t, formula)
+    return lasso_eval(structure.prefix_len, structure.loop_len, atom_holds, t, formula)
 
 
 # ---------------------------------------------------------------------------
 # Translation from the license logic
 
 
-def translate(formula: Formula) -> LtlFormula:
+def _target_atom(atom: Formula) -> Formula:
+    if isinstance(atom, Issue):
+        return Issued(atom.name, atom.license)
+    if isinstance(atom, Act):
+        done = Done(atom.expr.action, atom.expr.name)
+        return done if atom.expr.positive else Not(done)
+    if isinstance(atom, Perm):
+        if atom.expr.positive:
+            return Permitted(atom.expr.action, atom.expr.name)
+        return Not(Obligated(atom.expr.action, atom.expr.name))
+    raise TypeError(f"not a license-logic formula: {atom!r}")
+
+
+def translate(formula: Formula) -> Formula:
     """Atom-by-atom translation into the target logic (size linear)."""
-    if isinstance(formula, Truth):
-        return LTrue()
-    if isinstance(formula, Issue):
-        return LProp(Issued(formula.name, formula.license))
-    if isinstance(formula, Act):
-        done = LProp(Done(formula.expr.action, formula.expr.name))
-        return done if formula.expr.positive else LNot(done)
-    if isinstance(formula, Perm):
-        if formula.expr.positive:
-            return LProp(Permitted(formula.expr.action, formula.expr.name))
-        return LNot(LProp(Obligated(formula.expr.action, formula.expr.name)))
-    if isinstance(formula, Not):
-        return LNot(translate(formula.operand))
-    if isinstance(formula, And):
-        return LAnd(translate(formula.left), translate(formula.right))
-    if isinstance(formula, Next):
-        return LNext(translate(formula.operand))
-    if isinstance(formula, Always):
-        return LAlways(translate(formula.operand))
-    if isinstance(formula, Until):
-        return LUntil(translate(formula.left), translate(formula.right))
-    raise TypeError(f"not a formula: {formula!r}")
+    return map_atoms(formula, _target_atom)
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +186,18 @@ class Vocabulary:
 
 
 def build_vocabulary(formula: Formula) -> Vocabulary:
-    names = sorted(formula_names(formula))
+    atoms = formula_atoms(formula)
+    exprs = [atom.expr for atom in atoms if isinstance(atom, (Act, Perm))]
     named = sorted(
-        formula_licenses(formula),
+        {(atom.name, atom.license) for atom in atoms if isinstance(atom, Issue)},
         key=lambda pair: (pair[0], pretty_license(pair[1])),
     )
-    actions = set(formula_actions(formula)) | {BOT}
+    names = {name for name, _ in named} | {expr.name for expr in exprs}
+    actions = {expr.action for expr in exprs} | {BOT}
     for _, lic in named:
         actions |= license_actions(lic)
     return Vocabulary(
-        names=tuple(names),
+        names=tuple(sorted(names)),
         named_licenses=tuple(named),
         actions=tuple(sorted(actions, key=action_key)),
     )
@@ -378,152 +207,131 @@ def build_vocabulary(formula: Formula) -> Vocabulary:
 # Implicit restriction formulas
 
 
-def _schema_done(vocab: Vocabulary) -> LtlFormula:
+def _schema_done(vocab: Vocabulary) -> Formula:
     parts = []
     for name in vocab.names:
         for action in vocab.actions:
             for other in vocab.actions:
                 if other == action:
                     continue
-                parts.append(
-                    l_implies(
-                        LProp(Done(action, name)), LNot(LProp(Done(other, name)))
-                    )
-                )
+                parts.append(f_implies(Done(action, name), Not(Done(other, name))))
     if not parts:
-        return LTrue()
-    return LAlways(l_and_all(parts))
+        return Truth()
+    return Always(f_and_all(parts))
 
 
-def _schema_issued(vocab: Vocabulary) -> LtlFormula:
+def _schema_issued(vocab: Vocabulary) -> Formula:
     parts = []
     for name, lic in vocab.named_licenses:
         forbidden = [
-            LAlways(LNot(LProp(Issued(name, other))))
+            Always(Not(Issued(name, other)))
             for other_name, other in vocab.named_licenses
             if other_name == name and other != lic
         ]
-        forbidden.append(LNext(LAlways(LNot(LProp(Issued(name, lic))))))
-        parts.append(l_implies(LProp(Issued(name, lic)), l_and_all(forbidden)))
+        forbidden.append(Next(Always(Not(Issued(name, lic)))))
+        parts.append(f_implies(Issued(name, lic), f_and_all(forbidden)))
     if not parts:
-        return LTrue()
-    return LAlways(l_and_all(parts))
+        return Truth()
+    return Always(f_and_all(parts))
 
 
-def _schema_obligation(vocab: Vocabulary) -> LtlFormula:
+def _schema_obligation(vocab: Vocabulary) -> Formula:
     parts = []
     for name in vocab.names:
         for action in vocab.actions:
-            sole = l_and_all(
-                [LProp(Permitted(action, name))]
-                + [
-                    LNot(LProp(Permitted(other, name)))
-                    for other in vocab.actions
-                    if other != action
-                ]
+            sole = f_and_all(
+                [Permitted(action, name)]
+                + [Not(Permitted(other, name)) for other in vocab.actions if other != action]
             )
-            parts.append(l_iff(LProp(Obligated(action, name)), sole))
+            obligated = Obligated(action, name)
+            parts.append(And(f_implies(obligated, sole), f_implies(sole, obligated)))
     if not parts:
-        return LTrue()
-    return LAlways(l_and_all(parts))
+        return Truth()
+    return Always(f_and_all(parts))
 
 
-def _schema_unissued(vocab: Vocabulary) -> LtlFormula:
+def _schema_unissued(vocab: Vocabulary) -> Formula:
     # Weak until: a name that is never issued simply owes bot forever.
     parts = []
     for name in vocab.names:
-        waiting = LProp(Obligated(BOT, name))
-        issuance = l_or_all(
-            [LProp(Issued(name, lic)) for lic in vocab.licenses_of(name)]
-        )
-        if vocab.licenses_of(name):
-            parts.append(l_or(LUntil(waiting, issuance), LAlways(waiting)))
+        waiting = Obligated(BOT, name)
+        licenses = vocab.licenses_of(name)
+        if licenses:
+            issuance = reduce(f_or, [Issued(name, lic) for lic in licenses])
+            parts.append(f_or(Until(waiting, issuance), Always(waiting)))
         else:
-            parts.append(LAlways(waiting))
-    return l_and_all(parts)
+            parts.append(Always(waiting))
+    return f_and_all(parts)
 
 
-def _automaton_formula(name: str, lic: License, vocab: Vocabulary) -> LtlFormula:
+def _automaton_formula(name: str, lic: License, vocab: Vocabulary) -> Formula:
     """The consequences of following ``lic``: its subset automaton in formulas."""
     nfa = padded_nfa(lic)
     graph = reachable_subsets(nfa, vocab.actions)
-    over = LProp(Over(name))
+    over = Over(name)
 
     subsets = sorted(graph, key=subset_label)
-    in_state = {subset: LProp(InState(name, subset)) for subset in subsets}
+    in_state = {subset: InState(name, subset) for subset in subsets}
 
     start = nfa.start_subset()
     entry = in_state[start] if start in in_state else over
 
-    states_parts = [
-        l_implies(over, l_and_all([LNot(in_state[s]) for s in subsets]))
-    ]
+    states_parts = [f_implies(over, f_and_all([Not(in_state[s]) for s in subsets]))]
     for subset in subsets:
-        others = [LNot(in_state[s]) for s in subsets if s != subset]
-        states_parts.append(
-            l_implies(in_state[subset], l_and_all([LNot(over)] + others))
-        )
-    states = l_and_all(states_parts)
+        others = [Not(in_state[s]) for s in subsets if s != subset]
+        states_parts.append(f_implies(in_state[subset], f_and_all([Not(over)] + others)))
+    states = f_and_all(states_parts)
 
     step_parts = []
     for subset in subsets:
         allowed = permitted_from(nfa, subset, padding_ok=True)
-        conjuncts = [
-            LProp(Permitted(action, name))
-            for action in sorted(allowed, key=action_key)
+        conjuncts: list[Formula] = [
+            Permitted(action, name) for action in sorted(allowed, key=action_key)
         ]
         for action in vocab.actions:
             if action in allowed:
                 successor = graph[subset][action]
                 target = in_state[successor] if successor else over
-                conjuncts.append(
-                    l_implies(LProp(Done(action, name)), LNext(target))
-                )
+                conjuncts.append(f_implies(Done(action, name), Next(target)))
             else:
-                conjuncts.append(LNot(LProp(Permitted(action, name))))
-                conjuncts.append(
-                    l_implies(LProp(Done(action, name)), LNext(over))
-                )
-        step_parts.append(l_implies(in_state[subset], l_and_all(conjuncts)))
-    violated = l_implies(over, LAnd(LProp(Obligated(BOT, name)), LNext(over)))
-    return l_and_all(
-        [entry, LAlways(states), LAlways(LAnd(l_and_all(step_parts), violated))]
-    )
+                conjuncts.append(Not(Permitted(action, name)))
+                conjuncts.append(f_implies(Done(action, name), Next(over)))
+        step_parts.append(f_implies(in_state[subset], f_and_all(conjuncts)))
+    violated = f_implies(over, And(Obligated(BOT, name), Next(over)))
+    return f_and_all([entry, Always(states), Always(And(f_and_all(step_parts), violated))])
 
 
-def _schema_licenses(vocab: Vocabulary) -> LtlFormula:
+def _schema_licenses(vocab: Vocabulary) -> Formula:
     parts = [
-        l_implies(
-            LProp(Issued(name, lic)), _automaton_formula(name, lic, vocab)
-        )
+        f_implies(Issued(name, lic), _automaton_formula(name, lic, vocab))
         for name, lic in vocab.named_licenses
     ]
     if not parts:
-        return LTrue()
-    return LAlways(l_and_all(parts))
+        return Truth()
+    return Always(f_and_all(parts))
 
 
-def implicit_restrictions(formula: Formula) -> LtlFormula:
+def implicit_restrictions(formula: Formula) -> Formula:
     """The conjunction making models of a translated formula behave like runs.
 
     Covers: at most one action per name per time; a name never carries two
     licenses and is never issued twice; obligation means sole permission;
     unissued names owe bot; issuing a license pins the permitted sets to its
-    automaton, with deviation absorbing into ``over``.
+    automaton, with deviation absorbing into ``over``.  Schemas with nothing
+    to say are left out.
     """
     vocab = build_vocabulary(formula)
-    return l_and_all(
-        [
-            _schema_done(vocab),
-            _schema_issued(vocab),
-            _schema_obligation(vocab),
-            _schema_unissued(vocab),
-            _schema_licenses(vocab),
-        ]
-    )
+    schemas = [
+        _schema_done(vocab),
+        _schema_issued(vocab),
+        _schema_obligation(vocab),
+        _schema_unissued(vocab),
+        _schema_licenses(vocab),
+    ]
+    return f_and_all(schema for schema in schemas if not isinstance(schema, Truth))
 
 
-def finiteness_restriction(formula: Formula) -> LtlFormula:
+def finiteness_restriction(formula: Formula) -> Formula:
     """Eventually nothing happens: no issuances, only bot actions.
 
     Satisfiability is decided over finite runs, which this conjunct carves
@@ -531,16 +339,16 @@ def finiteness_restriction(formula: Formula) -> LtlFormula:
     activity forever and would not be expressible as a run value.
     """
     vocab = build_vocabulary(formula)
-    quiet = [LNot(LProp(Issued(name, lic))) for name, lic in vocab.named_licenses]
+    quiet: list[Formula] = [Not(Issued(name, lic)) for name, lic in vocab.named_licenses]
     quiet += [
-        LNot(LProp(Done(action, name)))
+        Not(Done(action, name))
         for name in vocab.names
         for action in vocab.actions
         if action != BOT
     ]
     if not quiet:
-        return LTrue()
-    return l_eventually(LAlways(l_and_all(quiet)))
+        return Truth()
+    return f_eventually(Always(f_and_all(quiet)))
 
 
 # ---------------------------------------------------------------------------
@@ -583,5 +391,5 @@ def build_structure(run: Run, extra_names=()) -> LinearStructure:
 
 def check_run_validity_ltl(run: Run, formula: Formula) -> bool:
     """Whether the formula holds at every time of the run, via the structure."""
-    structure = build_structure(run, extra_names=formula_names(formula))
-    return ltl_eval(structure, 0, LAlways(translate(formula)))
+    structure = build_structure(run, extra_names=build_vocabulary(formula).names)
+    return ltl_eval(structure, 0, Always(translate(formula)))

@@ -12,21 +12,21 @@ from decimal import Decimal
 
 from .digitalrights import DrLicense, Exactly, Single, Upto
 from .formulas import (
-    ActionExpr,
     Act,
+    ActionExpr,
+    Always,
+    And,
     Formula,
-    Perm,
     Issue,
+    Next,
+    Not,
+    Perm,
     Truth,
-    f_and,
+    Until,
     f_eventually,
     f_implies,
-    f_not,
     f_oblig,
     f_or,
-    f_until,
-    f_next,
-    f_always,
 )
 from .licenses import (
     BOT,
@@ -286,7 +286,7 @@ def _parse_formula_and(stream: _Stream) -> Formula:
     formula = _parse_formula_until(stream)
     while stream.peek().text == "&":
         stream.next()
-        formula = f_and(formula, _parse_formula_until(stream))
+        formula = And(formula, _parse_formula_until(stream))
     return formula
 
 
@@ -294,7 +294,7 @@ def _parse_formula_until(stream: _Stream) -> Formula:
     formula = _parse_formula_unary(stream)
     if stream.peek().text == "U":
         stream.next()
-        return f_until(formula, _parse_formula_until(stream))
+        return Until(formula, _parse_formula_until(stream))
     return formula
 
 
@@ -302,13 +302,13 @@ def _parse_formula_unary(stream: _Stream) -> Formula:
     token = stream.peek()
     if token.text == "!":
         stream.next()
-        return f_not(_parse_formula_unary(stream))
+        return Not(_parse_formula_unary(stream))
     if token.text == "X":
         stream.next()
-        return f_next(_parse_formula_unary(stream))
+        return Next(_parse_formula_unary(stream))
     if token.text == "G":
         stream.next()
-        return f_always(_parse_formula_unary(stream))
+        return Always(_parse_formula_unary(stream))
     if token.text == "F":
         stream.next()
         return f_eventually(_parse_formula_unary(stream))

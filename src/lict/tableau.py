@@ -17,18 +17,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .ltl import (
-    LAlways,
-    LAnd,
-    LNext,
-    LNot,
-    LProp,
-    LTrue,
-    LUntil,
-    LinearStructure,
-    LtlFormula,
-    ltl_eval,
-)
+from .formulas import Always, And, Formula, Next, Not, Truth, Until
+from .ltl import LinearStructure, ltl_eval
 
 DEFAULT_BUDGET = 10**6
 
@@ -86,28 +76,28 @@ class NRelease:
     right: object
 
 
-def to_nnf(formula: LtlFormula, positive: bool = True):
+def to_nnf(formula: Formula, positive: bool = True):
     """Push negations to the literals; box becomes release, its dual until."""
-    if isinstance(formula, LTrue):
+    if isinstance(formula, Truth):
         return NTrue() if positive else NFalse()
-    if isinstance(formula, LProp):
-        return NLit(formula.prop, positive)
-    if isinstance(formula, LNot):
+    if isinstance(formula, Not):
         return to_nnf(formula.operand, not positive)
-    if isinstance(formula, LAnd):
+    if isinstance(formula, And):
         left = to_nnf(formula.left, positive)
         right = to_nnf(formula.right, positive)
         return NAnd(left, right) if positive else NOr(left, right)
-    if isinstance(formula, LNext):
+    if isinstance(formula, Next):
         return NX(to_nnf(formula.operand, positive))
-    if isinstance(formula, LAlways):
+    if isinstance(formula, Always):
         if positive:
             return NRelease(NFalse(), to_nnf(formula.operand, True))
         return NUntil(NTrue(), to_nnf(formula.operand, False))
-    if isinstance(formula, LUntil):
+    if isinstance(formula, Until):
         left = to_nnf(formula.left, positive)
         right = to_nnf(formula.right, positive)
         return NUntil(left, right) if positive else NRelease(left, right)
+    if isinstance(formula, Formula):
+        return NLit(formula, positive)
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -491,7 +481,7 @@ class SatResult:
     witness: LinearStructure | None = None
 
 
-def ltl_sat(formula: LtlFormula, budget: int = DEFAULT_BUDGET) -> SatResult:
+def ltl_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> SatResult:
     """Decide satisfiability; on sat, ship an ultimately periodic witness.
 
     The witness labels states with exactly the propositions the tableau path

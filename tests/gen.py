@@ -36,9 +36,7 @@ from lict import (
     f_implies,
     f_oblig,
     f_or,
-    formula_action_pairs,
-    formula_licenses,
-    formula_names,
+    formula_atoms,
     fresh_action,
     license_actions,
     make_run,
@@ -204,11 +202,13 @@ def enumerate_satisfying_run(formula, max_horizon: int = 3):
     drawn from the formula's and licenses' actions plus bot plus one action
     outside the vocabulary.  Returns the first satisfying run, else None.
     """
-    names = sorted(formula_names(formula))
+    atoms = formula_atoms(formula)
     named_licenses = sorted(
-        formula_licenses(formula), key=lambda pair: (pair[0], repr(pair[1]))
+        {(atom.name, atom.license) for atom in atoms if isinstance(atom, Issue)},
+        key=lambda pair: (pair[0], repr(pair[1])),
     )
-    pairs = formula_action_pairs(formula)
+    pairs = {(atom.expr.action, atom.expr.name) for atom in atoms if isinstance(atom, (Act, Perm))}
+    names = sorted({name for name, _ in named_licenses} | {name for _, name in pairs})
     vocab_actions = {action for action, _ in pairs} | {BOT}
     for _, lic in named_licenses:
         vocab_actions |= license_actions(lic)

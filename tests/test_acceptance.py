@@ -30,7 +30,6 @@ from lict import (
     f_nexts,
     f_oblig,
     f_or,
-    formula_names,
     lic_sat,
     lic_valid,
     license_consequences,

@@ -2,10 +2,18 @@
 
 import io
 import json
+import os
+import random
+from decimal import Decimal
+
+import pytest
 
 from lict.cli import main
 from lict.repl import step_repl
-from lict import parse_run
+from lict import BOT, Pay, Render, accepts, build_nfa, compile_dr, parse_dr, parse_run
+
+SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 JOURNAL_RUN = """
 @0 issue n = ((pay[1.00] bot* render[journal,d]) | bot)*
@@ -177,6 +185,62 @@ class TestEncodeAndTranslate:
         path = write(tmp_path, "l.dr", "for 99 99 pay 1.00 flatrate for {w} on {d}")
         code, out = invoke(capsys, "compile-dr", path)
         assert code == 3
+
+    @pytest.mark.parametrize("period", [11, 12])
+    def test_compile_dr_long_peruse_period(self, tmp_path, capsys, period):
+        # 2^(period-1) alternatives once nested as deep as they were many
+        text = f"for {period} pay 2.00 peruse for {{w,v}} on {{d}}"
+        code, out = invoke(capsys, "compile-dr", write(tmp_path, "l.dr", text))
+        assert code == 0
+        assert out.splitlines()[0] == "result=ok"
+        nfa = build_nfa(compile_dr(parse_dr(text)))
+        rng = random.Random(period)
+        slots = (BOT, Render("w", "d"), Render("v", "d"))
+        for _ in range(20):
+            body = tuple(rng.choice(slots) for _ in range(period - 1))
+            fee = Decimal("2.00") * sum(1 for action in body if action != BOT)
+            assert accepts(nfa, body + (Pay(fee),))
+            assert not accepts(nfa, body + (Pay(fee + Decimal("0.01")),))
+
+
+class TestDeepInput:
+    """Inputs nested beyond the interpreter's stack end in a usage error."""
+
+    @pytest.mark.parametrize(
+        "text", ["(" * 300 + "true" + ")" * 300, "X " * 1000 + "true"]
+    )
+    def test_nested_too_deeply_exits_two(self, tmp_path, capsys, text):
+        code, out = invoke(capsys, "sat", write(tmp_path, "f.lic", text))
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[0] == "result=error"
+        assert "nested too deeply" in lines[1]
+
+
+def _samples(suffix: str) -> list[str]:
+    return sorted(name[: -len(suffix)] for name in os.listdir(SAMPLES) if name.endswith(suffix))
+
+
+class TestGoldenOutput:
+    """Exact output on the samples, pinned so printer changes show up."""
+
+    @staticmethod
+    def expected(name: str) -> str:
+        with open(os.path.join(GOLDEN, name), encoding="ascii") as handle:
+            return handle.read()
+
+    @pytest.mark.parametrize("sample", _samples(".lic"))
+    def test_translate_with_restrictions(self, capsys, sample):
+        path = os.path.join(SAMPLES, f"{sample}.lic")
+        code, out = invoke(capsys, "translate-ltl", "--with-restrictions", path)
+        assert code == 0
+        assert out == self.expected(f"translate-ltl-{sample}.txt")
+
+    @pytest.mark.parametrize("sample", _samples(".run"))
+    def test_encode_run(self, capsys, sample):
+        code, out = invoke(capsys, "encode-run", os.path.join(SAMPLES, f"{sample}.run"))
+        assert code == 0
+        assert out == self.expected(f"encode-run-{sample}.txt")
 
 
 class TestSamples:

@@ -10,7 +10,7 @@ import random
 from decimal import Decimal
 
 from lict import (
-    LAnd,
+    And,
     Not,
     Pay,
     compute_permissions,
@@ -163,8 +163,8 @@ class TestAgainstEnumeration:
 class TestAgainstGenericRoute:
     def test_negated_obligation_implication_unsat_both_ways(self):
         formula = Not(parse_formula("issue(n, pay[1.00]) -> O(pay[1.00], n)"))
-        full = LAnd(
-            LAnd(translate(formula), implicit_restrictions(formula)),
+        full = And(
+            And(translate(formula), implicit_restrictions(formula)),
             finiteness_restriction(formula),
         )
         assert ltl_sat(full).status == "unsat"
@@ -177,8 +177,8 @@ class TestAgainstGenericRoute:
         compared = 0
         for _ in range(40):
             formula = micro_formula(rng, two_names=False)
-            full = LAnd(
-                LAnd(translate(formula), implicit_restrictions(formula)),
+            full = And(
+                And(translate(formula), implicit_restrictions(formula)),
                 finiteness_restriction(formula),
             )
             generic = ltl_sat(full, budget=400_000)

@@ -6,17 +6,15 @@ from decimal import Decimal
 from lict import (
     BOT,
     Done,
+    Always,
     Issued,
-    LAlways,
-    LAnd,
-    LNot,
-    LProp,
-    LTrue,
-    LUntil,
     LinearStructure,
+    Not,
     Obligated,
     Permitted,
     Pay,
+    Truth,
+    Until,
     Render,
     build_structure,
     check_run_validity_ltl,
@@ -26,12 +24,10 @@ from lict import (
     finiteness_restriction,
     formula_size,
     implicit_restrictions,
-    l_eventually,
     ltl_eval,
-    ltl_size,
     parse_formula,
     parse_run,
-    pretty_ltl,
+    pretty_formula,
     translate,
 )
 from lict.formulas import Act, ActionExpr, Perm
@@ -53,52 +49,52 @@ JOURNAL_RUN = parse_run(
 class TestTranslate:
     def test_issue_atom(self):
         formula = parse_formula("issue(n, bot)")
-        assert translate(formula) == LProp(Issued("n", formula.license))
+        assert translate(formula) == Issued("n", formula.license)
 
     def test_complement_permission_uses_obligation(self):
         formula = Perm(ActionExpr(False, PAY, "n"))
-        assert translate(formula) == LNot(LProp(Obligated(PAY, "n")))
+        assert translate(formula) == Not(Obligated(PAY, "n"))
 
     def test_complement_action_is_negated_done(self):
         formula = Act(ActionExpr(False, PAY, "n"))
-        assert translate(formula) == LNot(LProp(Done(PAY, "n")))
+        assert translate(formula) == Not(Done(PAY, "n"))
 
     def test_homomorphic_on_connectives(self):
         formula = parse_formula("X (pay[1.00], n) & !(~render[w,d], m)")
         translated = translate(formula)
-        assert pretty_ltl(translated) == "X done(pay[1.00], n) & !!done(render[w,d], m)"
+        assert pretty_formula(translated) == "X done(pay[1.00], n) & !!done(render[w,d], m)"
 
     def test_size_linear(self):
         rng = random.Random(113)
         for _ in range(100):
             formula = random_formula(rng, 5, names=("n", "m"))
-            assert ltl_size(translate(formula)) <= 2 * formula_size(formula)
+            assert formula_size(translate(formula)) <= 2 * formula_size(formula)
 
 
 class TestLtlEval:
     def test_always_on_all_p_loop(self):
-        p = LProp(Done(BOT, "n"))
-        structure = LinearStructure(prefix=(), loop=(frozenset({p.prop}),))
-        assert ltl_eval(structure, 0, LAlways(p))
+        p = Done(BOT, "n")
+        structure = LinearStructure(prefix=(), loop=(frozenset({p}),))
+        assert ltl_eval(structure, 0, Always(p))
 
     def test_until_fulfilled_in_loop(self):
-        p = LProp(Done(BOT, "n"))
-        q = LProp(Permitted(BOT, "n"))
+        p = Done(BOT, "n")
+        q = Permitted(BOT, "n")
         structure = LinearStructure(
-            prefix=(frozenset({p.prop}),),
-            loop=(frozenset({p.prop}), frozenset({q.prop})),
+            prefix=(frozenset({p}),),
+            loop=(frozenset({p}), frozenset({q})),
         )
-        assert ltl_eval(structure, 0, LUntil(p, q))
+        assert ltl_eval(structure, 0, Until(p, q))
 
     def test_until_needs_left_to_hold(self):
-        p = LProp(Done(BOT, "n"))
-        q = LProp(Permitted(BOT, "n"))
+        p = Done(BOT, "n")
+        q = Permitted(BOT, "n")
         structure = LinearStructure(
             prefix=(frozenset(),),
-            loop=(frozenset({q.prop}),),
+            loop=(frozenset({q}),),
         )
-        assert not ltl_eval(structure, 0, LUntil(p, q))
-        assert ltl_eval(structure, 1, LUntil(p, q))
+        assert not ltl_eval(structure, 0, Until(p, q))
+        assert ltl_eval(structure, 1, Until(p, q))
 
 
 class TestBuildStructure:
@@ -165,14 +161,14 @@ class TestRouteAgreement:
 
 class TestImplicitRestrictions:
     def test_empty_vocabulary_is_truth(self):
-        assert implicit_restrictions(parse_formula("true")) == LTrue()
+        assert implicit_restrictions(parse_formula("true")) == Truth()
 
     def test_structures_of_runs_satisfy_them(self):
         # Whatever a real run does, its structure obeys the restrictions of
         # any formula that mentions the run's licenses (tautological issue
         # disjuncts pull them into the formula's vocabulary).
         rng = random.Random(139)
-        from lict import Issue, f_and_all, f_or, f_not
+        from lict import Issue, f_and_all, f_or
 
         for _ in range(60):
             run = random_run(rng, horizon=rng.randint(0, 4), depth=3)
@@ -180,7 +176,7 @@ class TestImplicitRestrictions:
             licenses = [(t[1], t[2]) for t in run.issuances]
             core = random_formula(rng, 3, names=names, licenses=licenses)
             anchors = [
-                f_or(Issue(name, lic), f_not(Issue(name, lic)))
+                f_or(Issue(name, lic), Not(Issue(name, lic)))
                 for name, lic in licenses
             ]
             formula = f_and_all([core] + anchors)
@@ -191,7 +187,7 @@ class TestImplicitRestrictions:
     def test_done_schema_shape(self):
         formula = parse_formula("(pay[1.00], n) & (render[w,d], n)")
         restrictions = implicit_restrictions(formula)
-        text = pretty_ltl(restrictions)
+        text = pretty_formula(restrictions)
         assert "done(pay[1.00], n) -> !done(render[w,d], n)" in text
         assert "done(render[w,d], n) -> !done(pay[1.00], n)" in text
 

@@ -5,26 +5,25 @@ import random
 
 from lict import (
     BOT,
+    Always,
+    And,
     Done,
-    LAlways,
-    LAnd,
-    LNext,
-    LNot,
-    LProp,
-    LTrue,
-    LUntil,
     LinearStructure,
+    Next,
+    Not,
     Permitted,
-    l_eventually,
-    l_implies,
-    l_or,
+    Truth,
+    Until,
+    f_eventually,
+    f_implies,
+    f_or,
     ltl_eval,
     ltl_sat,
 )
 
-P = LProp(Done(BOT, "n"))
-Q = LProp(Permitted(BOT, "n"))
-R = LProp(Done(BOT, "m"))
+P = Done(BOT, "n")
+Q = Permitted(BOT, "n")
+R = Done(BOT, "m")
 
 
 def bounded_models(props, max_prefix: int, loop_len: int):
@@ -51,55 +50,55 @@ def random_ltl(rng: random.Random, depth: int, atoms=(P, Q)):
     shape = rng.random()
     sub = lambda: random_ltl(rng, depth - 1, atoms)
     if shape < 0.2:
-        return LNot(sub())
+        return Not(sub())
     if shape < 0.4:
-        return LAnd(sub(), sub())
+        return And(sub(), sub())
     if shape < 0.55:
-        return l_or(sub(), sub())
+        return f_or(sub(), sub())
     if shape < 0.7:
-        return LNext(sub())
+        return Next(sub())
     if shape < 0.85:
-        return LAlways(sub())
-    return LUntil(sub(), sub())
+        return Always(sub())
+    return Until(sub(), sub())
 
 
 class TestClassics:
     def test_always_p_but_eventually_not_p(self):
-        assert ltl_sat(LAnd(LAlways(P), l_eventually(LNot(P)))).status == "unsat"
+        assert ltl_sat(And(Always(P), f_eventually(Not(P)))).status == "unsat"
 
     def test_until_is_satisfiable_with_witness(self):
-        report = ltl_sat(LUntil(P, Q))
+        report = ltl_sat(Until(P, Q))
         assert report.status == "sat"
-        assert ltl_eval(report.witness, 0, LUntil(P, Q))
+        assert ltl_eval(report.witness, 0, Until(P, Q))
 
     def test_contradiction(self):
-        assert ltl_sat(LAnd(P, LNot(P))).status == "unsat"
+        assert ltl_sat(And(P, Not(P))).status == "unsat"
 
     def test_always_eventually(self):
-        report = ltl_sat(LAlways(l_eventually(P)))
+        report = ltl_sat(Always(f_eventually(P)))
         assert report.status == "sat"
 
     def test_true(self):
-        assert ltl_sat(LTrue()).status == "sat"
+        assert ltl_sat(Truth()).status == "sat"
 
     def test_unfulfillable_until(self):
-        formula = LAnd(LUntil(P, Q), LAlways(LNot(Q)))
+        formula = And(Until(P, Q), Always(Not(Q)))
         assert ltl_sat(formula).status == "unsat"
 
     def test_nested_untils(self):
-        formula = LUntil(P, LUntil(Q, R))
+        formula = Until(P, Until(Q, R))
         report = ltl_sat(formula)
         assert report.status == "sat"
         assert ltl_eval(report.witness, 0, formula)
 
     def test_response_pattern(self):
-        formula = LAlways(l_implies(P, l_eventually(Q)))
+        formula = Always(f_implies(P, f_eventually(Q)))
         assert ltl_sat(formula).status == "sat"
 
 
 class TestBudget:
     def test_tiny_budget_reports_distinct_outcome(self):
-        formula = LUntil(P, LUntil(Q, LUntil(R, LAnd(P, Q))))
+        formula = Until(P, Until(Q, Until(R, And(P, Q))))
         report = ltl_sat(formula, budget=3)
         assert report.status == "budget"
 
@@ -116,11 +115,11 @@ class TestAgainstBruteForce:
             if report.status == "sat":
                 assert ltl_eval(report.witness, 0, formula)
             else:
-                assert not brute_force_satisfiable(formula, (P.prop, Q.prop))
+                assert not brute_force_satisfiable(formula, (P, Q))
 
     def test_brute_force_sat_implies_tableau_sat(self):
         rng = random.Random(157)
         for _ in range(60):
             formula = random_ltl(rng, 3)
-            if brute_force_satisfiable(formula, (P.prop, Q.prop), max_prefix=1, max_loop=2):
+            if brute_force_satisfiable(formula, (P, Q), max_prefix=1, max_loop=2):
                 assert ltl_sat(formula).status == "sat"
