@@ -16,12 +16,12 @@ import sys
 from .automata import dump_dot, padded_nfa
 from .digitalrights import DrCapExceeded, compile_dr
 from .formulas import check_spec, encode_run, evaluate, pretty_formula
-from .licenses import pretty_action, pretty_license
+from .licenses import pretty_license
 from .licsat import lic_sat, lic_valid
 from .ltl import implicit_restrictions, translate
 from .parsing import ParseError, parse_dr, parse_formula, parse_run
 from .repl import step_repl
-from .runs import compute_permissions, pretty_run
+from .runs import compute_permissions, permission_line, pretty_run
 from .tableau import DEFAULT_BUDGET
 
 EXIT_OK = 0
@@ -49,11 +49,7 @@ def permissions_lines(run, horizon: int) -> list[str]:
     lines = []
     for t in range(horizon + 1):
         for name in names:
-            permitted = sorted(perms.permitted(name, t), key=lambda a: pretty_action(a))
-            rendered = ",".join(pretty_action(a) for a in permitted)
-            obligated = perms.obligated(name, t)
-            obligated_text = pretty_action(obligated) if obligated is not None else "none"
-            lines.append(f"t={t} n={name} permits={{{rendered}}} obligated={obligated_text}")
+            lines.append(f"t={t} {permission_line(perms, name, t)}")
     return lines
 
 

@@ -103,18 +103,6 @@ class DrLicense:
         return self.repetition.count * self.repetition.period
 
 
-def pretty_dr(dr: DrLicense) -> str:
-    if isinstance(dr.repetition, Single):
-        head = f"for {dr.repetition.period}"
-    elif isinstance(dr.repetition, Exactly):
-        head = f"for {dr.repetition.count} {dr.repetition.period}"
-    else:
-        head = f"for upto {dr.repetition.count} {dr.repetition.period}"
-    works = ",".join(sorted(dr.works))
-    devices = ",".join(sorted(dr.devices))
-    return f"{head} pay {dr.amount} {dr.schedule} for {{{works}}} on {{{devices}}}"
-
-
 def _render_slots(dr: DrLicense) -> list[Action]:
     renders: list[Action] = [
         Render(work, device)

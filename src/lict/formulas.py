@@ -51,16 +51,8 @@ def complement(expr: ActionExpr) -> ActionExpr:
     return ActionExpr(not expr.positive, expr.action, expr.name)
 
 
-def interpret_action_expr(expr: ActionExpr) -> Callable[[Action, str], bool]:
-    """The predicate over (action, name) pairs an action expression denotes."""
-
-    def predicate(action: Action, name: str) -> bool:
-        return expr_matches(expr, action, name)
-
-    return predicate
-
-
 def expr_matches(expr: ActionExpr, action: Action, name: str) -> bool:
+    """Whether the action expression covers ``action`` done by ``name``."""
     if name != expr.name:
         return False
     if expr.positive:

@@ -24,17 +24,7 @@ from itertools import product
 from .automata import padded_nfa, permitted_from, reachable_subsets
 from .formulas import Act, Formula, Not, Perm, evaluate, formula_atoms
 from .licenses import BOT, Action, License, Pay, action_key, license_actions
-from .ltl import (
-    Done,
-    InState,
-    Issued,
-    Obligated,
-    Over,
-    Permitted,
-    Prop,
-    build_vocabulary,
-    translate,
-)
+from .ltl import Prop, build_vocabulary, name_props, translate
 from .runs import Run, compute_permissions, make_run
 from .tableau import (
     DEFAULT_BUDGET,
@@ -56,6 +46,7 @@ OTHER = _OtherAction()
 
 _UNISSUED = ("unissued",)
 _OVER = ("over",)
+_ONLY_BOT = frozenset({BOT})
 
 
 def fresh_action(actions) -> Action:
@@ -105,25 +96,14 @@ class _RunSpace:
         cached = self._label_cache.get(key)
         if cached is not None:
             return cached
-        props: set[Prop] = set()
-        if issue is not None:
-            props.add(Issued(name, issue))
-        if act is not OTHER:
-            props.add(Done(act, name))
-        if effective == _UNISSUED or effective == _OVER:
-            props.add(Permitted(BOT, name))
-            props.add(Obligated(BOT, name))
-            if effective == _OVER:
-                props.add(Over(name))
+        if effective == _UNISSUED:
+            subset, permitted = None, _ONLY_BOT
+        elif effective == _OVER:
+            subset, permitted = frozenset(), _ONLY_BOT
         else:
             _, lic, subset = effective
-            props.add(InState(name, subset))
             permitted = permitted_from(padded_nfa(lic), subset, padding_ok=True)
-            for action in permitted:
-                props.add(Permitted(action, name))
-            if len(permitted) == 1:
-                props.add(Obligated(next(iter(permitted)), name))
-        result = frozenset(props)
+        result = name_props(name, issue, None if act is OTHER else act, subset, permitted)
         self._label_cache[key] = result
         return result
 
@@ -188,14 +168,13 @@ def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
     pos_by_state = {s: split_by_name(props) for s, props in positive.items()}
     neg_by_state = {s: split_by_name(props) for s, props in negative.items()}
 
-    # The product graph: nodes are (tableau state, statuses); edges carry the
-    # joint choice so a witness can be read back as run events.  Quiet edges
-    # (no issuance, all names doing bot) are tracked separately: only they
-    # may form the lasso loop, which keeps every witness a finite run.
-    edges: dict[tuple, list[tuple]] = {}
-    edge_choice: dict[tuple[tuple, tuple], tuple] = {}
-    quiet_choice: dict[tuple[tuple, tuple], tuple] = {}
-    quiet_edges: dict[tuple, set[tuple]] = {}
+    # The product graph: nodes are (tableau state, statuses); ``edges[node]``
+    # maps each successor to the first joint choice reaching it, so a witness
+    # can be read back as run events.  Quiet edges (no issuance, all names
+    # doing bot) are kept apart in ``quiet[node]``: only they may form the
+    # lasso loop, which keeps every witness a finite run.
+    edges: dict[tuple, dict[tuple, tuple]] = {}
+    quiet: dict[tuple, dict[tuple, tuple]] = {}
     initial = []
     start = space.initial_statuses()
     worklist = []
@@ -226,31 +205,26 @@ def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
                 feasible = False
                 break
             per_name.append(options)
-        node_edges: list[tuple] = []
-        node_edge_set: set[tuple] = set()
-        node_quiet: set[tuple] = set()
+        node_edges: dict[tuple, tuple] = {}
+        node_quiet: dict[tuple, tuple] = {}
         if feasible:
             for combo in product(*per_name):
                 ticks += 1
                 if ticks > budget:
                     return LicSatResult("budget")
                 next_statuses = tuple(option[3] for option in combo)
-                quiet = all(option[4] for option in combo)
+                is_quiet = all(option[4] for option in combo)
                 choice = tuple((option[0], option[1]) for option in combo)
                 for successor_state in tableau.edges[state]:
                     successor = (successor_state, next_statuses)
-                    if successor not in node_edge_set:
-                        node_edge_set.add(successor)
-                        node_edges.append(successor)
-                    edge_choice.setdefault((node, successor), choice)
-                    if quiet:
-                        node_quiet.add(successor)
-                        quiet_choice.setdefault((node, successor), choice)
+                    node_edges.setdefault(successor, choice)
+                    if is_quiet:
+                        node_quiet.setdefault(successor, choice)
                     if successor not in seen:
                         seen.add(successor)
                         worklist.append(successor)
         edges[node] = node_edges
-        quiet_edges[node] = node_quiet
+        quiet[node] = node_quiet
 
     accept_sets = [
         {node for node in edges if node[0] in members}
@@ -260,20 +234,20 @@ def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
     lasso = accepting_lasso(
         initial,
         lambda node: edges[node],
-        lambda node: [child for child in edges[node] if child in quiet_edges[node]],
+        lambda node: [child for child in edges[node] if child in quiet[node]],
         accept_sets,
     )
     if lasso is None:
         return LicSatResult("unsat")
 
     prefix, loop = lasso
-    run = _extract_run(space, list(prefix), list(loop), edge_choice, quiet_choice)
+    run = _extract_run(space, list(prefix), list(loop), edges, quiet)
     if not evaluate(run, compute_permissions(run), 0, formula):
         raise RuntimeError("internal error: extracted witness run failed re-verification")
     return LicSatResult("sat", run)
 
 
-def _extract_run(space: _RunSpace, prefix, loop, edge_choice, quiet_choice) -> Run:
+def _extract_run(space: _RunSpace, prefix, loop, edges, quiet) -> Run:
     other = fresh_action(space.vocab.actions)
     issuances = []
     actions = []
@@ -281,10 +255,7 @@ def _extract_run(space: _RunSpace, prefix, loop, edge_choice, quiet_choice) -> R
     for t in range(len(visit)):
         source = visit[t]
         target = visit[t + 1] if t + 1 < len(visit) else loop[0]
-        if t >= len(prefix):
-            choice = quiet_choice[(source, target)]
-        else:
-            choice = edge_choice[(source, target)]
+        choice = (quiet if t >= len(prefix) else edges)[source][target]
         for name, (issue, act) in zip(space.names, choice):
             if issue is not None:
                 issuances.append((t, name, issue))

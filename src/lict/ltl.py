@@ -355,6 +355,26 @@ def finiteness_restriction(formula: Formula) -> Formula:
 # The structure of a run
 
 
+def name_props(name: str, issued, action, subset, permitted) -> frozenset[Prop]:
+    """The target atoms true of one name at one time.
+
+    ``issued`` is the license issued to the name at that time, or None;
+    ``action`` is what the name does, or None for an action the vocabulary
+    does not mention; ``subset`` is the name's automaton subset, None before
+    issuance and empty once violated; ``permitted`` is its permitted set.
+    """
+    props: set[Prop] = {Permitted(action, name) for action in permitted}
+    if issued is not None:
+        props.add(Issued(name, issued))
+    if action is not None:
+        props.add(Done(action, name))
+    if len(permitted) == 1:
+        props.add(Obligated(next(iter(permitted)), name))
+    if subset is not None:
+        props.add(InState(name, subset) if subset else Over(name))
+    return frozenset(props)
+
+
 def build_structure(run: Run, extra_names=()) -> LinearStructure:
     """The ultimately periodic model of a run.
 
@@ -367,19 +387,11 @@ def build_structure(run: Run, extra_names=()) -> LinearStructure:
     names = sorted(run.names | frozenset(extra_names))
 
     def label(t: int) -> frozenset:
+        issued = dict(run.licenses_at(t))
         props: set[Prop] = set()
-        for name, lic in run.licenses_at(t):
-            props.add(Issued(name, lic))
         for name in names:
-            props.add(Done(run.action(name, t), name))
-            permitted = perms.permitted(name, t)
-            for action in permitted:
-                props.add(Permitted(action, name))
-            if len(permitted) == 1:
-                props.add(Obligated(next(iter(permitted)), name))
-            subset = perms.subset_state(name, t)
-            if subset is not None:
-                props.add(InState(name, subset) if subset else Over(name))
+            subset, permitted = perms.subset_state(name, t), perms.permitted(name, t)
+            props |= name_props(name, issued.get(name), run.action(name, t), subset, permitted)
         return frozenset(props)
 
     prefix = tuple(label(t) for t in range(perms.prefix_len))

@@ -11,9 +11,8 @@ name, acting twice) are rejected and the session continues.
 from __future__ import annotations
 
 from .formulas import evaluate
-from .licenses import pretty_action
 from .parsing import ParseError, parse_action, parse_formula, parse_license
-from .runs import Run, compute_permissions, make_run
+from .runs import Run, compute_permissions, make_run, permission_line
 
 _HELP = """commands:
   issue <name> <license>   grant a license under a fresh name, now
@@ -69,11 +68,7 @@ class ReplSession:
         perms = compute_permissions(run)
         lines = [f"t={self.time}"]
         for name in sorted(run.names):
-            permitted = sorted(perms.permitted(name, self.time), key=pretty_action)
-            rendered = ",".join(pretty_action(a) for a in permitted)
-            obligated = perms.obligated(name, self.time)
-            obligated_text = pretty_action(obligated) if obligated is not None else "none"
-            lines.append(f"  n={name} permits={{{rendered}}} obligated={obligated_text}")
+            lines.append(f"  {permission_line(perms, name, self.time)}")
         if len(lines) == 1:
             lines.append("  (nothing issued)")
         return lines

@@ -217,6 +217,15 @@ class PermissionInterpretation:
         return frozenset(self._timelines)
 
 
+def permission_line(perms: PermissionInterpretation, name: str, t: int) -> str:
+    """What ``name`` may and must do at ``t``, as the CLI and REPL print it."""
+    permitted = sorted(perms.permitted(name, t), key=pretty_action)
+    rendered = ",".join(pretty_action(a) for a in permitted)
+    obligated = perms.obligated(name, t)
+    obligated_text = pretty_action(obligated) if obligated is not None else "none"
+    return f"n={name} permits={{{rendered}}} obligated={obligated_text}"
+
+
 def compute_permissions(run: Run) -> PermissionInterpretation:
     """The minimal permission interpretation of a run.
 

@@ -28,125 +28,105 @@ class BudgetExceededError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form
+# Negation normal form, interned
 
-
-@dataclass(frozen=True)
-class NTrue:
-    pass
-
-
-@dataclass(frozen=True)
-class NFalse:
-    pass
-
-
-@dataclass(frozen=True)
-class NLit:
-    prop: object
-    positive: bool
-
-
-@dataclass(frozen=True)
-class NAnd:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class NOr:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class NX:
-    operand: object
-
-
-@dataclass(frozen=True)
-class NUntil:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class NRelease:
-    left: object
-    right: object
-
-
-def to_nnf(formula: Formula, positive: bool = True):
-    """Push negations to the literals; box becomes release, its dual until."""
-    if isinstance(formula, Truth):
-        return NTrue() if positive else NFalse()
-    if isinstance(formula, Not):
-        return to_nnf(formula.operand, not positive)
-    if isinstance(formula, And):
-        left = to_nnf(formula.left, positive)
-        right = to_nnf(formula.right, positive)
-        return NAnd(left, right) if positive else NOr(left, right)
-    if isinstance(formula, Next):
-        return NX(to_nnf(formula.operand, positive))
-    if isinstance(formula, Always):
-        if positive:
-            return NRelease(NFalse(), to_nnf(formula.operand, True))
-        return NUntil(NTrue(), to_nnf(formula.operand, False))
-    if isinstance(formula, Until):
-        left = to_nnf(formula.left, positive)
-        right = to_nnf(formula.right, positive)
-        return NUntil(left, right) if positive else NRelease(left, right)
-    if isinstance(formula, Formula):
-        return NLit(formula, positive)
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-# ---------------------------------------------------------------------------
-# Expansion graph
-
-# The whole expansion works on interned formula ids rather than AST nodes:
+# The expansion works on interned formula ids rather than AST nodes:
 # obligation sets hash fast, and processing picks the cheapest obligation
 # first (falsum, literals, conjunctions before any disjunctive split), which
 # both prunes contradictions early and makes the construction deterministic.
 
 _KIND_FALSE, _KIND_TRUE, _KIND_LIT, _KIND_AND, _KIND_X, _KIND_RELEASE, _KIND_OR, _KIND_UNTIL = range(8)
 
+_TRUTH = Truth()
+
+
+def _strip(formula: Formula, positive: bool) -> tuple[Formula, bool]:
+    """Drop leading negations into the polarity."""
+    while isinstance(formula, Not):
+        formula = formula.operand
+        positive = not positive
+    return formula, positive
+
+
+def _shape(formula: Formula, positive: bool) -> tuple[int, tuple]:
+    """The NNF kind of a formula under a polarity, and its (operand, polarity)s.
+
+    Box becomes release(false, body), its dual until(true, negated body).
+    """
+    if isinstance(formula, Truth):
+        return (_KIND_TRUE if positive else _KIND_FALSE), ()
+    if isinstance(formula, And):
+        kind = _KIND_AND if positive else _KIND_OR
+        return kind, (_strip(formula.left, positive), _strip(formula.right, positive))
+    if isinstance(formula, Next):
+        return _KIND_X, (_strip(formula.operand, positive),)
+    if isinstance(formula, Always):
+        if positive:
+            return _KIND_RELEASE, ((_TRUTH, False), _strip(formula.operand, True))
+        return _KIND_UNTIL, ((_TRUTH, True), _strip(formula.operand, False))
+    if isinstance(formula, Until):
+        kind = _KIND_UNTIL if positive else _KIND_RELEASE
+        return kind, (_strip(formula.left, positive), _strip(formula.right, positive))
+    if isinstance(formula, Formula):
+        return _KIND_LIT, ()
+    raise TypeError(f"not a formula: {formula!r}")
+
 
 class _Closure:
-    """Interned subformulas of one NNF root."""
+    """The hash-consed NNF subformulas of one root, as parallel id arrays.
 
-    def __init__(self, root):
-        self.ids: dict = {}
-        self.nodes: list = []
+    ``kinds[i]``, ``args[i]`` (child ids) and ``literals[i]`` ((atom,
+    polarity) for literals, else None) describe node ``i``; equal NNF
+    subformulas share one id, and ids are assigned in post-order, left
+    operand first.
+    """
+
+    def __init__(self, root: Formula):
+        self._ids: dict[tuple, int] = {}
         self.kinds: list[int] = []
         self.args: list[tuple[int, ...]] = []
-        self.root = self.intern(root)
+        self.literals: list[tuple[Formula, bool] | None] = []
+        self.root = self._read(*_strip(root, True))
         # pair every literal with its complement up front
-        for node in list(self.nodes):
-            if isinstance(node, NLit):
-                self.intern(NLit(node.prop, not node.positive))
+        literals = [literal for literal in self.literals if literal is not None]
+        for atom, positive in literals:
+            self._intern(_KIND_LIT, (), (atom, not positive))
         self.complement = {
-            self.ids[node]: self.ids[NLit(node.prop, not node.positive)]
-            for node in self.nodes
-            if isinstance(node, NLit)
+            index: self._ids[(_KIND_LIT, (), (literal[0], not literal[1]))]
+            for index, literal in enumerate(self.literals)
+            if literal is not None
         }
 
-    def intern(self, node) -> int:
-        found = self.ids.get(node)
-        if found is not None:
-            return found
-        if isinstance(node, (NAnd, NOr, NUntil, NRelease)):
-            args = (self.intern(node.left), self.intern(node.right))
-        elif isinstance(node, NX):
-            args = (self.intern(node.operand),)
-        else:
-            args = ()
-        index = len(self.nodes)
-        self.ids[node] = index
-        self.nodes.append(node)
-        self.args.append(args)
-        self.kinds.append(_kind_of(node))
-        return index
+    def _intern(self, kind: int, args: tuple[int, ...], literal=None) -> int:
+        key = (kind, args, literal)
+        found = self._ids.get(key)
+        if found is None:
+            found = self._ids[key] = len(self.kinds)
+            self.kinds.append(kind)
+            self.args.append(args)
+            self.literals.append(literal)
+        return found
+
+    def _read(self, root: Formula, positive: bool) -> int:
+        # explicit-stack post-order, memoised per (subformula object, polarity)
+        # so shared subtrees are read once
+        memo: dict[tuple[int, bool], int] = {}
+        stack: list = [(root, positive, None)]
+        while stack:
+            formula, sign, shape = stack.pop()
+            key = (id(formula), sign)
+            if shape is None:
+                if key in memo:
+                    continue
+                shape = _shape(formula, sign)
+                stack.append((formula, sign, shape))
+                stack.extend((operand, polarity, None) for operand, polarity in reversed(shape[1]))
+                continue
+            kind, operands = shape
+            args = tuple(memo[(id(operand), polarity)] for operand, polarity in operands)
+            literal = (formula, sign) if kind == _KIND_LIT else None
+            memo[key] = self._intern(kind, args, literal)
+        return memo[(id(root), positive)]
 
     def untils(self) -> list[int]:
         # complements added after the root walk are literals, so every until
@@ -154,24 +134,13 @@ class _Closure:
         return [index for index, kind in enumerate(self.kinds) if kind == _KIND_UNTIL]
 
 
-def _kind_of(node) -> int:
-    if isinstance(node, NFalse):
-        return _KIND_FALSE
-    if isinstance(node, NTrue):
-        return _KIND_TRUE
-    if isinstance(node, NLit):
-        return _KIND_LIT
-    if isinstance(node, NAnd):
-        return _KIND_AND
-    if isinstance(node, NX):
-        return _KIND_X
-    if isinstance(node, NRelease):
-        return _KIND_RELEASE
-    if isinstance(node, NOr):
-        return _KIND_OR
-    if isinstance(node, NUntil):
-        return _KIND_UNTIL
-    raise TypeError(f"not an NNF node: {node!r}")
+def to_nnf(formula: Formula) -> _Closure:
+    """Push negations to the literals and intern every NNF subformula."""
+    return _Closure(formula)
+
+
+# ---------------------------------------------------------------------------
+# Expansion graph
 
 
 class _Expansion:
@@ -201,11 +170,11 @@ class Tableau:
         self.accept_sets: list[frozenset[int]] = []
 
     def _props(self, state: int, positive: bool) -> frozenset:
-        nodes = self._closure.nodes
+        literals = self._closure.literals
         return frozenset(
-            nodes[index].prop
+            literals[index][0]
             for index in self.old_sets[state]
-            if isinstance(nodes[index], NLit) and nodes[index].positive == positive
+            if literals[index] is not None and literals[index][1] == positive
         )
 
     def positive_props(self, state: int) -> frozenset:
@@ -215,9 +184,8 @@ class Tableau:
         return self._props(state, False)
 
 
-def build_tableau(root, budget: int = DEFAULT_BUDGET) -> Tableau:
-    """Expand an NNF formula into its obligation graph."""
-    closure = _Closure(root)
+def build_tableau(closure: _Closure, budget: int = DEFAULT_BUDGET) -> Tableau:
+    """Expand an interned NNF formula into its obligation graph."""
     kinds = closure.kinds
     args = closure.args
     complement = closure.complement

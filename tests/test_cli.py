@@ -236,6 +236,13 @@ class TestGoldenOutput:
         assert code == 0
         assert out == self.expected(f"translate-ltl-{sample}.txt")
 
+    @pytest.mark.parametrize("command", ["sat", "valid"])
+    @pytest.mark.parametrize("sample", _samples(".lic"))
+    def test_decide(self, capsys, command, sample):
+        code, out = invoke(capsys, command, os.path.join(SAMPLES, f"{sample}.lic"))
+        assert code in (0, 1)
+        assert out == self.expected(f"{command}-{sample}.txt")
+
     @pytest.mark.parametrize("sample", _samples(".run"))
     def test_encode_run(self, capsys, sample):
         code, out = invoke(capsys, "encode-run", os.path.join(SAMPLES, f"{sample}.run"))

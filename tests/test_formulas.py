@@ -22,10 +22,10 @@ from lict import (
     compute_permissions,
     encode_run,
     evaluate,
+    expr_matches,
     f_implies,
     f_oblig,
     f_or,
-    interpret_action_expr,
     license_consequences,
     make_run,
     parse_formula,
@@ -50,22 +50,22 @@ JOURNAL_RUN = parse_run(
 
 class TestActionExpr:
     def test_positive_matches_exactly(self):
-        pred = interpret_action_expr(ActionExpr(True, PAY, "n"))
-        assert pred(PAY, "n")
-        assert not pred(READ, "n")
-        assert not pred(PAY, "m")
+        expr = ActionExpr(True, PAY, "n")
+        assert expr_matches(expr, PAY, "n")
+        assert not expr_matches(expr, READ, "n")
+        assert not expr_matches(expr, PAY, "m")
 
     def test_complement_is_per_name(self):
-        pred = interpret_action_expr(ActionExpr(False, PAY, "n"))
-        assert pred(READ, "n")
-        assert pred(BOT, "n")
-        assert not pred(PAY, "n")
-        assert not pred(READ, "m")
+        expr = ActionExpr(False, PAY, "n")
+        assert expr_matches(expr, READ, "n")
+        assert expr_matches(expr, BOT, "n")
+        assert not expr_matches(expr, PAY, "n")
+        assert not expr_matches(expr, READ, "m")
 
     def test_bot_complement_matches_any_real_action(self):
-        pred = interpret_action_expr(ActionExpr(False, BOT, "n"))
-        assert pred(PAY, "n")
-        assert not pred(BOT, "n")
+        expr = ActionExpr(False, BOT, "n")
+        assert expr_matches(expr, PAY, "n")
+        assert not expr_matches(expr, BOT, "n")
 
 
 class TestEvaluate:

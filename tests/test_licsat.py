@@ -6,6 +6,7 @@ tableau on the translated formula conjoined with the implicit and
 finiteness restrictions.
 """
 
+import os
 import random
 from decimal import Decimal
 
@@ -23,12 +24,15 @@ from lict import (
     parse_formula,
     parse_license,
     pretty_formula,
+    pretty_run,
     translate,
 )
 
 from gen import enumerate_satisfying_run, random_formula, random_license
 
 PAY = Pay(Decimal("1.00"))
+JOURNAL = parse_license("((pay[1.00] bot* render[journal,d]) | bot)*")
+WITNESS_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "lic-sat-random.txt")
 
 
 def micro_formula(rng: random.Random, two_names: bool):
@@ -187,3 +191,27 @@ class TestAgainstGenericRoute:
             compared += 1
             assert lic_sat(formula).status == generic.status, pretty_formula(formula)
         assert compared >= 20
+
+
+def seeded_witness_text() -> str:
+    """Status and witness run of lic_sat on a fixed set of random formulas."""
+    rng = random.Random(181)
+    blocks = []
+    for index in range(250):
+        formula = random_formula(
+            rng, rng.randint(2, 6), names=("n", "m"), licenses=[("n", JOURNAL)]
+        )
+        report = lic_sat(formula, budget=20_000)
+        lines = [f"# {index}: {pretty_formula(formula)}", report.status]
+        if report.run is not None:
+            lines.append(pretty_run(report.run))
+        blocks.append("\n".join(lines))
+    return "\n".join(blocks) + "\n"
+
+
+class TestGoldenWitnesses:
+    def test_seeded_statuses_and_witnesses_are_pinned(self):
+        # The tableau's state numbering decides which lasso is found first,
+        # so this pins the whole pipeline, not only the sat/unsat answers.
+        with open(WITNESS_GOLDEN, encoding="ascii") as handle:
+            assert seeded_witness_text() == handle.read()

@@ -20,6 +20,7 @@ from lict import (
     ltl_eval,
     ltl_sat,
 )
+from lict.tableau import build_tableau, to_nnf
 
 P = Done(BOT, "n")
 Q = Permitted(BOT, "n")
@@ -94,6 +95,22 @@ class TestClassics:
     def test_response_pattern(self):
         formula = Always(f_implies(P, f_eventually(Q)))
         assert ltl_sat(formula).status == "sat"
+
+
+class TestNnf:
+    def test_equal_nnf_subformulas_share_one_id(self):
+        # not-always-P and true-until-not-P have the same negation normal form
+        closure = to_nnf(And(Not(Always(P)), Until(Truth(), Not(P))))
+        left, right = closure.args[closure.root]
+        assert left == right
+
+    def test_deep_next_chain_does_not_recurse(self):
+        formula = P
+        for depth in range(5000):
+            formula = Next(formula) if depth % 2 else Not(Next(formula))
+        tableau = build_tableau(to_nnf(formula))
+        assert len(tableau.old_sets) == 5002
+        assert sum(1 for state in tableau.old_sets if P in tableau.positive_props(state)) == 1
 
 
 class TestBudget:
