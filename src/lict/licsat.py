@@ -2,10 +2,11 @@
 
 A formula is satisfiable when some finite run makes it true at time zero.
 The decision runs the translated formula's tableau in lockstep with a
-run-shaped transition system: per license name a status (unissued, tracking
-a subset of its automaton, or violated) whose labels are exactly the
-propositions a real run would produce.  Those labels are matched against the
-tableau's literal obligations, and a model is an accepting lasso whose loop
+run-shaped transition system: per license name an int status (unissued,
+violated, or one reachable subset of one license's automaton), whose options
+come from a choice table built once per formula.  Each option's labels are
+exactly the propositions a real run would produce; they are matched against
+the tableau's literal obligations, and a model is an accepting lasso whose loop
 is quiet (no issuances and only bot actions), so every witness unwinds into
 an actual run value.  Each witness run is re-checked against the direct
 semantics before being returned.
@@ -24,7 +25,7 @@ from itertools import product
 from .automata import padded_nfa, permitted_from, reachable_subsets
 from .formulas import Act, Formula, Not, Perm, evaluate, formula_atoms
 from .licenses import BOT, Action, License, Pay, action_key, license_actions
-from .ltl import Prop, build_vocabulary, name_props, translate
+from .ltl import build_vocabulary, name_props, translate
 from .runs import Run, compute_permissions, make_run
 from .tableau import (
     DEFAULT_BUDGET,
@@ -44,8 +45,6 @@ class _OtherAction:
 
 OTHER = _OtherAction()
 
-_UNISSUED = ("unissued",)
-_OVER = ("over",)
 _ONLY_BOT = frozenset({BOT})
 
 
@@ -57,66 +56,66 @@ def fresh_action(actions) -> Action:
 
 
 class _RunSpace:
-    """Per-name statuses, alphabets and automaton graphs for one formula."""
+    """The run-shaped transition system of one formula: one choice table per name.
+
+    A name's status is an int: 0 unissued, 1 over (violated), and from 2 on
+    one int per reachable automaton subset of each license the formula
+    issues to the name, numbered license by license (equal subsets of two
+    licenses stay apart).  ``choices[name][status]`` lists every
+    ``(issue, act, labels, next status, quiet)`` option of that status: no
+    issuance first, then each license (from status 0 only), and acts in
+    alphabet order within each.
+    """
 
     def __init__(self, formula: Formula):
         self.vocab = build_vocabulary(formula)
         self.names = self.vocab.names
         exprs = [atom.expr for atom in formula_atoms(formula) if isinstance(atom, (Act, Perm))]
-        self.start_subsets: dict[License, frozenset] = {}
-        self.graphs: dict[License, dict] = {}
-        self.alphabet: dict[str, tuple] = {}
-        self.issue_options: dict[str, tuple] = {}
+        graphs: dict[License, dict] = {}
+        self.choices: dict[str, list[list[tuple]]] = {}
         for name in self.names:
-            actions = {BOT}
-            actions |= {expr.action for expr in exprs if expr.name == name}
-            for lic in self.vocab.licenses_of(name):
+            licenses = self.vocab.licenses_of(name)
+            actions = {BOT} | {expr.action for expr in exprs if expr.name == name}
+            for lic in licenses:
                 actions |= license_actions(lic)
-                if lic not in self.graphs:
-                    nfa = padded_nfa(lic)
-                    self.start_subsets[lic] = nfa.start_subset()
-                    self.graphs[lic] = reachable_subsets(nfa, self.vocab.actions)
-            self.alphabet[name] = tuple(sorted(actions, key=action_key)) + (OTHER,)
-            self.issue_options[name] = (None,) + self.vocab.licenses_of(name)
-        self._label_cache: dict = {}
+                if lic not in graphs:
+                    graphs[lic] = reachable_subsets(padded_nfa(lic), self.vocab.actions)
+            alphabet = tuple(sorted(actions, key=action_key)) + (OTHER,)
+            self.choices[name] = _choice_table(name, licenses, alphabet, graphs)
 
-    def initial_statuses(self) -> tuple:
-        return tuple(_UNISSUED for _ in self.names)
 
-    def effective(self, status, issue):
-        if issue is None:
-            return status
-        start = self.start_subsets[issue]
-        if not start:
-            return _OVER
-        return ("active", issue, start)
+def _choice_table(name: str, licenses, alphabet, graphs) -> list[list[tuple]]:
+    # Per status: its subset (None before issuance), permitted set, and
+    # next status by act.
+    statuses = [
+        (subset, _ONLY_BOT, {act: status for act in alphabet})
+        for status, subset in enumerate((None, frozenset()))
+    ]
 
-    def labels(self, name: str, effective, issue, act) -> frozenset[Prop]:
-        key = (name, effective, issue, act)
-        cached = self._label_cache.get(key)
-        if cached is not None:
-            return cached
-        if effective == _UNISSUED:
-            subset, permitted = None, _ONLY_BOT
-        elif effective == _OVER:
-            subset, permitted = frozenset(), _ONLY_BOT
-        else:
-            _, lic, subset = effective
-            permitted = permitted_from(padded_nfa(lic), subset, padding_ok=True)
-        result = name_props(name, issue, None if act is OTHER else act, subset, permitted)
-        self._label_cache[key] = result
-        return result
+    def options(status: int, issue) -> list[tuple]:
+        subset, permitted, successor = statuses[status]
+        return [
+            (
+                issue,
+                act,
+                name_props(name, issue, None if act is OTHER else act, subset, permitted),
+                successor[act],
+                issue is None and act == BOT,
+            )
+            for act in alphabet
+        ]
 
-    def next_status(self, effective, act):
-        if effective == _UNISSUED or effective == _OVER:
-            return effective
-        _, lic, subset = effective
-        if act is OTHER:
-            return _OVER
-        successor = self.graphs[lic][subset][act]
-        if not successor:
-            return _OVER
-        return ("active", lic, successor)
+    issuances = []
+    for lic in licenses:
+        nfa = padded_nfa(lic)
+        number = {subset: len(statuses) + i for i, subset in enumerate(graphs[lic])}
+        for subset, row in graphs[lic].items():
+            successor = {act: 1 if act is OTHER else number.get(row[act], 1) for act in alphabet}
+            statuses.append((subset, permitted_from(nfa, subset, padding_ok=True), successor))
+        issuances += options(number.get(nfa.start_subset(), 1), lic)
+    table = [options(status, None) for status in range(len(statuses))]
+    table[0] += issuances
+    return table
 
 
 @dataclass
@@ -131,19 +130,9 @@ class ValidityResult:
     counterexample: Run | None = None
 
 
-def _name_choices(space: _RunSpace, name: str, status, positive, negative):
-    """Per-name (issue, act) options whose labels meet the literal obligations."""
-    issue_options = space.issue_options[name] if status == _UNISSUED else (None,)
-    for issue in issue_options:
-        effective = space.effective(status, issue)
-        for act in space.alphabet[name]:
-            labels = space.labels(name, effective, issue, act)
-            if not positive <= labels:
-                continue
-            if negative & labels:
-                continue
-            quiet = issue is None and act == BOT
-            yield issue, act, labels, space.next_status(effective, act), quiet
+def _name_choices(row: list[tuple], positive, negative) -> list[tuple]:
+    """The options of one status row whose labels meet the literal obligations."""
+    return [option for option in row if positive <= option[2] and not negative & option[2]]
 
 
 def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
@@ -153,22 +142,19 @@ def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
     except BudgetExceededError:
         return LicSatResult("budget")
     space = _RunSpace(formula)
-    names = space.names
+    tables = [space.choices[name] for name in space.names]
 
-    positive = {state: tableau.positive_props(state) for state in tableau.old_sets}
-    negative = {state: tableau.negative_props(state) for state in tableau.old_sets}
+    # Per tableau state, each name's (required, forbidden) propositions.
+    literals = {}
+    for state in tableau.old_sets:
+        split = {name: (set(), set()) for name in space.names}
+        for side, props in enumerate((tableau.positive_props(state), tableau.negative_props(state))):
+            for prop in props:
+                if prop.name in split:
+                    split[prop.name][side].add(prop)
+        literals[state] = list(split.values())
 
-    def split_by_name(props) -> dict[str, set]:
-        out: dict[str, set] = {name: set() for name in names}
-        for prop in props:
-            if prop.name in out:
-                out[prop.name].add(prop)
-        return out
-
-    pos_by_state = {s: split_by_name(props) for s, props in positive.items()}
-    neg_by_state = {s: split_by_name(props) for s, props in negative.items()}
-
-    # The product graph: nodes are (tableau state, statuses); ``edges[node]``
+    # The product graph: nodes are (tableau state, status ints); ``edges[node]``
     # maps each successor to the first joint choice reaching it, so a witness
     # can be read back as run events.  Quiet edges (no issuance, all names
     # doing bot) are kept apart in ``quiet[node]``: only they may form the
@@ -176,7 +162,7 @@ def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
     edges: dict[tuple, dict[tuple, tuple]] = {}
     quiet: dict[tuple, dict[tuple, tuple]] = {}
     initial = []
-    start = space.initial_statuses()
+    start = (0,) * len(space.names)
     worklist = []
     seen = set()
     for state in tableau.initial:
@@ -190,24 +176,15 @@ def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
         node = worklist.pop()
         state, statuses = node
         per_name = []
-        feasible = True
-        for index, name in enumerate(names):
-            options = list(
-                _name_choices(
-                    space,
-                    name,
-                    statuses[index],
-                    pos_by_state[state].get(name, set()),
-                    neg_by_state[state].get(name, set()),
-                )
-            )
+        for table, status, (positive, negative) in zip(tables, statuses, literals[state]):
+            options = _name_choices(table[status], positive, negative)
             if not options:
-                feasible = False
+                per_name = None
                 break
             per_name.append(options)
         node_edges: dict[tuple, tuple] = {}
         node_quiet: dict[tuple, tuple] = {}
-        if feasible:
+        if per_name is not None:
             for combo in product(*per_name):
                 ticks += 1
                 if ticks > budget:
@@ -230,13 +207,11 @@ def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
         {node for node in edges if node[0] in members}
         for members in tableau.accept_sets
     ]
+    loop_successors = {
+        node: [child for child in edges[node] if child in quiet[node]] for node in edges
+    }
 
-    lasso = accepting_lasso(
-        initial,
-        lambda node: edges[node],
-        lambda node: [child for child in edges[node] if child in quiet[node]],
-        accept_sets,
-    )
+    lasso = accepting_lasso(initial, edges.__getitem__, loop_successors.__getitem__, accept_sets)
     if lasso is None:
         return LicSatResult("unsat")
 

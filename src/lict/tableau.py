@@ -380,13 +380,12 @@ def accepting_lasso(initial, succ_all, succ_loop, accept_sets):
                 parent[child] = node
                 queue.append(child)
 
-    reachable = set(order)
-
-    def loop_successors(node):
-        return [child for child in succ_loop(node) if child in reachable]
+    loop_successors = {
+        node: [child for child in succ_loop(node) if child in order] for node in order
+    }.__getitem__
 
     chosen = None
-    nodes_in_order = sorted(reachable, key=order.get)
+    nodes_in_order = list(order)
     for component in _tarjan(nodes_in_order, loop_successors):
         members = set(component)
         has_cycle = len(component) > 1 or any(

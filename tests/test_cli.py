@@ -1,12 +1,16 @@
 """The command line: exit codes, result lines, JSON mode, and the REPL."""
 
+import contextlib
 import io
 import json
 import os
 import random
+import tempfile
 from decimal import Decimal
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lict.cli import main
 from lict.repl import step_repl
@@ -215,6 +219,78 @@ class TestDeepInput:
         lines = out.splitlines()
         assert lines[0] == "result=error"
         assert "nested too deeply" in lines[1]
+
+
+# Pieces of every input language: formulas, licenses, runs, DR licenses and
+# REPL lines.  Numbers only appear inside pieces, so an edit never builds a
+# long time stamp out of loose digits.
+_FUZZ_TOKENS = (
+    "(", ")", "!", "&", "|", "->", "~", "*", ",", "=", "#", "\n",
+    "X", "G", "F", "U", "true", "issue", "P", "O", "do", "n", "m",
+    "pay[1.00]", "pay[2.00]", "render[w,d]", "bot", "issue(n, pay[1.00])",
+    "(pay[1.00], n)", "P(bot, n)", "O(pay[1.00], n)", "@0", "@1 ", "@3 ",
+    "for", "upto", " 2 ", " 3 ", "pay 2.00", "peruse", "flatrate", "upfront",
+    "{w}", "{w,v}", "on", "{d}", "show", "eval", "undo", "quit",
+)
+
+
+# Each command with the kind of file it reads; ``{file}`` is the fuzzed input.
+_FUZZ_COMMANDS = (
+    (".lic", ("sat", "--budget", "{small}", "{file}")),
+    (".lic", ("valid", "--budget", "{small}", "{file}")),
+    (".lic", ("translate-ltl", "--with-restrictions", "{file}")),
+    (".lic", ("check-spec", "{run}", "{file}", "--at", "0")),
+    (".run", ("check-spec", "{file}", "{property}")),
+    (".run", ("permissions", "{file}", "--horizon", "3")),
+    (".run", ("encode-run", "{file}")),
+    (".run", ("step", "{file}")),
+    (".dr", ("compile-dr", "--cap", "{small}", "{file}")),
+)
+
+
+def _fuzz_text(draw, suffix: str) -> str:
+    """Token soup, or a sample of the given kind with a few pieces deleted or inserted."""
+    if draw(st.integers(0, 3)) == 0:
+        return " ".join(draw(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=24)))
+    names = sorted(name for name in os.listdir(SAMPLES) if name.endswith(suffix))
+    with open(os.path.join(SAMPLES, draw(st.sampled_from(names))), encoding="ascii") as handle:
+        text = handle.read()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + text[at + draw(st.integers(1, 8)):]
+        else:
+            text = text[:at] + draw(st.sampled_from(_FUZZ_TOKENS)) + text[at:]
+    return text
+
+
+class TestFuzz:
+    """Any input to any command ends with a documented exit code."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), small=st.integers(0, 40), json_format=st.booleans())
+    def test_every_command_exits_with_a_documented_code(self, data, small, json_format):
+        suffix, command = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+        text = _fuzz_text(data.draw, suffix)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "input" + suffix)
+            with open(path, "w", encoding="ascii") as handle:
+                handle.write(text)
+            fill = {
+                "file": path,
+                "small": str(small),
+                "property": os.path.join(SAMPLES, "journal-property.lic"),
+                "run": os.path.join(SAMPLES, "journal.run"),
+            }
+            argv = ["--format=json"] if json_format else []
+            argv += [part.format(**fill) for part in command]
+            with (
+                mock.patch("sys.stdin", io.StringIO(text)),
+                contextlib.redirect_stdout(io.StringIO()),
+                contextlib.redirect_stderr(io.StringIO()),
+            ):
+                code = main(argv)
+        assert code in (0, 1, 2, 3)
 
 
 def _samples(suffix: str) -> list[str]:

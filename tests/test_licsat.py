@@ -11,7 +11,9 @@ import random
 from decimal import Decimal
 
 from lict import (
+    ZERO,
     And,
+    Issue,
     Not,
     Pay,
     compute_permissions,
@@ -123,6 +125,36 @@ class TestSpotChecks:
     def test_budget_outcome(self):
         formula = parse_formula("issue(n, (pay[1.00] | bot)*) & F O(pay[1.00], n)")
         assert lic_sat(formula, budget=3).status == "budget"
+
+
+class TestRunSpaceEdges:
+    def test_issuing_the_empty_license_starts_over(self):
+        # The empty license has an empty start subset: issuing it puts the
+        # name straight into the violated status.
+        report = lic_sat(Issue("n", ZERO))
+        assert report.status == "sat"
+        assert pretty_run(report.run) == "@0 issue n = 0"
+
+    def test_violated_status_permits_only_bot(self):
+        formula = And(Issue("n", ZERO), parse_formula("X P(~bot, n)"))
+        assert lic_sat(formula).status == "unsat"
+
+    def test_witness_picks_the_license_that_permits(self):
+        formula = parse_formula(
+            "(issue(n, pay[1.00]) | issue(n, pay[2.00] pay[2.00])) & X P(pay[2.00], n)"
+        )
+        report = lic_sat(formula)
+        assert report.status == "sat"
+        assert "@0 issue n = pay[2.00] pay[2.00]" in pretty_run(report.run).splitlines()
+
+    def test_equal_subsets_of_two_licenses_stay_apart(self):
+        # Both licenses have the subsets {0}, {1}, ...  Were statuses keyed
+        # by subset alone, the first license's subset after pay[1.00] would
+        # be taken for the second's, which permits pay[2.00].
+        formula = parse_formula(
+            "issue(n, pay[1.00]) & X P(pay[2.00], n) & G !issue(n, pay[2.00] pay[2.00])"
+        )
+        assert lic_sat(formula).status == "unsat"
 
 
 class TestWitnessRoundTrip:

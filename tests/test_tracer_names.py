@@ -13,7 +13,8 @@ import os
 from lict.cli import main
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
-SAMPLE = os.path.join(os.path.dirname(__file__), "..", "samples", "journal-property.lic")
+SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
+SAMPLE = os.path.join(SAMPLES, "journal-property.lic")
 
 
 def _tracing():
@@ -42,3 +43,18 @@ def test_traced_sat_counts_the_tableau(capsys):
     _, counts = tracer.collect()
     assert counts["tableau.states"] > 0
     assert counts["tableau.edges"] > 0
+
+
+def test_traced_sat_counts_the_license_automata(capsys):
+    # The run space builds its automata through lict.licsat's names; a
+    # traced run that bypassed them would count zero.
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(["sat", os.path.join(SAMPLES, "journal-noviolation.lic")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    _, counts = tracer.collect()
+    assert counts["automata.nfa_states"] > 0
+    assert counts["automata.subsets"] > 0
