@@ -4,140 +4,29 @@ Licenses are regular expressions over render/pay actions; runs record which
 named licenses a client holds and what the client does; the logic layer
 evaluates permission/obligation formulas over runs, and the satisfiability
 layer decides formulas outright by reduction to a propositional temporal
-logic.
+logic.  This package exports the library API the README documents, grouped
+as it is there; everything else is imported from its own module, and the
+reference oracles the tests compare against live in :mod:`lict.reference`.
 """
 
-from .automata import (
-    Nfa,
-    SubsetState,
-    accepts,
-    build_nfa,
-    dump_dot,
-    lasso_of,
-    padded_nfa,
-    permitted_from,
-    reachable_subsets,
-    step_subset,
-    with_bot_padding,
-)
-from .digitalrights import (
-    DEFAULT_DR_CAP,
-    DrCapExceeded,
-    DrLicense,
-    Exactly,
-    Single,
-    Upto,
-    compile_dr,
-    dr_traces,
-)
-from .formulas import (
-    Act,
-    ActionExpr,
-    Always,
-    And,
-    Formula,
-    Issue,
-    Next,
-    Not,
-    Perm,
-    Truth,
-    Until,
-    check_spec,
-    complement,
-    encode_run,
-    evaluate,
-    expr_matches,
-    f_and_all,
-    f_eventually,
-    f_implies,
-    f_nexts,
-    f_oblig,
-    f_or,
-    formula_atoms,
-    formula_size,
-    license_consequences,
-    pretty_formula,
-)
-from .licenses import (
-    BOT,
-    EPSILON,
-    ONE,
-    ZERO,
-    Action,
-    Atom,
-    Bot,
-    Concat,
-    License,
-    One,
-    Pay,
-    Render,
-    Star,
-    Trace,
-    Union,
-    Zero,
-    action_key,
-    concat,
-    derivative,
-    first_actions,
-    is_empty,
-    license_actions,
-    license_size,
-    nullable,
-    prefix_sets,
-    pretty_action,
-    pretty_license,
-    star,
-    traces,
-    union,
-    viable,
-)
-from .licsat import (
-    OTHER,
-    LicSatResult,
-    ValidityResult,
-    fresh_action,
-    lic_sat,
-    lic_valid,
-)
-from .ltl import (
-    Done,
-    InState,
-    Issued,
-    LinearStructure,
-    Obligated,
-    Over,
-    Permitted,
-    Prop,
-    Vocabulary,
-    build_structure,
-    build_vocabulary,
-    check_run_validity_ltl,
-    finiteness_restriction,
-    implicit_restrictions,
-    ltl_eval,
-    translate,
-)
-from .parsing import (
-    ParseError,
-    parse_action,
-    parse_dr,
-    parse_formula,
-    parse_license,
-    parse_run,
-    tokenize,
-)
-from .runs import (
-    PermissionInterpretation,
-    Run,
-    action_sequence,
-    active,
-    compute_permissions,
-    make_run,
-    pretty_run,
-)
-from .tableau import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    SatResult,
-    ltl_sat,
-)
+# parsers
+from .parsing import ParseError, parse_action, parse_dr, parse_formula, parse_license, parse_run
+
+# values a caller builds
+from .licenses import BOT, ONE, ZERO, Atom, Concat, Pay, Render, Star, Union
+from .formulas import Act, ActionExpr, Always, And, Issue, Next, Not, Perm, Truth, Until
+from .formulas import f_and_all, f_eventually, f_implies, f_nexts, f_oblig, f_or
+from .runs import Run, make_run
+from .digitalrights import DrLicense, Exactly, Single, Upto
+
+# engines
+from .runs import compute_permissions
+from .formulas import check_spec, encode_run, evaluate
+from .licsat import lic_sat, lic_valid
+from .digitalrights import compile_dr
+from .ltl import translate
+
+# printers
+from .licenses import pretty_action, pretty_license
+from .formulas import pretty_formula
+from .runs import pretty_run

@@ -178,13 +178,6 @@ def permitted_from(nfa: Nfa, subset: SubsetState, padding_ok: bool = True) -> fr
     return frozenset(actions)
 
 
-def accepts(nfa: Nfa, trace) -> bool:
-    subset = nfa.start_subset()
-    for action in trace:
-        subset = step_subset(nfa, subset, action)
-    return bool(subset & nfa.finals)
-
-
 def lasso_of(nfa: Nfa, subset: SubsetState) -> tuple[tuple[SubsetState, ...], tuple[SubsetState, ...]]:
     """Decompose the bot-evolution starting at ``subset`` into prefix + loop.
 

@@ -20,7 +20,7 @@ from .licenses import pretty_license
 from .licsat import lic_sat, lic_valid
 from .ltl import implicit_restrictions, translate
 from .parsing import ParseError, parse_dr, parse_formula, parse_run
-from .repl import step_repl
+from .repl import NESTED_TOO_DEEPLY, step_repl
 from .runs import compute_permissions, permission_line, pretty_run
 from .tableau import DEFAULT_BUDGET
 
@@ -194,7 +194,7 @@ def main(argv=None) -> int:
         else:
             outcome = _Outcome("error", EXIT_USAGE, str(exc))
     except RecursionError:
-        outcome = _Outcome("error", EXIT_USAGE, "the input is nested too deeply to process")
+        outcome = _Outcome("error", EXIT_USAGE, NESTED_TOO_DEEPLY)
     if args.format == "json":
         payload = {
             "command": args.command,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import combinations, product
+from itertools import combinations
 
 from .licenses import (
     BOT,
@@ -24,7 +24,6 @@ from .licenses import (
     License,
     Pay,
     Render,
-    Trace,
     concat,
     fold_balanced,
     union,
@@ -104,12 +103,7 @@ class DrLicense:
 
 
 def _render_slots(dr: DrLicense) -> list[Action]:
-    renders: list[Action] = [
-        Render(work, device)
-        for work in sorted(dr.works)
-        for device in sorted(dr.devices)
-    ]
-    return renders
+    return [Render(work, device) for work in sorted(dr.works) for device in sorted(dr.devices)]
 
 
 def _check_cap(dr: DrLicense, cap: int) -> None:
@@ -117,50 +111,6 @@ def _check_cap(dr: DrLicense, cap: int) -> None:
         raise DrCapExceeded(
             f"license spans {dr.total_units} time units, above the cap of {cap}"
         )
-
-
-def _period_traces(dr: DrLicense) -> frozenset[Trace]:
-    """The traces of a single period under the license's schedule."""
-    slots = [BOT] + _render_slots(dr)
-    period = dr.period
-    out: set[Trace] = set()
-    if dr.schedule == UPFRONT:
-        for body in product(slots, repeat=period - 1):
-            out.add((Pay(dr.amount),) + body)
-    elif dr.schedule == FLATRATE:
-        for body in product(slots, repeat=period - 1):
-            out.add(body + (Pay(dr.amount),))
-    else:
-        for body in product(slots, repeat=period - 1):
-            uses = sum(1 for action in body if action != BOT)
-            out.add(body + (Pay(dr.amount * uses),))
-    return frozenset(out)
-
-
-def _concat_sets(left: frozenset[Trace], right: frozenset[Trace]) -> frozenset[Trace]:
-    return frozenset(a + b for a in left for b in right)
-
-
-def dr_traces(dr: DrLicense, cap: int = DEFAULT_DR_CAP) -> frozenset[Trace]:
-    """The complete (finite) trace set of a DR license.
-
-    Raises :class:`DrCapExceeded` when the license covers more time units
-    than ``cap``; the trace count grows exponentially with the period length.
-    """
-    _check_cap(dr, cap)
-    period = _period_traces(dr)
-    if isinstance(dr.repetition, Single):
-        return period
-    power: frozenset[Trace] = frozenset({()})
-    if isinstance(dr.repetition, Exactly):
-        for _ in range(dr.repetition.count):
-            power = _concat_sets(power, period)
-        return power
-    out: set[Trace] = set(power)
-    for _ in range(dr.repetition.count):
-        power = _concat_sets(power, period)
-        out |= power
-    return frozenset(out)
 
 
 def _license_power(lic: License, count: int) -> License:
@@ -203,7 +153,7 @@ def _period_license(dr: DrLicense) -> License:
 def compile_dr(dr: DrLicense, cap: int = DEFAULT_DR_CAP) -> License:
     """Translate a DR license into a regular license with the same traces.
 
-    The result is language-equal to ``dr_traces``; its syntactic shape is a
+    The result is language-equal to ``lict.reference.dr_traces``; its shape is a
     union of per-period concatenations.  ``upto`` repetitions include the
     empty trace, which is only expressible with the internal empty license,
     so their compiled form is not re-parseable from surface syntax.

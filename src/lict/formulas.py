@@ -24,9 +24,6 @@ from .licenses import (
     BOT,
     Action,
     License,
-    action_key,
-    derivative,
-    first_actions,
     fold_balanced,
     pretty_action,
     pretty_license,
@@ -45,10 +42,6 @@ class ActionExpr:
     positive: bool
     action: Action
     name: str
-
-
-def complement(expr: ActionExpr) -> ActionExpr:
-    return ActionExpr(not expr.positive, expr.action, expr.name)
 
 
 def expr_matches(expr: ActionExpr, action: Action, name: str) -> bool:
@@ -224,8 +217,11 @@ def lasso_eval(
     The model has ``prefix_len`` prefix times followed by a loop of
     ``loop_len`` times repeated forever; ``atom_holds(time, atom)`` reads an
     atom at a canonical time.  Box and until are decided on the lasso, and
-    results are memoized per (canonical time, subformula).
+    results are memoized per (canonical time, subformula).  Times before 0
+    are not part of the model and raise ``ValueError``.
     """
+    if t < 0:
+        raise ValueError(f"time {t} is negative; the model starts at time 0")
     memo: dict[tuple[int, int], bool] = {}
 
     def canonical(time: int) -> int:
@@ -319,30 +315,6 @@ def encode_run(run: Run) -> Formula:
     parts = [f_nexts(state_formula(t), t) for t in range(run.horizon + 1)]
     idle = f_and_all([Act(ActionExpr(True, BOT, name)) for name in names])
     parts.append(f_nexts(Always(idle), run.horizon + 1))
-    return f_and_all(parts)
-
-
-def license_consequences(name: str, lic: License, depth: int) -> Formula:
-    """Permissions forced by issuing a license, unfolded ``depth`` steps.
-
-    Depth zero says every possible first action is permitted; each further
-    level adds that doing a possible action leads, one step later, to the
-    consequences of the license's derivative.
-    """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    firsts = sorted(first_actions(lic), key=action_key)
-    if depth == 0:
-        return f_and_all([Perm(ActionExpr(True, action, name)) for action in firsts])
-    parts = []
-    for action in firsts:
-        rest = license_consequences(name, derivative(lic, action), depth - 1)
-        parts.append(
-            And(
-                Perm(ActionExpr(True, action, name)),
-                f_implies(Act(ActionExpr(True, action, name)), Next(rest)),
-            )
-        )
     return f_and_all(parts)
 
 

@@ -1,10 +1,13 @@
-"""Regular licenses over render/pay actions: ASTs, trace semantics, derivatives.
+"""Regular licenses over render/pay actions: actions, ASTs, constructors, printing.
 
 A license is a regular expression whose language is the set of complete action
 sequences a client may legitimately perform.  The null action ``bot`` is a
 first-class action: it may appear inside a license, and a finished license
 implicitly allows doing nothing forever (completed traces are padded with an
-infinite tail of ``bot`` when judging viability).
+infinite tail of ``bot`` when judging viability).  The engines read licenses
+through their position automata (:mod:`lict.automata`); the trace semantics
+itself (enumeration, derivatives, viability) is the oracle in
+:mod:`lict.reference`.
 """
 
 from __future__ import annotations
@@ -53,10 +56,6 @@ class Bot:
 BOT = Bot()
 
 Action = Render | Pay | Bot
-Trace = tuple  # tuple[Action, ...]
-
-EPSILON: Trace = ()
-
 
 def pretty_action(action: Action) -> str:
     if isinstance(action, Bot):
@@ -146,151 +145,6 @@ def fold_balanced(parts: list, combine):
             for i in range(0, len(parts), 2)
         ]
     return parts[0]
-
-
-def star(body: License) -> License:
-    if isinstance(body, (Zero, One)):
-        return ONE
-    if isinstance(body, Star):
-        return body
-    return Star(body)
-
-
-def nullable(lic: License) -> bool:
-    """Whether the empty trace belongs to the license's language."""
-    if isinstance(lic, (Zero, Atom)):
-        return False
-    if isinstance(lic, (One, Star)):
-        return True
-    if isinstance(lic, Concat):
-        return nullable(lic.left) and nullable(lic.right)
-    if isinstance(lic, Union):
-        return nullable(lic.left) or nullable(lic.right)
-    raise TypeError(f"not a license: {lic!r}")
-
-
-def is_empty(lic: License) -> bool:
-    """Whether the license's language is empty."""
-    if isinstance(lic, Zero):
-        return True
-    if isinstance(lic, (One, Atom, Star)):
-        return False
-    if isinstance(lic, Concat):
-        return is_empty(lic.left) or is_empty(lic.right)
-    if isinstance(lic, Union):
-        return is_empty(lic.left) and is_empty(lic.right)
-    raise TypeError(f"not a license: {lic!r}")
-
-
-def first_actions(lic: License) -> frozenset[Action]:
-    """The set of actions that can begin some trace of the license."""
-    if isinstance(lic, (Zero, One)):
-        return frozenset()
-    if isinstance(lic, Atom):
-        return frozenset({lic.action})
-    if isinstance(lic, Concat):
-        firsts = first_actions(lic.left)
-        if nullable(lic.left):
-            firsts |= first_actions(lic.right)
-        return firsts
-    if isinstance(lic, Union):
-        return first_actions(lic.left) | first_actions(lic.right)
-    if isinstance(lic, Star):
-        return first_actions(lic.body)
-    raise TypeError(f"not a license: {lic!r}")
-
-
-def derivative(lic: License, action: Action) -> License:
-    """The license recognizing exactly the continuations after ``action``.
-
-    Language contract: a trace s is in the derivative's language iff
-    action followed by s is in the original language.  The result is lightly
-    simplified; callers must never rely on its syntactic shape.
-    """
-    if isinstance(lic, (Zero, One)):
-        return ZERO
-    if isinstance(lic, Atom):
-        return ONE if lic.action == action else ZERO
-    if isinstance(lic, Concat):
-        left = concat(derivative(lic.left, action), lic.right)
-        if nullable(lic.left):
-            return union(left, derivative(lic.right, action))
-        return left
-    if isinstance(lic, Union):
-        return union(derivative(lic.left, action), derivative(lic.right, action))
-    if isinstance(lic, Star):
-        return concat(derivative(lic.body, action), lic)
-    raise TypeError(f"not a license: {lic!r}")
-
-
-def traces(lic: License, max_len: int) -> frozenset[Trace]:
-    """Enumerate every trace of the license with length at most ``max_len``.
-
-    This is the brute-force reference semantics the rest of the toolkit is
-    checked against; star bodies are unrolled only while the accumulated
-    length stays within the bound, and empty contributions inside a star are
-    skipped so enumeration always terminates.
-    """
-    if isinstance(lic, Zero):
-        return frozenset()
-    if isinstance(lic, One):
-        return frozenset({EPSILON})
-    if isinstance(lic, Atom):
-        if max_len >= 1:
-            return frozenset({(lic.action,)})
-        return frozenset()
-    if isinstance(lic, Concat):
-        out = set()
-        for left in traces(lic.left, max_len):
-            for right in traces(lic.right, max_len - len(left)):
-                out.add(left + right)
-        return frozenset(out)
-    if isinstance(lic, Union):
-        return traces(lic.left, max_len) | traces(lic.right, max_len)
-    if isinstance(lic, Star):
-        result = {EPSILON}
-        frontier = {EPSILON}
-        while frontier:
-            extended = set()
-            for prefix in frontier:
-                for piece in traces(lic.body, max_len - len(prefix)):
-                    if not piece:
-                        continue
-                    candidate = prefix + piece
-                    if candidate not in result:
-                        result.add(candidate)
-                        extended.add(candidate)
-            frontier = extended
-        return frozenset(result)
-    raise TypeError(f"not a license: {lic!r}")
-
-
-def viable(lic: License, trace: Trace) -> bool:
-    """Whether ``trace`` is a prefix of some bot-padded complete trace.
-
-    Equivalent to folding the derivative over the trace after appending
-    ``bot*`` to the license (which makes the infinite bot padding of complete
-    traces explicit) and checking the result is nonempty.
-    """
-    current = concat(lic, Star(Atom(BOT)))
-    for action in trace:
-        current = derivative(current, action)
-        if is_empty(current):
-            return False
-    return not is_empty(current)
-
-
-def prefix_sets(lic: License, k: int) -> frozenset[Trace]:
-    """All length-``k`` prefixes of the license's traces, for k >= 1."""
-    if k < 1:
-        raise ValueError("prefix length must be at least 1")
-    if k == 1:
-        return frozenset((action,) for action in first_actions(lic))
-    out = set()
-    for action in first_actions(lic):
-        for rest in prefix_sets(derivative(lic, action), k - 1):
-            out.add((action,) + rest)
-    return frozenset(out)
 
 
 def license_actions(lic: License) -> frozenset[Action]:

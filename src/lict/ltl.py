@@ -8,7 +8,9 @@ module adds the target atoms.  A run's model is ultimately periodic (prefix
 plus loop).  ``implicit_restrictions`` produces the temporal formula that
 makes arbitrary models of a translated formula behave like runs; it embeds
 each mentioned license's deterministic subset automaton through
-``instate``/``over`` propositions.
+``instate``/``over`` propositions.  The generic decision route built on it
+(with the finiteness restriction, and run validity through the structure)
+is the oracle in :mod:`lict.reference`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .formulas import (
     Truth,
     Until,
     f_and_all,
-    f_eventually,
     f_implies,
     f_or,
     formula_atoms,
@@ -331,26 +332,6 @@ def implicit_restrictions(formula: Formula) -> Formula:
     return f_and_all(schema for schema in schemas if not isinstance(schema, Truth))
 
 
-def finiteness_restriction(formula: Formula) -> Formula:
-    """Eventually nothing happens: no issuances, only bot actions.
-
-    Satisfiability is decided over finite runs, which this conjunct carves
-    out of the unrestricted models; without it a witness could demand
-    activity forever and would not be expressible as a run value.
-    """
-    vocab = build_vocabulary(formula)
-    quiet: list[Formula] = [Not(Issued(name, lic)) for name, lic in vocab.named_licenses]
-    quiet += [
-        Not(Done(action, name))
-        for name in vocab.names
-        for action in vocab.actions
-        if action != BOT
-    ]
-    if not quiet:
-        return Truth()
-    return f_eventually(Always(f_and_all(quiet)))
-
-
 # ---------------------------------------------------------------------------
 # The structure of a run
 
@@ -399,9 +380,3 @@ def build_structure(run: Run, extra_names=()) -> LinearStructure:
         label(t) for t in range(perms.prefix_len, perms.prefix_len + perms.loop_len)
     )
     return LinearStructure(prefix, loop)
-
-
-def check_run_validity_ltl(run: Run, formula: Formula) -> bool:
-    """Whether the formula holds at every time of the run, via the structure."""
-    structure = build_structure(run, extra_names=build_vocabulary(formula).names)
-    return ltl_eval(structure, 0, Always(translate(formula)))

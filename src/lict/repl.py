@@ -5,7 +5,8 @@ current time; ``do`` records an action for a name at the current time and
 then advances the clock (names without an action do bot); ``show`` prints
 what each name may and must do now; ``eval`` evaluates a formula at the
 current time; ``undo`` reverts the last edit.  Illegal edits (reusing a
-name, acting twice) are rejected and the session continues.
+name, acting twice) and lines that do not parse or are nested too deeply
+are rejected, and the session continues.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ _HELP = """commands:
   eval <formula>           evaluate a formula at the current time
   undo                     revert the last issue/do
   quit                     leave the session"""
+
+NESTED_TOO_DEEPLY = "the input is nested too deeply to process"
 
 
 class ReplSession:
@@ -126,3 +129,5 @@ def step_repl(base: Run, infile, outfile) -> None:
                 emit(f"unknown command {command!r}; type 'help'")
         except (ParseError, ValueError) as exc:
             emit(f"error: {exc}")
+        except RecursionError:
+            emit(f"error: {NESTED_TOO_DEEPLY}")

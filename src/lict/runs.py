@@ -108,29 +108,11 @@ def pretty_run(run: Run) -> str:
     return "\n".join(entry[3] for entry in lines)
 
 
-def active(run: Run, name: str, t: int) -> bool:
-    """Whether a license named ``name`` has been issued at or before ``t``."""
-    issuance = run.issuance(name)
-    return issuance is not None and issuance[0] <= t
-
-
-def action_sequence(run: Run, name: str, t: int) -> tuple[Action, ...]:
-    """The actions done for ``name`` from its issuance up to, excluding, ``t``."""
-    issuance = run.issuance(name)
-    if issuance is None:
-        raise ValueError(f"no license named {name} is issued in this run")
-    start = issuance[0]
-    if t < start:
-        raise ValueError(f"{name} is not yet issued at time {t}")
-    return tuple(run.action(name, start + i) for i in range(t - start))
-
-
 class _NameTimeline:
     """Subset states and permitted sets for one issued name."""
 
     __slots__ = (
         "issue_time",
-        "license",
         "nfa",
         "explicit_subsets",
         "tail_prefix",
@@ -139,7 +121,6 @@ class _NameTimeline:
 
     def __init__(self, run: Run, name: str, issue_time: int, lic: License):
         self.issue_time = issue_time
-        self.license = lic
         self.nfa: Nfa = padded_nfa(lic)
         subset = self.nfa.start_subset()
         # One subset per time in [issue_time, horizon + 1]; the last entry is
@@ -187,12 +168,6 @@ class PermissionInterpretation:
         self.prefix_len = run.horizon + 1 + max(tail_lengths, default=0)
         self.loop_len = math.lcm(*loop_lengths) if loop_lengths else 1
 
-    def canonical_time(self, t: int) -> int:
-        """Fold a time into the prefix-plus-loop representation."""
-        if t < self.prefix_len:
-            return t
-        return self.prefix_len + (t - self.prefix_len) % self.loop_len
-
     def permitted(self, name: str, t: int) -> frozenset[Action]:
         timeline = self._timelines.get(name)
         if timeline is None:
@@ -212,9 +187,6 @@ class PermissionInterpretation:
         if timeline is None:
             return None
         return timeline.subset(t)
-
-    def names(self) -> frozenset[str]:
-        return frozenset(self._timelines)
 
 
 def permission_line(perms: PermissionInterpretation, name: str, t: int) -> str:

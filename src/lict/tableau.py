@@ -1,12 +1,13 @@
-"""Tableau-based satisfiability for the target temporal logic.
+"""The tableau of the target temporal logic: obligation graph and lasso search.
 
 The formula is put in negation normal form and expanded on the fly into a
 graph of obligation states (the classic expansion-graph construction): each
 state records what must hold now and what is postponed to the next step.
 Until-formulas contribute generalized acceptance sets, and a model is found
-as a reachable lasso whose cycle honors every acceptance set.  The witness
-is an ultimately periodic word labeling each state with the propositions it
-requires to be true.
+as a reachable lasso whose cycle honors every acceptance set.
+:mod:`lict.licsat` runs this search over the product with its run space;
+deciding a target formula on the tableau alone is the oracle
+``lict.reference.ltl_sat``.
 
 Construction work is metered: exceeding the node budget raises
 :class:`BudgetExceededError`, an outcome deliberately distinct from "unsat".
@@ -15,10 +16,8 @@ Construction work is metered: exceeding the node budget raises
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .formulas import Always, And, Formula, Next, Not, Truth, Until
-from .ltl import LinearStructure, ltl_eval
 
 DEFAULT_BUDGET = 10**6
 
@@ -436,43 +435,3 @@ def accepting_lasso(initial, succ_all, succ_loop, accept_sets):
                     best = segment
             cycle.extend(best[:-1])
     return prefix, cycle
-
-
-# ---------------------------------------------------------------------------
-# Satisfiability
-
-
-@dataclass
-class SatResult:
-    status: str  # "sat" | "unsat" | "budget"
-    witness: LinearStructure | None = None
-
-
-def ltl_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> SatResult:
-    """Decide satisfiability; on sat, ship an ultimately periodic witness.
-
-    The witness labels states with exactly the propositions the tableau path
-    requires to be true, and is re-checked with ``ltl_eval`` before being
-    returned.
-    """
-    try:
-        tableau = build_tableau(to_nnf(formula), budget)
-    except BudgetExceededError:
-        return SatResult("budget")
-
-    def successors(state):
-        return tableau.edges[state]
-
-    lasso = accepting_lasso(
-        tableau.initial, successors, successors, tableau.accept_sets
-    )
-    if lasso is None:
-        return SatResult("unsat")
-    prefix_ids, loop_ids = lasso
-    witness = LinearStructure(
-        prefix=tuple(tableau.positive_props(state) for state in prefix_ids),
-        loop=tuple(tableau.positive_props(state) for state in loop_ids),
-    )
-    if not ltl_eval(witness, 0, formula):
-        raise RuntimeError("internal error: tableau witness failed evaluation")
-    return SatResult("sat", witness)

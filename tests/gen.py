@@ -36,12 +36,12 @@ from lict import (
     f_implies,
     f_oblig,
     f_or,
-    formula_atoms,
-    fresh_action,
-    license_actions,
     make_run,
-    viable,
 )
+from lict.formulas import formula_atoms
+from lict.licenses import license_actions
+from lict.licsat import fresh_action
+from lict.reference import viable
 
 POOL = (
     BOT,
@@ -83,7 +83,7 @@ def small_license(rng: random.Random, max_atoms: int = 5, pool=SMALL_POOL):
     Enumeration bounds in the oracles grow with the number of atoms, so the
     atom count is capped by resampling.
     """
-    from lict import license_size
+    from lict.licenses import license_size
 
     while True:
         lic = random_license(rng, 3, pool)

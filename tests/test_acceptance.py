@@ -18,12 +18,9 @@ from lict import (
     Pay,
     Render,
     Union,
-    check_run_validity_ltl,
     check_spec,
-    build_structure,
     compile_dr,
     compute_permissions,
-    dr_traces,
     encode_run,
     evaluate,
     f_implies,
@@ -32,14 +29,18 @@ from lict import (
     f_or,
     lic_sat,
     lic_valid,
-    license_consequences,
-    ltl_eval,
     make_run,
     parse_formula,
     parse_license,
     parse_run,
-    traces,
     translate,
+)
+from lict.ltl import build_structure, ltl_eval
+from lict.reference import (
+    check_run_validity_ltl,
+    dr_traces,
+    license_consequences,
+    traces,
 )
 from lict.cli import main
 from lict.digitalrights import DrLicense, Exactly, Single, Upto

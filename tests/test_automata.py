@@ -8,20 +8,20 @@ from lict import (
     ZERO,
     Atom,
     Pay,
-    accepts,
+    parse_license,
+)
+from lict.automata import (
     build_nfa,
     dump_dot,
     lasso_of,
-    license_size,
     padded_nfa,
-    parse_license,
     permitted_from,
     reachable_subsets,
     step_subset,
-    traces,
-    viable,
     with_bot_padding,
 )
+from lict.licenses import license_size
+from lict.reference import accepts, traces, viable
 
 from gen import POOL, SMALL_POOL, random_license, random_trace, small_license
 

@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from lict.cli import main
 from lict.repl import step_repl
-from lict import BOT, Pay, Render, accepts, build_nfa, compile_dr, parse_dr, parse_run
+from lict import BOT, Pay, Render, compile_dr, parse_dr, parse_run
+from lict.automata import build_nfa
+from lict.reference import accepts
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -113,6 +115,13 @@ class TestCheckSpec:
         code, _ = invoke(capsys, "check-spec", run, prop, "--at", "1")
         assert code == 1
 
+    def test_negative_time_is_an_error(self, capsys):
+        run = os.path.join(SAMPLES, "journal.run")
+        prop = os.path.join(SAMPLES, "journal-property.lic")
+        code, out = invoke(capsys, "check-spec", run, prop, "--at", "-1")
+        assert code == 2
+        assert out.splitlines()[0] == "result=error"
+
 
 class TestPermissionsDump:
     def test_line_format(self, tmp_path, capsys):
@@ -176,7 +185,8 @@ class TestEncodeAndTranslate:
         assert "over(n)" in out
 
     def test_compile_dr_output_parses(self, tmp_path, capsys):
-        from lict import parse_license, traces as license_traces, dr_traces, parse_dr
+        from lict import parse_license, parse_dr
+        from lict.reference import traces as license_traces, dr_traces
 
         path = write(tmp_path, "l.dr", "for 2 2 pay 1.00 upfront for {w} on {d}")
         code, out = invoke(capsys, "compile-dr", path)
@@ -399,3 +409,9 @@ class TestRepl:
     def test_eval(self):
         out = self.run_session("issue n pay[1.00]\neval O(pay[1.00], n)\nquit\n")
         assert "lict> true" in out
+
+    def test_nested_too_deeply_session_continues(self):
+        deep = "(" * 300 + "true" + ")" * 300
+        out = self.run_session(f"issue n pay[1.00]\neval {deep}\nshow\nquit\n")
+        assert "error: the input is nested too deeply to process" in out
+        assert "n=n permits={pay[1.00]} obligated=pay[1.00]" in out

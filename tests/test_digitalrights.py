@@ -7,7 +7,6 @@ import pytest
 
 from lict import (
     BOT,
-    DrCapExceeded,
     DrLicense,
     Exactly,
     Pay,
@@ -16,11 +15,11 @@ from lict import (
     Upto,
     compile_dr,
     compute_permissions,
-    dr_traces,
     make_run,
     parse_dr,
-    traces,
 )
+from lict.digitalrights import DrCapExceeded
+from lict.reference import dr_traces, traces
 
 W = frozenset({"w"})
 D = frozenset({"d"})

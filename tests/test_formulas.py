@@ -22,17 +22,17 @@ from lict import (
     compute_permissions,
     encode_run,
     evaluate,
-    expr_matches,
     f_implies,
     f_oblig,
     f_or,
-    license_consequences,
     make_run,
     parse_formula,
     parse_license,
     parse_run,
     pretty_formula,
 )
+from lict.formulas import expr_matches
+from lict.reference import license_consequences
 
 from gen import POOL, random_formula, random_run
 

@@ -15,14 +15,16 @@ from lict import (
     Render,
     Star,
     Union,
+    parse_license,
+    pretty_license,
+)
+from lict.licenses import license_size
+from lict.reference import (
     derivative,
     first_actions,
     is_empty,
-    license_size,
     nullable,
-    parse_license,
     prefix_sets,
-    pretty_license,
     traces,
     viable,
 )

@@ -18,17 +18,16 @@ from lict import (
     Pay,
     compute_permissions,
     evaluate,
-    finiteness_restriction,
-    implicit_restrictions,
     lic_sat,
     lic_valid,
-    ltl_sat,
     parse_formula,
     parse_license,
     pretty_formula,
     pretty_run,
     translate,
 )
+from lict.ltl import implicit_restrictions
+from lict.reference import finiteness_restriction, ltl_sat
 
 from gen import enumerate_satisfying_run, random_formula, random_license
 

@@ -5,32 +5,32 @@ from decimal import Decimal
 
 from lict import (
     BOT,
-    Done,
     Always,
-    Issued,
-    LinearStructure,
     Not,
-    Obligated,
-    Permitted,
     Pay,
     Truth,
     Until,
     Render,
-    build_structure,
-    check_run_validity_ltl,
     check_spec,
     compute_permissions,
     evaluate,
-    finiteness_restriction,
-    formula_size,
-    implicit_restrictions,
-    ltl_eval,
     parse_formula,
     parse_run,
     pretty_formula,
     translate,
 )
-from lict.formulas import Act, ActionExpr, Perm
+from lict.ltl import (
+    Done,
+    Issued,
+    LinearStructure,
+    Obligated,
+    Permitted,
+    build_structure,
+    implicit_restrictions,
+    ltl_eval,
+)
+from lict.reference import check_run_validity_ltl, finiteness_restriction
+from lict.formulas import Act, ActionExpr, Perm, formula_size
 
 from gen import random_formula, random_run
 

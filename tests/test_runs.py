@@ -9,13 +9,12 @@ from lict import (
     BOT,
     Pay,
     Render,
-    action_sequence,
-    active,
     compute_permissions,
     make_run,
     parse_license,
     parse_run,
 )
+from lict.reference import action_sequence, active
 
 from gen import oracle_permitted, random_run
 

@@ -7,19 +7,16 @@ from lict import (
     BOT,
     Always,
     And,
-    Done,
-    LinearStructure,
     Next,
     Not,
-    Permitted,
     Truth,
     Until,
     f_eventually,
     f_implies,
     f_or,
-    ltl_eval,
-    ltl_sat,
 )
+from lict.ltl import Done, LinearStructure, Permitted, ltl_eval
+from lict.reference import ltl_sat
 from lict.tableau import build_tableau, to_nnf
 
 P = Done(BOT, "n")
