@@ -68,6 +68,8 @@ def _cmd_check_spec(args) -> _Outcome:
 def _cmd_permissions(args) -> _Outcome:
     run = parse_run(_read(args.run_file))
     horizon = args.horizon if args.horizon is not None else run.horizon
+    if horizon < 0:
+        raise ValueError(f"horizon {horizon} is negative; the model starts at time 0")
     lines = permissions_lines(run, horizon)
     if args.dump_nfa:
         for time, name, lic in run.issuances:
@@ -213,3 +215,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -5,6 +5,13 @@ graph of obligation states (the classic expansion-graph construction): each
 state records what must hold now and what is postponed to the next step.
 Until-formulas contribute generalized acceptance sets, and a model is found
 as a reachable lasso whose cycle honors every acceptance set.
+
+An obligation set is one Python int with a bit per interned NNF subformula.
+The closure ids are ranked once by ``(kind, id)`` and bit ``r`` stands for
+the id of rank ``r``, so the cheapest pending obligation (falsum, literals,
+conjunctions before any disjunctive split) is the lowest set bit, ``x & -x``:
+contradictions are pruned early and the construction is deterministic.
+
 :mod:`lict.licsat` runs this search over the product with its run space;
 deciding a target formula on the tableau alone is the oracle
 ``lict.reference.ltl_sat``.
@@ -29,10 +36,8 @@ class BudgetExceededError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Negation normal form, interned
 
-# The expansion works on interned formula ids rather than AST nodes:
-# obligation sets hash fast, and processing picks the cheapest obligation
-# first (falsum, literals, conjunctions before any disjunctive split), which
-# both prunes contradictions early and makes the construction deterministic.
+# The expansion works on interned formula ids rather than AST nodes; the
+# kinds are numbered in the order their obligations are processed.
 
 _KIND_FALSE, _KIND_TRUE, _KIND_LIT, _KIND_AND, _KIND_X, _KIND_RELEASE, _KIND_OR, _KIND_UNTIL = range(8)
 
@@ -141,39 +146,27 @@ def to_nnf(formula: Formula) -> _Closure:
 # ---------------------------------------------------------------------------
 # Expansion graph
 
-
-class _Expansion:
-    __slots__ = ("incoming", "new", "old", "nxt")
-
-    def __init__(self, incoming, new, old, nxt):
-        self.incoming = incoming
-        self.new = new
-        self.old = old
-        self.nxt = nxt
-
-    def fork(self):
-        return _Expansion(set(self.incoming), set(self.new), set(self.old), set(self.nxt))
-
-
 INIT = -1
 
 
 class Tableau:
-    """The expanded obligation graph of one formula."""
+    """The expanded obligation graph of one formula.
 
-    def __init__(self, closure: _Closure):
-        self._closure = closure
-        self.old_sets: dict[int, frozenset[int]] = {}
+    ``old_sets[state]`` is the state's obligation mask over the ranked
+    closure ids; ``accept_sets`` hold state ids, one set per until.
+    """
+
+    def __init__(self, literals: list[tuple[int, Formula, bool]]):
+        self._literals = literals  # (bit, atom, polarity) per literal id
+        self.old_sets: dict[int, int] = {}
         self.edges: dict[int, list[int]] = {}
         self.initial: list[int] = []
         self.accept_sets: list[frozenset[int]] = []
 
     def _props(self, state: int, positive: bool) -> frozenset:
-        literals = self._closure.literals
+        old = self.old_sets[state]
         return frozenset(
-            literals[index][0]
-            for index in self.old_sets[state]
-            if literals[index] is not None and literals[index][1] == positive
+            atom for bit, atom, sign in self._literals if sign == positive and old & bit
         )
 
     def positive_props(self, state: int) -> frozenset:
@@ -184,85 +177,76 @@ class Tableau:
 
 
 def build_tableau(closure: _Closure, budget: int = DEFAULT_BUDGET) -> Tableau:
-    """Expand an interned NNF formula into its obligation graph."""
-    kinds = closure.kinds
-    args = closure.args
-    complement = closure.complement
+    """Expand an interned NNF formula into its obligation graph.
 
-    stored: dict[tuple[frozenset, frozenset], int] = {}
+    A pending node is an ``(incoming state, new, old, next)`` tuple of masks
+    and a state is keyed by its ``(old, next)`` masks; every pop of a pending
+    node counts one tick against the budget.
+    """
+    kinds = closure.kinds
+    ranked = [index for _, index in sorted(zip(kinds, range(len(kinds))))]
+    bits = [0] * len(ranked)
+    for rank, index in enumerate(ranked):
+        bits[index] = 1 << rank
+    # per rank: kind and two operand masks (a literal's first is its complement)
+    table = []
+    for index in ranked:
+        operands = [bits[arg] for arg in closure.args[index]] + [0, 0]
+        if kinds[index] == _KIND_LIT:
+            operands[0] = bits[closure.complement[index]]
+        table.append((kinds[index], operands[0], operands[1]))
+
+    stored: dict[tuple[int, int], int] = {}
     incoming: dict[int, set[int]] = {}
-    olds: dict[int, frozenset] = {}
-    pending: list[_Expansion] = [_Expansion({INIT}, {closure.root}, set(), set())]
+    olds: dict[int, int] = {}
+    pending = [(INIT, bits[closure.root], 0, 0)]
     ticks = 0
-    next_id = 0
 
     while pending:
         ticks += 1
         if ticks > budget:
             raise BudgetExceededError(f"tableau exceeded its budget of {budget} nodes")
-        node = pending.pop()
-        if not node.new:
-            key = (frozenset(node.old), frozenset(node.nxt))
-            existing = stored.get(key)
+        source, new, old, nxt = pending.pop()
+        if not new:
+            existing = stored.get((old, nxt))
             if existing is not None:
-                incoming[existing] |= node.incoming
+                incoming[existing].add(source)
                 continue
-            state = next_id
-            next_id += 1
-            stored[key] = state
-            incoming[state] = set(node.incoming)
-            olds[state] = key[0]
-            pending.append(_Expansion({state}, set(node.nxt), set(), set()))
+            state = stored[(old, nxt)] = len(olds)
+            incoming[state] = {source}
+            olds[state] = old
+            pending.append((state, nxt, 0, 0))
             continue
-        formula = min(node.new, key=lambda index: (kinds[index], index))
-        node.new.discard(formula)
-        if formula in node.old:
-            pending.append(node)
+        low = new & -new
+        new ^= low
+        if old & low:
+            pending.append((source, new, old, nxt))
             continue
-        kind = kinds[formula]
+        kind, first, second = table[low.bit_length() - 1]
         if kind == _KIND_TRUE:
-            pending.append(node)
+            pending.append((source, new, old, nxt))
         elif kind == _KIND_FALSE:
             continue
         elif kind == _KIND_LIT:
-            if complement[formula] in node.old:
-                continue
-            node.old.add(formula)
-            pending.append(node)
+            if not old & first:
+                pending.append((source, new, old | low, nxt))
         elif kind == _KIND_AND:
-            node.old.add(formula)
-            node.new.update(args[formula])
-            pending.append(node)
+            pending.append((source, new | first | second, old | low, nxt))
         elif kind == _KIND_X:
-            node.old.add(formula)
-            node.nxt.add(args[formula][0])
-            pending.append(node)
+            pending.append((source, new, old | low, nxt | first))
         elif kind == _KIND_OR:
-            node.old.add(formula)
-            left = node.fork()
-            left.new.add(args[formula][0])
-            node.new.add(args[formula][1])
-            pending.append(left)
-            pending.append(node)
+            pending.append((source, new | first, old | low, nxt))
+            pending.append((source, new | second, old | low, nxt))
         elif kind == _KIND_UNTIL:
-            node.old.add(formula)
-            postponed = node.fork()
-            postponed.new.add(args[formula][0])
-            postponed.nxt.add(formula)
-            node.new.add(args[formula][1])
-            pending.append(postponed)
-            pending.append(node)
+            pending.append((source, new | first, old | low, nxt | low))
+            pending.append((source, new | second, old | low, nxt))
         else:  # release
-            node.old.add(formula)
-            postponed = node.fork()
-            postponed.new.add(args[formula][1])
-            postponed.nxt.add(formula)
-            node.new.add(args[formula][0])
-            node.new.add(args[formula][1])
-            pending.append(postponed)
-            pending.append(node)
+            pending.append((source, new | second, old | low, nxt | low))
+            pending.append((source, new | first | second, old | low, nxt))
 
-    tableau = Tableau(closure)
+    tableau = Tableau([
+        (bits[index], *literal) for index, literal in enumerate(closure.literals) if literal is not None
+    ])
     tableau.old_sets = olds
     tableau.edges = {state: [] for state in olds}
     for state, sources in incoming.items():
@@ -276,13 +260,10 @@ def build_tableau(closure: _Closure, budget: int = DEFAULT_BUDGET) -> Tableau:
         edge_list.sort()
 
     for until in closure.untils():
-        right = args[until][1]
-        members = frozenset(
-            state
-            for state, old in olds.items()
-            if until not in old or right in old
-        )
-        tableau.accept_sets.append(members)
+        pending_bit, right = bits[until], bits[closure.args[until][1]]
+        tableau.accept_sets.append(frozenset(
+            state for state, old in olds.items() if not old & pending_bit or old & right
+        ))
     return tableau
 
 
@@ -398,14 +379,8 @@ def accepting_lasso(initial, succ_all, succ_loop, accept_sets):
     if chosen is None:
         return None
 
-    def depth(node):
-        steps = 0
-        while parent[node] is not None:
-            node = parent[node]
-            steps += 1
-        return steps
-
-    entry = min(chosen, key=lambda node: (depth(node), order[node]))
+    # BFS numbers nodes level by level, so the first in order is the shallowest
+    entry = min(chosen, key=order.get)
     prefix = []
     walker = entry
     while parent[walker] is not None:

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from decimal import Decimal
 from unittest import mock
@@ -19,6 +21,7 @@ from lict.automata import build_nfa
 from lict.reference import accepts
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 JOURNAL_RUN = """
@@ -122,6 +125,20 @@ class TestCheckSpec:
         assert code == 2
         assert out.splitlines()[0] == "result=error"
 
+    def test_module_run_goes_through_the_entry_point(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        run = os.path.join(SAMPLES, "journal.run")
+        prop = os.path.join(SAMPLES, "journal-property.lic")
+        completed = subprocess.run(
+            [sys.executable, "-m", "lict.cli", "check-spec", run, prop, "--at", "-1"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode == 2, completed.stderr
+        assert completed.stdout.splitlines()[0] == "result=error"
+
 
 class TestPermissionsDump:
     def test_line_format(self, tmp_path, capsys):
@@ -131,6 +148,11 @@ class TestPermissionsDump:
         lines = out.splitlines()
         assert lines[1] == "t=0 n=m permits={pay[1.00]} obligated=pay[1.00]"
         assert lines[2] == "t=1 n=m permits={bot} obligated=bot"
+
+    def test_negative_horizon_is_an_error(self, capsys):
+        code, out = invoke(capsys, "permissions", os.path.join(SAMPLES, "journal.run"), "--horizon", "-1")
+        assert code == 2
+        assert out.splitlines() == ["result=error", "horizon -1 is negative; the model starts at time 0"]
 
     def test_nfa_dump_flag(self, tmp_path, capsys):
         run = write(tmp_path, "r.run", "@0 issue m = pay[1.00]")

@@ -1,6 +1,8 @@
-"""The satisfiability engine: classics, witnesses, and a bounded oracle."""
+"""The satisfiability engine: classics, witnesses, a bounded oracle, and pinned tableaux."""
 
+import glob
 import itertools
+import os
 import random
 
 from lict import (
@@ -14,10 +16,19 @@ from lict import (
     f_eventually,
     f_implies,
     f_or,
+    parse_formula,
+    parse_license,
+    pretty_formula,
+    translate,
 )
-from lict.ltl import Done, LinearStructure, Permitted, ltl_eval
+from lict.ltl import Done, LinearStructure, Permitted, implicit_restrictions, ltl_eval
 from lict.reference import ltl_sat
-from lict.tableau import build_tableau, to_nnf
+from lict.tableau import BudgetExceededError, build_tableau, to_nnf
+
+from gen import random_formula
+
+SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
+TABLEAU_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "tableau-random.txt")
 
 P = Done(BOT, "n")
 Q = Permitted(BOT, "n")
@@ -137,3 +148,80 @@ class TestAgainstBruteForce:
             formula = random_ltl(rng, 3)
             if brute_force_satisfiable(formula, (P, Q), max_prefix=1, max_loop=2):
                 assert ltl_sat(formula).status == "sat"
+
+
+def _props(props) -> str:
+    return "{" + ", ".join(sorted(pretty_formula(prop) for prop in props)) + "}"
+
+
+def _tableau_lines(formula, budget: int) -> list[str]:
+    try:
+        tableau = build_tableau(to_nnf(formula), budget)
+    except BudgetExceededError:
+        return [f"over budget {budget}"]
+    lines = [f"states {len(tableau.old_sets)} initial {tableau.initial}"]
+    for state in sorted(tableau.old_sets):
+        positive = _props(tableau.positive_props(state))
+        negative = _props(tableau.negative_props(state))
+        lines.append(f"{state} +{positive} -{negative} -> {tableau.edges[state]}")
+    lines.extend(f"accept {sorted(members)}" for members in tableau.accept_sets)
+    return lines
+
+
+def _smallest_budget(formula) -> int:
+    """The least budget that completes, by doubling then bisection."""
+    closure = to_nnf(formula)
+
+    def completes(budget):
+        try:
+            build_tableau(closure, budget)
+        except BudgetExceededError:
+            return False
+        return True
+
+    low, high = 0, 1
+    while not completes(high):
+        low, high = high, high * 2
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if completes(middle) else (middle, high)
+    return high
+
+
+def _golden_formulas():
+    """Seeded random translated formulas in both polarities, then every
+    sample conjoined with its implicit restrictions."""
+    journal = parse_license("((pay[1.00] bot* render[journal,d]) | bot)*")
+    rng = random.Random(191)
+    for index in range(80):
+        formula = random_formula(
+            rng, rng.randint(1, 4), names=("n", "m"), licenses=[("n", journal)]
+        )
+        yield f"{index}+", translate(formula)
+        yield f"{index}-", Not(translate(formula))
+    for path in sorted(glob.glob(os.path.join(SAMPLES, "*.lic"))):
+        with open(path, encoding="utf-8") as handle:
+            formula = parse_formula(handle.read())
+        yield os.path.basename(path), And(translate(formula), implicit_restrictions(formula))
+
+
+BUDGETED = ("7-", "14-", "35-")
+
+
+def seeded_tableau_text() -> str:
+    """States, edges, acceptance sets and literals of a fixed set of tableaux."""
+    blocks = []
+    for title, formula in _golden_formulas():
+        lines = [f"# {title}: {pretty_formula(formula)}", *_tableau_lines(formula, 60_000)]
+        if title in BUDGETED:
+            lines.append(f"smallest budget {_smallest_budget(formula)}")
+        blocks.append("\n".join(lines))
+    return "\n".join(blocks) + "\n"
+
+
+class TestGoldenTableaux:
+    def test_seeded_tableaux_are_pinned(self):
+        # State numbering, edge order and the budget ticks decide every
+        # witness downstream, so the whole graph is pinned, not its language.
+        with open(TABLEAU_GOLDEN, encoding="ascii") as handle:
+            assert seeded_tableau_text() == handle.read()
