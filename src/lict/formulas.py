@@ -12,7 +12,13 @@ Obligation is an abbreviation: being obligated to do an action means no
 other action is permitted for that license name.  Temporal operators are
 evaluated over an ultimately periodic model (a prefix plus a loop): for a
 finite run that is its infinite extension, in which nothing further is
-issued and every name does ``bot`` forever.
+issued and every name does ``bot`` forever.  The evaluator labels each
+subformula, children first, with the canonical times at which it holds, one
+int bit vector per subformula.
+
+Every walk over a formula here (printing, atom mapping, labelling) runs on
+an explicit stack, so depth costs no recursion: a run's encoding nests
+twice as deep as the run is long.
 """
 
 from __future__ import annotations
@@ -192,17 +198,115 @@ def formula_size(formula: Formula) -> int:
     return size
 
 
+def _post_order(formula: Formula) -> list[Formula]:
+    """Each distinct subformula once, children before parents, left first.
+
+    Walks an explicit stack, so depth costs no recursion, and keys nodes by
+    ``id``: the generated ``__hash__`` recurses, and a subformula shared
+    between parents is visited once.
+    """
+    order: list[Formula] = []
+    seen: set[int] = set()
+    stack: list[tuple[Formula, bool]] = [(formula, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(_children(node)))
+    return order
+
+
 def map_atoms(formula: Formula, atom_map: Callable[[Formula], Formula]) -> Formula:
     """The formula with every atom replaced by its image; connectives kept."""
-    if isinstance(formula, _UNARY_NODES):
-        return type(formula)(map_atoms(formula.operand, atom_map))
-    if isinstance(formula, _BINARY_NODES):
-        return type(formula)(
-            map_atoms(formula.left, atom_map), map_atoms(formula.right, atom_map)
-        )
-    if isinstance(formula, Truth):
-        return formula
-    return atom_map(formula)
+    images: dict[int, Formula] = {}
+    for node in _post_order(formula):
+        if isinstance(node, _UNARY_NODES):
+            image = type(node)(images[id(node.operand)])
+        elif isinstance(node, _BINARY_NODES):
+            image = type(node)(images[id(node.left)], images[id(node.right)])
+        elif isinstance(node, Truth):
+            image = node
+        else:
+            image = atom_map(node)
+        images[id(node)] = image
+    return images[id(formula)]
+
+
+def lasso_labels(
+    prefix_len: int,
+    loop_len: int,
+    atom_holds: Callable[[int, Formula], bool],
+    formula: Formula,
+) -> int:
+    """The canonical times at which a formula holds, as a bit vector.
+
+    The model has ``prefix_len`` prefix times followed by a loop of
+    ``loop_len`` times repeated forever, so its canonical times are
+    ``0 .. prefix_len + loop_len - 1``; ``atom_holds(time, atom)`` reads an
+    atom at one of them.  Bit i of the result is the formula's truth at
+    canonical time i.  Every subformula is labelled once, children first
+    (Markey & Schnoebelen, "Model checking a path", CONCUR 2003), and every
+    distinct atom, compared by equality, is read once per canonical time.
+    """
+    size = prefix_len + loop_len
+    full = (1 << size) - 1
+    prefix_mask = (1 << prefix_len) - 1
+    loop_mask = full ^ prefix_mask
+    labels: dict[int, int] = {}
+    atoms: dict[Formula, int] = {}
+    for node in _post_order(formula):
+        if isinstance(node, Not):
+            label = full ^ labels[id(node.operand)]
+        elif isinstance(node, And):
+            label = labels[id(node.left)] & labels[id(node.right)]
+        elif isinstance(node, Next):
+            # time i reads time i + 1; the last time wraps to the loop start
+            value = labels[id(node.operand)]
+            label = value >> 1 | (value >> prefix_len & 1) << (size - 1)
+        elif isinstance(node, Always):
+            # Holds on the loop only if the operand holds all round it; on
+            # the prefix, after the last time the operand fails.
+            value = labels[id(node.operand)]
+            if value & loop_mask != loop_mask:
+                label = 0
+            else:
+                last_failure = ((full ^ value) & prefix_mask).bit_length()
+                label = full >> last_failure << last_failure
+        elif isinstance(node, Until):
+            label = _until(labels[id(node.left)], labels[id(node.right)], prefix_len, size)
+        elif isinstance(node, Truth):
+            label = full
+        else:
+            label = atoms.get(node)
+            if label is None:
+                label = 0
+                for time in range(size):
+                    if atom_holds(time, node):
+                        label |= 1 << time
+                atoms[node] = label
+        labels[id(node)] = label
+    return labels[id(formula)]
+
+
+def _until(left: int, right: int, prefix_len: int, size: int) -> int:
+    """Label of ``left U right`` from the labels of its operands.
+
+    Walking backward, until holds where right does, or where left does and
+    until holds one step later.  The first pass round the loop assumes false
+    after the loop's end, which makes the loop start right; the second pass
+    carries that value across the wrap, and continues through the prefix.
+    """
+    lefts = format(left, f"0{size}b")[::-1]
+    rights = format(right, f"0{size}b")[::-1]
+    truths = ["0"] * size
+    holds = False
+    for time in (*range(size - 1, prefix_len - 1, -1), *range(size - 1, -1, -1)):
+        holds = rights[time] == "1" or (holds and lefts[time] == "1")
+        truths[time] = "1" if holds else "0"
+    return int("".join(reversed(truths)), 2)
 
 
 def lasso_eval(
@@ -214,53 +318,14 @@ def lasso_eval(
 ) -> bool:
     """Truth of a formula at time t of an ultimately periodic model.
 
-    The model has ``prefix_len`` prefix times followed by a loop of
-    ``loop_len`` times repeated forever; ``atom_holds(time, atom)`` reads an
-    atom at a canonical time.  Box and until are decided on the lasso, and
-    results are memoized per (canonical time, subformula).  Times before 0
-    are not part of the model and raise ``ValueError``.
+    Read from :func:`lasso_labels` at the canonical time of t.  Times before
+    0 are not part of the model and raise ``ValueError``.
     """
     if t < 0:
         raise ValueError(f"time {t} is negative; the model starts at time 0")
-    memo: dict[tuple[int, int], bool] = {}
-
-    def canonical(time: int) -> int:
-        if time < prefix_len:
-            return time
-        return prefix_len + (time - prefix_len) % loop_len
-
-    def recur(time: int, node: Formula) -> bool:
-        time = canonical(time)
-        key = (time, id(node))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = _clause(time, node)
-        memo[key] = result
-        return result
-
-    def _clause(time: int, node: Formula) -> bool:
-        if isinstance(node, Not):
-            return not recur(time, node.operand)
-        if isinstance(node, And):
-            return recur(time, node.left) and recur(time, node.right)
-        if isinstance(node, Next):
-            return recur(time + 1, node.operand)
-        if isinstance(node, Always):
-            start = time if time < prefix_len else prefix_len
-            return all(recur(j, node.operand) for j in range(start, prefix_len + loop_len))
-        if isinstance(node, Until):
-            for j in range(time, prefix_len + 2 * loop_len):
-                if recur(j, node.right):
-                    return True
-                if not recur(j, node.left):
-                    return False
-            return False
-        if isinstance(node, Truth):
-            return True
-        return atom_holds(time, node)
-
-    return recur(t, formula)
+    if t >= prefix_len:
+        t = prefix_len + (t - prefix_len) % loop_len
+    return bool(lasso_labels(prefix_len, loop_len, atom_holds, formula) >> t & 1)
 
 
 def evaluate(run: Run, perms: PermissionInterpretation, t: int, formula: Formula) -> bool:
@@ -272,7 +337,9 @@ def evaluate(run: Run, perms: PermissionInterpretation, t: int, formula: Formula
 
     def atom_holds(time: int, node: Formula) -> bool:
         if isinstance(node, Issue):
-            return (node.name, node.license) in run.licenses_at(time)
+            # a name is issued at most once; comparing the time first spares
+            # hashing the license at every time
+            return run.issuance(node.name) == (time, node.license)
         if isinstance(node, Act):
             return expr_matches(node.expr, run.action(node.expr.name, time), node.expr.name)
         if isinstance(node, Perm):
@@ -298,7 +365,9 @@ def encode_run(run: Run) -> Formula:
     The conjunction fixes, time by time, the issuances and the actions of
     every name ever issued in the run, and then closes with "from here on
     everything does bot".  Any run satisfying the encoding at time zero
-    behaves exactly like this run as far as its names are concerned.
+    behaves exactly like this run as far as its names are concerned.  It is
+    nested, ``s0 & X (s1 & X (... & X G idle))`` with ``st`` the state at
+    time t, so its size is linear in the horizon and its depth twice it.
     """
     names = sorted(run.names)
 
@@ -312,10 +381,11 @@ def encode_run(run: Run) -> Formula:
         ]
         return f_and_all(conjuncts)
 
-    parts = [f_nexts(state_formula(t), t) for t in range(run.horizon + 1)]
     idle = f_and_all([Act(ActionExpr(True, BOT, name)) for name in names])
-    parts.append(f_nexts(Always(idle), run.horizon + 1))
-    return f_and_all(parts)
+    formula: Formula = Always(idle)
+    for t in reversed(range(run.horizon + 1)):
+        formula = And(state_formula(t), Next(formula))
+    return formula
 
 
 _IMPLIES, _OR, _AND, _UNTIL, _UNARY, _ATOM = range(6)
@@ -323,7 +393,22 @@ _IMPLIES, _OR, _AND, _UNTIL, _UNARY, _ATOM = range(6)
 
 def pretty_formula(formula: Formula) -> str:
     """Render a formula of either logic, re-sugaring O, F, |, and ->."""
-    return _pf(formula, _IMPLIES)
+    # Each node lays out as text pieces and (child, minimum level) slots; the
+    # slots are expanded in place on an explicit stack, so depth costs no
+    # recursion.
+    out: list[str] = []
+    stack: list = [(formula, _IMPLIES)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, minimum = item
+        level, pieces = _layout(node)
+        if level < minimum:
+            pieces = ("(", *pieces, ")")
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 def _pair(expr: ActionExpr) -> str:
@@ -331,38 +416,27 @@ def _pair(expr: ActionExpr) -> str:
     return f"({tilde}{pretty_action(expr.action)}, {expr.name})"
 
 
-def _pf(formula: Formula, minimum: int) -> str:
+def _layout(formula: Formula) -> tuple[int, tuple]:
+    """The node's precedence level and its pieces: text or (child, minimum)."""
     if isinstance(formula, Not):
         inner = formula.operand
         if isinstance(inner, Perm) and not inner.expr.positive:
-            text = f"O({pretty_action(inner.expr.action)}, {inner.expr.name})"
-            level = _ATOM
-        elif isinstance(inner, Always) and isinstance(inner.operand, Not):
-            text, level = f"F {_pf(inner.operand.operand, _UNARY)}", _UNARY
-        elif isinstance(inner, And) and isinstance(inner.left, Not) and isinstance(inner.right, Not):
-            left = _pf(inner.left.operand, _OR)
-            right = _pf(inner.right.operand, _AND)
-            text, level = f"{left} | {right}", _OR
-        elif isinstance(inner, And) and isinstance(inner.right, Not):
-            left = _pf(inner.left, _OR)
-            right = _pf(inner.right.operand, _IMPLIES)
-            text, level = f"{left} -> {right}", _IMPLIES
-        else:
-            text, level = f"!{_pf(inner, _UNARY)}", _UNARY
-    elif isinstance(formula, And):
-        text = f"{_pf(formula.left, _AND)} & {_pf(formula.right, _UNTIL)}"
-        level = _AND
-    elif isinstance(formula, Next):
-        text, level = f"X {_pf(formula.operand, _UNARY)}", _UNARY
-    elif isinstance(formula, Always):
-        text, level = f"G {_pf(formula.operand, _UNARY)}", _UNARY
-    elif isinstance(formula, Until):
-        text = f"{_pf(formula.left, _UNARY)} U {_pf(formula.right, _UNTIL)}"
-        level = _UNTIL
-    elif isinstance(formula, Formula):
-        text, level = formula.pretty(), _ATOM
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    if level < minimum:
-        return f"({text})"
-    return text
+            return _ATOM, (f"O({pretty_action(inner.expr.action)}, {inner.expr.name})",)
+        if isinstance(inner, Always) and isinstance(inner.operand, Not):
+            return _UNARY, ("F ", (inner.operand.operand, _UNARY))
+        if isinstance(inner, And) and isinstance(inner.left, Not) and isinstance(inner.right, Not):
+            return _OR, ((inner.left.operand, _OR), " | ", (inner.right.operand, _AND))
+        if isinstance(inner, And) and isinstance(inner.right, Not):
+            return _IMPLIES, ((inner.left, _OR), " -> ", (inner.right.operand, _IMPLIES))
+        return _UNARY, ("!", (inner, _UNARY))
+    if isinstance(formula, And):
+        return _AND, ((formula.left, _AND), " & ", (formula.right, _UNTIL))
+    if isinstance(formula, Next):
+        return _UNARY, ("X ", (formula.operand, _UNARY))
+    if isinstance(formula, Always):
+        return _UNARY, ("G ", (formula.operand, _UNARY))
+    if isinstance(formula, Until):
+        return _UNTIL, ((formula.left, _UNARY), " U ", (formula.right, _UNTIL))
+    if isinstance(formula, Formula):
+        return _ATOM, (formula.pretty(),)
+    raise TypeError(f"not a formula: {formula!r}")

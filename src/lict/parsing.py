@@ -265,54 +265,75 @@ def parse_license(text: str) -> License:
 
 
 # Formula grammar, loosest to tightest: ->, |, &, U, unary (! X G F), atoms.
+# -> and U group to the right, | and & to the left.  Parsed by precedence
+# climbing on explicit stacks, so nesting depth costs no recursion.
+
+_PREFIX = {"!": Not, "X": Next, "G": Always, "F": f_eventually}
+# (precedence, groups to the right, constructor); prefix operators bind
+# tighter than every infix one.
+_INFIX = {
+    "->": (1, True, f_implies),
+    "|": (2, False, f_or),
+    "&": (3, False, And),
+    "U": (4, True, Until),
+}
+_PREFIX_PRECEDENCE = 5
+_GROUP = None  # an open parenthesis on the operator stack
+
+
+def _reduce(values: list[Formula], ops: list, precedence: int = 0, right: bool = False) -> None:
+    """Apply the stacked operators that bind tighter than an incoming one.
+
+    The incoming operator has the given precedence and grouping; an equal
+    precedence binds tighter when it groups to the left.  Stops at an open
+    parenthesis; precedence 0 applies every operator down to it.
+    """
+    while ops and ops[-1] is not _GROUP:
+        stacked, build, arity = ops[-1]
+        if stacked < precedence or (stacked == precedence and right):
+            return
+        ops.pop()
+        if arity == 1:
+            values[-1] = build(values[-1])
+        else:
+            operand = values.pop()
+            values[-1] = build(values[-1], operand)
+
 
 def _parse_formula(stream: _Stream) -> Formula:
-    left = _parse_formula_or(stream)
-    if stream.peek().text == "->":
+    values: list[Formula] = []
+    ops: list = []  # _GROUP or (precedence, constructor, arity)
+    while True:
+        # An operand: prefix operators and open parentheses, then an atom.
+        while True:
+            token = stream.peek()
+            if token.text in _PREFIX:
+                ops.append((_PREFIX_PRECEDENCE, _PREFIX[token.text], 1))
+            elif token.text == "(" and not _starts_pair(stream):
+                ops.append(_GROUP)
+            else:
+                break
+            stream.next()
+        values.append(_parse_formula_atom(stream))
+        # Close parentheses until an infix operator or the end of the formula.
+        infix = _INFIX.get(stream.peek().text)
+        while infix is None:
+            _reduce(values, ops)
+            if not ops:
+                return values[0]
+            stream.expect(")")
+            ops.pop()
+            infix = _INFIX.get(stream.peek().text)
         stream.next()
-        return f_implies(left, _parse_formula(stream))
-    return left
+        precedence, right, build = infix
+        _reduce(values, ops, precedence, right)
+        ops.append((precedence, build, 2))
 
 
-def _parse_formula_or(stream: _Stream) -> Formula:
-    formula = _parse_formula_and(stream)
-    while stream.peek().text == "|":
-        stream.next()
-        formula = f_or(formula, _parse_formula_and(stream))
-    return formula
-
-
-def _parse_formula_and(stream: _Stream) -> Formula:
-    formula = _parse_formula_until(stream)
-    while stream.peek().text == "&":
-        stream.next()
-        formula = And(formula, _parse_formula_until(stream))
-    return formula
-
-
-def _parse_formula_until(stream: _Stream) -> Formula:
-    formula = _parse_formula_unary(stream)
-    if stream.peek().text == "U":
-        stream.next()
-        return Until(formula, _parse_formula_until(stream))
-    return formula
-
-
-def _parse_formula_unary(stream: _Stream) -> Formula:
-    token = stream.peek()
-    if token.text == "!":
-        stream.next()
-        return Not(_parse_formula_unary(stream))
-    if token.text == "X":
-        stream.next()
-        return Next(_parse_formula_unary(stream))
-    if token.text == "G":
-        stream.next()
-        return Always(_parse_formula_unary(stream))
-    if token.text == "F":
-        stream.next()
-        return f_eventually(_parse_formula_unary(stream))
-    return _parse_formula_atom(stream)
+def _starts_pair(stream: _Stream) -> bool:
+    """Whether the ``(`` ahead opens an action pair rather than a group."""
+    after = stream.peek(1)
+    return after.text == "~" or _starts_action(after)
 
 
 def _parse_action_pair(stream: _Stream) -> ActionExpr:
@@ -351,13 +372,7 @@ def _parse_formula_atom(stream: _Stream) -> Formula:
             stream.fail("obligations take a plain action, not a complement")
         return f_oblig(expr.action, expr.name)
     if token.text == "(":
-        after = stream.peek(1)
-        if after.text == "~" or _starts_action(after):
-            return Act(_parse_action_pair(stream))
-        stream.next()
-        formula = _parse_formula(stream)
-        stream.expect(")")
-        return formula
+        return Act(_parse_action_pair(stream))
     stream.fail("expected a formula")
 
 

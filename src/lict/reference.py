@@ -4,15 +4,17 @@ Nothing in the toolkit's commands calls into this module; the tests compare
 the engines with it.  It holds the trace semantics of licenses (trace
 enumeration, Brzozowski derivatives, viability), plain word acceptance by
 an automaton, the DR schedule trace sets, the run helpers of the
-definitions, the permissions a license forces, and the generic decision
-route: translate, conjoin the restriction formulas, and run the target
-logic's tableau on its own.
+definitions, the permissions a license forces, formula truth on a lasso
+decided one time at a time, and the generic decision route: translate,
+conjoin the restriction formulas, and run the target logic's tableau on
+its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 from .automata import Nfa, step_subset
 from .digitalrights import (
@@ -35,6 +37,7 @@ from .formulas import (
     Not,
     Perm,
     Truth,
+    Until,
     f_and_all,
     f_eventually,
     f_implies,
@@ -312,6 +315,68 @@ def license_consequences(name: str, lic: License, depth: int) -> Formula:
             )
         )
     return f_and_all(parts)
+
+
+# ---------------------------------------------------------------------------
+# Formula truth on a lasso, one time at a time
+
+
+def lasso_eval(
+    prefix_len: int,
+    loop_len: int,
+    atom_holds: Callable[[int, Formula], bool],
+    t: int,
+    formula: Formula,
+) -> bool:
+    """Truth of a formula at time t of an ultimately periodic model.
+
+    The model has ``prefix_len`` prefix times followed by a loop of
+    ``loop_len`` times repeated forever; ``atom_holds(time, atom)`` reads an
+    atom at a canonical time.  Box and until are decided on the lasso, and
+    results are memoized per (canonical time, subformula).  Times before 0
+    are not part of the model and raise ``ValueError``.
+    """
+    if t < 0:
+        raise ValueError(f"time {t} is negative; the model starts at time 0")
+    memo: dict[tuple[int, int], bool] = {}
+
+    def canonical(time: int) -> int:
+        if time < prefix_len:
+            return time
+        return prefix_len + (time - prefix_len) % loop_len
+
+    def recur(time: int, node: Formula) -> bool:
+        time = canonical(time)
+        key = (time, id(node))
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        result = _clause(time, node)
+        memo[key] = result
+        return result
+
+    def _clause(time: int, node: Formula) -> bool:
+        if isinstance(node, Not):
+            return not recur(time, node.operand)
+        if isinstance(node, And):
+            return recur(time, node.left) and recur(time, node.right)
+        if isinstance(node, Next):
+            return recur(time + 1, node.operand)
+        if isinstance(node, Always):
+            start = time if time < prefix_len else prefix_len
+            return all(recur(j, node.operand) for j in range(start, prefix_len + loop_len))
+        if isinstance(node, Until):
+            for j in range(time, prefix_len + 2 * loop_len):
+                if recur(j, node.right):
+                    return True
+                if not recur(j, node.left):
+                    return False
+            return False
+        if isinstance(node, Truth):
+            return True
+        return atom_holds(time, node)
+
+    return recur(t, formula)
 
 
 # ---------------------------------------------------------------------------

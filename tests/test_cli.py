@@ -239,18 +239,40 @@ class TestEncodeAndTranslate:
             assert not accepts(nfa, body + (Pay(fee + Decimal("0.01")),))
 
 
+DEEP_LICENSE = "issue(n, " + "(" * 300 + "bot" + ")" * 300 + ")"
+
+
 class TestDeepInput:
-    """Inputs nested beyond the interpreter's stack end in a usage error."""
+    """Formulas of any depth are decided; a license nested beyond the
+    interpreter's stack ends in a usage error."""
 
     @pytest.mark.parametrize(
         "text", ["(" * 300 + "true" + ")" * 300, "X " * 1000 + "true"]
     )
-    def test_nested_too_deeply_exits_two(self, tmp_path, capsys, text):
-        code, out = invoke(capsys, "sat", write(tmp_path, "f.lic", text))
+    def test_deep_formula_is_decided(self, tmp_path, capsys, text):
+        path = write(tmp_path, "f.lic", text)
+        code, out = invoke(capsys, "sat", path)
+        assert code == 0
+        assert out.splitlines()[0] == "result=sat"
+        code, out = invoke(capsys, "translate-ltl", "--with-restrictions", path)
+        assert code == 0
+        assert out.splitlines()[0] == "result=ok"
+
+    def test_nested_too_deeply_exits_two(self, tmp_path, capsys):
+        code, out = invoke(capsys, "sat", write(tmp_path, "f.lic", DEEP_LICENSE))
         assert code == 2
         lines = out.splitlines()
         assert lines[0] == "result=error"
         assert "nested too deeply" in lines[1]
+
+    def test_encoding_at_horizon_1000_holds_on_its_run(self, tmp_path, capsys):
+        run_path = write(tmp_path, "r.run", "@0 issue n = pay[1.00] bot*\n@0 do n pay[1.00]\n@1000 do n bot\n")
+        code, out = invoke(capsys, "encode-run", run_path)
+        assert code == 0
+        encoding = write(tmp_path, "e.lic", "\n".join(out.splitlines()[1:]))
+        code, out = invoke(capsys, "check-spec", run_path, encoding, "--at", "0")
+        assert code == 0
+        assert out.splitlines()[0] == "result=holds"
 
 
 # Pieces of every input language: formulas, licenses, runs, DR licenses and
@@ -434,6 +456,10 @@ class TestRepl:
 
     def test_nested_too_deeply_session_continues(self):
         deep = "(" * 300 + "true" + ")" * 300
-        out = self.run_session(f"issue n pay[1.00]\neval {deep}\nshow\nquit\n")
+        deep_license = "(" * 300 + "bot" + ")" * 300
+        out = self.run_session(
+            f"issue n pay[1.00]\neval {deep}\nissue m {deep_license}\nshow\nquit\n"
+        )
+        assert "lict> true" in out
         assert "error: the input is nested too deeply to process" in out
         assert "n=n permits={pay[1.00]} obligated=pay[1.00]" in out

@@ -1,7 +1,10 @@
 """Direct formula semantics over runs: clauses, validities, encodings."""
 
+import os
 import random
 from decimal import Decimal
+
+from hypothesis import given, settings, strategies as st
 
 from lict import (
     BOT,
@@ -17,12 +20,15 @@ from lict import (
     Pay,
     Perm,
     Render,
+    Truth,
     Until,
     check_spec,
     compute_permissions,
     encode_run,
     evaluate,
+    f_and_all,
     f_implies,
+    f_nexts,
     f_oblig,
     f_or,
     make_run,
@@ -30,11 +36,16 @@ from lict import (
     parse_license,
     parse_run,
     pretty_formula,
+    translate,
 )
 from lict.formulas import expr_matches
+from lict.ltl import Done, LinearStructure, Obligated, Permitted, build_structure, ltl_eval
+from lict.reference import lasso_eval as reference_lasso_eval
 from lict.reference import license_consequences
 
-from gen import POOL, random_formula, random_run
+from gen import NAMES, POOL, random_formula, random_run
+
+SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
 PAY = Pay(Decimal("1.00"))
 READ = Render("journal", "d")
@@ -187,6 +198,68 @@ class TestEncodeRun:
         run = parse_run("")
         assert check_spec(run, encode_run(run))
 
+    def test_nested_form_has_the_flat_conjuncts(self):
+        for run in _encoding_runs():
+            assert _timed_conjuncts(encode_run(run)) == _timed_conjuncts(_flat_encoding(run))
+
+    def test_one_changed_action_falsifies_the_encoding(self):
+        rng = random.Random(113)
+        for run in _encoding_runs():
+            if not run.names:
+                continue
+            name, t = rng.choice(sorted(run.names)), rng.randint(0, run.horizon)
+            action = rng.choice([a for a in POOL if a != run.action(name, t)])
+            actions = [entry for entry in run.actions if entry[:2] != (t, name)]
+            changed = make_run(run.issuances, actions + [(t, name, action)], horizon=run.horizon)
+            assert not evaluate(changed, compute_permissions(changed), 0, encode_run(run))
+
+
+def _encoding_runs():
+    """Both sample runs and 50 seeded random ones."""
+    runs = []
+    for sample in ("journal", "mortgage"):
+        with open(os.path.join(SAMPLES, f"{sample}.run"), encoding="ascii") as handle:
+            runs.append(parse_run(handle.read()))
+    rng = random.Random(211)
+    runs += [random_run(rng, horizon=rng.randint(0, 6), depth=3) for _ in range(50)]
+    return runs
+
+
+def _flat_encoding(run):
+    """The flat form: the conjunction of X^t (state at t), then X^(H+1) G idle."""
+    names = sorted(run.names)
+    parts = []
+    for t in range(run.horizon + 1):
+        state = [Act(ActionExpr(True, run.action(name, t), name)) for name in names]
+        state += [Issue(name, lic) for name, lic in sorted(run.licenses_at(t), key=lambda pair: pair[0])]
+        parts.append(f_nexts(f_and_all(state), t))
+    idle = f_and_all([Act(ActionExpr(True, BOT, name)) for name in names])
+    parts.append(f_nexts(Always(idle), run.horizon + 1))
+    return f_and_all(parts)
+
+
+def _timed_conjuncts(formula):
+    """(time, conjunct) pairs, distributing X over &, on an explicit stack."""
+    found = set()
+    stack = [(formula, 0)]
+    while stack:
+        node, t = stack.pop()
+        if isinstance(node, And):
+            stack += [(node.left, t), (node.right, t)]
+        elif isinstance(node, Next):
+            stack.append((node.operand, t + 1))
+        elif not isinstance(node, Truth):
+            found.add((t, node))
+    return found
+
+
+# Licenses whose automata cycle under bot, so that a run issuing one has a
+# loop longer than one time, with permissions that change round it.
+CYCLING_LICENSES = tuple(
+    parse_license(text)
+    for text in ("(bot render[w,d] | bot bot bot)*", "(bot pay[1.00] | bot bot)*", "(bot bot)*")
+)
+
 
 class TestLicenseConsequences:
     def test_depth_zero_single_atom(self):
@@ -232,3 +305,69 @@ class TestPretty:
     def test_resugars_obligation_and_eventually(self):
         formula = parse_formula("F O(bot, n)")
         assert pretty_formula(formula) == "F O(bot, n)"
+
+
+def _until_formula(rng, names, pool, licenses=()):
+    """``a U b`` over random formulas: until at the top is read at every
+    canonical time, the loop's last included, where it wraps."""
+    return Until(*(random_formula(rng, rng.randint(1, 4), names, pool, licenses) for _ in "ab"))
+
+
+class TestLabeller:
+    """The bit-vector labeller agrees with the memoized recursive oracle."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_the_reference_at_every_canonical_time(self, seed):
+        rng = random.Random(seed)
+        horizon = rng.randint(0, 5)
+        run = random_run(rng, horizon=horizon, depth=3, names=NAMES[:2])
+        if rng.random() < 0.7:
+            cycling = (rng.randint(0, horizon), NAMES[2], rng.choice(CYCLING_LICENSES))
+            run = make_run(run.issuances + (cycling,), run.actions, horizon=horizon)
+        licenses = [(name, lic) for _, name, lic in run.issuances]
+        # k and the actions of the cycling licenses, so atoms change round the loop
+        names = (NAMES[2], rng.choice(NAMES[:2]))
+        formula = _until_formula(rng, names, (BOT, PAY, Render("w", "d")), licenses)
+        perms = compute_permissions(run)
+
+        def run_atom(time, atom):
+            return evaluate(run, perms, time, atom)
+
+        for t in range(perms.prefix_len + perms.loop_len):
+            expected = reference_lasso_eval(perms.prefix_len, perms.loop_len, run_atom, t, formula)
+            assert evaluate(run, perms, t, formula) == expected
+
+        structure = build_structure(run, extra_names=NAMES)
+        translated = translate(formula)
+
+        def structure_atom(time, atom):
+            return atom in structure.label(time)
+
+        for t in range(structure.prefix_len + structure.loop_len):
+            expected = reference_lasso_eval(
+                structure.prefix_len, structure.loop_len, structure_atom, t, translated
+            )
+            assert ltl_eval(structure, t, translated) == expected
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_the_reference_on_any_lasso(self, seed):
+        # Labels drawn at random, so atoms change freely round loops of any length.
+        rng = random.Random(seed)
+        props = [kind(BOT, name) for kind in (Done, Permitted, Obligated) for name in NAMES]
+
+        def labels(count):
+            return tuple(frozenset(p for p in props if rng.random() < 0.5) for _ in range(count))
+
+        structure = LinearStructure(labels(rng.randint(0, 4)), labels(rng.randint(1, 4)))
+        formula = translate(_until_formula(rng, NAMES, (BOT,)))
+
+        def structure_atom(time, atom):
+            return atom in structure.label(time)
+
+        for t in range(structure.prefix_len + structure.loop_len):
+            expected = reference_lasso_eval(
+                structure.prefix_len, structure.loop_len, structure_atom, t, formula
+            )
+            assert ltl_eval(structure, t, formula) == expected

@@ -27,7 +27,7 @@ from lict import (
     pretty_license,
     pretty_run,
 )
-from lict.formulas import Act, ActionExpr, And, Issue, Next, Not, Perm, Truth, Until
+from lict.formulas import Act, ActionExpr, And, Issue, Next, Not, Perm, Truth, Until, formula_size
 
 from gen import random_formula, random_license, random_run
 
@@ -129,6 +129,19 @@ class TestFormulas:
         for _ in range(300):
             formula = random_formula(rng, 5, names=("n", "m"), licenses=licenses)
             assert parse_formula(pretty_formula(formula)) == formula
+
+    def test_deep_formulas_round_trip(self):
+        # Compared as text: the dataclass == recurses as deep as the formula.
+        nexts = "X " * 1000 + "true"
+        grouped = "true U (bot, n)"
+        for _ in range(300):
+            grouped = f"({grouped}) U (bot, n)"
+        assert grouped.startswith("(" * 300)
+        for text, size in ((nexts, 1001), (grouped, 603)):
+            formula = parse_formula(text)
+            assert pretty_formula(formula) == text
+            assert formula_size(formula) == size
+        assert pretty_formula(parse_formula("(" * 300 + "true" + ")" * 300)) == "true"
 
 
 class TestRuns:
