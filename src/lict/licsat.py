@@ -11,19 +11,27 @@ is quiet (no issuances and only bot actions), so every witness unwinds into
 an actual run value.  Each witness run is re-checked against the direct
 semantics before being returned.
 
+Every atom speaks about one license name and each name's license evolves on
+its own, so a top-level conjunction is first split into components over
+pairwise disjoint names, and with two or more components each one goes
+through the product on its own: a conjunction over k names then costs k
+small products instead of one exponential in k.  The witnesses of the
+components are merged into one run, re-checked against the whole formula.
+
 Client actions outside the formula's vocabulary are folded into a single
-"other" choice; a witness materializes it as a payment amount the vocabulary
-does not mention.
+"other" choice; a witness materializes it as a payment amount the whole
+formula's vocabulary does not mention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import reduce
 from itertools import product
 
 from .automata import padded_nfa, permitted_from, reachable_subsets
-from .formulas import Act, Formula, Not, Perm, evaluate, formula_atoms
+from .formulas import Act, And, Formula, Issue, Not, Perm, evaluate, formula_atoms
 from .licenses import BOT, Action, License, Pay, action_key, license_actions
 from .ltl import build_vocabulary, name_props, translate
 from .runs import Run, compute_permissions, make_run
@@ -135,8 +143,87 @@ def _name_choices(row: list[tuple], positive, negative) -> list[tuple]:
     return [option for option in row if positive <= option[2] and not negative & option[2]]
 
 
+def _conjuncts(formula: Formula) -> list[Formula]:
+    """The operands of the formula's top-level ``And``s, left to right."""
+    parts = []
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack += (node.right, node.left)
+        else:
+            parts.append(node)
+    return parts
+
+
+def _components(formula: Formula) -> list[Formula]:
+    """The formula as a conjunction of parts over pairwise disjoint names.
+
+    Top-level conjuncts that share a license name, directly or through other
+    conjuncts, fall in one component, which conjoins them in their order;
+    components come in the order of their first conjunct.  A formula with
+    one component is returned as it is.
+    """
+    parts = _conjuncts(formula)
+    parent = list(range(len(parts)))  # union-find over conjunct indices
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: dict[str, int] = {}
+    for index, part in enumerate(parts):
+        for atom in formula_atoms(part):
+            name = atom.name if isinstance(atom, Issue) else atom.expr.name
+            parent[root(owner.setdefault(name, index))] = root(index)
+    groups: dict[int, list[Formula]] = {}
+    for index, part in enumerate(parts):
+        groups.setdefault(root(index), []).append(part)
+    if len(groups) == 1:
+        return [formula]
+    return [reduce(And, members) for members in groups.values()]
+
+
 def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
-    """Decide whether some finite run satisfies the formula at time zero."""
+    """Decide whether some finite run satisfies the formula at time zero.
+
+    A conjunction over pairwise disjoint license names is decided one name
+    component at a time: it is unsat when some component is, else it runs
+    out of budget when some component does, else the components' witness
+    runs are merged into one.  The budget applies per component (each
+    component's tableau and product get all of ``budget``), so the total
+    work is at most the number of components times ``budget``.  A witness
+    is re-checked against the whole formula before it is returned.
+    """
+    other = fresh_action(build_vocabulary(formula).actions)
+    runs = []
+    exhausted = False
+    for component in _components(formula):
+        result = _product_sat(component, budget, other)
+        if result.status == "unsat":
+            return result
+        if result.status == "budget":
+            exhausted = True
+        else:
+            runs.append(result.run)
+    if exhausted:
+        return LicSatResult("budget")
+    run = make_run(
+        [event for part in runs for event in part.issuances],
+        [event for part in runs for event in part.actions],
+    )
+    if not evaluate(run, compute_permissions(run), 0, formula):
+        raise RuntimeError("internal error: extracted witness run failed re-verification")
+    return LicSatResult("sat", run)
+
+
+def _product_sat(formula: Formula, budget: int, other: Action) -> LicSatResult:
+    """The tableau x run-space product of one formula; the run is not re-checked.
+
+    ``other`` is the concrete action a witness does for the "other" choice.
+    """
     try:
         tableau = build_tableau(to_nnf(translate(formula)), budget)
     except BudgetExceededError:
@@ -216,14 +303,10 @@ def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
         return LicSatResult("unsat")
 
     prefix, loop = lasso
-    run = _extract_run(space, list(prefix), list(loop), edges, quiet)
-    if not evaluate(run, compute_permissions(run), 0, formula):
-        raise RuntimeError("internal error: extracted witness run failed re-verification")
-    return LicSatResult("sat", run)
+    return LicSatResult("sat", _extract_run(space, list(prefix), list(loop), edges, quiet, other))
 
 
-def _extract_run(space: _RunSpace, prefix, loop, edges, quiet) -> Run:
-    other = fresh_action(space.vocab.actions)
+def _extract_run(space: _RunSpace, prefix, loop, edges, quiet, other: Action) -> Run:
     issuances = []
     actions = []
     visit = prefix + loop
@@ -242,10 +325,22 @@ def _extract_run(space: _RunSpace, prefix, loop, edges, quiet) -> Run:
 
 
 def lic_valid(formula: Formula, budget: int = DEFAULT_BUDGET) -> ValidityResult:
-    """Validity via unsatisfiability of the negation; counterexamples are runs."""
-    result = lic_sat(Not(formula), budget)
-    if result.status == "budget":
-        return ValidityResult("budget")
-    if result.status == "unsat":
-        return ValidityResult("valid")
-    return ValidityResult("invalid", result.run)
+    """Validity via unsatisfiability of the negation; counterexamples are runs.
+
+    A conjunction over pairwise disjoint names is valid when each name
+    component is: the first invalid component's counterexample is returned,
+    re-checked to falsify the whole formula, and otherwise the answer is
+    budget when some component ran out of it.  As in ``lic_sat``, each
+    component gets all of ``budget``.
+    """
+    other = fresh_action(build_vocabulary(formula).actions)
+    exhausted = False
+    for component in _components(formula):
+        result = _product_sat(Not(component), budget, other)
+        if result.status == "sat":
+            run = result.run
+            if evaluate(run, compute_permissions(run), 0, formula):
+                raise RuntimeError("internal error: counterexample run failed re-verification")
+            return ValidityResult("invalid", run)
+        exhausted = exhausted or result.status == "budget"
+    return ValidityResult("budget" if exhausted else "valid")

@@ -117,6 +117,7 @@ class _NameTimeline:
         "explicit_subsets",
         "tail_prefix",
         "tail_loop",
+        "_permitted",
     )
 
     def __init__(self, run: Run, name: str, issue_time: int, lic: License):
@@ -130,6 +131,8 @@ class _NameTimeline:
             subset = step_subset(self.nfa, subset, run.action(name, t))
             self.explicit_subsets.append(subset)
         self.tail_prefix, self.tail_loop = lasso_of(self.nfa, self.explicit_subsets[-1])
+        # Permitted set per subset: the labeller asks at every canonical time.
+        self._permitted: dict[SubsetState, frozenset[Action]] = {}
 
     def subset(self, t: int) -> SubsetState | None:
         if t < self.issue_time:
@@ -147,7 +150,10 @@ class _NameTimeline:
         subset = self.subset(t)
         if subset is None:
             return frozenset({BOT})
-        return permitted_from(self.nfa, subset, padding_ok=True)
+        permitted = self._permitted.get(subset)
+        if permitted is None:
+            permitted = self._permitted[subset] = permitted_from(self.nfa, subset, padding_ok=True)
+        return permitted
 
 
 class PermissionInterpretation:

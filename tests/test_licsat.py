@@ -9,8 +9,13 @@ finiteness restrictions.
 import os
 import random
 from decimal import Decimal
+from functools import reduce
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lict import (
+    BOT,
     ZERO,
     And,
     Issue,
@@ -26,19 +31,22 @@ from lict import (
     pretty_run,
     translate,
 )
-from lict.ltl import implicit_restrictions
+from lict.licsat import _components, _product_sat, fresh_action
+from lict.ltl import build_vocabulary, implicit_restrictions
 from lict.reference import finiteness_restriction, ltl_sat
 
 from gen import enumerate_satisfying_run, random_formula, random_license
 
 PAY = Pay(Decimal("1.00"))
-JOURNAL = parse_license("((pay[1.00] bot* render[journal,d]) | bot)*")
+NAMES_5 = ("n", "m", "k", "j", "i")
+JOURNAL_TEXT = "((pay[1.00] bot* render[journal,d]) | bot)*"
+JOURNAL = parse_license(JOURNAL_TEXT)
 WITNESS_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "lic-sat-random.txt")
 
 
 def micro_formula(rng: random.Random, two_names: bool):
     """Small formulas over at most two names and three actions."""
-    from lict import BOT, Render
+    from lict import Render
 
     if two_names:
         names = ("n", "m")
@@ -50,6 +58,15 @@ def micro_formula(rng: random.Random, two_names: bool):
     if rng.random() < 0.7:
         licenses.append((names[0], random_license(rng, 2, pool)))
     return random_formula(rng, rng.randint(1, 4), names=names, pool=pool, licenses=licenses)
+
+
+def holds(run, formula) -> bool:
+    return evaluate(run, compute_permissions(run), 0, formula)
+
+
+def chain(template: str, names):
+    """The left-grouped conjunction of ``template`` instantiated per name."""
+    return parse_formula(" & ".join(f"({template.format(n=name)})" for name in names))
 
 
 class TestSpotChecks:
@@ -222,6 +239,117 @@ class TestAgainstGenericRoute:
             compared += 1
             assert lic_sat(formula).status == generic.status, pretty_formula(formula)
         assert compared >= 20
+
+
+# Decided on its own, this one runs out of a budget of 5 ticks, while each
+# single-name formula of TestNameComponents stays within it.
+EXCEEDS_5 = "issue(q, (pay[1.00] | bot)*) & F O(pay[1.00], q)"
+
+
+class TestNameComponents:
+    """Conjunctions over disjoint names are decided one component at a time."""
+
+    def test_conjuncts_group_by_shared_names(self):
+        formula = parse_formula(
+            "(pay[1.00], n) & P(bot, m) & (issue(k, bot) -> (bot, n)) & true & X (bot, j)"
+        )
+        assert [pretty_formula(part) for part in _components(formula)] == [
+            "(pay[1.00], n) & (issue(k, bot) -> (bot, n))",
+            "P(bot, m)",
+            "true",
+            "X (bot, j)",
+        ]
+
+    def test_one_component_is_the_formula_itself(self):
+        # The last conjunct joins the first two.
+        formula = parse_formula("(pay[1.00], n) & ((bot, m) & X ((pay[1.00], n) | (bot, m)))")
+        assert len(_components(formula)) == 1
+        assert _components(formula)[0] is formula
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_split_answers_match_the_joint_product(self, seed):
+        rng = random.Random(seed)
+        conjuncts = []
+        for name in ("n", "m", "k")[: rng.randint(2, 3)]:
+            licenses = [(name, random_license(rng, 2, (BOT, PAY)))] if rng.random() < 0.7 else []
+            conjuncts.append(
+                random_formula(rng, rng.randint(1, 3), names=(name,), pool=(BOT, PAY), licenses=licenses)
+            )
+        formula = reduce(And, conjuncts)
+        other = fresh_action(build_vocabulary(formula).actions)
+        joint_sat = _product_sat(formula, 200_000, other).status
+        joint_counter = _product_sat(Not(formula), 200_000, other).status
+        sat = lic_sat(formula)
+        assert sat.status == joint_sat, pretty_formula(formula)
+        if sat.status == "sat":
+            assert holds(sat.run, formula)
+        valid = lic_valid(formula)
+        assert valid.status == {"sat": "invalid", "unsat": "valid"}[joint_counter], pretty_formula(formula)
+        if valid.status == "invalid":
+            assert not holds(valid.counterexample, formula)
+
+    def test_five_guarded_journals_are_valid(self):
+        formula = chain("issue({n}, " + JOURNAL_TEXT + ") -> X X P(bot, {n})", NAMES_5[:5])
+        assert lic_valid(formula).status == "valid"
+
+    def test_four_guarded_journals_pay_or_render_is_invalid(self):
+        formula = chain(
+            "issue({n}, " + JOURNAL_TEXT + ") -> X X (P(pay[1.00], {n}) | P(render[journal,d], {n}))",
+            NAMES_5[:4],
+        )
+        report = lic_valid(formula)
+        assert report.status == "invalid"
+        assert not holds(report.counterexample, formula)
+
+    def test_budget_applies_per_component(self):
+        # Each journal alone fits a budget of 100 ticks; their joint product does not.
+        formula = chain("issue({n}, " + JOURNAL_TEXT + ") & F (render[journal,d], {n})", NAMES_5[:2])
+        for part in _components(formula):
+            assert _product_sat(part, 100, PAY).status == "sat"
+        assert _product_sat(formula, 100, PAY).status == "budget"
+        report = lic_sat(formula, budget=100)
+        assert report.status == "sat"
+        assert holds(report.run, formula)
+
+    def test_unsat_component_wins_over_a_budget_one(self):
+        for text in (f"({EXCEEDS_5}) & (pay[1.00], n) & !(pay[1.00], n)",
+                     f"(pay[1.00], n) & !(pay[1.00], n) & ({EXCEEDS_5})"):
+            assert lic_sat(parse_formula(text), budget=5).status == "unsat", text
+
+    def test_sat_component_next_to_a_budget_one_gives_budget(self):
+        formula = parse_formula(f"({EXCEEDS_5}) & (pay[1.00], n)")
+        assert lic_sat(parse_formula(EXCEEDS_5), budget=5).status == "budget"
+        assert lic_sat(parse_formula("(pay[1.00], n)"), budget=5).status == "sat"
+        assert lic_sat(formula, budget=5).status == "budget"
+
+    def test_invalid_component_wins_over_a_budget_one(self):
+        formula = parse_formula(f"!({EXCEEDS_5}) & (pay[1.00], n)")
+        report = lic_valid(formula, budget=5)
+        assert report.status == "invalid"
+        assert not holds(report.counterexample, formula)
+
+    def test_valid_component_next_to_a_budget_one_gives_budget(self):
+        formula = parse_formula(f"!({EXCEEDS_5}) & ((pay[1.00], n) | !(pay[1.00], n))")
+        assert lic_valid(formula, budget=5).status == "budget"
+
+    def test_sixteen_names_are_decided(self):
+        names = [f"n{i}" for i in range(16)]
+        guarded = chain("issue({n}, " + JOURNAL_TEXT + ") -> X X P(bot, {n})", names)
+        assert lic_valid(guarded).status == "valid"
+        reads = chain("issue({n}, " + JOURNAL_TEXT + ") & F (render[journal,d], {n})", names)
+        report = lic_sat(reads)
+        assert report.status == "sat"
+        assert report.run.names == frozenset(names)
+
+    def test_merged_witness_prints_one_fresh_amount(self):
+        # The "other" action comes from the whole formula's vocabulary, so a
+        # merged witness shows the amount the joint product would.
+        formula = parse_formula("(~pay[1.00], n) & (~bot, m) & !(pay[2.00], k)")
+        report = lic_sat(formula)
+        assert report.status == "sat"
+        other = fresh_action(build_vocabulary(formula).actions)
+        assert pretty_run(report.run) == pretty_run(_product_sat(formula, 10**6, other).run)
 
 
 def seeded_witness_text() -> str:
