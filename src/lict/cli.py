@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .automata import dump_dot, padded_nfa
 from .digitalrights import DrCapExceeded, compile_dr
@@ -126,7 +127,9 @@ def _cmd_step(args) -> _Outcome:
     return _Outcome("ok", EXIT_OK, "")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call; later calls return the same one."""
     parser = argparse.ArgumentParser(
         prog="lict",
         description="Verify digital-rights licenses: permissions, specs, satisfiability.",

@@ -1,14 +1,17 @@
 """Text front ends: actions, licenses, formulas, run files, and DR licenses.
 
-All grammars are plain ASCII.  ``#`` starts a comment anywhere.  Reserved
-words (``pay render bot issue true P O X G F U``) cannot be used as license
-names.
+All grammars are plain ASCII and share one lexer, a compiled regular
+expression scanned once over the input (run files: once per line).  Any
+other character, including a non-ASCII letter or digit, is a ``ParseError``
+at its line and column.  ``#`` starts a comment anywhere.  Reserved words
+(``pay render bot issue true P O X G F U``) cannot be used as license names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from decimal import Decimal
+from typing import NamedTuple
 
 from .digitalrights import DrLicense, Exactly, Single, Upto
 from .formulas import (
@@ -53,70 +56,52 @@ RESERVED = frozenset(
     {"pay", "render", "bot", "issue", "do", "true", "P", "O", "X", "G", "F", "U"}
 )
 
-_TWO_CHAR_OPS = ("->",)
-_ONE_CHAR_OPS = "()[]{},*|&!=@~"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "number" | "op" | "eof"
     text: str
     line: int
     col: int
 
 
+# One alternative per lexeme; ``bad`` takes any other character, ASCII or
+# not.  The blanks before a lexeme belong to its match, and comments are
+# dropped.  A comment that ends the input is part of ``eof``, so end of input
+# is reported at its ``#``.
+_LEXEME = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>->|[()\[\]{},*|&!=@~])"
+    r"|(?P<number>[0-9]+(?:\.[0-9]*)?)"
+    r"|(?P<newline>\n)"
+    r"|(?P<eof>(?:#[^\n]*)?\Z)"
+    r"|(?P<comment>#[^\n]*)"
+    r"|(?P<bad>.))",
+    re.ASCII | re.DOTALL,
+)
+_TEXT_KINDS = frozenset({"ident", "op", "number"})
+_tuple_new = tuple.__new__  # builds a Token without the Python-level NamedTuple constructor
+
+
 def tokenize(text: str, first_line: int = 1) -> list[Token]:
+    """Split text into tokens with 1-based line and column numbers, ending in ``eof``."""
     tokens: list[Token] = []
-    line, col = first_line, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    append = tokens.append
+    line, line_start = first_line, 0
+    for match in _LEXEME.finditer(text):
+        kind = match.lastgroup
+        if kind in _TEXT_KINDS:
+            col = match.start(kind) - line_start + 1
+            append(_tuple_new(Token, (kind, match.group(kind), line, col)))
+        elif kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if text.startswith(_TWO_CHAR_OPS[0], i):
-            tokens.append(Token("op", "->", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token("op", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == ".":
-                j += 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-            tokens.append(Token("number", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("eof", "", line, col))
+            line_start = match.end()
+        elif kind == "eof":
+            append(_tuple_new(Token, (kind, "", line, match.start(kind) - line_start + 1)))
+            break
+        elif kind == "bad":
+            start = match.start(kind)
+            raise ParseError(f"unexpected character {text[start]!r}", line, start - line_start + 1)
     return tokens
 
 
@@ -124,13 +109,15 @@ class _Stream:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._last = len(tokens) - 1  # the eof token
 
     def peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        at = self._pos + ahead
+        return self._tokens[at if at < self._last else self._last]
 
     def next(self) -> Token:
-        token = self.peek()
-        if token.kind != "eof":
+        token = self._tokens[self._pos]
+        if self._pos < self._last:
             self._pos += 1
         return token
 

@@ -5,9 +5,10 @@ the engines with it.  It holds the trace semantics of licenses (trace
 enumeration, Brzozowski derivatives, viability), plain word acceptance by
 an automaton, the DR schedule trace sets, the run helpers of the
 definitions, the permissions a license forces, formula truth on a lasso
-decided one time at a time, and the generic decision route: translate,
+decided one time at a time, the generic decision route (translate,
 conjoin the restriction formulas, and run the target logic's tableau on
-its own.
+its own), and the character-by-character lexer that the regex lexer of
+``lict.parsing`` must agree with on ASCII input.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .ltl import (
     ltl_eval,
     translate,
 )
+from .parsing import ParseError, Token
 from .runs import Run
 from .tableau import DEFAULT_BUDGET, BudgetExceededError, accepting_lasso, build_tableau, to_nnf
 
@@ -439,3 +441,65 @@ def ltl_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> SatResult:
     if not ltl_eval(witness, 0, formula):
         raise RuntimeError("internal error: tableau witness failed evaluation")
     return SatResult("sat", witness)
+
+
+# ---------------------------------------------------------------------------
+# The character-by-character lexer that ``parsing.tokenize`` replaced
+
+_TWO_CHAR_OPS = ("->",)
+_ONE_CHAR_OPS = "()[]{},*|&!=@~"
+
+
+def tokenize(text: str, first_line: int = 1) -> list[Token]:
+    tokens: list[Token] = []
+    line, col = first_line, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if text.startswith(_TWO_CHAR_OPS[0], i):
+            tokens.append(Token("op", "->", line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch in _ONE_CHAR_OPS:
+            tokens.append(Token("op", ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if j < len(text) and text[j] == ".":
+                j += 1
+                while j < len(text) and text[j].isdigit():
+                    j += 1
+            tokens.append(Token("number", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens

@@ -2,7 +2,9 @@
 
 ``lict/__init__.py`` exports only the library API the README documents, and
 the reference oracles in ``lict.reference`` are kept out of every production
-module, so the command line never loads them.
+module, so the command line never loads them.  One of them is the
+character-by-character lexer that ``lict.parsing``'s regex lexer is checked
+against.
 """
 
 import ast
@@ -72,3 +74,10 @@ def test_only_reference_holds_the_oracles():
         and any(_imports_reference(node) for node in ast.walk(_tree(name)))
     ]
     assert offenders == []
+    # The regex lexer and its character-by-character oracle are two functions.
+    lexers = [
+        name
+        for name in ("parsing.py", "reference.py")
+        if any(isinstance(node, ast.FunctionDef) and node.name == "tokenize" for node in _tree(name).body)
+    ]
+    assert lexers == ["parsing.py", "reference.py"]

@@ -1,5 +1,6 @@
 """The command line: exit codes, result lines, JSON mode, and the REPL."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,6 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lict import cli
 from lict.cli import main
 from lict.repl import step_repl
 from lict import BOT, Pay, Render, compile_dr, parse_dr, parse_run
@@ -424,6 +426,41 @@ class TestSamples:
             assert code == 0
 
 
+class TestParserOnce:
+    """``main`` builds its argument parser once and reuses it on every call."""
+
+    def test_two_calls_share_one_parser(self, capsys):
+        parse_args = argparse.ArgumentParser.parse_args
+        with mock.patch.object(
+            argparse.ArgumentParser, "parse_args", autospec=True, side_effect=parse_args
+        ) as spy:
+            invoke(capsys, "sat", os.path.join(SAMPLES, "prop1.lic"))
+            invoke(capsys, "encode-run", os.path.join(SAMPLES, "journal.run"))
+        first, second = (call.args[0] for call in spy.call_args_list)
+        assert first is second is cli.build_parser()
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, capsys):
+        argv = ["check-spec", "--at", "1", os.path.join(SAMPLES, "journal.run"),
+                os.path.join(SAMPLES, "journal-property.lic")]
+        before = invoke(capsys, *argv)
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["--format", "json", "check-spec", "--at", "soon", argv[3], argv[4]]) == 2
+            assert main(["sat", "--budget", "5"]) == 2
+            assert main(["no-such-command"]) == 2
+        capsys.readouterr()
+        assert invoke(capsys, *argv) == before
+
+    def test_json_after_a_plain_call(self, capsys):
+        path = os.path.join(SAMPLES, "prop1.lic")
+        plain = invoke(capsys, "valid", path)
+        code, out = invoke(capsys, "--format", "json", "valid", path)
+        payload = json.loads(out)
+        assert code == plain[0]
+        assert payload["command"] == "valid"
+        assert f"result={payload['result']}" == plain[1].splitlines()[0]
+        assert invoke(capsys, "valid", path) == plain
+
+
 class TestRepl:
     def run_session(self, script: str, base: str = "") -> str:
         out = io.StringIO()
@@ -462,4 +499,13 @@ class TestRepl:
         )
         assert "lict> true" in out
         assert "error: the input is nested too deeply to process" in out
+        assert "n=n permits={pay[1.00]} obligated=pay[1.00]" in out
+
+    def test_non_ascii_digit_session_continues(self, tmp_path, capsys):
+        path = write(tmp_path, "empty.run", "")
+        script = "issue n pay[1.00]\ndo n pay[\u00b2]\nshow\nquit\n"
+        with mock.patch("sys.stdin", io.StringIO(script)):
+            code, out = invoke(capsys, "step", path)
+        assert code == 0
+        assert "error: unexpected character '\u00b2' (line 1, column 5)" in out
         assert "n=n permits={pay[1.00]} obligated=pay[1.00]" in out

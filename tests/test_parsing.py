@@ -1,9 +1,11 @@
 """Grammar front ends: round trips, precedence, and error reporting."""
 
+import os
 import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lict import (
     BOT,
@@ -27,9 +29,12 @@ from lict import (
     pretty_license,
     pretty_run,
 )
+from lict import parsing, reference
 from lict.formulas import Act, ActionExpr, And, Issue, Next, Not, Perm, Truth, Until, formula_size
 
 from gen import random_formula, random_license, random_run
+
+SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
 
 class TestActions:
@@ -207,3 +212,75 @@ class TestDr:
     def test_zero_period_rejected(self):
         with pytest.raises(ValueError):
             parse_dr("for 0 pay 1.00 upfront for {w} on {d}")
+
+
+class TestAsciiOnly:
+    """Letters and digits outside ASCII are unexpected characters, reported where they stand."""
+
+    @staticmethod
+    def error(parse, text: str) -> ParseError:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        return err.value
+
+    def test_arabic_indic_digit_in_amount(self):
+        err = self.error(parse_formula, "issue(n, pay[\u0663])")
+        assert str(err) == "unexpected character '\u0663' (line 1, column 14)"
+        assert (err.line, err.col) == (1, 14)
+
+    def test_superscript_digit_is_a_parse_error(self):
+        err = self.error(parse_action, "pay[\u00b2]")
+        assert (err.line, err.col) == (1, 5)
+
+    def test_run_file_reports_the_line(self):
+        err = self.error(parse_run, "@0 do n bot\n@1 do n pay[\u00b2]\n")
+        assert str(err) == "unexpected character '\u00b2' (line 2, column 13)"
+        assert (err.line, err.col) == (2, 13)
+
+    def test_non_ascii_name(self):
+        err = self.error(parse_formula, "P(bot, n\u00e9)")
+        assert str(err) == "unexpected character '\u00e9' (line 1, column 9)"
+        err = self.error(parse_run, "# names\n@0 issue n\u00e9 = bot\n")
+        assert (err.line, err.col) == (2, 11)
+
+
+def _samples() -> list[str]:
+    texts = []
+    for name in sorted(os.listdir(SAMPLES)):
+        with open(os.path.join(SAMPLES, name), encoding="ascii") as handle:
+            texts.append(handle.read())
+    return texts
+
+
+# ASCII operator, digit, comment, blank and line-break characters, and a few
+# that no grammar accepts.
+_MUTATIONS = tuple("()[]{},*|&!=@~->#0123456789.\t\r\n _x$")
+
+
+def _lexed(lex, text: str):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in lex(text, first_line=3)]
+    except ParseError as err:
+        return (str(err), err.line, err.col)
+
+
+class TestLexerOracle:
+    """The regex lexer agrees with the character-by-character one on ASCII input."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_tokens_and_errors_match_the_reference(self, data):
+        text = data.draw(st.sampled_from(_samples()))
+        start = data.draw(st.integers(0, len(text)))
+        text = text[start : data.draw(st.integers(start, len(text)))]
+        for _ in range(data.draw(st.integers(0, 4))):
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + data.draw(st.sampled_from(_MUTATIONS)) + text[at:]
+        assert _lexed(parsing.tokenize, text) == _lexed(reference.tokenize, text)
+
+    @pytest.mark.parametrize(
+        "text", ["", "# only a comment", "bot # trailing", "a\n# last", "bot  \r", "1.", "1.5.3", "- >"]
+    )
+    def test_edges_match_the_reference(self, text):
+        assert _lexed(parsing.tokenize, text) == _lexed(reference.tokenize, text)
+
