@@ -40,8 +40,16 @@ class _Outcome:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as handle:
+    # A byte that is not UTF-8 becomes U+FFFD, which the lexer, like any
+    # character outside its ASCII grammar, rejects at its line and column.
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         return handle.read()
+
+
+def _print(text: str) -> None:
+    """Print, escaping what the output's encoding cannot represent."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def permissions_lines(run, horizon: int) -> list[str]:
@@ -210,9 +218,9 @@ def main(argv=None) -> int:
             payload["counterexample"] = outcome.counterexample
         print(json.dumps(payload))
     else:
-        print(f"result={outcome.result}")
+        _print(f"result={outcome.result}")
         if outcome.detail:
-            print(outcome.detail)
+            _print(outcome.detail)
     return outcome.exit_code
 
 

@@ -11,6 +11,12 @@ is quiet (no issuances and only bot actions), so every witness unwinds into
 an actual run value.  Each witness run is re-checked against the direct
 semantics before being returned.
 
+A product node's row of edges depends only on its tableau state's
+successor list, which the tableau shares per next-obligation mask, and on
+each name's options that meet the state's literals; the product builds each
+distinct row once and points every node with it at the same dicts.  Budget
+ticks still count every node's joint choices, shared or not.
+
 Every atom speaks about one license name and each name's license evolves on
 its own, so a top-level conjunction is first split into components over
 pairwise disjoint names, and with two or more components each one goes
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import reduce
 from itertools import product
+from math import prod
 
 from .automata import padded_nfa, permitted_from, reachable_subsets
 from .formulas import Act, And, Formula, Issue, Not, Perm, evaluate, formula_atoms
@@ -246,8 +253,18 @@ def _product_sat(formula: Formula, budget: int, other: Action) -> LicSatResult:
     # can be read back as run events.  Quiet edges (no issuance, all names
     # doing bot) are kept apart in ``quiet[node]``: only they may form the
     # lasso loop, which keeps every witness a finite run.
+    #
+    # A node's row (its edges, quiet edges and loop successors) depends only
+    # on its tableau successor list, one list per next mask, and on each
+    # name's filtered options, so each distinct row is built once and shared,
+    # keyed by the successor list's id and the ids of each name's options.
+    # A shared row is charged its joint choices again, and its successors
+    # were all seen when it was built, so the worklist and the budget run as
+    # if the row were rebuilt.
     edges: dict[tuple, dict[tuple, tuple]] = {}
     quiet: dict[tuple, dict[tuple, tuple]] = {}
+    loop_successors: dict[tuple, list[tuple]] = {}
+    rows: dict[tuple, tuple] = {}
     initial = []
     start = (0,) * len(space.names)
     worklist = []
@@ -262,16 +279,17 @@ def _product_sat(formula: Formula, budget: int, other: Action) -> LicSatResult:
     while worklist:
         node = worklist.pop()
         state, statuses = node
-        per_name = []
-        for table, status, (positive, negative) in zip(tables, statuses, literals[state]):
-            options = _name_choices(table[status], positive, negative)
-            if not options:
-                per_name = None
-                break
-            per_name.append(options)
-        node_edges: dict[tuple, tuple] = {}
-        node_quiet: dict[tuple, tuple] = {}
-        if per_name is not None:
+        successor_states = tableau.edges[state]
+        per_name = [
+            _name_choices(table[status], positive, negative)
+            for table, status, (positive, negative) in zip(tables, statuses, literals[state])
+        ]
+        # the options are the table's own tuples, so their ids name them
+        key = (id(successor_states), *(tuple(map(id, options)) for options in per_name))
+        row = rows.get(key)
+        if row is None:
+            node_edges: dict[tuple, tuple] = {}
+            node_quiet: dict[tuple, tuple] = {}
             for combo in product(*per_name):
                 ticks += 1
                 if ticks > budget:
@@ -279,7 +297,7 @@ def _product_sat(formula: Formula, budget: int, other: Action) -> LicSatResult:
                 next_statuses = tuple(option[3] for option in combo)
                 is_quiet = all(option[4] for option in combo)
                 choice = tuple((option[0], option[1]) for option in combo)
-                for successor_state in tableau.edges[state]:
+                for successor_state in successor_states:
                     successor = (successor_state, next_statuses)
                     node_edges.setdefault(successor, choice)
                     if is_quiet:
@@ -287,16 +305,18 @@ def _product_sat(formula: Formula, budget: int, other: Action) -> LicSatResult:
                     if successor not in seen:
                         seen.add(successor)
                         worklist.append(successor)
-        edges[node] = node_edges
-        quiet[node] = node_quiet
+            loop = [child for child in node_edges if child in node_quiet]
+            row = rows[key] = (node_edges, node_quiet, loop, prod(map(len, per_name)))
+        else:
+            ticks += row[3]
+            if ticks > budget:
+                return LicSatResult("budget")
+        edges[node], quiet[node], loop_successors[node] = row[:3]
 
     accept_sets = [
         {node for node in edges if node[0] in members}
         for members in tableau.accept_sets
     ]
-    loop_successors = {
-        node: [child for child in edges[node] if child in quiet[node]] for node in edges
-    }
 
     lasso = accepting_lasso(initial, edges.__getitem__, loop_successors.__getitem__, accept_sets)
     if lasso is None:

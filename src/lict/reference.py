@@ -7,8 +7,10 @@ an automaton, the DR schedule trace sets, the run helpers of the
 definitions, the permissions a license forces, formula truth on a lasso
 decided one time at a time, the generic decision route (translate,
 conjoin the restriction formulas, and run the target logic's tableau on
-its own), and the character-by-character lexer that the regex lexer of
-``lict.parsing`` must agree with on ASCII input.
+its own), the stack-based tableau construction that expands a next mask
+once per state holding it, whose graph and budget outcomes the memoised
+``build_tableau`` must match, and the character-by-character lexer that the
+regex lexer of ``lict.parsing`` must agree with on ASCII input.
 """
 
 from __future__ import annotations
@@ -71,7 +73,22 @@ from .ltl import (
 )
 from .parsing import ParseError, Token
 from .runs import Run
-from .tableau import DEFAULT_BUDGET, BudgetExceededError, accepting_lasso, build_tableau, to_nnf
+from .tableau import (
+    _KIND_AND,
+    _KIND_FALSE,
+    _KIND_LIT,
+    _KIND_OR,
+    _KIND_TRUE,
+    _KIND_UNTIL,
+    _KIND_X,
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    Tableau,
+    _Closure,
+    accepting_lasso,
+    build_tableau,
+    to_nnf,
+)
 
 Trace = tuple  # tuple[Action, ...]
 EPSILON: Trace = ()
@@ -441,6 +458,106 @@ def ltl_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> SatResult:
     if not ltl_eval(witness, 0, formula):
         raise RuntimeError("internal error: tableau witness failed evaluation")
     return SatResult("sat", witness)
+
+
+# ---------------------------------------------------------------------------
+# The stack-based tableau construction that ``tableau.build_tableau`` replaced
+
+_INIT = -1
+
+
+def lifo_tableau(closure: _Closure, budget: int = DEFAULT_BUDGET) -> Tableau:
+    """The obligation graph ``build_tableau`` must give, one expansion per state.
+
+    Every new state pushes its next mask for expansion on one LIFO stack, so
+    a mask is expanded again for each state holding it.
+
+    A pending node is an ``(incoming state, new, old, next)`` tuple of masks
+    and a state is keyed by its ``(old, next)`` masks; every pop of a pending
+    node counts one tick against the budget.
+    """
+    kinds = closure.kinds
+    ranked = [index for _, index in sorted(zip(kinds, range(len(kinds))))]
+    bits = [0] * len(ranked)
+    for rank, index in enumerate(ranked):
+        bits[index] = 1 << rank
+    # per rank: kind and two operand masks (a literal's first is its complement)
+    table = []
+    for index in ranked:
+        operands = [bits[arg] for arg in closure.args[index]] + [0, 0]
+        if kinds[index] == _KIND_LIT:
+            operands[0] = bits[closure.complement[index]]
+        table.append((kinds[index], operands[0], operands[1]))
+
+    stored: dict[tuple[int, int], int] = {}
+    incoming: dict[int, set[int]] = {}
+    olds: dict[int, int] = {}
+    pending = [(_INIT, bits[closure.root], 0, 0)]
+    ticks = 0
+
+    while pending:
+        ticks += 1
+        if ticks > budget:
+            raise BudgetExceededError(f"tableau exceeded its budget of {budget} nodes")
+        source, new, old, nxt = pending.pop()
+        if not new:
+            existing = stored.get((old, nxt))
+            if existing is not None:
+                incoming[existing].add(source)
+                continue
+            state = stored[(old, nxt)] = len(olds)
+            incoming[state] = {source}
+            olds[state] = old
+            pending.append((state, nxt, 0, 0))
+            continue
+        low = new & -new
+        new ^= low
+        if old & low:
+            pending.append((source, new, old, nxt))
+            continue
+        kind, first, second = table[low.bit_length() - 1]
+        if kind == _KIND_TRUE:
+            pending.append((source, new, old, nxt))
+        elif kind == _KIND_FALSE:
+            continue
+        elif kind == _KIND_LIT:
+            if not old & first:
+                pending.append((source, new, old | low, nxt))
+        elif kind == _KIND_AND:
+            pending.append((source, new | first | second, old | low, nxt))
+        elif kind == _KIND_X:
+            pending.append((source, new, old | low, nxt | first))
+        elif kind == _KIND_OR:
+            pending.append((source, new | first, old | low, nxt))
+            pending.append((source, new | second, old | low, nxt))
+        elif kind == _KIND_UNTIL:
+            pending.append((source, new | first, old | low, nxt | low))
+            pending.append((source, new | second, old | low, nxt))
+        else:  # release
+            pending.append((source, new | second, old | low, nxt | low))
+            pending.append((source, new | first | second, old | low, nxt))
+
+    tableau = Tableau([
+        (bits[index], *literal) for index, literal in enumerate(closure.literals) if literal is not None
+    ])
+    tableau.old_sets = olds
+    tableau.edges = {state: [] for state in olds}
+    for state, sources in incoming.items():
+        for source in sorted(sources):
+            if source == _INIT:
+                tableau.initial.append(state)
+            else:
+                tableau.edges[source].append(state)
+    tableau.initial.sort()
+    for edge_list in tableau.edges.values():
+        edge_list.sort()
+
+    for until in closure.untils():
+        pending_bit, right = bits[until], bits[closure.args[until][1]]
+        tableau.accept_sets.append(frozenset(
+            state for state, old in olds.items() if not old & pending_bit or old & right
+        ))
+    return tableau
 
 
 # ---------------------------------------------------------------------------

@@ -146,14 +146,16 @@ def to_nnf(formula: Formula) -> _Closure:
 # ---------------------------------------------------------------------------
 # Expansion graph
 
-INIT = -1
-
 
 class Tableau:
     """The expanded obligation graph of one formula.
 
     ``old_sets[state]`` is the state's obligation mask over the ranked
-    closure ids; ``accept_sets`` hold state ids, one set per until.
+    closure ids; ``accept_sets`` hold state ids, one set per until.  A
+    state's successors depend only on its next-obligation mask, so
+    ``edges[state]`` is the sorted successor list of that mask, one list
+    object shared by every state holding the mask, and ``initial`` is the
+    list of the root's mask.  These lists are read-only.
     """
 
     def __init__(self, literals: list[tuple[int, Formula, bool]]):
@@ -176,12 +178,64 @@ class Tableau:
         return self._props(state, False)
 
 
+def _expand(
+    mask: int, table: list[tuple[int, int, int]], allowance: int
+) -> tuple[list[tuple[int, int]], int]:
+    """The ordered leaves ``(old, next)`` of one mask's expansion, and its ticks.
+
+    Pending nodes are ``(new, old, next)`` masks on a stack and every pop is
+    one tick; the expansion stops once it has used more than ``allowance``.
+    """
+    leaves = []
+    pending = [(mask, 0, 0)]
+    ticks = 0
+    while pending:
+        ticks += 1
+        if ticks > allowance:
+            break
+        new, old, nxt = pending.pop()
+        if not new:
+            leaves.append((old, nxt))
+            continue
+        low = new & -new
+        new ^= low
+        if old & low:
+            pending.append((new, old, nxt))
+            continue
+        kind, first, second = table[low.bit_length() - 1]
+        if kind == _KIND_TRUE:
+            pending.append((new, old, nxt))
+        elif kind == _KIND_FALSE:
+            continue
+        elif kind == _KIND_LIT:
+            if not old & first:
+                pending.append((new, old | low, nxt))
+        elif kind == _KIND_AND:
+            pending.append((new | first | second, old | low, nxt))
+        elif kind == _KIND_X:
+            pending.append((new, old | low, nxt | first))
+        elif kind == _KIND_OR:
+            pending.append((new | first, old | low, nxt))
+            pending.append((new | second, old | low, nxt))
+        elif kind == _KIND_UNTIL:
+            pending.append((new | first, old | low, nxt | low))
+            pending.append((new | second, old | low, nxt))
+        else:  # release
+            pending.append((new | second, old | low, nxt | low))
+            pending.append((new | first | second, old | low, nxt))
+    return leaves, ticks
+
+
 def build_tableau(closure: _Closure, budget: int = DEFAULT_BUDGET) -> Tableau:
     """Expand an interned NNF formula into its obligation graph.
 
-    A pending node is an ``(incoming state, new, old, next)`` tuple of masks
-    and a state is keyed by its ``(old, next)`` masks; every pop of a pending
-    node counts one tick against the budget.
+    A state is keyed by its ``(old, next)`` masks.  The root's mask and each
+    distinct next mask are expanded once (``_expand``) into an ordered list
+    of leaves.  The lists are walked depth first from the root's, a new
+    state's list at once, which numbers the states as one stack-based
+    expansion per state would; a list whose leaves are all states already
+    is not walked again.  Every use of a list is charged the ticks of its
+    expansion, so the budget still counts one expansion per state.
     """
     kinds = closure.kinds
     ranked = [index for _, index in sorted(zip(kinds, range(len(kinds))))]
@@ -196,68 +250,43 @@ def build_tableau(closure: _Closure, budget: int = DEFAULT_BUDGET) -> Tableau:
             operands[0] = bits[closure.complement[index]]
         table.append((kinds[index], operands[0], operands[1]))
 
-    stored: dict[tuple[int, int], int] = {}
-    incoming: dict[int, set[int]] = {}
-    olds: dict[int, int] = {}
-    pending = [(INIT, bits[closure.root], 0, 0)]
+    expansions: dict[int, tuple[list[tuple[int, int]], int]] = {}
     ticks = 0
 
-    while pending:
-        ticks += 1
+    def leaves(mask: int) -> list[tuple[int, int]]:
+        nonlocal ticks
+        expansion = expansions.get(mask)
+        if expansion is None:
+            expansion = expansions[mask] = _expand(mask, table, budget - ticks)
+        ticks += expansion[1]
         if ticks > budget:
             raise BudgetExceededError(f"tableau exceeded its budget of {budget} nodes")
-        source, new, old, nxt = pending.pop()
-        if not new:
-            existing = stored.get((old, nxt))
-            if existing is not None:
-                incoming[existing].add(source)
-                continue
-            state = stored[(old, nxt)] = len(olds)
-            incoming[state] = {source}
-            olds[state] = old
-            pending.append((state, nxt, 0, 0))
-            continue
-        low = new & -new
-        new ^= low
-        if old & low:
-            pending.append((source, new, old, nxt))
-            continue
-        kind, first, second = table[low.bit_length() - 1]
-        if kind == _KIND_TRUE:
-            pending.append((source, new, old, nxt))
-        elif kind == _KIND_FALSE:
-            continue
-        elif kind == _KIND_LIT:
-            if not old & first:
-                pending.append((source, new, old | low, nxt))
-        elif kind == _KIND_AND:
-            pending.append((source, new | first | second, old | low, nxt))
-        elif kind == _KIND_X:
-            pending.append((source, new, old | low, nxt | first))
-        elif kind == _KIND_OR:
-            pending.append((source, new | first, old | low, nxt))
-            pending.append((source, new | second, old | low, nxt))
-        elif kind == _KIND_UNTIL:
-            pending.append((source, new | first, old | low, nxt | low))
-            pending.append((source, new | second, old | low, nxt))
-        else:  # release
-            pending.append((source, new | second, old | low, nxt | low))
-            pending.append((source, new | first | second, old | low, nxt))
+        return expansion[0]
+
+    stored: dict[tuple[int, int], int] = {}  # the state of each (old, next) leaf
+    successors: dict[int, list[int]] = {}  # per mask whose leaves are all states
+    root = bits[closure.root]
+    walk = [(root, iter(leaves(root)))]
+    while walk:
+        mask, pending = walk[-1]
+        for leaf in pending:
+            if leaf not in stored:
+                stored[leaf] = len(stored)
+                found = leaves(leaf[1])
+                if leaf[1] not in successors:
+                    walk.append((leaf[1], iter(found)))
+                break
+        else:
+            walk.pop()
+            if mask not in successors:
+                successors[mask] = sorted(set(map(stored.__getitem__, expansions[mask][0])))
 
     tableau = Tableau([
         (bits[index], *literal) for index, literal in enumerate(closure.literals) if literal is not None
     ])
-    tableau.old_sets = olds
-    tableau.edges = {state: [] for state in olds}
-    for state, sources in incoming.items():
-        for source in sorted(sources):
-            if source == INIT:
-                tableau.initial.append(state)
-            else:
-                tableau.edges[source].append(state)
-    tableau.initial.sort()
-    for edge_list in tableau.edges.values():
-        edge_list.sort()
+    tableau.old_sets = olds = {state: old for (old, _), state in stored.items()}
+    tableau.edges = {state: successors[nxt] for (_, nxt), state in stored.items()}
+    tableau.initial = successors[root]
 
     for until in closure.untils():
         pending_bit, right = bits[until], bits[closure.args[until][1]]

@@ -277,6 +277,61 @@ class TestDeepInput:
         assert out.splitlines()[0] == "result=holds"
 
 
+def invoke_ascii(*argv) -> tuple[int, str]:
+    """Run a command whose standard output can only encode ASCII."""
+    raw = io.BytesIO()
+    stream = io.TextIOWrapper(raw, encoding="ascii")
+    with contextlib.redirect_stdout(stream):
+        code = main(list(argv))
+    stream.flush()
+    return code, raw.getvalue().decode("ascii")
+
+
+class TestNonAsciiFiles:
+    """A character outside the grammar is a parse error at its line and
+    column, whatever the file's bytes and the output's encoding."""
+
+    def write_bytes(self, tmp_path, name, data: bytes) -> str:
+        path = tmp_path / name
+        path.write_bytes(data)
+        return str(path)
+
+    def test_sat_of_a_non_ascii_name(self, tmp_path):
+        path = self.write_bytes(tmp_path, "f.lic", "P(bot, n\u00e9)".encode("utf-8"))
+        code, out = invoke_ascii("sat", path)
+        assert code == 2
+        assert out.splitlines() == ["result=error", "unexpected character '\\xe9' (line 1, column 9)"]
+        code, out = invoke_ascii("--format=json", "sat", path)
+        assert code == 2
+        assert json.loads(out)["detail"] == "unexpected character '\u00e9' (line 1, column 9)"
+
+    def test_sat_of_a_byte_that_is_not_utf8(self, tmp_path):
+        path = self.write_bytes(tmp_path, "f.lic", b"P(bot,\n n\xff)")
+        code, out = invoke_ascii("sat", path)
+        assert code == 2
+        assert out.splitlines() == ["result=error", "unexpected character '\\ufffd' (line 2, column 3)"]
+
+    def test_check_spec_of_a_non_ascii_run(self, tmp_path):
+        run = self.write_bytes(tmp_path, "r.run", "@0 issue n = bot*\n@1 do n\u00e9 bot\n".encode("utf-8"))
+        formula = self.write_bytes(tmp_path, "f.lic", b"P(bot, n)")
+        code, out = invoke_ascii("check-spec", run, formula)
+        assert code == 2
+        assert "unexpected character '\\xe9' (line 2, column 8)" in out
+
+    def test_check_spec_of_a_formula_byte_that_is_not_utf8(self, tmp_path):
+        run = self.write_bytes(tmp_path, "r.run", b"@0 issue n = bot*\n")
+        formula = self.write_bytes(tmp_path, "f.lic", b"# \xc3\n P(bot, n) & \xc3(")
+        code, out = invoke_ascii("check-spec", run, formula)
+        assert code == 2
+        assert "unexpected character '\\ufffd' (line 2, column 14)" in out
+
+    def test_a_utf8_output_shows_the_character(self, tmp_path, capsys):
+        path = self.write_bytes(tmp_path, "f.lic", "P(bot, n\u00e9)".encode("utf-8"))
+        code, out = invoke(capsys, "sat", path)
+        assert code == 2
+        assert "unexpected character '\u00e9' (line 1, column 9)" in out
+
+
 # Pieces of every input language: formulas, licenses, runs, DR licenses and
 # REPL lines.  Numbers only appear inside pieces, so an edit never builds a
 # long time stamp out of loose digits.

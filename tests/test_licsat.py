@@ -6,6 +6,7 @@ tableau on the translated formula conjoined with the implicit and
 finiteness restrictions.
 """
 
+import glob
 import os
 import random
 from decimal import Decimal
@@ -42,6 +43,8 @@ NAMES_5 = ("n", "m", "k", "j", "i")
 JOURNAL_TEXT = "((pay[1.00] bot* render[journal,d]) | bot)*"
 JOURNAL = parse_license(JOURNAL_TEXT)
 WITNESS_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "lic-sat-random.txt")
+BUDGET_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "lic-sat-budget.txt")
+SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
 
 def micro_formula(rng: random.Random, two_names: bool):
@@ -374,3 +377,52 @@ class TestGoldenWitnesses:
         # so this pins the whole pipeline, not only the sat/unsat answers.
         with open(WITNESS_GOLDEN, encoding="ascii") as handle:
             assert seeded_witness_text() == handle.read()
+
+
+def _least_budget(formula) -> tuple[str, int]:
+    """The least budget with which lic_sat completes, by doubling then
+    bisection, and the status it completes with."""
+    low, high = 0, 1
+    status = lic_sat(formula, budget=high).status
+    while status == "budget":
+        low, high = high, high * 2
+        status = lic_sat(formula, budget=high).status
+    while high - low > 1:
+        middle = (low + high) // 2
+        found = lic_sat(formula, budget=middle).status
+        if found == "budget":
+            low = middle
+        else:
+            high, status = middle, found
+    return status, high
+
+
+def _budget_formulas():
+    """Every sample and its negation, then seeded random formulas."""
+    for path in sorted(glob.glob(os.path.join(SAMPLES, "*.lic"))):
+        with open(path, encoding="utf-8") as handle:
+            formula = parse_formula(handle.read())
+        yield os.path.basename(path), formula
+        yield "!" + os.path.basename(path), Not(formula)
+    rng = random.Random(193)
+    for index in range(40):
+        yield str(index), random_formula(
+            rng, rng.randint(2, 5), names=("n", "m"), licenses=[("n", JOURNAL)]
+        )
+
+
+def seeded_budget_text() -> str:
+    """Status and least completing budget of lic_sat on a fixed set of formulas."""
+    blocks = []
+    for title, formula in _budget_formulas():
+        status, budget = _least_budget(formula)
+        blocks.append(f"# {title}: {pretty_formula(formula)}\n{status} at budget {budget}")
+    return "\n".join(blocks) + "\n"
+
+
+class TestGoldenBudgets:
+    def test_least_completing_budgets_are_pinned(self):
+        # Budget ticks count the tableau's expansion steps and the product's
+        # joint choices, so this pins the work both do, shared or not.
+        with open(BUDGET_GOLDEN, encoding="ascii") as handle:
+            assert seeded_budget_text() == handle.read()

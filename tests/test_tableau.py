@@ -5,6 +5,9 @@ import itertools
 import os
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lict import (
     BOT,
     Always,
@@ -22,7 +25,7 @@ from lict import (
     translate,
 )
 from lict.ltl import Done, LinearStructure, Permitted, implicit_restrictions, ltl_eval
-from lict.reference import ltl_sat
+from lict.reference import lifo_tableau, ltl_sat
 from lict.tableau import BudgetExceededError, build_tableau, to_nnf
 
 from gen import random_formula
@@ -168,16 +171,20 @@ def _tableau_lines(formula, budget: int) -> list[str]:
     return lines
 
 
+def _completes(build, closure, budget: int) -> bool:
+    try:
+        build(closure, budget)
+    except BudgetExceededError:
+        return False
+    return True
+
+
 def _smallest_budget(formula) -> int:
     """The least budget that completes, by doubling then bisection."""
     closure = to_nnf(formula)
 
     def completes(budget):
-        try:
-            build_tableau(closure, budget)
-        except BudgetExceededError:
-            return False
-        return True
+        return _completes(build_tableau, closure, budget)
 
     low, high = 0, 1
     while not completes(high):
@@ -225,3 +232,50 @@ class TestGoldenTableaux:
         # witness downstream, so the whole graph is pinned, not its language.
         with open(TABLEAU_GOLDEN, encoding="ascii") as handle:
             assert seeded_tableau_text() == handle.read()
+
+
+def _assert_same_as_lifo(formula):
+    closure = to_nnf(formula)
+    memoised, lifo = build_tableau(closure), lifo_tableau(closure)
+    assert memoised.old_sets == lifo.old_sets
+    assert memoised.initial == lifo.initial
+    assert memoised.edges == lifo.edges
+    assert memoised.accept_sets == lifo.accept_sets
+    # completion is monotone in the budget, so this is the same least budget
+    least = _smallest_budget(formula)
+    assert _completes(lifo_tableau, closure, least)
+    assert not _completes(lifo_tableau, closure, least - 1)
+
+
+class TestAgainstLifoTableau:
+    """Expanding each next mask once gives the graph and budget of one expansion per state."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), positive=st.booleans())
+    def test_random_formulas(self, seed, positive):
+        rng = random.Random(seed)
+        journal = parse_license("((pay[1.00] bot* render[journal,d]) | bot)*")
+        formula = translate(
+            random_formula(rng, rng.randint(1, 5), names=("n", "m"), licenses=[("n", journal)])
+        )
+        _assert_same_as_lifo(formula if positive else Not(formula))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), positive=st.booleans())
+    def test_response_conjunctions(self, seed, positive):
+        # Many states, few next masks: the case the memo is for.
+        rng = random.Random(seed)
+        formula = Truth()
+        for _ in range(rng.randint(1, 3)):
+            trigger, response = random_ltl(rng, 1, (P, Q, R)), random_ltl(rng, 1, (P, Q, R))
+            formula = And(formula, Always(f_implies(trigger, f_eventually(response))))
+        _assert_same_as_lifo(formula if positive else Not(formula))
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 200))
+    def test_deep_next_chains(self, seed, depth):
+        rng = random.Random(seed)
+        formula = translate(random_formula(rng, 2, names=("n",)))
+        for level in range(depth):
+            formula = Next(formula) if rng.random() < 0.7 else Not(Next(formula))
+        _assert_same_as_lifo(formula)
