@@ -21,7 +21,7 @@ from .licenses import pretty_license
 from .licsat import lic_sat, lic_valid
 from .ltl import implicit_restrictions, translate
 from .parsing import ParseError, parse_dr, parse_formula, parse_run
-from .repl import NESTED_TOO_DEEPLY, step_repl
+from .repl import NESTED_TOO_DEEPLY, printable, step_repl
 from .runs import compute_permissions, permission_line, pretty_run
 from .tableau import DEFAULT_BUDGET
 
@@ -48,8 +48,7 @@ def _read(path: str) -> str:
 
 def _print(text: str) -> None:
     """Print, escaping what the output's encoding cannot represent."""
-    encoding = sys.stdout.encoding or "utf-8"
-    print(text.encode(encoding, "backslashreplace").decode(encoding))
+    print(printable(text, sys.stdout))
 
 
 def permissions_lines(run, horizon: int) -> list[str]:

@@ -18,11 +18,11 @@ distinct row once and points every node with it at the same dicts.  Budget
 ticks still count every node's joint choices, shared or not.
 
 Every atom speaks about one license name and each name's license evolves on
-its own, so a top-level conjunction is first split into components over
-pairwise disjoint names, and with two or more components each one goes
-through the product on its own: a conjunction over k names then costs k
-small products instead of one exponential in k.  The witnesses of the
-components are merged into one run, re-checked against the whole formula.
+its own, so a formula is first split at its boolean top (a conjunction or a
+disjunction under its leading negations) into groups over pairwise disjoint
+names, each through the product on its own: k names then cost k small
+products instead of one exponential in k.  A conjunction merges its groups'
+witnesses, a disjunction takes its first; validity is sat of the negation.
 
 Client actions outside the formula's vocabulary are folded into a single
 "other" choice; a witness materializes it as a payment amount the whole
@@ -45,6 +45,7 @@ from .runs import Run, compute_permissions, make_run
 from .tableau import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    _strip,
     accepting_lasso,
     build_tableau,
     to_nnf,
@@ -150,29 +151,29 @@ def _name_choices(row: list[tuple], positive, negative) -> list[tuple]:
     return [option for option in row if positive <= option[2] and not negative & option[2]]
 
 
-def _conjuncts(formula: Formula) -> list[Formula]:
-    """The operands of the formula's top-level ``And``s, left to right."""
+def _components(formula: Formula) -> tuple[bool, list[Formula]]:
+    """The formula's boolean top, split into groups over pairwise disjoint names.
+
+    Under its leading negations the formula is an ``And``, a conjunction of
+    its operands, or a negated ``And``, a disjunction of their negations;
+    operands that are ``And``s under the same polarity are flattened in, so
+    ``!(a | b | c)`` has the parts ``!a``, ``!b``, ``!c``.  Parts that share
+    a license name, directly or through other parts, fall in one group,
+    which conjoins them in their order (negated, for a disjunction); groups
+    come in the order of their first part.  Returns whether the top is a
+    conjunction, and the groups; a formula with one group is its own group.
+    """
+    top, conjunctive = _strip(formula, True)
     parts = []
-    stack = [formula]
+    stack = [top]
     while stack:
         node = stack.pop()
-        if isinstance(node, And):
-            stack += (node.right, node.left)
+        inner, same = _strip(node, True)
+        if isinstance(inner, And) and same:
+            stack += (inner.right, inner.left)
         else:
             parts.append(node)
-    return parts
-
-
-def _components(formula: Formula) -> list[Formula]:
-    """The formula as a conjunction of parts over pairwise disjoint names.
-
-    Top-level conjuncts that share a license name, directly or through other
-    conjuncts, fall in one component, which conjoins them in their order;
-    components come in the order of their first conjunct.  A formula with
-    one component is returned as it is.
-    """
-    parts = _conjuncts(formula)
-    parent = list(range(len(parts)))  # union-find over conjunct indices
+    parent = list(range(len(parts)))  # union-find over part indices
 
     def root(i: int) -> int:
         while parent[i] != i:
@@ -189,34 +190,40 @@ def _components(formula: Formula) -> list[Formula]:
     for index, part in enumerate(parts):
         groups.setdefault(root(index), []).append(part)
     if len(groups) == 1:
-        return [formula]
-    return [reduce(And, members) for members in groups.values()]
+        return conjunctive, [formula]
+    joined = [reduce(And, members) for members in groups.values()]
+    return conjunctive, joined if conjunctive else [Not(group) for group in joined]
 
 
 def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
     """Decide whether some finite run satisfies the formula at time zero.
 
-    A conjunction over pairwise disjoint license names is decided one name
-    component at a time: it is unsat when some component is, else it runs
-    out of budget when some component does, else the components' witness
-    runs are merged into one.  The budget applies per component (each
-    component's tableau and product get all of ``budget``), so the total
-    work is at most the number of components times ``budget``.  A witness
-    is re-checked against the whole formula before it is returned.
+    The formula is split at its boolean top into groups over pairwise
+    disjoint license names, each decided by its own product.  A conjunction
+    is unsat when some group is, else it runs out of budget when some group
+    does, else the groups' witness runs are merged into one.  A disjunction
+    is sat with the first sat group's witness, else it runs out of budget
+    when some group does, else it is unsat.  The budget applies per group
+    (each group's tableau and product get all of ``budget``), so the total
+    work is at most the number of groups times ``budget``.  A witness is
+    re-checked against the whole formula before it is returned.
     """
     other = fresh_action(build_vocabulary(formula).actions)
+    conjunctive, groups = _components(formula)
     runs = []
     exhausted = False
-    for component in _components(formula):
-        result = _product_sat(component, budget, other)
-        if result.status == "unsat":
-            return result
-        if result.status == "budget":
-            exhausted = True
-        else:
+    for group in groups:
+        result = _product_sat(group, budget, other)
+        exhausted = exhausted or result.status == "budget"
+        if result.status == "sat":
             runs.append(result.run)
-    if exhausted:
-        return LicSatResult("budget")
+            if not conjunctive:
+                break
+        elif result.status == "unsat" and conjunctive:
+            return result
+    else:
+        if exhausted or not conjunctive:
+            return LicSatResult("budget" if exhausted else "unsat")
     run = make_run(
         [event for part in runs for event in part.issuances],
         [event for part in runs for event in part.actions],
@@ -345,22 +352,12 @@ def _extract_run(space: _RunSpace, prefix, loop, edges, quiet, other: Action) ->
 
 
 def lic_valid(formula: Formula, budget: int = DEFAULT_BUDGET) -> ValidityResult:
-    """Validity via unsatisfiability of the negation; counterexamples are runs.
+    """Validity as unsatisfiability of the negation; counterexamples are runs.
 
-    A conjunction over pairwise disjoint names is valid when each name
-    component is: the first invalid component's counterexample is returned,
-    re-checked to falsify the whole formula, and otherwise the answer is
-    budget when some component ran out of it.  As in ``lic_sat``, each
-    component gets all of ``budget``.
+    ``lic_sat`` decides ``Not(formula)`` like any formula: split at its
+    boolean top, each group with all of ``budget``, a definite answer before
+    a budget one, and the counterexample re-checked against the negation.
     """
-    other = fresh_action(build_vocabulary(formula).actions)
-    exhausted = False
-    for component in _components(formula):
-        result = _product_sat(Not(component), budget, other)
-        if result.status == "sat":
-            run = result.run
-            if evaluate(run, compute_permissions(run), 0, formula):
-                raise RuntimeError("internal error: counterexample run failed re-verification")
-            return ValidityResult("invalid", run)
-        exhausted = exhausted or result.status == "budget"
-    return ValidityResult("budget" if exhausted else "valid")
+    result = lic_sat(Not(formula), budget)
+    status = {"sat": "invalid", "unsat": "valid"}.get(result.status, "budget")
+    return ValidityResult(status, result.run)

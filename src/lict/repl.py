@@ -26,6 +26,12 @@ _HELP = """commands:
 NESTED_TOO_DEEPLY = "the input is nested too deeply to process"
 
 
+def printable(text: str, stream) -> str:
+    """``text`` with what ``stream``'s encoding cannot represent backslash-escaped."""
+    encoding = getattr(stream, "encoding", None) or "utf-8"
+    return text.encode(encoding, "backslashreplace").decode(encoding)
+
+
 class ReplSession:
     def __init__(self, base: Run):
         self.base = base
@@ -84,14 +90,13 @@ class ReplSession:
 def step_repl(base: Run, infile, outfile) -> None:
     session = ReplSession(base)
 
-    def emit(text: str) -> None:
-        outfile.write(text + "\n")
+    def emit(text: str, end: str = "\n") -> None:
+        outfile.write(printable(text, outfile) + end)
         outfile.flush()
 
     emit(f"stepping from t={session.time}; type 'help' for commands")
     while True:
-        outfile.write("lict> ")
-        outfile.flush()
+        emit("lict> ", end="")
         line = infile.readline()
         if not line:
             break

@@ -370,8 +370,9 @@ def _bfs_path(source, target, successors, allowed):
 def accepting_lasso(initial, succ_all, succ_loop, accept_sets):
     """Find a lasso: any path to a cycle of loop edges hitting every accept set.
 
-    Returns (prefix nodes, loop nodes) where the loop starts right after the
-    prefix and wraps onto itself, or None when no such lasso exists.
+    ``succ_loop(node)`` must be a subset of ``succ_all(node)``.  Returns
+    (prefix nodes, loop nodes) where the loop starts right after the prefix
+    and wraps onto itself, or None when no such lasso exists.
     """
     order: dict = {}
     parent: dict = {}
@@ -389,16 +390,12 @@ def accepting_lasso(initial, succ_all, succ_loop, accept_sets):
                 parent[child] = node
                 queue.append(child)
 
-    loop_successors = {
-        node: [child for child in succ_loop(node) if child in order] for node in order
-    }.__getitem__
-
     chosen = None
     nodes_in_order = list(order)
-    for component in _tarjan(nodes_in_order, loop_successors):
+    for component in _tarjan(nodes_in_order, succ_loop):
         members = set(component)
         has_cycle = len(component) > 1 or any(
-            node in loop_successors(node) for node in component
+            node in succ_loop(node) for node in component
         )
         if not has_cycle:
             continue
@@ -423,18 +420,18 @@ def accepting_lasso(initial, succ_all, succ_loop, accept_sets):
         if any(node in acc for node in cycle):
             continue
         target = min(chosen & acc, key=order.get)
-        segment = _bfs_path(current, target, loop_successors, chosen)
+        segment = _bfs_path(current, target, succ_loop, chosen)
         cycle.extend(segment[1:])
         current = target
     if current != entry:
-        segment = _bfs_path(current, entry, loop_successors, chosen)
+        segment = _bfs_path(current, entry, succ_loop, chosen)
         cycle.extend(segment[1:-1])
     if len(cycle) == 1:
-        closers = loop_successors(entry)
+        closers = succ_loop(entry)
         if entry not in closers:
             best = None
             for child in sorted(set(closers) & chosen, key=order.get):
-                segment = _bfs_path(child, entry, loop_successors, chosen)
+                segment = _bfs_path(child, entry, succ_loop, chosen)
                 if segment is not None and (best is None or len(segment) < len(best)):
                     best = segment
             cycle.extend(best[:-1])

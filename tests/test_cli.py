@@ -564,3 +564,12 @@ class TestRepl:
         assert code == 0
         assert "error: unexpected character '\u00b2' (line 1, column 5)" in out
         assert "n=n permits={pay[1.00]} obligated=pay[1.00]" in out
+
+    def test_ascii_output_escapes_and_session_continues(self):
+        raw = io.BytesIO()
+        out = io.TextIOWrapper(raw, encoding="ascii")
+        step_repl(parse_run(""), io.StringIO("do n pay[\u00b2]\nshow\n"), out)
+        out.flush()
+        lines = raw.getvalue().decode("ascii").splitlines()
+        assert lines[1] == "lict> error: unexpected character '\\xb2' (line 1, column 5)"
+        assert lines[2:] == ["lict> t=0", "  (nothing issued)", "lict> "]

@@ -24,6 +24,7 @@ from lict import (
     Pay,
     compute_permissions,
     evaluate,
+    f_or,
     lic_sat,
     lic_valid,
     parse_formula,
@@ -67,9 +68,10 @@ def holds(run, formula) -> bool:
     return evaluate(run, compute_permissions(run), 0, formula)
 
 
-def chain(template: str, names):
-    """The left-grouped conjunction of ``template`` instantiated per name."""
-    return parse_formula(" & ".join(f"({template.format(n=name)})" for name in names))
+def chain(template: str, names, connective: str = "&"):
+    """The left-grouped conjunction (or other connective) of ``template``
+    instantiated per name."""
+    return parse_formula(f" {connective} ".join(f"({template.format(n=name)})" for name in names))
 
 
 class TestSpotChecks:
@@ -249,14 +251,26 @@ class TestAgainstGenericRoute:
 EXCEEDS_5 = "issue(q, (pay[1.00] | bot)*) & F O(pay[1.00], q)"
 
 
+# The boolean tops a formula over per-name parts may have.
+TOPS = {
+    "and": lambda parts: reduce(And, parts),
+    "or": lambda parts: reduce(f_or, parts),
+    "not and": lambda parts: Not(reduce(And, parts)),
+    "not or": lambda parts: Not(reduce(f_or, parts)),
+}
+
+
 class TestNameComponents:
-    """Conjunctions over disjoint names are decided one component at a time."""
+    """A formula's boolean top is split into groups over disjoint names,
+    each decided on its own."""
 
     def test_conjuncts_group_by_shared_names(self):
         formula = parse_formula(
             "(pay[1.00], n) & P(bot, m) & (issue(k, bot) -> (bot, n)) & true & X (bot, j)"
         )
-        assert [pretty_formula(part) for part in _components(formula)] == [
+        conjunctive, groups = _components(formula)
+        assert conjunctive
+        assert [pretty_formula(part) for part in groups] == [
             "(pay[1.00], n) & (issue(k, bot) -> (bot, n))",
             "P(bot, m)",
             "true",
@@ -266,20 +280,22 @@ class TestNameComponents:
     def test_one_component_is_the_formula_itself(self):
         # The last conjunct joins the first two.
         formula = parse_formula("(pay[1.00], n) & ((bot, m) & X ((pay[1.00], n) | (bot, m)))")
-        assert len(_components(formula)) == 1
-        assert _components(formula)[0] is formula
+        conjunctive, groups = _components(formula)
+        assert conjunctive
+        assert len(groups) == 1
+        assert groups[0] is formula
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_split_answers_match_the_joint_product(self, seed):
+    @given(seed=st.integers(0, 2**32 - 1), top=st.sampled_from(list(TOPS)))
+    def test_split_answers_match_the_joint_product(self, seed, top):
         rng = random.Random(seed)
-        conjuncts = []
+        parts = []
         for name in ("n", "m", "k")[: rng.randint(2, 3)]:
             licenses = [(name, random_license(rng, 2, (BOT, PAY)))] if rng.random() < 0.7 else []
-            conjuncts.append(
+            parts.append(
                 random_formula(rng, rng.randint(1, 3), names=(name,), pool=(BOT, PAY), licenses=licenses)
             )
-        formula = reduce(And, conjuncts)
+        formula = TOPS[top](parts)
         other = fresh_action(build_vocabulary(formula).actions)
         joint_sat = _product_sat(formula, 200_000, other).status
         joint_counter = _product_sat(Not(formula), 200_000, other).status
@@ -308,7 +324,7 @@ class TestNameComponents:
     def test_budget_applies_per_component(self):
         # Each journal alone fits a budget of 100 ticks; their joint product does not.
         formula = chain("issue({n}, " + JOURNAL_TEXT + ") & F (render[journal,d], {n})", NAMES_5[:2])
-        for part in _components(formula):
+        for part in _components(formula)[1]:
             assert _product_sat(part, 100, PAY).status == "sat"
         assert _product_sat(formula, 100, PAY).status == "budget"
         report = lic_sat(formula, budget=100)
@@ -335,6 +351,42 @@ class TestNameComponents:
     def test_valid_component_next_to_a_budget_one_gives_budget(self):
         formula = parse_formula(f"!({EXCEEDS_5}) & ((pay[1.00], n) | !(pay[1.00], n))")
         assert lic_valid(formula, budget=5).status == "budget"
+
+    def test_sat_disjunct_wins_over_a_budget_one(self):
+        for text in (f"({EXCEEDS_5}) | (pay[1.00], n)", f"(pay[1.00], n) | ({EXCEEDS_5})"):
+            formula = parse_formula(text)
+            report = lic_sat(formula, budget=5)
+            assert report.status == "sat", text
+            assert holds(report.run, formula)
+
+    def test_unsat_disjunct_next_to_a_budget_one_gives_budget(self):
+        for text in (f"({EXCEEDS_5}) | ((pay[1.00], n) & !(pay[1.00], n))",
+                     f"((pay[1.00], n) & !(pay[1.00], n)) | ({EXCEEDS_5})"):
+            assert lic_sat(parse_formula(text), budget=5).status == "budget", text
+
+    def test_negated_disjunction_and_disjunction_validity_split_by_name(self, monkeypatch):
+        # Each shape once went through one joint product over all its names.
+        built = []
+
+        def recording(formula, budget, other):
+            built.append(build_vocabulary(formula).names)
+            return _product_sat(formula, budget, other)
+
+        monkeypatch.setattr("lict.licsat._product_sat", recording)
+        reads = "issue({n}, " + JOURNAL_TEXT + ") & F (render[journal,d], {n})"
+        negated = Not(chain(reads.replace("issue", "!issue", 1), NAMES_5[:3], "|"))
+        assert lic_sat(negated).status == "sat"
+        assert [list(names) for names in built] == [[name] for name in NAMES_5[:3]]
+        built.clear()
+        disjunction = chain(
+            "issue({n}, " + JOURNAL_TEXT + ") -> X X (P(pay[1.00], {n}) | P(render[journal,d], {n}))",
+            NAMES_5,
+            "|",
+        )
+        report = lic_valid(disjunction)
+        assert report.status == "invalid"
+        assert not holds(report.counterexample, disjunction)
+        assert [list(names) for names in built] == [[name] for name in NAMES_5]
 
     def test_sixteen_names_are_decided(self):
         names = [f"n{i}" for i in range(16)]
