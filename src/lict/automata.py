@@ -161,19 +161,19 @@ def step_subset(nfa: Nfa, subset: SubsetState, action: Action) -> SubsetState:
     return frozenset(out)
 
 
-def permitted_from(nfa: Nfa, subset: SubsetState, padding_ok: bool = True) -> frozenset[Action]:
+def permitted_from(nfa: Nfa, subset: SubsetState) -> frozenset[Action]:
     """Actions with a transition from the subset, plus bot where padding applies.
 
-    With ``padding_ok``, bot is included whenever the subset contains an
-    accepting state (the license can be considered complete, so doing nothing
-    stays viable).  A violated (empty) subset permits exactly bot.
+    Bot is included whenever the subset contains an accepting state (the
+    license can be considered complete, so doing nothing stays viable).  A
+    violated (empty) subset permits exactly bot.
     """
     if not subset:
         return frozenset({BOT})
     actions: set[Action] = set()
     for state in subset:
         actions |= nfa.outgoing_actions(state)
-    if padding_ok and subset & nfa.finals:
+    if subset & nfa.finals:
         actions.add(BOT)
     return frozenset(actions)
 

@@ -85,9 +85,16 @@ def _cmd_permissions(args) -> _Outcome:
     return _Outcome("ok", EXIT_OK, "\n".join(lines))
 
 
+def _nonnegative(option: str, value: int) -> int:
+    """An option's value, refused as a usage error when it is negative."""
+    if value < 0:
+        raise ValueError(f"{option} {value} is negative")
+    return value
+
+
 def _cmd_sat(args) -> _Outcome:
-    formula = parse_formula(_read(args.formula_file))
-    report = lic_sat(formula, budget=args.budget)
+    budget = _nonnegative("--budget", args.budget)
+    report = lic_sat(parse_formula(_read(args.formula_file)), budget=budget)
     if report.status == "budget":
         return _Outcome("budget-exceeded", EXIT_BUDGET, "the search exceeded its budget")
     if report.status == "unsat":
@@ -98,8 +105,8 @@ def _cmd_sat(args) -> _Outcome:
 
 
 def _cmd_valid(args) -> _Outcome:
-    formula = parse_formula(_read(args.formula_file))
-    report = lic_valid(formula, budget=args.budget)
+    budget = _nonnegative("--budget", args.budget)
+    report = lic_valid(parse_formula(_read(args.formula_file)), budget=budget)
     if report.status == "budget":
         return _Outcome("budget-exceeded", EXIT_BUDGET, "the search exceeded its budget")
     if report.status == "valid":
@@ -110,8 +117,8 @@ def _cmd_valid(args) -> _Outcome:
 
 
 def _cmd_compile_dr(args) -> _Outcome:
-    dr = parse_dr(_read(args.dr_file))
-    lic = compile_dr(dr, cap=args.cap)
+    cap = _nonnegative("--cap", args.cap)
+    lic = compile_dr(parse_dr(_read(args.dr_file)), cap=cap)
     return _Outcome("ok", EXIT_OK, pretty_license(lic))
 
 

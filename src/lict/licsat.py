@@ -11,11 +11,11 @@ is quiet (no issuances and only bot actions), so every witness unwinds into
 an actual run value.  Each witness run is re-checked against the direct
 semantics before being returned.
 
-A product node's row of edges depends only on its tableau state's
-successor list, which the tableau shares per next-obligation mask, and on
-each name's options that meet the state's literals; the product builds each
-distinct row once and points every node with it at the same dicts.  Budget
-ticks still count every node's joint choices, shared or not.
+The tableau is read as a transition-based automaton: its states are the
+next-obligation masks and each tableau state is a transition out of every
+mask whose successor list holds it.  A product node pairs one mask with the
+names' statuses, each edge is one tableau state taken with one joint choice
+of options, and acceptance is read off the edges' tableau states.
 
 Every atom speaks about one license name and each name's license evolves on
 its own, so a formula is first split at its boolean top (a conjunction or a
@@ -127,7 +127,7 @@ def _choice_table(name: str, licenses, alphabet, graphs) -> list[list[tuple]]:
         number = {subset: len(statuses) + i for i, subset in enumerate(graphs[lic])}
         for subset, row in graphs[lic].items():
             successor = {act: 1 if act is OTHER else number.get(row[act], 1) for act in alphabet}
-            statuses.append((subset, permitted_from(nfa, subset, padding_ok=True), successor))
+            statuses.append((subset, permitted_from(nfa, subset), successor))
         issuances += options(number.get(nfa.start_subset(), 1), lic)
     table = [options(status, None) for status in range(len(statuses))]
     table[0] += issuances
@@ -255,93 +255,64 @@ def _product_sat(formula: Formula, budget: int, other: Action) -> LicSatResult:
                     split[prop.name][side].add(prop)
         literals[state] = list(split.values())
 
-    # The product graph: nodes are (tableau state, status ints); ``edges[node]``
-    # maps each successor to the first joint choice reaching it, so a witness
-    # can be read back as run events.  Quiet edges (no issuance, all names
-    # doing bot) are kept apart in ``quiet[node]``: only they may form the
-    # lasso loop, which keeps every witness a finite run.
-    #
-    # A node's row (its edges, quiet edges and loop successors) depends only
-    # on its tableau successor list, one list per next mask, and on each
-    # name's filtered options, so each distinct row is built once and shared,
-    # keyed by the successor list's id and the ids of each name's options.
-    # A shared row is charged its joint choices again, and its successors
-    # were all seen when it was built, so the worklist and the budget run as
-    # if the row were rebuilt.
-    edges: dict[tuple, dict[tuple, tuple]] = {}
-    quiet: dict[tuple, dict[tuple, tuple]] = {}
-    loop_successors: dict[tuple, list[tuple]] = {}
-    rows: dict[tuple, tuple] = {}
-    initial = []
-    start = (0,) * len(space.names)
-    worklist = []
-    seen = set()
-    for state in tableau.initial:
-        node = (state, start)
-        if node not in seen:
-            seen.add(node)
-            worklist.append(node)
-            initial.append(node)
+    # The product graph: a node is a next-obligation mask, named by the id of
+    # the successor list the tableau shares among the states holding it, and
+    # the names' status ints.  Each tableau state in the list, with each joint
+    # choice of options meeting its literals, is an edge ``(target, state,
+    # choice)`` into the state's own mask and the options' next statuses, so
+    # a witness can be read back as run events; every joint choice is one
+    # budget tick.  ``edges[node]`` keeps the first edge into each target.
+    # ``quiet[node]`` lists the quiet edges (no issuance, all names doing
+    # bot), at most one per state as each status has one quiet option: only
+    # they may form the lasso loop, which keeps every witness a finite run.
+    successor_lists = {id(successors): successors for successors in tableau.edges.values()}
+    successor_lists[id(tableau.initial)] = tableau.initial
+    next_mask = {state: id(successors) for state, successors in tableau.edges.items()}
+    start = (id(tableau.initial), (0,) * len(tables))
+    edges: dict[tuple, dict] = {}
+    quiet: dict[tuple, list] = {}
+    worklist = [start]
+    seen = {start}
     ticks = 0
     while worklist:
         node = worklist.pop()
-        state, statuses = node
-        successor_states = tableau.edges[state]
-        per_name = [
-            _name_choices(table[status], positive, negative)
-            for table, status, (positive, negative) in zip(tables, statuses, literals[state])
-        ]
-        # the options are the table's own tuples, so their ids name them
-        key = (id(successor_states), *(tuple(map(id, options)) for options in per_name))
-        row = rows.get(key)
-        if row is None:
-            node_edges: dict[tuple, tuple] = {}
-            node_quiet: dict[tuple, tuple] = {}
-            for combo in product(*per_name):
-                ticks += 1
-                if ticks > budget:
-                    return LicSatResult("budget")
-                next_statuses = tuple(option[3] for option in combo)
-                is_quiet = all(option[4] for option in combo)
-                choice = tuple((option[0], option[1]) for option in combo)
-                for successor_state in successor_states:
-                    successor = (successor_state, next_statuses)
-                    node_edges.setdefault(successor, choice)
-                    if is_quiet:
-                        node_quiet.setdefault(successor, choice)
-                    if successor not in seen:
-                        seen.add(successor)
-                        worklist.append(successor)
-            loop = [child for child in node_edges if child in node_quiet]
-            row = rows[key] = (node_edges, node_quiet, loop, prod(map(len, per_name)))
-        else:
-            ticks += row[3]
+        mask, statuses = node
+        node_edges = edges[node] = {}
+        node_quiet = quiet[node] = []
+        for state in successor_lists[mask]:
+            per_name = [
+                _name_choices(table[status], positive, negative)
+                for table, status, (positive, negative) in zip(tables, statuses, literals[state])
+            ]
+            ticks += prod(map(len, per_name))
             if ticks > budget:
                 return LicSatResult("budget")
-        edges[node], quiet[node], loop_successors[node] = row[:3]
+            for combo in product(*per_name):
+                target = (next_mask[state], tuple([option[3] for option in combo]))
+                if target not in node_edges:
+                    node_edges[target] = (target, state, combo)
+                    if target not in seen:
+                        seen.add(target)
+                        worklist.append(target)
+            still = tuple(option for options in per_name for option in options if option[4])
+            if len(still) == len(per_name):
+                node_quiet.append(((next_mask[state], tuple([option[3] for option in still])), state, still))
 
-    accept_sets = [
-        {node for node in edges if node[0] in members}
-        for members in tableau.accept_sets
-    ]
-
-    lasso = accepting_lasso(initial, edges.__getitem__, loop_successors.__getitem__, accept_sets)
+    lasso = accepting_lasso(
+        [start], lambda node: edges[node].values(), quiet.__getitem__, tableau.accept_sets
+    )
     if lasso is None:
         return LicSatResult("unsat")
-
     prefix, loop = lasso
-    return LicSatResult("sat", _extract_run(space, list(prefix), list(loop), edges, quiet, other))
+    return LicSatResult("sat", _extract_run(space.names, prefix + loop, other))
 
 
-def _extract_run(space: _RunSpace, prefix, loop, edges, quiet, other: Action) -> Run:
+def _extract_run(names, path, other: Action) -> Run:
+    """The run doing each edge's joint choice at its time."""
     issuances = []
     actions = []
-    visit = prefix + loop
-    for t in range(len(visit)):
-        source = visit[t]
-        target = visit[t + 1] if t + 1 < len(visit) else loop[0]
-        choice = (quiet if t >= len(prefix) else edges)[source][target]
-        for name, (issue, act) in zip(space.names, choice):
+    for t, (_, _, choice) in enumerate(path):
+        for name, (issue, act, *_) in zip(names, choice):
             if issue is not None:
                 issuances.append((t, name, issue))
             if act is OTHER:

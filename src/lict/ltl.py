@@ -285,7 +285,7 @@ def _automaton_formula(name: str, lic: License, vocab: Vocabulary) -> Formula:
 
     step_parts = []
     for subset in subsets:
-        allowed = permitted_from(nfa, subset, padding_ok=True)
+        allowed = permitted_from(nfa, subset)
         conjuncts: list[Formula] = [
             Permitted(action, name) for action in sorted(allowed, key=action_key)
         ]

@@ -6,11 +6,12 @@ enumeration, Brzozowski derivatives, viability), plain word acceptance by
 an automaton, the DR schedule trace sets, the run helpers of the
 definitions, the permissions a license forces, formula truth on a lasso
 decided one time at a time, the generic decision route (translate,
-conjoin the restriction formulas, and run the target logic's tableau on
-its own), the stack-based tableau construction that expands a next mask
-once per state holding it, whose graph and budget outcomes the memoised
-``build_tableau`` must match, and the character-by-character lexer that the
-regex lexer of ``lict.parsing`` must agree with on ASCII input.
+conjoin the restriction formulas, and search the target logic's tableau on
+its own for a lasso, edges labelled with the states they enter), the
+stack-based tableau construction that expands a next mask once per state
+holding it, whose graph and budget outcomes the memoised ``build_tableau``
+must match, and the character-by-character lexer that the regex lexer of
+``lict.parsing`` must agree with on ASCII input.
 """
 
 from __future__ import annotations
@@ -437,6 +438,8 @@ class SatResult:
 def ltl_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> SatResult:
     """Decide satisfiability; on sat, ship an ultimately periodic witness.
 
+    The lasso is searched on the tableau alone, each edge labelled with the
+    state it enters, so acceptance on edges is acceptance of the states.
     The witness labels states with exactly the propositions the tableau path
     requires to be true, and is re-checked with ``ltl_eval`` before being
     returned.
@@ -446,14 +449,19 @@ def ltl_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> SatResult:
     except BudgetExceededError:
         return SatResult("budget")
 
-    successors = tableau.edges.__getitem__
-    lasso = accepting_lasso(tableau.initial, successors, successors, tableau.accept_sets)
+    # From a start node None, each edge is labelled with its target state,
+    # so the labels along the lasso are the states of the witness in order.
+    def successors(state):
+        targets = tableau.initial if state is None else tableau.edges[state]
+        return [(target, target) for target in targets]
+
+    lasso = accepting_lasso([None], successors, successors, tableau.accept_sets)
     if lasso is None:
         return SatResult("unsat")
-    prefix_ids, loop_ids = lasso
+    prefix, loop = lasso
     witness = LinearStructure(
-        prefix=tuple(tableau.positive_props(state) for state in prefix_ids),
-        loop=tuple(tableau.positive_props(state) for state in loop_ids),
+        prefix=tuple(tableau.positive_props(state) for _, state in prefix),
+        loop=tuple(tableau.positive_props(state) for _, state in loop),
     )
     if not ltl_eval(witness, 0, formula):
         raise RuntimeError("internal error: tableau witness failed evaluation")

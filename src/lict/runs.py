@@ -152,7 +152,7 @@ class _NameTimeline:
             return frozenset({BOT})
         permitted = self._permitted.get(subset)
         if permitted is None:
-            permitted = self._permitted[subset] = permitted_from(self.nfa, subset, padding_ok=True)
+            permitted = self._permitted[subset] = permitted_from(self.nfa, subset)
         return permitted
 
 

@@ -3,8 +3,11 @@
 The formula is put in negation normal form and expanded on the fly into a
 graph of obligation states (the classic expansion-graph construction): each
 state records what must hold now and what is postponed to the next step.
-Until-formulas contribute generalized acceptance sets, and a model is found
-as a reachable lasso whose cycle honors every acceptance set.
+Until-formulas contribute generalized acceptance sets of states.  Read as a
+transition-based generalized Buchi automaton, a next-obligation mask is an
+automaton state and each state of the graph is a transition out of every
+mask whose successor list holds it; a model is a reachable lasso whose cycle
+takes a transition from every acceptance set.
 
 An obligation set is one Python int with a bit per interned NNF subformula.
 The closure ids are ranked once by ``(kind, id)`` and bit ``r`` stands for
@@ -297,7 +300,7 @@ def build_tableau(closure: _Closure, budget: int = DEFAULT_BUDGET) -> Tableau:
 
 
 # ---------------------------------------------------------------------------
-# Lasso search (generalized Buchi emptiness over explicit graphs)
+# Lasso search (generalized Buchi emptiness over explicit edge-labelled graphs)
 
 
 def _tarjan(nodes, successors):
@@ -347,35 +350,39 @@ def _tarjan(nodes, successors):
     return sccs
 
 
-def _bfs_path(source, target, successors, allowed):
-    if source == target:
-        return [source]
-    parent = {source: None}
+def _bfs_path(source, successors, allowed, goal):
+    """The fewest edges from ``source`` inside ``allowed`` whose last meets ``goal``."""
+    parent = {source: None}  # node -> (previous node, edge into it)
     queue = deque([source])
     while queue:
         node = queue.popleft()
-        for child in successors(node):
-            if child not in allowed or child in parent:
+        for edge in successors(node):
+            if edge[0] not in allowed:
                 continue
-            parent[child] = node
-            if child == target:
-                path = [child]
-                while path[-1] != source:
-                    path.append(parent[path[-1]])
+            if goal(edge):
+                path = [edge]
+                while parent[node] is not None:
+                    node, step = parent[node]
+                    path.append(step)
                 return path[::-1]
-            queue.append(child)
+            if edge[0] not in parent:
+                parent[edge[0]] = (node, edge)
+                queue.append(edge[0])
     return None
 
 
 def accepting_lasso(initial, succ_all, succ_loop, accept_sets):
-    """Find a lasso: any path to a cycle of loop edges hitting every accept set.
+    """Find a lasso: any path to a cycle of loop edges whose labels meet every accept set.
 
-    ``succ_loop(node)`` must be a subset of ``succ_all(node)``.  Returns
-    (prefix nodes, loop nodes) where the loop starts right after the prefix
-    and wraps onto itself, or None when no such lasso exists.
+    An edge is a tuple ``(target, label, ...)``; any further items ride
+    along.  ``succ_loop(node)`` lists a node's loop edges, whose targets must
+    be among those of ``succ_all(node)``, and an accept set holds labels.
+    Returns (prefix edges, cycle edges): the prefix leads from an initial
+    node to the cycle's first node and the cycle returns to it; or None when
+    no such lasso exists.
     """
     order: dict = {}
-    parent: dict = {}
+    parent: dict = {}  # node -> (previous node, edge into it), None when initial
     queue = deque()
     for node in initial:
         if node not in order:
@@ -384,22 +391,18 @@ def accepting_lasso(initial, succ_all, succ_loop, accept_sets):
             queue.append(node)
     while queue:
         node = queue.popleft()
-        for child in succ_all(node):
-            if child not in order:
-                order[child] = len(order)
-                parent[child] = node
-                queue.append(child)
+        for edge in succ_all(node):
+            if edge[0] not in order:
+                order[edge[0]] = len(order)
+                parent[edge[0]] = (node, edge)
+                queue.append(edge[0])
 
     chosen = None
-    nodes_in_order = list(order)
-    for component in _tarjan(nodes_in_order, succ_loop):
+    for component in _tarjan(list(order), lambda node: [edge[0] for edge in succ_loop(node)]):
         members = set(component)
-        has_cycle = len(component) > 1 or any(
-            node in succ_loop(node) for node in component
-        )
-        if not has_cycle:
-            continue
-        if all(members & acc for acc in accept_sets):
+        # every edge inside a strongly connected component lies on a cycle
+        labels = {edge[1] for node in component for edge in succ_loop(node) if edge[0] in members}
+        if labels and all(not labels.isdisjoint(acc) for acc in accept_sets):
             chosen = members
             break
     if chosen is None:
@@ -410,29 +413,16 @@ def accepting_lasso(initial, succ_all, succ_loop, accept_sets):
     prefix = []
     walker = entry
     while parent[walker] is not None:
-        walker = parent[walker]
-        prefix.append(walker)
+        walker, edge = parent[walker]
+        prefix.append(edge)
     prefix.reverse()
 
-    cycle = [entry]
+    cycle = []
     current = entry
     for acc in accept_sets:
-        if any(node in acc for node in cycle):
-            continue
-        target = min(chosen & acc, key=order.get)
-        segment = _bfs_path(current, target, succ_loop, chosen)
-        cycle.extend(segment[1:])
-        current = target
-    if current != entry:
-        segment = _bfs_path(current, entry, succ_loop, chosen)
-        cycle.extend(segment[1:-1])
-    if len(cycle) == 1:
-        closers = succ_loop(entry)
-        if entry not in closers:
-            best = None
-            for child in sorted(set(closers) & chosen, key=order.get):
-                segment = _bfs_path(child, entry, succ_loop, chosen)
-                if segment is not None and (best is None or len(segment) < len(best)):
-                    best = segment
-            cycle.extend(best[:-1])
+        if not any(edge[1] in acc for edge in cycle):
+            cycle += _bfs_path(current, succ_loop, chosen, lambda edge, acc=acc: edge[1] in acc)
+            current = cycle[-1][0]
+    if current != entry or not cycle:
+        cycle += _bfs_path(current, succ_loop, chosen, lambda edge: edge[0] == entry)
     return prefix, cycle

@@ -88,6 +88,12 @@ class TestExitCodes:
         assert code == 3
         assert out.splitlines()[0] == "result=budget-exceeded"
 
+    @pytest.mark.parametrize("command", ["sat", "valid"])
+    def test_negative_budget_is_an_error(self, capsys, command):
+        code, out = invoke(capsys, command, os.path.join(SAMPLES, "prop1.lic"), "--budget", "-5")
+        assert code == 2
+        assert out.splitlines() == ["result=error", "--budget -5 is negative"]
+
 
 class TestCheckSpec:
     def test_holds(self, tmp_path, capsys):
@@ -223,6 +229,11 @@ class TestEncodeAndTranslate:
         path = write(tmp_path, "l.dr", "for 99 99 pay 1.00 flatrate for {w} on {d}")
         code, out = invoke(capsys, "compile-dr", path)
         assert code == 3
+
+    def test_compile_dr_negative_cap_is_an_error(self, capsys):
+        code, out = invoke(capsys, "compile-dr", os.path.join(SAMPLES, "flatrate.dr"), "--cap", "-1")
+        assert code == 2
+        assert out.splitlines() == ["result=error", "--cap -1 is negative"]
 
     @pytest.mark.parametrize("period", [11, 12])
     def test_compile_dr_long_peruse_period(self, tmp_path, capsys, period):

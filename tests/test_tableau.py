@@ -26,7 +26,7 @@ from lict import (
 )
 from lict.ltl import Done, LinearStructure, Permitted, implicit_restrictions, ltl_eval
 from lict.reference import lifo_tableau, ltl_sat
-from lict.tableau import BudgetExceededError, build_tableau, to_nnf
+from lict.tableau import BudgetExceededError, accepting_lasso, build_tableau, to_nnf
 
 from gen import random_formula
 
@@ -129,6 +129,28 @@ class TestBudget:
         formula = Until(P, Until(Q, Until(R, And(P, Q))))
         report = ltl_sat(formula, budget=3)
         assert report.status == "budget"
+
+
+def _labelled_graph(triples):
+    """The successor function of a graph given as (source, label, target) triples."""
+    successors = {}
+    for source, label, target in triples:
+        successors.setdefault(source, []).append((target, label))
+        successors.setdefault(target, [])
+    return successors.__getitem__
+
+
+class TestAcceptingLasso:
+    def test_takes_the_accepting_one_of_two_parallel_edges(self):
+        successors = _labelled_graph([("s", "t", "a"), ("a", "p", "b"), ("a", "q", "b"), ("b", "r", "a")])
+        prefix, cycle = accepting_lasso(["s"], successors, successors, [{"q"}])
+        assert prefix == [("a", "t")]
+        assert cycle == [("b", "q"), ("a", "r")]
+
+    def test_an_accepting_label_on_an_edge_leaving_the_component_is_not_enough(self):
+        # "b" labels the edge into the looping node b, never an edge inside a cycle
+        successors = _labelled_graph([("a", "x", "a"), ("a", "b", "b"), ("b", "y", "b")])
+        assert accepting_lasso(["a"], successors, successors, [{"b"}]) is None
 
 
 class TestAgainstBruteForce:
