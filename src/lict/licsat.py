@@ -4,18 +4,23 @@ A formula is satisfiable when some finite run makes it true at time zero.
 The decision runs the translated formula's tableau in lockstep with a
 run-shaped transition system: per license name an int status (unissued,
 violated, or one reachable subset of one license's automaton), whose options
-come from a choice table built once per formula.  Each option's labels are
-exactly the propositions a real run would produce; they are matched against
-the tableau's literal obligations, and a model is an accepting lasso whose loop
-is quiet (no issuances and only bot actions), so every witness unwinds into
-an actual run value.  Each witness run is re-checked against the direct
-semantics before being returned.
+come from a choice table built once per formula.  Each literal atom of a
+name gets one bit; an option's label is the int mask of the propositions a
+real run would produce that are among those atoms, and each tableau state
+holds a (required, forbidden) mask pair per name, so an option meets the
+state's literal obligations by two int tests.  A model is an accepting lasso
+whose loop is quiet (no issuances and only bot actions), so every witness
+unwinds into an actual run value.  Each witness run is re-checked against
+the direct semantics before being returned.
 
 The tableau is read as a transition-based automaton: its states are the
 next-obligation masks and each tableau state is a transition out of every
 mask whose successor list holds it.  A product node pairs one mask with the
 names' statuses, each edge is one tableau state taken with one joint choice
-of options, and acceptance is read off the edges' tableau states.
+of options, and acceptance is read off the edges' tableau states.  The move
+of one tableau state from one statuses tuple (its joint choices, first edge
+per target and quiet edge) is built once and replayed for every node whose
+mask lists that state, and each replay is charged its joint choices again.
 
 Every atom speaks about one license name and each name's license evolves on
 its own, so a formula is first split at its boolean top (a conjunction or a
@@ -78,12 +83,14 @@ class _RunSpace:
     one int per reachable automaton subset of each license the formula
     issues to the name, numbered license by license (equal subsets of two
     licenses stay apart).  ``choices[name][status]`` lists every
-    ``(issue, act, labels, next status, quiet)`` option of that status: no
-    issuance first, then each license (from status 0 only), and acts in
-    alphabet order within each.
+    ``(issue, act, label mask, next status, quiet)`` option of that status:
+    no issuance first, then each license (from status 0 only), and acts in
+    alphabet order within each.  ``atom_bits[name]`` gives each of the
+    name's literal atoms its bit, and an option's label mask has the bits of
+    the atoms that hold of it.
     """
 
-    def __init__(self, formula: Formula):
+    def __init__(self, formula: Formula, atom_bits: dict[str, dict[Formula, int]]):
         self.vocab = build_vocabulary(formula)
         self.names = self.vocab.names
         exprs = [atom.expr for atom in formula_atoms(formula) if isinstance(atom, (Act, Perm))]
@@ -97,27 +104,42 @@ class _RunSpace:
                 if lic not in graphs:
                     graphs[lic] = reachable_subsets(padded_nfa(lic), self.vocab.actions)
             alphabet = tuple(sorted(actions, key=action_key)) + (OTHER,)
-            self.choices[name] = _choice_table(name, licenses, alphabet, graphs)
+            self.choices[name] = _choice_table(name, licenses, alphabet, graphs, atom_bits[name])
 
 
-def _choice_table(name: str, licenses, alphabet, graphs) -> list[list[tuple]]:
-    # Per status: its subset (None before issuance), permitted set, and
-    # next status by act.
+def _atom_bits(tableau) -> dict[str, dict[Formula, int]]:
+    """One bit per literal atom of each name, in the tableau's literal order."""
+    atom_bits: dict[str, dict[Formula, int]] = {}
+    for _, atom, _ in tableau.literals:
+        bits = atom_bits.setdefault(atom.name, {})
+        bits.setdefault(atom, 1 << len(bits))
+    return atom_bits
+
+
+def _choice_table(name: str, licenses, alphabet, graphs, bits) -> list[list[tuple]]:
+    # An option's atoms are its status's, its issuance's and its act's
+    # (``name_props`` with the other two left out); only those in ``bits``
+    # are kept, as one int.
+    def mask(props) -> int:
+        return sum(bits[prop] for prop in props & bits.keys())
+
+    act_bits = {
+        act: mask(name_props(name, None, None if act is OTHER else act, None, ()))
+        for act in alphabet
+    }
+
+    # Per status: its label mask and next status by act.
     statuses = [
-        (subset, _ONLY_BOT, {act: status for act in alphabet})
+        (mask(name_props(name, None, None, subset, _ONLY_BOT)), {act: status for act in alphabet})
         for status, subset in enumerate((None, frozenset()))
     ]
 
     def options(status: int, issue) -> list[tuple]:
-        subset, permitted, successor = statuses[status]
+        label, successor = statuses[status]
+        if issue is not None:
+            label |= mask(name_props(name, issue, None, None, ()))
         return [
-            (
-                issue,
-                act,
-                name_props(name, issue, None if act is OTHER else act, subset, permitted),
-                successor[act],
-                issue is None and act == BOT,
-            )
+            (issue, act, label | act_bits[act], successor[act], issue is None and act == BOT)
             for act in alphabet
         ]
 
@@ -127,7 +149,8 @@ def _choice_table(name: str, licenses, alphabet, graphs) -> list[list[tuple]]:
         number = {subset: len(statuses) + i for i, subset in enumerate(graphs[lic])}
         for subset, row in graphs[lic].items():
             successor = {act: 1 if act is OTHER else number.get(row[act], 1) for act in alphabet}
-            statuses.append((subset, permitted_from(nfa, subset), successor))
+            label = mask(name_props(name, None, None, subset, permitted_from(nfa, subset)))
+            statuses.append((label, successor))
         issuances += options(number.get(nfa.start_subset(), 1), lic)
     table = [options(status, None) for status in range(len(statuses))]
     table[0] += issuances
@@ -144,11 +167,6 @@ class LicSatResult:
 class ValidityResult:
     status: str  # "valid" | "invalid" | "budget"
     counterexample: Run | None = None
-
-
-def _name_choices(row: list[tuple], positive, negative) -> list[tuple]:
-    """The options of one status row whose labels meet the literal obligations."""
-    return [option for option in row if positive <= option[2] and not negative & option[2]]
 
 
 def _components(formula: Formula) -> tuple[bool, list[Formula]]:
@@ -242,18 +260,23 @@ def _product_sat(formula: Formula, budget: int, other: Action) -> LicSatResult:
         tableau = build_tableau(to_nnf(translate(formula)), budget)
     except BudgetExceededError:
         return LicSatResult("budget")
-    space = _RunSpace(formula)
+    atom_bits = _atom_bits(tableau)
+    space = _RunSpace(formula, atom_bits)
     tables = [space.choices[name] for name in space.names]
 
-    # Per tableau state, each name's (required, forbidden) propositions.
+    # Per tableau state, each name's (required, forbidden) label masks.
+    index = {name: i for i, name in enumerate(space.names)}
+    marks = [
+        (bit, index[atom.name], 0 if positive else 1, atom_bits[atom.name][atom])
+        for bit, atom, positive in tableau.literals
+    ]
     literals = {}
-    for state in tableau.old_sets:
-        split = {name: (set(), set()) for name in space.names}
-        for side, props in enumerate((tableau.positive_props(state), tableau.negative_props(state))):
-            for prop in props:
-                if prop.name in split:
-                    split[prop.name][side].add(prop)
-        literals[state] = list(split.values())
+    for state, old in tableau.old_sets.items():
+        split = [[0, 0] for _ in tables]
+        for bit, i, side, label in marks:
+            if old & bit:
+                split[i][side] |= label
+        literals[state] = split
 
     # The product graph: a node is a next-obligation mask, named by the id of
     # the successor list the tableau shares among the states holding it, and
@@ -265,12 +288,16 @@ def _product_sat(formula: Formula, budget: int, other: Action) -> LicSatResult:
     # ``quiet[node]`` lists the quiet edges (no issuance, all names doing
     # bot), at most one per state as each status has one quiet option: only
     # they may form the lasso loop, which keeps every witness a finite run.
+    # The move of a (state, statuses) pair is built once, on first use, and
+    # replayed for every later node reaching it; a replay is charged its
+    # joint choices again, as if they were enumerated anew.
     successor_lists = {id(successors): successors for successors in tableau.edges.values()}
     successor_lists[id(tableau.initial)] = tableau.initial
     next_mask = {state: id(successors) for state, successors in tableau.edges.items()}
     start = (id(tableau.initial), (0,) * len(tables))
     edges: dict[tuple, dict] = {}
     quiet: dict[tuple, list] = {}
+    moves: dict[tuple, list] = {}  # per statuses, each state's move or None
     worklist = [start]
     seen = {start}
     ticks = 0
@@ -279,24 +306,38 @@ def _product_sat(formula: Formula, budget: int, other: Action) -> LicSatResult:
         mask, statuses = node
         node_edges = edges[node] = {}
         node_quiet = quiet[node] = []
+        row_moves = moves.get(statuses)
+        if row_moves is None:
+            row_moves = moves[statuses] = [None] * len(tableau.old_sets)
         for state in successor_lists[mask]:
-            per_name = [
-                _name_choices(table[status], positive, negative)
-                for table, status, (positive, negative) in zip(tables, statuses, literals[state])
-            ]
-            ticks += prod(map(len, per_name))
+            move = row_moves[state]
+            if move is None:
+                per_name = [
+                    [
+                        option
+                        for option in table[status]
+                        if not required & ~option[2] and not forbidden & option[2]
+                    ]
+                    for table, status, (required, forbidden) in zip(tables, statuses, literals[state])
+                ]
+                count = prod(map(len, per_name))
+                # checked before the joint choices are enumerated
+                if ticks + count > budget:
+                    return LicSatResult("budget")
+                move = row_moves[state] = (count, *_move(state, next_mask[state], per_name))
+            count, move_edges, quiet_edge = move
+            ticks += count
             if ticks > budget:
                 return LicSatResult("budget")
-            for combo in product(*per_name):
-                target = (next_mask[state], tuple([option[3] for option in combo]))
+            for edge in move_edges:
+                target = edge[0]
                 if target not in node_edges:
-                    node_edges[target] = (target, state, combo)
+                    node_edges[target] = edge
                     if target not in seen:
                         seen.add(target)
                         worklist.append(target)
-            still = tuple(option for options in per_name for option in options if option[4])
-            if len(still) == len(per_name):
-                node_quiet.append(((next_mask[state], tuple([option[3] for option in still])), state, still))
+            if quiet_edge is not None:
+                node_quiet.append(quiet_edge)
 
     lasso = accepting_lasso(
         [start], lambda node: edges[node].values(), quiet.__getitem__, tableau.accept_sets
@@ -305,6 +346,25 @@ def _product_sat(formula: Formula, budget: int, other: Action) -> LicSatResult:
         return LicSatResult("unsat")
     prefix, loop = lasso
     return LicSatResult("sat", _extract_run(space.names, prefix + loop, other))
+
+
+def _move(state: int, mask: int, per_name: list[list[tuple]]) -> tuple[list, tuple | None]:
+    """One tableau state taken from one statuses tuple, given each name's meeting options.
+
+    Returns the first edge into each target, in the order the joint choices
+    are enumerated, and the quiet edge, or None when some name has no quiet
+    option.
+    """
+    first: dict[tuple, tuple] = {}
+    for combo in product(*per_name):
+        target = (mask, tuple([option[3] for option in combo]))
+        if target not in first:
+            first[target] = (target, state, combo)
+    still = tuple(option for options in per_name for option in options if option[4])
+    quiet_edge = None
+    if len(still) == len(per_name):
+        quiet_edge = ((mask, tuple([option[3] for option in still])), state, still)
+    return list(first.values()), quiet_edge
 
 
 def _extract_run(names, path, other: Action) -> Run:

@@ -158,11 +158,13 @@ class Tableau:
     state's successors depend only on its next-obligation mask, so
     ``edges[state]`` is the sorted successor list of that mask, one list
     object shared by every state holding the mask, and ``initial`` is the
-    list of the root's mask.  These lists are read-only.
+    list of the root's mask.  ``literals`` holds one ``(bit, atom,
+    polarity)`` per literal of the closure, the bit over the ranked ids.
+    These lists are read-only.
     """
 
-    def __init__(self, literals: list[tuple[int, Formula, bool]]):
-        self._literals = literals  # (bit, atom, polarity) per literal id
+    def __init__(self, literals: tuple[tuple[int, Formula, bool], ...]):
+        self.literals = literals
         self.old_sets: dict[int, int] = {}
         self.edges: dict[int, list[int]] = {}
         self.initial: list[int] = []
@@ -171,7 +173,7 @@ class Tableau:
     def _props(self, state: int, positive: bool) -> frozenset:
         old = self.old_sets[state]
         return frozenset(
-            atom for bit, atom, sign in self._literals if sign == positive and old & bit
+            atom for bit, atom, sign in self.literals if sign == positive and old & bit
         )
 
     def positive_props(self, state: int) -> frozenset:
@@ -284,9 +286,9 @@ def build_tableau(closure: _Closure, budget: int = DEFAULT_BUDGET) -> Tableau:
             if mask not in successors:
                 successors[mask] = sorted(set(map(stored.__getitem__, expansions[mask][0])))
 
-    tableau = Tableau([
+    tableau = Tableau(tuple(
         (bits[index], *literal) for index, literal in enumerate(closure.literals) if literal is not None
-    ])
+    ))
     tableau.old_sets = olds = {state: old for (old, _), state in stored.items()}
     tableau.edges = {state: successors[nxt] for (_, nxt), state in stored.items()}
     tableau.initial = successors[root]

@@ -33,9 +33,11 @@ from lict import (
     pretty_run,
     translate,
 )
-from lict.licsat import _components, _product_sat, fresh_action
-from lict.ltl import build_vocabulary, implicit_restrictions
+from lict.automata import padded_nfa, permitted_from, reachable_subsets
+from lict.licsat import OTHER, _atom_bits, _components, _product_sat, _RunSpace, fresh_action
+from lict.ltl import build_vocabulary, implicit_restrictions, name_props
 from lict.reference import finiteness_restriction, ltl_sat
+from lict.tableau import build_tableau, to_nnf
 
 from gen import enumerate_satisfying_run, random_formula, random_license
 
@@ -176,6 +178,62 @@ class TestRunSpaceEdges:
             "issue(n, pay[1.00]) & X P(pay[2.00], n) & G !issue(n, pay[2.00] pay[2.00])"
         )
         assert lic_sat(formula).status == "unsat"
+
+
+def _statuses(name, space) -> list[tuple]:
+    """Each status's (subset, permitted set), numbered as the run space numbers them."""
+    statuses = [(None, frozenset({BOT})), (frozenset(), frozenset({BOT}))]
+    for lic in space.vocab.licenses_of(name):
+        nfa = padded_nfa(lic)
+        for subset in reachable_subsets(nfa, space.vocab.actions):
+            statuses.append((subset, permitted_from(nfa, subset)))
+    return statuses
+
+
+def _issued(lic, space) -> tuple:
+    """The (subset, permitted set) a name enters when ``lic`` is issued to it."""
+    nfa = padded_nfa(lic)
+    start = nfa.start_subset()
+    if start in reachable_subsets(nfa, space.vocab.actions):
+        return start, permitted_from(nfa, start)
+    return frozenset(), frozenset({BOT})
+
+
+class TestProductMoves:
+    def test_option_labels_are_the_literal_bits_of_name_props(self):
+        # An option's label mask ORs its status's, issuance's and act's
+        # atoms; it must equal the option's whole name_props set cut to the
+        # name's literal atoms.
+        rng = random.Random(211)
+        issued = done = 0
+        for _ in range(60):
+            names = ("n", "m", "k")[: rng.randint(1, 3)]
+            licenses = [(names[0], JOURNAL)]
+            licenses += [(name, random_license(rng, 2)) for name in names if rng.random() < 0.5]
+            formula = random_formula(rng, rng.randint(1, 4), names=names, licenses=licenses)
+            atom_bits = _atom_bits(build_tableau(to_nnf(translate(formula))))
+            space = _RunSpace(formula, atom_bits)
+            for name in space.names:
+                bits = atom_bits[name]
+                statuses = _statuses(name, space)
+                assert len(space.choices[name]) == len(statuses)
+                for status, row in enumerate(space.choices[name]):
+                    for issue, act, label, *_ in row:
+                        entered = statuses[status] if issue is None else _issued(issue, space)
+                        action = None if act is OTHER else act
+                        props = name_props(name, issue, action, *entered)
+                        assert label == sum(bits[prop] for prop in props if prop in bits)
+                        issued += issue is not None and label != 0
+                        done += action is not None and label != 0
+        assert issued > 20 and done > 100
+
+    def test_replayed_moves_are_still_charged(self):
+        # Golden budget #24: a tableau state in the successor lists of two
+        # masks is reached twice with the same statuses.  Its move is built
+        # once and replayed, and the replay is charged its joint choices again.
+        formula = parse_formula(f"G (F (pay[2.50], m) | F issue(n, {JOURNAL_TEXT}))")
+        assert lic_sat(formula, budget=799).status == "budget"
+        assert lic_sat(formula, budget=800).status == "unsat"
 
 
 class TestWitnessRoundTrip:
