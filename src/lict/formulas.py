@@ -50,15 +50,6 @@ class ActionExpr:
     name: str
 
 
-def expr_matches(expr: ActionExpr, action: Action, name: str) -> bool:
-    """Whether the action expression covers ``action`` done by ``name``."""
-    if name != expr.name:
-        return False
-    if expr.positive:
-        return action == expr.action
-    return action != expr.action
-
-
 @dataclass(frozen=True)
 class Formula:
     pass
@@ -238,18 +229,18 @@ def map_atoms(formula: Formula, atom_map: Callable[[Formula], Formula]) -> Formu
 def lasso_labels(
     prefix_len: int,
     loop_len: int,
-    atom_holds: Callable[[int, Formula], bool],
+    atom_label: Callable[[Formula], int],
     formula: Formula,
 ) -> int:
     """The canonical times at which a formula holds, as a bit vector.
 
     The model has ``prefix_len`` prefix times followed by a loop of
     ``loop_len`` times repeated forever, so its canonical times are
-    ``0 .. prefix_len + loop_len - 1``; ``atom_holds(time, atom)`` reads an
-    atom at one of them.  Bit i of the result is the formula's truth at
-    canonical time i.  Every subformula is labelled once, children first
-    (Markey & Schnoebelen, "Model checking a path", CONCUR 2003), and every
-    distinct atom, compared by equality, is read once per canonical time.
+    ``0 .. prefix_len + loop_len - 1``; ``atom_label(atom)`` is an atom's
+    label over them.  Bit i of a label is the truth at canonical time i.
+    Every subformula is labelled once, children first (Markey &
+    Schnoebelen, "Model checking a path", CONCUR 2003), and every distinct
+    atom, compared by equality, is asked for once.
     """
     size = prefix_len + loop_len
     full = (1 << size) - 1
@@ -282,11 +273,7 @@ def lasso_labels(
         else:
             label = atoms.get(node)
             if label is None:
-                label = 0
-                for time in range(size):
-                    if atom_holds(time, node):
-                        label |= 1 << time
-                atoms[node] = label
+                label = atoms[node] = atom_label(node)
         labels[id(node)] = label
     return labels[id(formula)]
 
@@ -312,7 +299,7 @@ def _until(left: int, right: int, prefix_len: int, size: int) -> int:
 def lasso_eval(
     prefix_len: int,
     loop_len: int,
-    atom_holds: Callable[[int, Formula], bool],
+    atom_label: Callable[[Formula], int],
     t: int,
     formula: Formula,
 ) -> bool:
@@ -325,31 +312,72 @@ def lasso_eval(
         raise ValueError(f"time {t} is negative; the model starts at time 0")
     if t >= prefix_len:
         t = prefix_len + (t - prefix_len) % loop_len
-    return bool(lasso_labels(prefix_len, loop_len, atom_holds, formula) >> t & 1)
+    return bool(lasso_labels(prefix_len, loop_len, atom_label, formula) >> t & 1)
 
 
 def evaluate(run: Run, perms: PermissionInterpretation, t: int, formula: Formula) -> bool:
     """Truth of a license-logic formula in a run at time t.
 
     ``perms`` must be the permission interpretation computed from ``run``;
-    the model is the run's ultimately periodic extension.
+    the model is the run's ultimately periodic extension.  Each atom is
+    labelled from time masks: per name, the times of each recorded action,
+    and lazily the times of each automaton subset.
     """
+    size = perms.prefix_len + perms.loop_len
+    full = (1 << size) - 1
+    # Recorded actions lie within the horizon, where canonical times are times.
+    done: dict[str, dict[Action, int]] = {}
+    for time, name, action in run.actions:
+        masks = done.setdefault(name, {})
+        masks[action] = masks.get(action, 0) | 1 << time
+    subsets: dict[str, list[list]] = {}
 
-    def atom_holds(time: int, node: Formula) -> bool:
+    def subset_masks(name: str) -> list[list]:
+        """[permitted set, times] per automaton subset of the name."""
+        found = subsets.get(name)
+        if found is None:
+            by_subset: dict = {}
+            for time in range(size):
+                # None, unissued or before issuance, permits exactly bot
+                subset = perms.subset_state(name, time)
+                entry = by_subset.get(subset)
+                if entry is None:
+                    by_subset[subset] = [perms.permitted(name, time), 1 << time]
+                else:
+                    entry[1] |= 1 << time
+            found = subsets[name] = list(by_subset.values())
+        return found
+
+    def atom_label(node: Formula) -> int:
         if isinstance(node, Issue):
-            # a name is issued at most once; comparing the time first spares
-            # hashing the license at every time
-            return run.issuance(node.name) == (time, node.license)
+            issuance = run.issuance(node.name)
+            return 1 << issuance[0] if issuance is not None and issuance[1] == node.license else 0
         if isinstance(node, Act):
-            return expr_matches(node.expr, run.action(node.expr.name, time), node.expr.name)
+            expr = node.expr
+            masks = done.get(expr.name, {})
+            if expr.action == BOT:
+                # bot wherever no other action is recorded, past the horizon too
+                label = full
+                for action, mask in masks.items():
+                    if action != BOT:
+                        label ^= mask
+            else:
+                label = masks.get(expr.action, 0)
+            return label if expr.positive else full ^ label
         if isinstance(node, Perm):
-            permitted = perms.permitted(node.expr.name, time)
-            if node.expr.positive:
-                return node.expr.action in permitted
-            return any(action != node.expr.action for action in permitted)
+            expr = node.expr
+            label = 0
+            for permitted, mask in subset_masks(expr.name):
+                if expr.positive:
+                    holds = expr.action in permitted
+                else:
+                    holds = any(action != expr.action for action in permitted)
+                if holds:
+                    label |= mask
+            return label
         raise TypeError(f"not a license-logic formula: {node!r}")
 
-    return lasso_eval(perms.prefix_len, perms.loop_len, atom_holds, t, formula)
+    return lasso_eval(perms.prefix_len, perms.loop_len, atom_label, t, formula)
 
 
 def check_spec(run: Run, formula: Formula) -> bool:

@@ -142,10 +142,16 @@ class LinearStructure:
 def ltl_eval(structure: LinearStructure, t: int, formula: Formula) -> bool:
     """Truth of a target-logic formula at state ``t`` of the structure."""
 
-    def atom_holds(time: int, atom: Formula) -> bool:
-        return atom in structure.label(time)
+    labels = structure.prefix + structure.loop
 
-    return lasso_eval(structure.prefix_len, structure.loop_len, atom_holds, t, formula)
+    def atom_label(atom: Formula) -> int:
+        mask = 0
+        for time, label in enumerate(labels):
+            if atom in label:
+                mask |= 1 << time
+        return mask
+
+    return lasso_eval(structure.prefix_len, structure.loop_len, atom_label, t, formula)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Text front ends: actions, licenses, formulas, run files, and DR licenses.
 
 All grammars are plain ASCII and share one lexer, a compiled regular
-expression scanned once over the input (run files: once per line).  Any
+expression scanned once over the input (run files: once per line, and a
+line repeating an earlier line's text after ``@<time>`` only up to it).  Any
 other character, including a non-ASCII letter or digit, is a ``ParseError``
 at its line and column.  ``#`` starts a comment anywhere.  Reserved words
 (``pay render bot issue true P O X G F U``) cannot be used as license names.
@@ -112,6 +113,8 @@ class _Stream:
         self._last = len(tokens) - 1  # the eof token
 
     def peek(self, ahead: int = 0) -> Token:
+        if not ahead:  # the position never passes eof
+            return self._tokens[self._pos]
         at = self._pos + ahead
         return self._tokens[at if at < self._last else self._last]
 
@@ -122,10 +125,12 @@ class _Stream:
         return token
 
     def expect(self, text: str) -> Token:
-        token = self.peek()
+        token = self._tokens[self._pos]
         if token.text != text:
             self.fail(f"expected {text!r}, found {self._describe(token)}")
-        return self.next()
+        if self._pos < self._last:
+            self._pos += 1
+        return token
 
     def fail(self, message: str):
         token = self.peek()
@@ -370,36 +375,54 @@ def parse_formula(text: str) -> Formula:
     return formula
 
 
-# Run files are line oriented:
+# Run files are line oriented (lines end at "\n" alone):
 #   @<t> issue <name> = <license>
 #   @<t> do <name> <action>
+# A file repeats a few texts after the time many times over, so each distinct
+# tail is parsed once: a line whose frame is ``@`` and a natural reads its
+# ``(is_issue, name, license or action)`` from the first line with the same
+# tail.  Only lines that parsed are remembered, so errors are unchanged.
 
 def parse_run(text: str) -> Run:
     issuances: list[tuple[int, str, License]] = []
     actions: list[tuple[int, str, Action]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+    tails: dict[str, tuple[bool, str, License | Action]] = {}
+    match = _LEXEME.match
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        at = match(raw)
+        kind = at.lastgroup
+        if kind == "eof":  # blanks and a comment at most
             continue
-        stream = _Stream(tokenize(raw, first_line=lineno))
-        stream.expect("@")
-        time = _parse_natural(stream, "time")
-        keyword = stream.peek()
-        if keyword.text == "issue":
-            stream.next()
-            name = _parse_name(stream)
-            stream.expect("=")
-            lic = _parse_license(stream)
+        tail = entry = None
+        if kind == "op" and at[kind] == "@":
+            number = match(raw, at.end())
+            digits = number["number"]
+            if digits is not None and "." not in digits:
+                tail = raw[number.end():]
+                entry = tails.get(tail)
+        if entry is None:
+            stream = _Stream(tokenize(raw, first_line=lineno))
+            stream.expect("@")
+            time = _parse_natural(stream, "time")
+            keyword = stream.peek()
+            if keyword.text == "issue":
+                stream.next()
+                name = _parse_name(stream)
+                stream.expect("=")
+                entry = (True, name, _parse_license(stream))
+            elif keyword.text == "do":
+                stream.next()
+                name = _parse_name(stream)
+                entry = (False, name, _parse_action(stream))
+            else:
+                stream.fail("expected 'issue' or 'do'")
             stream.expect_end()
-            issuances.append((time, name, lic))
-        elif keyword.text == "do":
-            stream.next()
-            name = _parse_name(stream)
-            action = _parse_action(stream)
-            stream.expect_end()
-            actions.append((time, name, action))
+            if tail is not None:
+                tails[tail] = entry
         else:
-            stream.fail("expected 'issue' or 'do'")
+            time = int(digits)
+        is_issue, name, payload = entry
+        (issuances if is_issue else actions).append((time, name, payload))
     return make_run(issuances, actions)
 
 

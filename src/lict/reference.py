@@ -5,13 +5,14 @@ the engines with it.  It holds the trace semantics of licenses (trace
 enumeration, Brzozowski derivatives, viability), plain word acceptance by
 an automaton, the DR schedule trace sets, the run helpers of the
 definitions, the permissions a license forces, formula truth on a lasso
-decided one time at a time, the generic decision route (translate,
-conjoin the restriction formulas, and search the target logic's tableau on
-its own for a lasso, edges labelled with the states they enter), the
-stack-based tableau construction that expands a next mask once per state
-holding it, whose graph and budget outcomes the memoised ``build_tableau``
-must match, and the character-by-character lexer that the regex lexer of
-``lict.parsing`` must agree with on ASCII input.
+decided one time at a time, license-logic atoms read off a run one time
+at a time, the generic decision route (translate, conjoin the restriction
+formulas, and search the target logic's tableau on its own for a lasso,
+edges labelled with the states they enter), the stack-based tableau
+construction that expands a next mask once per state holding it, whose
+graph and budget outcomes the memoised ``build_tableau`` must match, and
+the character-by-character lexer that the regex lexer of ``lict.parsing``
+must agree with on ASCII input.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .formulas import (
     Always,
     And,
     Formula,
+    Issue,
     Next,
     Not,
     Perm,
@@ -73,7 +75,7 @@ from .ltl import (
     translate,
 )
 from .parsing import ParseError, Token
-from .runs import Run
+from .runs import PermissionInterpretation, Run
 from .tableau import (
     _KIND_AND,
     _KIND_FALSE,
@@ -397,6 +399,32 @@ def lasso_eval(
         return atom_holds(time, node)
 
     return recur(t, formula)
+
+
+def expr_matches(expr: ActionExpr, action: Action, name: str) -> bool:
+    """Whether the action expression covers ``action`` done by ``name``."""
+    if name != expr.name:
+        return False
+    if expr.positive:
+        return action == expr.action
+    return action != expr.action
+
+
+def run_atom_holds(run: Run, perms: PermissionInterpretation, time: int, atom: Formula) -> bool:
+    """Truth of a license-logic atom in a run at one time, read off the run.
+
+    ``perms`` must be computed from ``run``; any time from 0 on may be asked.
+    """
+    if isinstance(atom, Issue):
+        return run.issuance(atom.name) == (time, atom.license)
+    if isinstance(atom, Act):
+        return expr_matches(atom.expr, run.action(atom.expr.name, time), atom.expr.name)
+    if isinstance(atom, Perm):
+        permitted = perms.permitted(atom.expr.name, time)
+        if atom.expr.positive:
+            return atom.expr.action in permitted
+        return any(action != atom.expr.action for action in permitted)
+    raise TypeError(f"not a license-logic formula: {atom!r}")
 
 
 # ---------------------------------------------------------------------------

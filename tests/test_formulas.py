@@ -38,10 +38,10 @@ from lict import (
     pretty_formula,
     translate,
 )
-from lict.formulas import expr_matches
+from lict.formulas import formula_atoms
 from lict.ltl import Done, LinearStructure, Obligated, Permitted, build_structure, ltl_eval
 from lict.reference import lasso_eval as reference_lasso_eval
-from lict.reference import license_consequences
+from lict.reference import expr_matches, license_consequences, run_atom_holds
 
 from gen import NAMES, POOL, random_formula, random_run
 
@@ -332,7 +332,7 @@ class TestLabeller:
         perms = compute_permissions(run)
 
         def run_atom(time, atom):
-            return evaluate(run, perms, time, atom)
+            return run_atom_holds(run, perms, time, atom)
 
         for t in range(perms.prefix_len + perms.loop_len):
             expected = reference_lasso_eval(perms.prefix_len, perms.loop_len, run_atom, t, formula)
@@ -371,3 +371,27 @@ class TestLabeller:
                 structure.prefix_len, structure.loop_len, structure_atom, t, formula
             )
             assert ltl_eval(structure, t, formula) == expected
+
+
+class TestAtomLabels:
+    """Each atom's time mask agrees with the atom read off the run one time at a time."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_atom_agrees_with_the_run_at_every_time(self, seed):
+        rng = random.Random(seed)
+        horizon = rng.randint(0, 5)
+        run = random_run(rng, horizon=horizon, depth=3, names=NAMES[:2])
+        if rng.random() < 0.5:
+            cycling = (rng.randint(0, horizon), NAMES[2], rng.choice(CYCLING_LICENSES))
+            run = make_run(run.issuances + (cycling,), run.actions, horizon=horizon)
+        # k's issue atom may name a license k does not hold, or k may hold none
+        licenses = [(name, lic) for _, name, lic in run.issuances]
+        licenses.append((NAMES[2], rng.choice(CYCLING_LICENSES)))
+        atoms = formula_atoms(And(*(random_formula(rng, 4, NAMES, POOL, licenses) for _ in "ab")))
+        perms = compute_permissions(run)
+        # every canonical time, then once more round the loop, which the
+        # labeller reads at the loop's canonical times
+        for t in range(perms.prefix_len + 2 * perms.loop_len):
+            for atom in atoms:
+                assert evaluate(run, perms, t, atom) == run_atom_holds(run, perms, t, atom), (t, atom)

@@ -29,7 +29,7 @@ from lict import (
     pretty_license,
     pretty_run,
 )
-from lict import parsing, reference
+from lict import make_run, parsing, reference
 from lict.formulas import Act, ActionExpr, And, Issue, Next, Not, Perm, Truth, Until, formula_size
 
 from gen import random_formula, random_license, random_run
@@ -188,6 +188,34 @@ class TestRuns:
             assert again.issuances == tuple(sorted(run.issuances))
             assert set(again.actions) == set(run.actions)
 
+    def test_crlf_lines(self):
+        run = parse_run("# runs\r\n@0 issue n = bot*\r\n\r\n@1 do n bot # done\r\n")
+        assert run == make_run([(0, "n", Star(Atom(BOT)))], [(1, "n", BOT)])
+        with pytest.raises(ParseError) as err:
+            parse_run("@0 do n bot\r\n@1 do n pay[x]\r\n")
+        assert str(err.value) == "expected a decimal amount (line 2, column 13)"
+
+    def test_lone_carriage_return_does_not_end_a_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_run("@0 do n bot\r@1 do n bot")
+        assert str(err.value) == "unexpected trailing input '@' (line 1, column 13)"
+
+    @pytest.mark.parametrize(
+        "text, bad, line, col",
+        [
+            ("@0 do n bot\x0c@1 do n bot", "\x0c", 1, 12),
+            ("@0 do n bot\n\x0c\n", "\x0c", 2, 1),
+            ("@0 do n bot\n@1 do n bot\x85\n@2 do n bot", "\x85", 2, 12),
+            ("@0 do n bot\u2028@1 do n pay[x]", "\u2028", 1, 12),
+        ],
+    )
+    def test_only_newline_ends_a_line(self, text, bad, line, col):
+        # str.splitlines breaks lines at these too, which shifts every later line
+        with pytest.raises(ParseError) as err:
+            parse_run(text)
+        assert str(err.value) == f"unexpected character {bad!r} (line {line}, column {col})"
+        assert (err.value.line, err.value.col) == (line, col)
+
 
 class TestDr:
     def test_paper_flatrate(self):
@@ -284,3 +312,50 @@ class TestLexerOracle:
     def test_edges_match_the_reference(self, text):
         assert _lexed(parsing.tokenize, text) == _lexed(reference.tokenize, text)
 
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return (str(err), err.line, err.col)
+    except ValueError as err:  # a well-formed file that is not a run
+        return str(err)
+
+
+def _line_by_line(text: str):
+    """``parse_run`` one line at a time, each at its own line number."""
+    issuances, actions = [], []
+    for index, line in enumerate(text.split("\n")):
+        run = parse_run("\n" * index + line)
+        issuances += run.issuances
+        actions += run.actions
+    return make_run(issuances, actions)
+
+
+# A few texts after the time, so that tails repeat; the times include
+# lexemes that are not naturals.
+_TAILS = (" do n bot", " do n pay[1.00]", "  do m render[w,d] # seen", " issue k = bot*", "do n bot")
+_TIMES = ("0", "1", "2", "007", "12", "1.5", "1.", "")
+_BLANKS = ("", "   ", "# a comment", " \t# @1 do n bot")
+
+
+class TestRunTails:
+    """Parsing each distinct line tail once agrees with parsing every line alone."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_agrees_with_parsing_each_line_alone(self, data):
+        lines = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            shape = data.draw(st.integers(0, 5))
+            if shape == 0:
+                lines.append(data.draw(st.sampled_from(_BLANKS)))
+            else:
+                lead = data.draw(st.sampled_from(("", " ")))
+                time = data.draw(st.sampled_from(_TIMES))
+                lines.append(f"{lead}@{time}{data.draw(st.sampled_from(_TAILS))}")
+        text = "\n".join(lines)
+        for _ in range(data.draw(st.integers(0, 2))):
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + data.draw(st.sampled_from(_MUTATIONS)) + text[at:]
+        assert _outcome(parse_run, text) == _outcome(_line_by_line, text)
