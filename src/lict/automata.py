@@ -1,4 +1,4 @@
-"""Position automata for licenses and the subset stepping used for permissions.
+"""Position automata for licenses, each with its subset construction filled on demand.
 
 The construction is the position (Glushkov) automaton: one state per action
 occurrence plus a start state, no silent transitions, linearly many states
@@ -10,6 +10,11 @@ exactly when the consumed input is viable.
 a completed license: an extra absorbing state reachable from every accepting
 state by bot.  Permission tracking always runs on the padded automaton; the
 empty subset is the absorbing "violated" condition, which permits only bot.
+
+Every engine steps subsets of states and asks what they permit through
+``Nfa.step`` and ``Nfa.permitted``, which memoise the subset construction
+(Rabin & Scott, 1959) on the automaton as it is asked for; ``padded_nfa`` keeps
+one automaton per license, so every caller shares its memo.
 """
 
 from __future__ import annotations
@@ -35,9 +40,14 @@ SubsetState = frozenset  # frozenset[int]
 
 
 class Nfa:
-    """An epsilon-free automaton over actions.  Immutable after construction."""
+    """An epsilon-free automaton over actions, fixed at construction.
 
-    __slots__ = ("states", "starts", "finals", "transitions", "pad_state", "_successors", "_outgoing")
+    The memos behind ``step`` and ``permitted`` are keyed by the values asked
+    about, so their answers do not depend on who asked first.
+    """
+
+    __slots__ = ("states", "starts", "finals", "transitions", "pad_state",
+                 "_successors", "_outgoing", "_steps", "_permits")
 
     def __init__(self, states, starts, finals, transitions, pad_state=None):
         self.states = frozenset(states)
@@ -54,6 +64,8 @@ class Nfa:
             outgoing[source].add(action)
         self._successors = {key: frozenset(value) for key, value in successors.items()}
         self._outgoing = {state: frozenset(value) for state, value in outgoing.items()}
+        self._steps: dict[tuple[SubsetState, Action], SubsetState] = {}
+        self._permits: dict[SubsetState, frozenset[Action]] = {}
 
     def successors(self, state: int, action: Action) -> frozenset[int]:
         return self._successors.get((state, action), frozenset())
@@ -61,8 +73,31 @@ class Nfa:
     def outgoing_actions(self, state: int) -> frozenset[Action]:
         return self._outgoing.get(state, frozenset())
 
-    def start_subset(self) -> SubsetState:
-        return frozenset(self.starts)
+    def step(self, subset: SubsetState, action: Action) -> SubsetState:
+        """Image of the subset under one action; the empty subset is absorbing."""
+        key = (subset, action)
+        image = self._steps.get(key)
+        if image is None:
+            out: set[int] = set()
+            for state in subset:
+                out |= self.successors(state, action)
+            image = self._steps[key] = frozenset(out)
+        return image
+
+    def permitted(self, subset: SubsetState) -> frozenset[Action]:
+        """Actions with a transition from the subset, plus bot where padding applies.
+
+        Bot is included whenever the subset contains an accepting state (the
+        license can be considered complete, so doing nothing stays viable).  A
+        violated (empty) subset permits exactly bot.
+        """
+        permitted = self._permits.get(subset)
+        if permitted is None:
+            actions = {BOT} if not subset or subset & self.finals else set()
+            for state in subset:
+                actions |= self.outgoing_actions(state)
+            permitted = self._permits[subset] = frozenset(actions)
+        return permitted
 
 
 def _positions(lic: License, symbols: dict[int, Action], ids) -> tuple[bool, frozenset, frozenset, list]:
@@ -94,9 +129,8 @@ def _positions(lic: License, symbols: dict[int, Action], ids) -> tuple[bool, fro
     raise TypeError(f"not a license: {lic!r}")
 
 
-@lru_cache(maxsize=None)
 def build_nfa(lic: License) -> Nfa:
-    """The position automaton accepting exactly the license's traces."""
+    """The position automaton accepting exactly the license's traces (a new one per call)."""
     symbols: dict[int, Action] = {}
     null, first, last, follow = _positions(lic, symbols, count(1))
     start = 0
@@ -150,32 +184,8 @@ def with_bot_padding(nfa: Nfa) -> Nfa:
 
 @lru_cache(maxsize=None)
 def padded_nfa(lic: License) -> Nfa:
+    """The license's padded automaton: one per license, so its memos are shared."""
     return with_bot_padding(build_nfa(lic))
-
-
-def step_subset(nfa: Nfa, subset: SubsetState, action: Action) -> SubsetState:
-    """Image of the subset under one action; the empty subset is absorbing."""
-    out: set[int] = set()
-    for state in subset:
-        out |= nfa.successors(state, action)
-    return frozenset(out)
-
-
-def permitted_from(nfa: Nfa, subset: SubsetState) -> frozenset[Action]:
-    """Actions with a transition from the subset, plus bot where padding applies.
-
-    Bot is included whenever the subset contains an accepting state (the
-    license can be considered complete, so doing nothing stays viable).  A
-    violated (empty) subset permits exactly bot.
-    """
-    if not subset:
-        return frozenset({BOT})
-    actions: set[Action] = set()
-    for state in subset:
-        actions |= nfa.outgoing_actions(state)
-    if subset & nfa.finals:
-        actions.add(BOT)
-    return frozenset(actions)
 
 
 def lasso_of(nfa: Nfa, subset: SubsetState) -> tuple[tuple[SubsetState, ...], tuple[SubsetState, ...]]:
@@ -190,7 +200,7 @@ def lasso_of(nfa: Nfa, subset: SubsetState) -> tuple[tuple[SubsetState, ...], tu
     while current not in seen:
         seen[current] = len(sequence)
         sequence.append(current)
-        current = step_subset(nfa, current, BOT)
+        current = nfa.step(current, BOT)
     split = seen[current]
     return tuple(sequence[:split]), tuple(sequence[split:])
 
@@ -202,7 +212,7 @@ def reachable_subsets(nfa: Nfa, actions) -> dict[SubsetState, dict[Action, Subse
     for the absorbing violated condition.
     """
     graph: dict[SubsetState, dict[Action, SubsetState]] = {}
-    start = nfa.start_subset()
+    start = nfa.starts
     if not start:
         return graph
     worklist = [start]
@@ -212,7 +222,7 @@ def reachable_subsets(nfa: Nfa, actions) -> dict[SubsetState, dict[Action, Subse
             continue
         row: dict[Action, SubsetState] = {}
         for action in actions:
-            successor = step_subset(nfa, subset, action)
+            successor = nfa.step(subset, action)
             row[action] = successor
             if successor and successor not in graph:
                 worklist.append(successor)

@@ -15,7 +15,7 @@ import sys
 from functools import lru_cache
 
 from .automata import dump_dot, padded_nfa
-from .digitalrights import DrCapExceeded, compile_dr
+from .digitalrights import DEFAULT_DR_CAP, DrCapExceeded, compile_dr
 from .formulas import check_spec, encode_run, evaluate, pretty_formula
 from .licenses import pretty_license
 from .licsat import lic_sat, lic_valid
@@ -54,10 +54,15 @@ def _print(text: str) -> None:
 def permissions_lines(run, horizon: int) -> list[str]:
     perms = compute_permissions(run)
     names = sorted(run.names)
+    rows: dict[tuple, str] = {}  # (name, permitted set) -> rendered row
     lines = []
     for t in range(horizon + 1):
         for name in names:
-            lines.append(f"t={t} {permission_line(perms, name, t)}")
+            key = (name, perms.permitted(name, t))
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = permission_line(*key)
+            lines.append(f"t={t} {row}")
     return lines
 
 
@@ -177,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dr = commands.add_parser("compile-dr", help="compile a DR license to a regular one")
     dr.add_argument("dr_file")
-    dr.add_argument("--cap", type=int, default=64, help="largest time span to compile")
+    dr.add_argument("--cap", type=int, default=DEFAULT_DR_CAP, help="largest time span to compile")
     dr.set_defaults(handler=_cmd_compile_dr)
 
     enc = commands.add_parser("encode-run", help="encode a run as a formula")

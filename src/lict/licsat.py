@@ -42,7 +42,7 @@ from functools import reduce
 from itertools import product
 from math import prod
 
-from .automata import padded_nfa, permitted_from, reachable_subsets
+from .automata import padded_nfa, reachable_subsets
 from .formulas import Act, And, Formula, Issue, Not, Perm, evaluate, formula_atoms
 from .licenses import BOT, Action, License, Pay, action_key, license_actions
 from .ltl import build_vocabulary, name_props, translate
@@ -149,9 +149,9 @@ def _choice_table(name: str, licenses, alphabet, graphs, bits) -> list[list[tupl
         number = {subset: len(statuses) + i for i, subset in enumerate(graphs[lic])}
         for subset, row in graphs[lic].items():
             successor = {act: 1 if act is OTHER else number.get(row[act], 1) for act in alphabet}
-            label = mask(name_props(name, None, None, subset, permitted_from(nfa, subset)))
+            label = mask(name_props(name, None, None, subset, nfa.permitted(subset)))
             statuses.append((label, successor))
-        issuances += options(number.get(nfa.start_subset(), 1), lic)
+        issuances += options(number.get(nfa.starts, 1), lic)
     table = [options(status, None) for status in range(len(statuses))]
     table[0] += issuances
     return table

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .automata import SubsetState, padded_nfa, permitted_from, reachable_subsets
+from .automata import SubsetState, padded_nfa, reachable_subsets
 from .formulas import (
     Act,
     Always,
@@ -280,8 +280,7 @@ def _automaton_formula(name: str, lic: License, vocab: Vocabulary) -> Formula:
     subsets = sorted(graph, key=subset_label)
     in_state = {subset: InState(name, subset) for subset in subsets}
 
-    start = nfa.start_subset()
-    entry = in_state[start] if start in in_state else over
+    entry = in_state.get(nfa.starts, over)
 
     states_parts = [f_implies(over, f_and_all([Not(in_state[s]) for s in subsets]))]
     for subset in subsets:
@@ -291,7 +290,7 @@ def _automaton_formula(name: str, lic: License, vocab: Vocabulary) -> Formula:
 
     step_parts = []
     for subset in subsets:
-        allowed = permitted_from(nfa, subset)
+        allowed = nfa.permitted(subset)
         conjuncts: list[Formula] = [
             Permitted(action, name) for action in sorted(allowed, key=action_key)
         ]

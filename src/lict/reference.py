@@ -3,7 +3,8 @@
 Nothing in the toolkit's commands calls into this module; the tests compare
 the engines with it.  It holds the trace semantics of licenses (trace
 enumeration, Brzozowski derivatives, viability), plain word acceptance by
-an automaton, the DR schedule trace sets, the run helpers of the
+an automaton and the uncached subset stepping that ``Nfa.step`` and
+``Nfa.permitted`` memoise, the DR schedule trace sets, the run helpers of the
 definitions, the permissions a license forces, formula truth on a lasso
 decided one time at a time, license-logic atoms read off a run one time
 at a time, the generic decision route (translate, conjoin the restriction
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .automata import Nfa, step_subset
+from .automata import Nfa, SubsetState
 from .digitalrights import (
     DEFAULT_DR_CAP,
     FLATRATE,
@@ -238,11 +239,35 @@ def prefix_sets(lic: License, k: int) -> frozenset[Trace]:
     return frozenset(out)
 
 
+def subset_step(nfa: Nfa, subset: SubsetState, action: Action) -> SubsetState:
+    """Image of the subset under one action, unioned afresh from ``nfa.successors``."""
+    out: set[int] = set()
+    for state in subset:
+        out |= nfa.successors(state, action)
+    return frozenset(out)
+
+
+def subset_permitted(nfa: Nfa, subset: SubsetState) -> frozenset[Action]:
+    """What the subset permits, read afresh from ``nfa.outgoing_actions``.
+
+    The actions leaving the subset, plus bot when it holds an accepting
+    state; the empty (violated) subset permits exactly bot.
+    """
+    if not subset:
+        return frozenset({BOT})
+    actions: set[Action] = set()
+    for state in subset:
+        actions |= nfa.outgoing_actions(state)
+    if subset & nfa.finals:
+        actions.add(BOT)
+    return frozenset(actions)
+
+
 def accepts(nfa: Nfa, trace) -> bool:
-    """Whether the automaton accepts the whole trace."""
-    subset = nfa.start_subset()
+    """Whether the automaton accepts the whole trace (stepped without its memo)."""
+    subset = nfa.starts
     for action in trace:
-        subset = step_subset(nfa, subset, action)
+        subset = subset_step(nfa, subset, action)
     return bool(subset & nfa.finals)
 
 

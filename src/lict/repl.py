@@ -77,7 +77,7 @@ class ReplSession:
         perms = compute_permissions(run)
         lines = [f"t={self.time}"]
         for name in sorted(run.names):
-            lines.append(f"  {permission_line(perms, name, self.time)}")
+            lines.append(f"  {permission_line(name, perms.permitted(name, self.time))}")
         if len(lines) == 1:
             lines.append("  (nothing issued)")
         return lines

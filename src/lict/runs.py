@@ -2,9 +2,10 @@
 
 A run is finite: it has a horizon, nothing is issued after it, and beyond it
 every name does bot.  The permitted actions for each issued name are computed
-by walking the license's padded position automaton: the subset of automaton
-states reached by the name's action sequence determines what may happen next.
-A client that deviates empties its subset, after which only bot is permitted,
+by walking the license's padded position automaton through its memoised
+``Nfa.step`` and ``Nfa.permitted``: the subset of automaton states reached
+by the name's action sequence determines what may happen next.  A client
+that deviates empties its subset, after which only bot is permitted,
 forever.  Beyond the horizon the subsets evolve deterministically under bot
 and eventually cycle, so the whole interpretation is a prefix plus a loop.
 """
@@ -14,14 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .automata import (
-    Nfa,
-    SubsetState,
-    lasso_of,
-    padded_nfa,
-    permitted_from,
-    step_subset,
-)
+from .automata import Nfa, SubsetState, lasso_of, padded_nfa
 from .licenses import BOT, Action, License, pretty_action, pretty_license
 
 
@@ -111,28 +105,19 @@ def pretty_run(run: Run) -> str:
 class _NameTimeline:
     """Subset states and permitted sets for one issued name."""
 
-    __slots__ = (
-        "issue_time",
-        "nfa",
-        "explicit_subsets",
-        "tail_prefix",
-        "tail_loop",
-        "_permitted",
-    )
+    __slots__ = ("issue_time", "nfa", "explicit_subsets", "tail_prefix", "tail_loop")
 
     def __init__(self, run: Run, name: str, issue_time: int, lic: License):
         self.issue_time = issue_time
         self.nfa: Nfa = padded_nfa(lic)
-        subset = self.nfa.start_subset()
+        subset = self.nfa.starts
         # One subset per time in [issue_time, horizon + 1]; the last entry is
         # where the bot tail starts.
         self.explicit_subsets: list[SubsetState] = [subset]
         for t in range(issue_time, run.horizon + 1):
-            subset = step_subset(self.nfa, subset, run.action(name, t))
+            subset = self.nfa.step(subset, run.action(name, t))
             self.explicit_subsets.append(subset)
         self.tail_prefix, self.tail_loop = lasso_of(self.nfa, self.explicit_subsets[-1])
-        # Permitted set per subset: the labeller asks at every canonical time.
-        self._permitted: dict[SubsetState, frozenset[Action]] = {}
 
     def subset(self, t: int) -> SubsetState | None:
         if t < self.issue_time:
@@ -150,10 +135,7 @@ class _NameTimeline:
         subset = self.subset(t)
         if subset is None:
             return frozenset({BOT})
-        permitted = self._permitted.get(subset)
-        if permitted is None:
-            permitted = self._permitted[subset] = permitted_from(self.nfa, subset)
-        return permitted
+        return self.nfa.permitted(subset)
 
 
 class PermissionInterpretation:
@@ -195,13 +177,11 @@ class PermissionInterpretation:
         return timeline.subset(t)
 
 
-def permission_line(perms: PermissionInterpretation, name: str, t: int) -> str:
-    """What ``name`` may and must do at ``t``, as the CLI and REPL print it."""
-    permitted = sorted(perms.permitted(name, t), key=pretty_action)
-    rendered = ",".join(pretty_action(a) for a in permitted)
-    obligated = perms.obligated(name, t)
-    obligated_text = pretty_action(obligated) if obligated is not None else "none"
-    return f"n={name} permits={{{rendered}}} obligated={obligated_text}"
+def permission_line(name: str, permitted: frozenset[Action]) -> str:
+    """What ``name`` may and must do, given its permitted set, as the CLI and REPL print it."""
+    rendered = sorted(pretty_action(a) for a in permitted)
+    obligated = rendered[0] if len(rendered) == 1 else "none"
+    return f"n={name} permits={{{','.join(rendered)}}} obligated={obligated}"
 
 
 def compute_permissions(run: Run) -> PermissionInterpretation:

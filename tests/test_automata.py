@@ -3,6 +3,8 @@
 import random
 from decimal import Decimal
 
+from hypothesis import given, settings, strategies as st
+
 from lict import (
     BOT,
     ZERO,
@@ -15,15 +17,13 @@ from lict.automata import (
     dump_dot,
     lasso_of,
     padded_nfa,
-    permitted_from,
     reachable_subsets,
-    step_subset,
     with_bot_padding,
 )
 from lict.licenses import license_size
-from lict.reference import accepts, traces, viable
+from lict.reference import accepts, subset_permitted, subset_step, traces, viable
 
-from gen import POOL, SMALL_POOL, random_license, random_trace, small_license
+from gen import POOL, SMALL_POOL, random_action, random_license, random_trace, small_license
 
 PAY = Pay(Decimal("1.00"))
 JOURNAL = parse_license("((pay[1.00] bot* render[journal,d]) | bot)*")
@@ -77,39 +77,39 @@ class TestConstruction:
 class TestSubsets:
     def test_step_to_final(self):
         nfa = build_nfa(Atom(PAY))
-        after = step_subset(nfa, nfa.start_subset(), PAY)
+        after = nfa.step(nfa.starts, PAY)
         assert after & nfa.finals
 
     def test_step_mismatch_empties(self):
         nfa = build_nfa(Atom(PAY))
-        assert step_subset(nfa, nfa.start_subset(), BOT) == frozenset()
+        assert nfa.step(nfa.starts, BOT) == frozenset()
 
     def test_empty_subset_is_absorbing(self):
         nfa = padded_nfa(JOURNAL)
         for action in POOL:
-            assert step_subset(nfa, frozenset(), action) == frozenset()
+            assert nfa.step(frozenset(), action) == frozenset()
 
     def test_journal_walk_returns_to_start_permissions(self):
         nfa = padded_nfa(JOURNAL)
-        subset = nfa.start_subset()
+        subset = nfa.starts
         for action in (PAY, BOT, parse_license("render[journal,d]").action):
-            subset = step_subset(nfa, subset, action)
-        assert permitted_from(nfa, subset) == permitted_from(nfa, nfa.start_subset())
+            subset = nfa.step(subset, action)
+        assert nfa.permitted(subset) == nfa.permitted(nfa.starts)
 
 
 class TestPermittedFrom:
     def test_before_pay_no_bot(self):
         nfa = padded_nfa(Atom(PAY))
-        assert permitted_from(nfa, nfa.start_subset()) == {PAY}
+        assert nfa.permitted(nfa.starts) == {PAY}
 
     def test_after_pay_only_bot(self):
         nfa = padded_nfa(Atom(PAY))
-        after = step_subset(nfa, nfa.start_subset(), PAY)
-        assert permitted_from(nfa, after) == {BOT}
+        after = nfa.step(nfa.starts, PAY)
+        assert nfa.permitted(after) == {BOT}
 
     def test_empty_subset_permits_bot(self):
         nfa = padded_nfa(Atom(PAY))
-        assert permitted_from(nfa, frozenset()) == {BOT}
+        assert nfa.permitted(frozenset()) == {BOT}
 
     def test_agrees_with_viability(self):
         # The central agreement: after consuming a viable trace, the subset
@@ -123,17 +123,17 @@ class TestPermittedFrom:
                 continue
             checked += 1
             nfa = padded_nfa(lic)
-            subset = nfa.start_subset()
+            subset = nfa.starts
             for action in trace:
-                subset = step_subset(nfa, subset, action)
+                subset = nfa.step(subset, action)
             expected = {a for a in SMALL_POOL if viable(lic, trace + (a,))}
-            assert permitted_from(nfa, subset) == expected
+            assert nfa.permitted(subset) == expected
 
 
 class TestLasso:
     def test_completed_license_loops_on_padding(self):
         nfa = padded_nfa(Atom(PAY))
-        after = step_subset(nfa, nfa.start_subset(), PAY)
+        after = nfa.step(nfa.starts, PAY)
         prefix, loop = lasso_of(nfa, after)
         assert len(loop) == 1
         assert loop[0] == frozenset({nfa.pad_state})
@@ -146,22 +146,22 @@ class TestLasso:
 
     def test_journal_start_reaches_a_fixpoint(self):
         nfa = padded_nfa(JOURNAL)
-        prefix, loop = lasso_of(nfa, nfa.start_subset())
+        prefix, loop = lasso_of(nfa, nfa.starts)
         assert len(loop) == 1
-        assert permitted_from(nfa, loop[0]) == permitted_from(nfa, nfa.start_subset())
+        assert nfa.permitted(loop[0]) == nfa.permitted(nfa.starts)
 
     def test_replay_matches_stepping(self):
         rng = random.Random(59)
         for _ in range(100):
             lic = random_license(rng, 4)
             nfa = padded_nfa(lic)
-            subset = nfa.start_subset()
+            subset = nfa.starts
             prefix, loop = lasso_of(nfa, subset)
             replay = list(prefix) + list(loop) + list(loop)
             current = subset
             for expected in replay:
                 assert current == expected
-                current = step_subset(nfa, current, BOT)
+                current = nfa.step(current, BOT)
 
 
 class TestReachableSubsets:
@@ -178,7 +178,33 @@ class TestReachableSubsets:
             graph = reachable_subsets(nfa, SMALL_POOL)
             for subset, row in graph.items():
                 for action, successor in row.items():
-                    assert successor == step_subset(nfa, subset, action)
+                    assert successor == subset_step(nfa, subset, action)
+
+
+class TestWarmMemo:
+    """One shared automaton, stepped along many traces in random order, answers
+    like the uncached oracle whatever was asked of it before."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_interleaved_walks_match_the_oracle(self, seed):
+        # Each walk mostly follows the license, so walks reach deep subsets
+        # and revisit ones another walk filled in first.
+        rng = random.Random(seed)
+        nfa = padded_nfa(random_license(rng, 4))
+        walks = [[nfa.starts, rng.randint(0, 8)] for _ in range(8)]
+        assert nfa.permitted(nfa.starts) == subset_permitted(nfa, nfa.starts)
+        while walks:
+            walk = rng.choice(walks)
+            subset, left = walk
+            if not left:
+                walks.remove(walk)
+                continue
+            allowed = [a for a in POOL if a in subset_permitted(nfa, subset)]
+            action = rng.choice(allowed) if rng.random() < 0.8 else random_action(rng)
+            walk[0], walk[1] = nfa.step(subset, action), left - 1
+            assert walk[0] == subset_step(nfa, subset, action)
+            assert nfa.permitted(walk[0]) == subset_permitted(nfa, walk[0])
 
 
 class TestDot:

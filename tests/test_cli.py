@@ -19,6 +19,7 @@ from lict import cli
 from lict.cli import main
 from lict.repl import step_repl
 from lict import BOT, Pay, Render, compile_dr, parse_dr, parse_run
+from lict.digitalrights import DEFAULT_DR_CAP
 from lict.automata import build_nfa
 from lict.reference import accepts
 
@@ -230,6 +231,10 @@ class TestEncodeAndTranslate:
         code, out = invoke(capsys, "compile-dr", path)
         assert code == 3
 
+    def test_compile_dr_cap_defaults_to_the_library_cap(self):
+        args = cli.build_parser().parse_args(["compile-dr", "any.dr"])
+        assert args.cap == DEFAULT_DR_CAP
+
     def test_compile_dr_negative_cap_is_an_error(self, capsys):
         code, out = invoke(capsys, "compile-dr", os.path.join(SAMPLES, "flatrate.dr"), "--cap", "-1")
         assert code == 2
@@ -440,6 +445,22 @@ class TestGoldenOutput:
         code, out = invoke(capsys, command, os.path.join(SAMPLES, f"{sample}.lic"))
         assert code in (0, 1)
         assert out == self.expected(f"{command}-{sample}.txt")
+
+    @pytest.mark.parametrize(
+        "variant, argv",
+        [
+            ("", ("permissions", "{run}")),
+            ("-dump-nfa", ("permissions", "{run}", "--dump-nfa")),
+            ("-horizon-40", ("permissions", "{run}", "--horizon", "40")),
+            ("-json", ("--format=json", "permissions", "{run}")),
+        ],
+    )
+    @pytest.mark.parametrize("sample", _samples(".run"))
+    def test_permissions(self, capsys, sample, variant, argv):
+        run = os.path.join(SAMPLES, f"{sample}.run")
+        code, out = invoke(capsys, *(part.format(run=run) for part in argv))
+        assert code == 0
+        assert out == self.expected(f"permissions-{sample}{variant}.txt")
 
     @pytest.mark.parametrize("sample", _samples(".run"))
     def test_encode_run(self, capsys, sample):

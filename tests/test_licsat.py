@@ -33,7 +33,7 @@ from lict import (
     pretty_run,
     translate,
 )
-from lict.automata import padded_nfa, permitted_from, reachable_subsets
+from lict.automata import padded_nfa, reachable_subsets
 from lict.licsat import OTHER, _atom_bits, _components, _product_sat, _RunSpace, fresh_action
 from lict.ltl import build_vocabulary, implicit_restrictions, name_props
 from lict.reference import finiteness_restriction, ltl_sat
@@ -186,16 +186,16 @@ def _statuses(name, space) -> list[tuple]:
     for lic in space.vocab.licenses_of(name):
         nfa = padded_nfa(lic)
         for subset in reachable_subsets(nfa, space.vocab.actions):
-            statuses.append((subset, permitted_from(nfa, subset)))
+            statuses.append((subset, nfa.permitted(subset)))
     return statuses
 
 
 def _issued(lic, space) -> tuple:
     """The (subset, permitted set) a name enters when ``lic`` is issued to it."""
     nfa = padded_nfa(lic)
-    start = nfa.start_subset()
+    start = nfa.starts
     if start in reachable_subsets(nfa, space.vocab.actions):
-        return start, permitted_from(nfa, start)
+        return start, nfa.permitted(start)
     return frozenset(), frozenset({BOT})
 
 

@@ -4,6 +4,7 @@ import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lict import (
     BOT,
@@ -14,9 +15,10 @@ from lict import (
     parse_license,
     parse_run,
 )
-from lict.reference import action_sequence, active
+from lict.reference import action_sequence, active, viable
+from lict.runs import permission_line
 
-from gen import oracle_permitted, random_run
+from gen import POOL, oracle_permitted, random_action, random_license, random_run
 
 PAY = Pay(Decimal("1.00"))
 READ = Render("journal", "d")
@@ -81,6 +83,10 @@ class TestComputePermissions:
         for t in range(1, 6):
             assert perms.permitted("m", t) == {BOT}
 
+    def test_permission_line_reads_the_permitted_set(self):
+        assert permission_line("m", frozenset({PAY})) == "n=m permits={pay[1.00]} obligated=pay[1.00]"
+        assert permission_line("n", frozenset({READ, BOT})) == "n=n permits={bot,render[journal,d]} obligated=none"
+
     def test_oracle_equivalence_random(self):
         rng = random.Random(67)
         for _ in range(150):
@@ -89,6 +95,29 @@ class TestComputePermissions:
             for name in set(run.names) | {"zz"}:
                 for t in range(run.horizon + 5):
                     assert perms.permitted(name, t) == oracle_permitted(run, name, t)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), reverse=st.booleans())
+    def test_runs_sharing_a_license_match_the_oracle(self, seed, reverse):
+        # Both runs step the one automaton ``padded_nfa`` keeps for the
+        # license, so the second reads the first one's memo.
+        rng = random.Random(seed)
+        lic = random_license(rng, 4)
+        runs = []
+        for _ in range(2):
+            horizon = rng.randint(0, 6)
+            start = rng.randint(0, horizon)
+            sequence: tuple = ()
+            for _ in range(start, horizon + 1):
+                options = [a for a in POOL if viable(lic, sequence + (a,))]
+                follow = options and rng.random() < 0.8
+                sequence += (rng.choice(options) if follow else random_action(rng),)
+            actions = [(start + i, "n", a) for i, a in enumerate(sequence)]
+            runs.append(make_run([(start, "n", lic)], actions, horizon=horizon))
+        order = runs[::-1] if reverse else runs
+        for run, perms in [(run, compute_permissions(run)) for run in order]:
+            for t in range(run.horizon + 5):
+                assert perms.permitted("n", t) == oracle_permitted(run, "n", t)
 
     def test_nonempty_at_every_time(self):
         rng = random.Random(71)
