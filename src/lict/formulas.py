@@ -179,16 +179,6 @@ def formula_atoms(formula: Formula) -> frozenset[Formula]:
     return frozenset(atoms)
 
 
-def formula_size(formula: Formula) -> int:
-    """Number of AST nodes, atoms counting one each."""
-    size = 0
-    stack = [formula]
-    while stack:
-        size += 1
-        stack.extend(_children(stack.pop()))
-    return size
-
-
 def _post_order(formula: Formula) -> list[Formula]:
     """Each distinct subformula once, children before parents, left first.
 

@@ -160,17 +160,6 @@ def license_actions(lic: License) -> frozenset[Action]:
     raise TypeError(f"not a license: {lic!r}")
 
 
-def license_size(lic: License) -> int:
-    """Number of AST nodes, the size measure used for complexity bounds."""
-    if isinstance(lic, (Zero, One, Atom)):
-        return 1
-    if isinstance(lic, (Concat, Union)):
-        return 1 + license_size(lic.left) + license_size(lic.right)
-    if isinstance(lic, Star):
-        return 1 + license_size(lic.body)
-    raise TypeError(f"not a license: {lic!r}")
-
-
 _LEVEL_UNION = 0
 _LEVEL_CONCAT = 1
 _LEVEL_STAR = 2

@@ -4,8 +4,9 @@ Nothing in the toolkit's commands calls into this module; the tests compare
 the engines with it.  It holds the trace semantics of licenses (trace
 enumeration, Brzozowski derivatives, viability), plain word acceptance by
 an automaton and the uncached subset stepping that ``Nfa.step`` and
-``Nfa.permitted`` memoise, the DR schedule trace sets, the run helpers of the
-definitions, the permissions a license forces, formula truth on a lasso
+``Nfa.permitted`` memoise, the DR schedule trace sets, the license and
+formula AST sizes that complexity bounds are stated in, the run helpers of
+the definitions, the permissions a license forces, formula truth on a lasso
 decided one time at a time, license-logic atoms read off a run one time
 at a time, the generic decision route (translate, conjoin the restriction
 formulas, and search the target logic's tableau on its own for a lasso,
@@ -45,6 +46,7 @@ from .formulas import (
     Perm,
     Truth,
     Until,
+    _children,
     f_and_all,
     f_eventually,
     f_implies,
@@ -317,6 +319,31 @@ def dr_traces(dr: DrLicense, cap: int = DEFAULT_DR_CAP) -> frozenset[Trace]:
         power = _concat_sets(power, period)
         out |= power
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# AST sizes, the measure of the complexity bounds the tests check
+
+
+def license_size(lic: License) -> int:
+    """Number of AST nodes, the size measure used for complexity bounds."""
+    if isinstance(lic, (Zero, One, Atom)):
+        return 1
+    if isinstance(lic, (Concat, Union)):
+        return 1 + license_size(lic.left) + license_size(lic.right)
+    if isinstance(lic, Star):
+        return 1 + license_size(lic.body)
+    raise TypeError(f"not a license: {lic!r}")
+
+
+def formula_size(formula: Formula) -> int:
+    """Number of AST nodes, atoms counting one each."""
+    size = 0
+    stack = [formula]
+    while stack:
+        size += 1
+        stack.extend(_children(stack.pop()))
+    return size
 
 
 # ---------------------------------------------------------------------------

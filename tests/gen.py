@@ -41,7 +41,7 @@ from lict import (
 from lict.formulas import formula_atoms
 from lict.licenses import license_actions
 from lict.licsat import fresh_action
-from lict.reference import viable
+from lict.reference import license_size, viable
 
 POOL = (
     BOT,
@@ -83,8 +83,6 @@ def small_license(rng: random.Random, max_atoms: int = 5, pool=SMALL_POOL):
     Enumeration bounds in the oracles grow with the number of atoms, so the
     atom count is capped by resampling.
     """
-    from lict.licenses import license_size
-
     while True:
         lic = random_license(rng, 3, pool)
         if license_size(lic) <= 2 * max_atoms - 1 and _atom_count(lic) <= max_atoms:
@@ -193,6 +191,16 @@ def random_formula(
     if shape < 0.9:
         return f_eventually(sub())
     return Until(sub(), sub())
+
+
+def micro_formula(rng: random.Random, two_names: bool):
+    """Small formulas over at most two names and three actions."""
+    names = ("n", "m") if two_names else ("n",)
+    pool = SMALL_POOL[:2] if two_names else SMALL_POOL
+    licenses = []
+    if rng.random() < 0.7:
+        licenses.append((names[0], random_license(rng, 2, pool)))
+    return random_formula(rng, rng.randint(1, 4), names=names, pool=pool, licenses=licenses)
 
 
 def enumerate_satisfying_run(formula, max_horizon: int = 3):

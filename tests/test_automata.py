@@ -20,8 +20,14 @@ from lict.automata import (
     reachable_subsets,
     with_bot_padding,
 )
-from lict.licenses import license_size
-from lict.reference import accepts, subset_permitted, subset_step, traces, viable
+from lict.reference import (
+    accepts,
+    license_size,
+    subset_permitted,
+    subset_step,
+    traces,
+    viable,
+)
 
 from gen import POOL, SMALL_POOL, random_action, random_license, random_trace, small_license
 

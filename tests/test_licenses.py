@@ -18,11 +18,11 @@ from lict import (
     parse_license,
     pretty_license,
 )
-from lict.licenses import license_size
 from lict.reference import (
     derivative,
     first_actions,
     is_empty,
+    license_size,
     nullable,
     prefix_sets,
     traces,

@@ -34,12 +34,20 @@ from lict import (
     translate,
 )
 from lict.automata import padded_nfa, reachable_subsets
-from lict.licsat import OTHER, _atom_bits, _components, _product_sat, _RunSpace, fresh_action
+from lict.licsat import (
+    OTHER,
+    _atom_bits,
+    _components,
+    _product_sat,
+    _RunSpace,
+    _undominated,
+    fresh_action,
+)
 from lict.ltl import build_vocabulary, implicit_restrictions, name_props
 from lict.reference import finiteness_restriction, ltl_sat
-from lict.tableau import build_tableau, to_nnf
+from lict.tableau import Tableau, build_tableau, to_nnf
 
-from gen import enumerate_satisfying_run, random_formula, random_license
+from gen import enumerate_satisfying_run, micro_formula, random_formula, random_license
 
 PAY = Pay(Decimal("1.00"))
 NAMES_5 = ("n", "m", "k", "j", "i")
@@ -48,22 +56,6 @@ JOURNAL = parse_license(JOURNAL_TEXT)
 WITNESS_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "lic-sat-random.txt")
 BUDGET_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "lic-sat-budget.txt")
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
-
-
-def micro_formula(rng: random.Random, two_names: bool):
-    """Small formulas over at most two names and three actions."""
-    from lict import Render
-
-    if two_names:
-        names = ("n", "m")
-        pool = (BOT, PAY)
-    else:
-        names = ("n",)
-        pool = (BOT, PAY, Render("w", "d"))
-    licenses = []
-    if rng.random() < 0.7:
-        licenses.append((names[0], random_license(rng, 2, pool)))
-    return random_formula(rng, rng.randint(1, 4), names=names, pool=pool, licenses=licenses)
 
 
 def holds(run, formula) -> bool:
@@ -228,12 +220,108 @@ class TestProductMoves:
         assert issued > 20 and done > 100
 
     def test_replayed_moves_are_still_charged(self):
-        # Golden budget #24: a tableau state in the successor lists of two
-        # masks is reached twice with the same statuses.  Its move is built
-        # once and replayed, and the replay is charged its joint choices again.
+        # Golden budget #24: a tableau state kept in the pruned successor
+        # lists of two masks is reached twice with the same statuses.  Its move
+        # is built once and replayed, and the replay is charged its joint
+        # choices again.
         formula = parse_formula(f"G (F (pay[2.50], m) | F issue(n, {JOURNAL_TEXT}))")
-        assert lic_sat(formula, budget=799).status == "budget"
-        assert lic_sat(formula, budget=800).status == "unsat"
+        assert lic_sat(formula, budget=751).status == "budget"
+        assert lic_sat(formula, budget=752).status == "unsat"
+
+
+LIT_P, LIT_NOT_P, LIT_Q, PENDING = 1, 2, 4, 8  # PENDING stands for a non-literal obligation
+
+
+def hand_tableau(olds, next_of, initial, accept_sets=()) -> Tableau:
+    """A tableau over the literals p, !p and q, built by hand.
+
+    ``olds[state]`` is the state's obligation mask, ``next_of[state]`` its
+    successor list object (states sharing one list share a next mask).
+    """
+    p, q = parse_formula("(pay[1.00], n)"), parse_formula("P(bot, n)")
+    tableau = Tableau(((LIT_P, p, True), (LIT_NOT_P, p, False), (LIT_Q, q, True)))
+    tableau.old_sets = dict(enumerate(olds))
+    tableau.edges = dict(enumerate(next_of))
+    tableau.initial = initial
+    tableau.accept_sets = [frozenset(accept_set) for accept_set in accept_sets]
+    return tableau
+
+
+def unpruned(tableau: Tableau) -> dict[int, list[int]]:
+    """The pruning pass made the identity: every successor list as built."""
+    return {id(successors): successors for successors in (tableau.initial, *tableau.edges.values())}
+
+
+class TestDominatedTransitions:
+    def test_different_next_masks_never_prune_each_other(self):
+        # Equal literals and no accept sets, but each state has its own
+        # next mask: two list objects, even with equal contents.
+        first, second = [0, 1], [0, 1]
+        tableau = hand_tableau([LIT_P, LIT_P | LIT_Q], [first, second], first)
+        pruned = _undominated(tableau)
+        assert pruned[id(first)] == [0, 1]
+        assert pruned[id(second)] == [0, 1]
+
+    def test_literal_superset_is_dropped_only_when_its_accept_sets_are_covered(self):
+        # 1 and 2 ask for p and q, a superset of 0's p.  1 is in the second
+        # accept set, which 0 is not in, so 1 stays; 2 is only in the first,
+        # which holds 0 too, so 2 goes.
+        shared = [0, 1, 2]
+        olds = [LIT_P, LIT_P | LIT_Q, LIT_P | LIT_Q | PENDING]
+        tableau = hand_tableau(olds, [shared] * 3, shared, [{0, 2}, {1}])
+        assert _undominated(tableau)[id(shared)] == [0, 1]
+        # once 0 is in the second set too, it covers 1 as well
+        tableau = hand_tableau(olds, [shared] * 3, shared, [{0, 2}, {0, 1}])
+        assert _undominated(tableau)[id(shared)] == [0]
+        # equal literals: the later state is in more accept sets and wins
+        pair = [0, 1]
+        tableau = hand_tableau(olds[1:], [pair] * 2, pair, [{1}])
+        assert _undominated(tableau)[id(pair)] == [1]
+
+    def test_of_equal_states_the_first_is_kept(self):
+        # the literal bits are equal; the pending bit is not a literal
+        shared = [0, 1, 2]
+        olds = [LIT_Q | PENDING, LIT_Q, LIT_Q | PENDING]
+        tableau = hand_tableau(olds, [shared] * 3, shared, [{0, 1, 2}])
+        assert _undominated(tableau)[id(shared)] == [0]
+
+    def test_list_order_is_kept(self):
+        # 1 has the fewest literals and is tried first, but 0 stays ahead of it
+        shared = [0, 1, 2, 3]
+        olds = [LIT_NOT_P | LIT_Q, LIT_P, LIT_P | LIT_Q, LIT_NOT_P | LIT_Q | PENDING]
+        tableau = hand_tableau(olds, [shared] * 4, shared)
+        assert _undominated(tableau)[id(shared)] == [0, 1]
+
+    def test_pruning_keeps_statuses_and_raises_no_budget(self, monkeypatch):
+        # The product with the pruning pass and with it made the identity:
+        # the same answer, witnesses that re-verify either way, and no more
+        # ticks pruned.  Golden budgets #22 and #24 ride along, as pruning
+        # lowers theirs.
+        rng = random.Random(227)
+        formulas = [micro_formula(rng, two_names=index % 3 == 0) for index in range(150)]
+        journal = f"issue(n, {JOURNAL_TEXT})"
+        formulas += [
+            parse_formula(f"G (render[w,d], n) U (X {journal} & X ({journal} | (bot, n)))"),
+            parse_formula(f"G (F (pay[2.50], m) | F {journal})"),
+        ]
+        pruned_any = sum(
+            _undominated(tableau) != unpruned(tableau)
+            for tableau in (build_tableau(to_nnf(translate(formula))) for formula in formulas)
+        )
+        shipped = [(lic_sat(formula), _least_budget(formula)) for formula in formulas]
+        monkeypatch.setattr("lict.licsat._undominated", unpruned)
+        lowered = sat = 0
+        for formula, (report, (status, budget)) in zip(formulas, shipped):
+            full = lic_sat(formula)
+            full_status, full_budget = _least_budget(formula)
+            text = pretty_formula(formula)
+            assert report.status == full.status == status == full_status, text
+            if report.status == "sat":
+                sat += 1
+                assert holds(report.run, formula) and holds(full.run, formula), text
+            assert budget <= full_budget, text
+            lowered += budget < full_budget
+        assert pruned_any >= 5 and sat >= 30 and lowered >= 2
 
 
 class TestWitnessRoundTrip:

@@ -29,8 +29,8 @@ from lict.ltl import (
     implicit_restrictions,
     ltl_eval,
 )
-from lict.reference import check_run_validity_ltl, finiteness_restriction
-from lict.formulas import Act, ActionExpr, Perm, formula_size
+from lict.reference import check_run_validity_ltl, finiteness_restriction, formula_size
+from lict.formulas import Act, ActionExpr, Perm
 
 from gen import random_formula, random_run
 

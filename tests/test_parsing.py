@@ -30,7 +30,7 @@ from lict import (
     pretty_run,
 )
 from lict import make_run, parsing, reference
-from lict.formulas import Act, ActionExpr, And, Issue, Next, Not, Perm, Truth, Until, formula_size
+from lict.formulas import Act, ActionExpr, And, Issue, Next, Not, Perm, Truth, Until
 
 from gen import random_formula, random_license, random_run
 
@@ -145,7 +145,7 @@ class TestFormulas:
         for text, size in ((nexts, 1001), (grouped, 603)):
             formula = parse_formula(text)
             assert pretty_formula(formula) == text
-            assert formula_size(formula) == size
+            assert reference.formula_size(formula) == size
         assert pretty_formula(parse_formula("(" * 300 + "true" + ")" * 300)) == "true"
 
 
