@@ -128,24 +128,32 @@ def _union_all(parts: list[License]) -> License:
 def _period_license(dr: DrLicense) -> License:
     """A regular license with exactly the period's traces."""
     renders = _render_slots(dr)
-    slot = _union_all([Atom(BOT)] + [Atom(action) for action in renders])
+    bot = Atom(BOT)
+    slot = _union_all([bot] + [Atom(action) for action in renders])
     body = _license_power(slot, dr.period - 1)
     if dr.schedule == UPFRONT:
         return concat(Atom(Pay(dr.amount)), body)
     if dr.schedule == FLATRATE:
         return concat(body, Atom(Pay(dr.amount)))
     # Per use: group period bodies by how many slots hold a render, because
-    # the closing payment depends on that count.
+    # the closing payment depends on that count.  Alternatives with a common
+    # prefix share its one object, so the patterns form a trie of fewer than
+    # 2^(slots + 1) nodes, and the printer renders each of them once.
     slots = dr.period - 1
     render_union = _union_all([Atom(action) for action in renders])
+    joined: dict[tuple[int, int], License] = {}
     alternatives: list[License] = []
     for uses in range(slots + 1):
         payment = Atom(Pay(dr.amount * uses))
         for positions in combinations(range(slots), uses):
             pattern: License = ONE
             for index in range(slots):
-                piece = render_union if index in positions else Atom(BOT)
-                pattern = concat(pattern, piece)
+                piece = render_union if index in positions else bot
+                key = (id(pattern), id(piece))
+                longer = joined.get(key)
+                if longer is None:
+                    longer = joined[key] = concat(pattern, piece)
+                pattern = longer
             alternatives.append(concat(pattern, payment))
     return _union_all(alternatives)
 

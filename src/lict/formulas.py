@@ -385,19 +385,27 @@ def encode_run(run: Run) -> Formula:
     everything does bot".  Any run satisfying the encoding at time zero
     behaves exactly like this run as far as its names are concerned.  It is
     nested, ``s0 & X (s1 & X (... & X G idle))`` with ``st`` the state at
-    time t, so its size is linear in the horizon and its depth twice it.
+    time t, so its size as a tree is linear in the horizon and its depth
+    twice it.  Each distinct state is built once and every time in that
+    state shares its one object, so the formula's DAG is the linear spine
+    with the distinct states as its only branches.
     """
     names = sorted(run.names)
+    states: dict[tuple, Formula] = {}
 
     def state_formula(t: int) -> Formula:
-        conjuncts: list[Formula] = [
-            Act(ActionExpr(True, run.action(name, t), name)) for name in names
-        ]
-        conjuncts += [
-            Issue(name, lic)
-            for name, lic in sorted(run.licenses_at(t), key=lambda pair: pair[0])
-        ]
-        return f_and_all(conjuncts)
+        actions = tuple(run.action(name, t) for name in names)
+        issued = run.licenses_at(t)
+        state = states.get((actions, issued))
+        if state is None:
+            conjuncts: list[Formula] = [
+                Act(ActionExpr(True, action, name)) for name, action in zip(names, actions)
+            ]
+            conjuncts += [
+                Issue(name, lic) for name, lic in sorted(issued, key=lambda pair: pair[0])
+            ]
+            state = states[actions, issued] = f_and_all(conjuncts)
+        return state
 
     idle = f_and_all([Act(ActionExpr(True, BOT, name)) for name in names])
     formula: Formula = Always(idle)
@@ -413,20 +421,65 @@ def pretty_formula(formula: Formula) -> str:
     """Render a formula of either logic, re-sugaring O, F, |, and ->."""
     # Each node lays out as text pieces and (child, minimum level) slots; the
     # slots are expanded in place on an explicit stack, so depth costs no
-    # recursion.
+    # recursion.  A node object reached more than once is laid out once: its
+    # text is kept unparenthesised with its level, and each occurrence adds
+    # the parentheses its own slot needs.  Other nodes' text is never joined
+    # before the end, which keeps the encoding's long spine linear.
+    shared = _shared_nodes(formula)
     out: list[str] = []
+    outer: list[list[str]] = []  # the enclosing texts of shared nodes being laid out
     stack: list = [(formula, _IMPLIES)]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        kind = type(item)
+        if kind is str:
             out.append(item)
             continue
+        if kind is list:
+            # the end of a shared node's first layout: keep its text
+            key, level = item
+            shared[key] = ("".join(out), level)
+            out = outer.pop()
+            continue
         node, minimum = item
-        level, pieces = _layout(node)
-        if level < minimum:
-            pieces = ("(", *pieces, ")")
+        if shared and id(node) in shared:
+            key = id(node)
+            rendered = shared[key]
+            if rendered is not None:
+                text, level = rendered
+                if level < minimum:
+                    out += ("(", text, ")")
+                else:
+                    out.append(text)
+                continue
+            # lay the node out alone, then come back to this slot
+            level, pieces = _layout(node)
+            stack.append(item)
+            stack.append([key, level])
+            outer.append(out)
+            out = []
+        else:
+            level, pieces = _layout(node)
+            if level < minimum:
+                pieces = ("(", *pieces, ")")
         stack.extend(reversed(pieces))
     return "".join(out)
+
+
+def _shared_nodes(formula: Formula) -> dict:
+    """The ids of the node objects reached more than once, each mapped to None."""
+    seen: set[int] = set()
+    shared: dict = {}
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        if key in seen:
+            shared[key] = None
+            continue
+        seen.add(key)
+        stack.extend(_children(node))
+    return shared
 
 
 def _pair(expr: ActionExpr) -> str:

@@ -148,16 +148,25 @@ def fold_balanced(parts: list, combine):
 
 
 def license_actions(lic: License) -> frozenset[Action]:
-    """Every action literally occurring in the license."""
-    if isinstance(lic, (Zero, One)):
-        return frozenset()
-    if isinstance(lic, Atom):
-        return frozenset({lic.action})
-    if isinstance(lic, (Concat, Union)):
-        return license_actions(lic.left) | license_actions(lic.right)
-    if isinstance(lic, Star):
-        return license_actions(lic.body)
-    raise TypeError(f"not a license: {lic!r}")
+    """Every action literally occurring in the license.
+
+    Walks an explicit stack, so depth costs no recursion.
+    """
+    actions = set()
+    stack = [lic]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Atom:
+            actions.add(node.action)
+        elif kind is Concat or kind is Union:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif kind is Star:
+            stack.append(node.body)
+        elif kind is not Zero and kind is not One:
+            raise TypeError(f"not a license: {node!r}")
+    return frozenset(actions)
 
 
 _LEVEL_UNION = 0
@@ -165,31 +174,125 @@ _LEVEL_CONCAT = 1
 _LEVEL_STAR = 2
 _LEVEL_ATOM = 3
 
+_LEVELS = {Union: _LEVEL_UNION, Concat: _LEVEL_CONCAT, Star: _LEVEL_STAR}
+
 
 def pretty_license(lic: License) -> str:
-    """Render a license in the surface grammar (0/1 only for internal forms)."""
-    return _pretty(lic, _LEVEL_UNION)
+    """Render a license in the surface grammar (0/1 only for internal forms).
 
-
-def _pretty(lic: License, minimum: int) -> str:
-    if isinstance(lic, Zero):
-        text, level = "0", _LEVEL_ATOM
-    elif isinstance(lic, One):
-        text, level = "1", _LEVEL_ATOM
-    elif isinstance(lic, Atom):
-        text, level = pretty_action(lic.action), _LEVEL_ATOM
-    elif isinstance(lic, Star):
-        text, level = f"{_pretty(lic.body, _LEVEL_ATOM)}*", _LEVEL_STAR
-    elif isinstance(lic, Concat):
-        left = _pretty(lic.left, _LEVEL_CONCAT)
-        right = _pretty(lic.right, _LEVEL_STAR)
-        text, level = f"{left} {right}", _LEVEL_CONCAT
-    elif isinstance(lic, Union):
-        left = _pretty(lic.left, _LEVEL_UNION)
-        right = _pretty(lic.right, _LEVEL_CONCAT)
-        text, level = f"{left} | {right}", _LEVEL_UNION
-    else:
-        raise TypeError(f"not a license: {lic!r}")
-    if level < minimum:
-        return f"({text})"
+    A node object other than an atom that is reached more than once is
+    rendered once.  Most licenses printed are trees, so the first rendering
+    assumes one; only if a node recurs is the license rendered again,
+    knowing every node that recurs.
+    """
+    text = _render(lic, {})
+    if text is None:
+        text = _render(lic, _shared_nodes(lic))
     return text
+
+
+def _render(lic: License, shared: dict) -> str | None:
+    """The license's text, or None if a node recurs that ``shared`` lacks.
+
+    ``shared`` maps the id of each node known to recur to None, and then to
+    its unparenthesised text and level once rendered; each occurrence adds
+    the parentheses its own slot needs, since one shared node can sit under
+    different minimum levels.  Slots (node, minimum level) and text are
+    expanded in place on an explicit stack, so depth costs no recursion, and
+    no other node's text is joined before the end, which keeps a long chain
+    linear.
+    """
+    seen: set[int] = set()
+    out: list[str] = []
+    outer: list[list[str]] = []  # the enclosing texts of shared nodes being rendered
+    stack: list = [(lic, _LEVEL_UNION)]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is str:
+            out.append(item)
+            continue
+        if kind is list:
+            # the end of a shared node's first rendering: keep its text
+            key, level = item
+            shared[key] = ("".join(out), level)
+            out = outer.pop()
+            continue
+        node, minimum = item
+        kind = type(node)
+        if kind is Atom:
+            out.append(pretty_action(node.action))
+            continue
+        key = id(node)
+        if key in shared:
+            rendered = shared[key]
+            if rendered is not None:
+                text, level = rendered
+                if level < minimum:
+                    out += ("(", text, ")")
+                else:
+                    out.append(text)
+                continue
+            # render the node alone, then come back to this slot
+            stack.append(item)
+            stack.append([key, _LEVELS.get(kind, _LEVEL_ATOM)])
+            outer.append(out)
+            out = []
+            minimum = _LEVEL_UNION
+        elif key in seen:
+            return None
+        else:
+            seen.add(key)
+        # an atom child's text is pushed as it is, saving it a slot
+        if kind is Concat:
+            if minimum > _LEVEL_CONCAT:
+                out.append("(")
+                stack.append(")")
+            right = node.right
+            stack.append(pretty_action(right.action) if type(right) is Atom else (right, _LEVEL_STAR))
+            stack.append(" ")
+            stack.append((node.left, _LEVEL_CONCAT))
+        elif kind is Union:
+            if minimum > _LEVEL_UNION:
+                out.append("(")
+                stack.append(")")
+            right = node.right
+            stack.append(pretty_action(right.action) if type(right) is Atom else (right, _LEVEL_CONCAT))
+            stack.append(" | ")
+            stack.append((node.left, _LEVEL_UNION))
+        elif kind is Star:
+            if minimum > _LEVEL_STAR:
+                out.append("(")
+                stack.append(")")
+            stack.append("*")
+            stack.append((node.body, _LEVEL_ATOM))
+        elif kind is Zero:
+            out.append("0")
+        elif kind is One:
+            out.append("1")
+        else:
+            raise TypeError(f"not a license: {node!r}")
+    return "".join(out)
+
+
+def _shared_nodes(lic: License) -> dict:
+    """The ids of the non-atom node objects reached more than once, each mapped to None."""
+    seen: set[int] = set()
+    shared: dict = {}
+    stack = [lic]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Atom:
+            continue
+        key = id(node)
+        if key in seen:
+            shared[key] = None
+            continue
+        seen.add(key)
+        if kind is Concat or kind is Union:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif kind is Star:
+            stack.append(node.body)
+    return shared

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import fields, replace
 from decimal import Decimal
 
 from lict import (
@@ -38,8 +39,8 @@ from lict import (
     f_or,
     make_run,
 )
-from lict.formulas import formula_atoms
-from lict.licenses import license_actions
+from lict.formulas import Formula, formula_atoms
+from lict.licenses import License, license_actions
 from lict.licsat import fresh_action
 from lict.reference import license_size, viable
 
@@ -256,3 +257,82 @@ def enumerate_satisfying_run(formula, max_horizon: int = 3):
             if evaluate(run, compute_permissions(run), 0, formula):
                 return run
     return None
+
+
+def repeating_run_text(steps: int = 300) -> str:
+    """A run of ``steps`` times, 0 to ``steps - 1``, whose states repeat.
+
+    ``n`` pays, renders and idles in a cycle of three; ``m``, issued at 5,
+    renders at every time that is 3 modulo 4, the last time included.
+    """
+    lines = ["@0 issue n = (pay[1.00] render[w,d] bot)*", "@5 issue m = (render[v,e] | bot)*"]
+    for t in range(steps):
+        if t % 3 == 0:
+            lines.append(f"@{t} do n pay[1.00]")
+        elif t % 3 == 1:
+            lines.append(f"@{t} do n render[w,d]")
+        if t >= 5 and t % 4 == 3:
+            lines.append(f"@{t} do m render[v,e]")
+    return "\n".join(lines) + "\n"
+
+
+def unshared(node):
+    """A copy of a formula or license with a fresh node for every occurrence.
+
+    A subterm object reached from several places becomes one copy per
+    place, so the copy is a tree equal to the original.  Recursive, for the
+    small inputs of the tests.
+    """
+    changes = {}
+    for field in fields(node):
+        value = getattr(node, field.name)
+        if isinstance(value, (Formula, License)):
+            changes[field.name] = unshared(value)
+    return replace(node, **changes)
+
+
+def shared_license(rng: random.Random, steps: int = 6, pool=POOL):
+    """A random surface license whose subterm objects recur.
+
+    Each step combines nodes made before, so later nodes reuse earlier ones.
+    One shared union sits both where it needs no parentheses (the left of a
+    union) and where it does (the right of a concatenation), in either
+    order.
+    """
+    nodes = [Atom(random_action(rng, pool)) for _ in range(3)]
+    for _ in range(steps):
+        left, right = rng.choice(nodes), rng.choice(nodes)
+        shape = rng.random()
+        if shape < 0.4:
+            nodes.append(Concat(left, right))
+        elif shape < 0.8:
+            nodes.append(Union(left, right))
+        else:
+            nodes.append(Star(left))
+    union = Union(rng.choice(nodes), rng.choice(nodes))
+    other = rng.choice(nodes)
+    if rng.random() < 0.5:
+        return Union(union, Concat(other, union))
+    return Concat(Concat(other, union), Union(union, other))
+
+
+def shared_formula(rng: random.Random, steps: int = 6, names=("n",), pool=POOL, licenses=()):
+    """A random formula whose subterm objects recur.
+
+    Built like :func:`shared_license`: one shared conjunction sits both
+    where it needs no parentheses (the left of a conjunction) and where it
+    does (under ``X``), in either order.
+    """
+    nodes = [random_formula(rng, 1, names, pool, licenses) for _ in range(3)]
+    binary = (And, f_or, f_implies, Until)
+    unary = (Not, Next, Always, f_eventually)
+    for _ in range(steps):
+        if rng.random() < 0.5:
+            nodes.append(rng.choice(binary)(rng.choice(nodes), rng.choice(nodes)))
+        else:
+            nodes.append(rng.choice(unary)(rng.choice(nodes)))
+    conjunction = And(rng.choice(nodes), rng.choice(nodes))
+    other = rng.choice(nodes)
+    if rng.random() < 0.5:
+        return And(conjunction, Next(conjunction))
+    return And(Next(conjunction), And(conjunction, other))

@@ -23,6 +23,8 @@ from lict.digitalrights import DEFAULT_DR_CAP
 from lict.automata import build_nfa
 from lict.reference import accepts
 
+from gen import repeating_run_text
+
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -467,6 +469,25 @@ class TestGoldenOutput:
         code, out = invoke(capsys, "encode-run", os.path.join(SAMPLES, f"{sample}.run"))
         assert code == 0
         assert out == self.expected(f"encode-run-{sample}.txt")
+
+    def test_encode_run_with_repeating_states(self, tmp_path, capsys):
+        code, out = invoke(capsys, "encode-run", write(tmp_path, "r.run", repeating_run_text()))
+        assert code == 0
+        assert out == self.expected("encode-run-repeating-300.txt")
+
+    @pytest.mark.parametrize("sample", _samples(".dr"))
+    def test_compile_dr(self, capsys, sample):
+        code, out = invoke(capsys, "compile-dr", os.path.join(SAMPLES, f"{sample}.dr"))
+        assert code == 0
+        assert out == self.expected(f"compile-dr-{sample}.txt")
+
+    def test_compile_dr_exactly_peruse(self, tmp_path, capsys):
+        code, out = invoke(capsys, "compile-dr", write(tmp_path, "l.dr", EXACTLY_PERUSE_7))
+        assert code == 0
+        assert out == self.expected("compile-dr-exactly-peruse-7.txt")
+
+
+EXACTLY_PERUSE_7 = "for 2 7 pay 1.50 peruse for {w,v} on {d}"
 
 
 class TestSamples:

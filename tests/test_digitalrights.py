@@ -7,6 +7,8 @@ import pytest
 
 from lict import (
     BOT,
+    Atom,
+    Concat,
     DrLicense,
     Exactly,
     Pay,
@@ -19,7 +21,7 @@ from lict import (
     parse_dr,
 )
 from lict.digitalrights import DrCapExceeded
-from lict.reference import dr_traces, traces
+from lict.reference import dr_traces, license_size, traces
 
 W = frozenset({"w"})
 D = frozenset({"d"})
@@ -104,6 +106,25 @@ class TestCompilation:
         entry = parse_dr("for 3 3 pay 10.00 flatrate for {w} on {d}")
         compiled = compile_dr(entry)
         assert traces(compiled, 9) == dr_traces(entry)
+
+
+class TestSharing:
+    def test_peruse_patterns_share_their_prefixes(self):
+        lic = compile_dr(parse_dr("for 8 pay 1.00 peruse for {w,v} on {d}"))
+        seen, patterns, stack = set(), 0, [lic]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if isinstance(node, Concat):
+                # the payment closing each alternative is not part of its pattern
+                patterns += not (isinstance(node.right, Atom) and isinstance(node.right.action, Pay))
+            stack += [getattr(node, name) for name in ("left", "right", "body") if hasattr(node, name)]
+        # 2^7 alternatives of 7 slots would be 768 pattern concatenations unshared
+        assert patterns <= 2**8
+        # the tree, and so the printed text, is the same as without sharing
+        assert license_size(lic) == 2943
 
 
 class TestPipeline:

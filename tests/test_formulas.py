@@ -2,7 +2,9 @@
 
 import os
 import random
+from collections import Counter
 from decimal import Decimal
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -38,12 +40,22 @@ from lict import (
     pretty_formula,
     translate,
 )
+from lict import formulas
 from lict.formulas import formula_atoms
 from lict.ltl import Done, LinearStructure, Obligated, Permitted, build_structure, ltl_eval
 from lict.reference import lasso_eval as reference_lasso_eval
 from lict.reference import expr_matches, license_consequences, run_atom_holds
 
-from gen import NAMES, POOL, random_formula, random_run
+from gen import (
+    NAMES,
+    POOL,
+    random_formula,
+    random_run,
+    repeating_run_text,
+    shared_formula,
+    shared_license,
+    unshared,
+)
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
@@ -202,6 +214,23 @@ class TestEncodeRun:
         for run in _encoding_runs():
             assert _timed_conjuncts(encode_run(run)) == _timed_conjuncts(_flat_encoding(run))
 
+    def test_equal_states_share_one_object(self):
+        repeating = parse_run(repeating_run_text())
+        for run in _encoding_runs() + [repeating]:
+            names = sorted(run.names)
+            states = {
+                (tuple(run.action(name, t) for name in names), run.licenses_at(t))
+                for t in range(run.horizon + 1)
+            }
+            lefts, node = [], encode_run(run)
+            while isinstance(node, And):
+                lefts.append(node.left)
+                node = node.right.operand
+            assert len(lefts) == run.horizon + 1
+            assert len({id(left) for left in lefts}) == len(states)
+            if run is repeating:
+                assert len(states) < 20
+
     def test_one_changed_action_falsifies_the_encoding(self):
         rng = random.Random(113)
         for run in _encoding_runs():
@@ -305,6 +334,42 @@ class TestPretty:
     def test_resugars_obligation_and_eventually(self):
         formula = parse_formula("F O(bot, n)")
         assert pretty_formula(formula) == "F O(bot, n)"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shared_subterms_print_once_and_as_their_copy(self, seed):
+        rng = random.Random(seed)
+        licenses = [("n", shared_license(rng, steps=3))]
+        formula = shared_formula(rng, names=("n", "m"), licenses=licenses)
+        layouts = Counter()
+        layout = formulas._layout
+
+        def counting(node):
+            layouts[id(node)] += 1
+            return layout(node)
+
+        with mock.patch.object(formulas, "_layout", counting):
+            text = pretty_formula(formula)
+        assert text == pretty_formula(unshared(formula))
+        assert parse_formula(text) == formula
+        # A node reached twice is laid out at most once; sugar such as | may
+        # skip it.  The shared conjunction under X is always laid out.
+        shared = _reached_twice(formula)
+        assert all(layouts[key] <= 1 for key in shared)
+        assert any(layouts[key] == 1 for key in shared)
+
+
+def _reached_twice(formula) -> set[int]:
+    """The ids of the node objects reached more than once in a formula DAG."""
+    seen, twice, stack = set(), set(), [formula]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            twice.add(id(node))
+            continue
+        seen.add(id(node))
+        stack += [getattr(node, name) for name in ("left", "right", "operand") if hasattr(node, name)]
+    return twice
 
 
 def _until_formula(rng, names, pool, licenses=()):

@@ -2,8 +2,10 @@
 
 import random
 from decimal import Decimal
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lict import (
     BOT,
@@ -16,8 +18,11 @@ from lict import (
     Star,
     Union,
     parse_license,
+    pretty_action,
     pretty_license,
 )
+from lict import licenses
+from lict.licenses import license_actions
 from lict.reference import (
     derivative,
     first_actions,
@@ -29,7 +34,15 @@ from lict.reference import (
     viable,
 )
 
-from gen import POOL, SMALL_POOL, random_license, random_trace, small_license
+from gen import (
+    POOL,
+    SMALL_POOL,
+    random_license,
+    random_trace,
+    shared_license,
+    small_license,
+    unshared,
+)
 from gen import _atom_count as atom_count
 
 JOURNAL = parse_license("((pay[1.00] bot* render[journal,d]) | bot)*")
@@ -236,3 +249,60 @@ class TestPretty:
 
     def test_journal_text(self):
         assert pretty_license(JOURNAL) == "(pay[1.00] bot* render[journal,d] | bot)*"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shared_subterms_print_once_and_as_their_copy(self, seed):
+        lic = shared_license(random.Random(seed))
+        text = pretty_license(lic)
+        assert text == pretty_license(unshared(lic))
+        assert parse_license(text) == lic
+        # Rendered as a tree, the license is found to share; rendered knowing
+        # what recurs, each shared node renders once, so only the atom
+        # children of distinct nodes are rendered.
+        assert licenses._render(lic, {}) is None
+        rendered = []
+
+        def counting(action):
+            rendered.append(action)
+            return pretty_action(action)
+
+        with mock.patch.object(licenses, "pretty_action", counting):
+            assert licenses._render(lic, licenses._shared_nodes(lic)) == text
+            dag_atoms = len(rendered)
+            rendered.clear()
+            pretty_license(unshared(lic))
+        assert dag_atoms == _atom_children(lic) < len(rendered)
+
+
+def _atom_children(lic) -> int:
+    """The number of atom children of the distinct node objects in a license DAG."""
+    seen, atoms, stack = set(), 0, [lic]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        children = [getattr(node, name) for name in ("left", "right", "body") if hasattr(node, name)]
+        atoms += sum(isinstance(child, Atom) for child in children)
+        stack += [child for child in children if not isinstance(child, Atom)]
+    return atoms
+
+
+class TestDeepLicenses:
+    """Licenses built with the constructors, far deeper than the recursion limit."""
+
+    def test_flat_concat_chain(self):
+        actions = [POOL[i % len(POOL)] for i in range(5000)]
+        lic = Atom(actions[0])
+        for action in actions[1:]:
+            lic = Concat(lic, Atom(action))
+        assert pretty_license(lic) == " ".join(pretty_action(action) for action in actions)
+        assert license_actions(lic) == frozenset(POOL)
+
+    def test_star_union_nest(self):
+        lic = Atom(BOT)
+        for _ in range(1000):
+            lic = Star(Union(lic, Atom(PAY)))
+        assert pretty_license(lic) == "(" * 1000 + "bot" + " | pay[1.00])*" * 1000
+        assert license_actions(lic) == frozenset({BOT, PAY})
