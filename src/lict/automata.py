@@ -6,8 +6,8 @@ and at most quadratically many transitions in the license size.  States that
 cannot reach acceptance are trimmed away, so a subset of states is "alive"
 exactly when the consumed input is viable.
 
-``with_bot_padding`` appends the implicit stream of bot actions that follows
-a completed license: an extra absorbing state reachable from every accepting
+``padded_nfa`` appends the implicit stream of bot actions that follows a
+completed license: an extra absorbing state reachable from every accepting
 state by bot.  Permission tracking always runs on the padded automaton; the
 empty subset is the absorbing "violated" condition, which permits only bot.
 
@@ -20,7 +20,6 @@ one automaton per license, so every caller shares its memo.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count
 
 from .licenses import (
     BOT,
@@ -100,45 +99,53 @@ class Nfa:
         return permitted
 
 
-def _positions(lic: License, symbols: dict[int, Action], ids) -> tuple[bool, frozenset, frozenset, list]:
-    """Return (nullable, first, last, follow-pairs) with fresh position ids."""
-    if isinstance(lic, Zero):
-        return False, frozenset(), frozenset(), []
-    if isinstance(lic, One):
-        return True, frozenset(), frozenset(), []
-    if isinstance(lic, Atom):
-        position = next(ids)
-        symbols[position] = lic.action
-        singleton = frozenset({position})
-        return False, singleton, singleton, []
-    if isinstance(lic, Concat):
-        null_l, first_l, last_l, follow_l = _positions(lic.left, symbols, ids)
-        null_r, first_r, last_r, follow_r = _positions(lic.right, symbols, ids)
-        follow = follow_l + follow_r + [(q, p) for q in last_l for p in first_r]
-        first = first_l | first_r if null_l else first_l
-        last = last_l | last_r if null_r else last_r
-        return null_l and null_r, first, last, follow
-    if isinstance(lic, Union):
-        null_l, first_l, last_l, follow_l = _positions(lic.left, symbols, ids)
-        null_r, first_r, last_r, follow_r = _positions(lic.right, symbols, ids)
-        return null_l or null_r, first_l | first_r, last_l | last_r, follow_l + follow_r
-    if isinstance(lic, Star):
-        null, first, last, follow = _positions(lic.body, symbols, ids)
-        follow = follow + [(q, p) for q in last for p in first]
-        return True, first, last, follow
-    raise TypeError(f"not a license: {lic!r}")
+def build_nfa(lic: License, padded: bool = False) -> Nfa:
+    """The position automaton accepting exactly the license's traces, a new one per call.
 
-
-def build_nfa(lic: License) -> Nfa:
-    """The position automaton accepting exactly the license's traces (a new one per call)."""
-    symbols: dict[int, Action] = {}
-    null, first, last, follow = _positions(lic, symbols, count(1))
-    start = 0
-    transitions = [(start, symbols[p], p) for p in first]
-    transitions += [(q, symbols[p], p) for q, p in follow]
+    ``padded`` appends the bot stream that follows a completed license.  The
+    (nullable, first, last) of each node is computed on an explicit
+    post-order stack, numbering action occurrences 1, 2, ... from the left,
+    and each node's follow pairs are appended in place as transitions, after
+    those of its children; state 0 is the start.
+    """
+    symbols: list[Action] = [BOT]  # position -> its action (0: the start, unused)
+    transitions: list[tuple[int, Action, int]] = []
+    done: list[tuple] = []  # (nullable, first, last) of the finished nodes, in order
+    stack: list = [lic]  # nodes to walk, and the classes of nodes whose children are done
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Atom:
+            done.append((False, [len(symbols)], [len(symbols)]))
+            symbols.append(node.action)
+        elif kind is Concat or kind is Union:
+            stack += (kind, node.right, node.left)
+        elif kind is Star:
+            stack += (Star, node.body)
+        elif kind is Zero or kind is One:
+            done.append((kind is One, [], []))
+        elif node is Star:
+            null, first, last = done[-1]
+            transitions += [(q, symbols[p], p) for q in last for p in first]
+            done[-1] = (True, first, last)
+        elif node is Concat or node is Union:
+            null_r, first_r, last_r = done.pop()
+            null_l, first_l, last_l = done[-1]
+            union = node is Union
+            if not union:
+                transitions += [(q, symbols[p], p) for q in last_l for p in first_r]
+            if union or null_l:
+                first_l += first_r
+            if union or null_r:
+                last_r += last_l
+            done[-1] = (null_l or null_r if union else null_l and null_r, first_l, last_r)
+        else:
+            raise TypeError(f"not a license: {node!r}")
+    null, first, last = done[0]
+    transitions += [(0, symbols[p], p) for p in first]
     finals = set(last)
     if null:
-        finals.add(start)
+        finals.add(0)
 
     # Trim states that cannot reach acceptance; aliveness of a subset then
     # coincides with viability of the consumed input.
@@ -153,39 +160,22 @@ def build_nfa(lic: License) -> Nfa:
             if previous not in alive:
                 alive.add(previous)
                 frontier.append(previous)
+    transitions = [edge for edge in transitions if edge[0] in alive and edge[2] in alive]
 
-    kept_transitions = [
-        edge for edge in transitions if edge[0] in alive and edge[2] in alive
-    ]
-    return Nfa(
-        states=alive,
-        starts={start} & alive,
-        finals=finals & alive,
-        transitions=kept_transitions,
-    )
-
-
-def with_bot_padding(nfa: Nfa) -> Nfa:
-    """Append the implicit bot stream that follows a completed license."""
-    if not nfa.finals:
-        return nfa
-    pad = max(nfa.states) + 1
-    transitions = list(nfa.transitions)
-    transitions += [(final, BOT, pad) for final in nfa.finals]
-    transitions.append((pad, BOT, pad))
-    return Nfa(
-        states=nfa.states | {pad},
-        starts=nfa.starts,
-        finals=nfa.finals | {pad},
-        transitions=transitions,
-        pad_state=pad,
-    )
+    pad = None
+    if padded and finals:
+        pad = max(alive) + 1
+        transitions += [(final, BOT, pad) for final in finals]
+        transitions.append((pad, BOT, pad))
+        alive.add(pad)
+        finals.add(pad)
+    return Nfa(alive, {0} & alive, finals, transitions, pad)
 
 
 @lru_cache(maxsize=None)
 def padded_nfa(lic: License) -> Nfa:
     """The license's padded automaton: one per license, so its memos are shared."""
-    return with_bot_padding(build_nfa(lic))
+    return build_nfa(lic, padded=True)
 
 
 def lasso_of(nfa: Nfa, subset: SubsetState) -> tuple[tuple[SubsetState, ...], tuple[SubsetState, ...]]:

@@ -53,17 +53,12 @@ def _print(text: str) -> None:
 
 def permissions_lines(run, horizon: int) -> list[str]:
     perms = compute_permissions(run)
-    names = sorted(run.names)
-    rows: dict[tuple, str] = {}  # (name, permitted set) -> rendered row
-    lines = []
-    for t in range(horizon + 1):
-        for name in names:
-            key = (name, perms.permitted(name, t))
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = permission_line(*key)
-            lines.append(f"t={t} {row}")
-    return lines
+    columns = []  # per name, its row at each time
+    for name in sorted(run.names):
+        column = [perms.permitted(name, t) for t in range(horizon + 1)]
+        rows = {permitted: permission_line(name, permitted) for permitted in set(column)}
+        columns.append([rows[permitted] for permitted in column])
+    return [f"t={t} {row}" for t, rows_at in enumerate(zip(*columns)) for row in rows_at]
 
 
 def _cmd_check_spec(args) -> _Outcome:

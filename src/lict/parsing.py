@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from decimal import Decimal
+from operator import itemgetter
 from typing import NamedTuple
 
 from .digitalrights import DrLicense, Exactly, Single, Upto
@@ -210,43 +211,57 @@ def parse_action(text: str) -> Action:
     return action
 
 
-# License grammar: union over concatenation over starred primaries.
+# License grammar: union over concatenation over starred primaries, both
+# grouping to the left.  Parsed in one loop that keeps the partial union and
+# concatenation of each enclosing parenthesis on a stack, so nesting depth
+# costs no recursion.
+
+_ACTION_TOKENS = {"bot": 1, "pay": 4, "render": 6}  # tokens of each action's text
+_text = itemgetter(1)  # a token's text
+
 
 def _parse_license(stream: _Stream) -> License:
-    lic = _parse_license_concat(stream)
-    while stream.peek().text == "|":
-        stream.next()
-        lic = Union(lic, _parse_license_concat(stream))
-    return lic
-
-
-def _parse_license_concat(stream: _Stream) -> License:
-    lic = _parse_license_postfix(stream)
-    while _starts_action(stream.peek()) or stream.peek().text == "(":
-        lic = Concat(lic, _parse_license_postfix(stream))
-    return lic
-
-
-def _parse_license_postfix(stream: _Stream) -> License:
-    lic = _parse_license_primary(stream)
-    while stream.peek().text == "*":
-        stream.next()
-        lic = Star(lic)
-    return lic
-
-
-def _parse_license_primary(stream: _Stream) -> License:
-    token = stream.peek()
-    if token.kind == "number":
-        stream.fail("the license constants 0 and 1 are not part of the surface syntax")
-    if token.text == "(":
-        stream.next()
-        lic = _parse_license(stream)
-        stream.expect(")")
-        return lic
-    if _starts_action(token):
-        return Atom(_parse_action(stream))
-    stream.fail("expected a license")
+    atoms: dict[tuple[str, ...], Atom] = {}  # one atom per distinct action text
+    groups: list[tuple] = []  # (union, concatenation) outside each open "("
+    union = concat = None
+    while True:
+        # A primary: open parentheses, then an action.
+        token = stream.peek()
+        if token.text == "(":
+            stream.next()
+            groups.append((union, concat))
+            union = concat = None
+            continue
+        if token.text not in _ACTION_TOKENS:
+            stream.fail("the license constants 0 and 1 are not part of the surface syntax"
+                        if token.kind == "number" else "expected a license")
+        tokens, at = stream._tokens, stream._pos
+        key = tuple(map(_text, tokens[at:at + _ACTION_TOKENS[token.text]]))
+        lic = atoms.get(key)
+        if lic is None:
+            lic = atoms[key] = Atom(_parse_action(stream))
+        else:  # the same tokens parsed into this action before
+            stream._pos = at + len(key)
+        # Stars, then close parentheses until the next primary or the end.
+        while True:
+            token = stream.peek()
+            while token.text == "*":
+                stream.next()
+                lic = Star(lic)
+                token = stream.peek()
+            concat = lic if concat is None else Concat(concat, lic)
+            if token.text == "(" or token.text in _ACTION_TOKENS:
+                break
+            if token.text == "|":
+                stream.next()
+                union = concat if union is None else Union(union, concat)
+                concat = None
+                break
+            lic = concat if union is None else Union(union, concat)
+            if not groups:
+                return lic
+            stream.expect(")")
+            union, concat = groups.pop()
 
 
 def parse_license(text: str) -> License:

@@ -4,7 +4,8 @@ Nothing in the toolkit's commands calls into this module; the tests compare
 the engines with it.  It holds the trace semantics of licenses (trace
 enumeration, Brzozowski derivatives, viability), plain word acceptance by
 an automaton and the uncached subset stepping that ``Nfa.step`` and
-``Nfa.permitted`` memoise, the DR schedule trace sets, the license and
+``Nfa.permitted`` memoise, the position automaton built by structural
+recursion that the one-pass ``build_nfa`` must match, the DR schedule trace sets, the license and
 formula AST sizes that complexity bounds are stated in, the run helpers of
 the definitions, the permissions a license forces, formula truth on a lasso
 decided one time at a time, license-logic atoms read off a run one time
@@ -20,7 +21,7 @@ must agree with on ASCII input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 from typing import Callable
 
 from .automata import Nfa, SubsetState
@@ -271,6 +272,74 @@ def accepts(nfa: Nfa, trace) -> bool:
     for action in trace:
         subset = subset_step(nfa, subset, action)
     return bool(subset & nfa.finals)
+
+
+# ---------------------------------------------------------------------------
+# The position automaton by structural recursion
+
+
+def _positions(lic: License, symbols: dict[int, Action], ids) -> tuple[bool, frozenset, frozenset, list]:
+    """Return (nullable, first, last, follow-pairs) with fresh position ids."""
+    if isinstance(lic, Zero):
+        return False, frozenset(), frozenset(), []
+    if isinstance(lic, One):
+        return True, frozenset(), frozenset(), []
+    if isinstance(lic, Atom):
+        position = next(ids)
+        symbols[position] = lic.action
+        singleton = frozenset({position})
+        return False, singleton, singleton, []
+    if isinstance(lic, Concat):
+        null_l, first_l, last_l, follow_l = _positions(lic.left, symbols, ids)
+        null_r, first_r, last_r, follow_r = _positions(lic.right, symbols, ids)
+        follow = follow_l + follow_r + [(q, p) for q in last_l for p in first_r]
+        first = first_l | first_r if null_l else first_l
+        last = last_l | last_r if null_r else last_r
+        return null_l and null_r, first, last, follow
+    if isinstance(lic, Union):
+        null_l, first_l, last_l, follow_l = _positions(lic.left, symbols, ids)
+        null_r, first_r, last_r, follow_r = _positions(lic.right, symbols, ids)
+        return null_l or null_r, first_l | first_r, last_l | last_r, follow_l + follow_r
+    if isinstance(lic, Star):
+        null, first, last, follow = _positions(lic.body, symbols, ids)
+        follow = follow + [(q, p) for q in last for p in first]
+        return True, first, last, follow
+    raise TypeError(f"not a license: {lic!r}")
+
+
+def position_nfa(lic: License, padded: bool = False) -> Nfa:
+    """The trimmed position automaton, bot-padded if asked, by the recursive definition.
+
+    ``automata.build_nfa`` and ``automata.padded_nfa`` must give its states,
+    starts, finals and transitions, sorted by source, ``action_key`` and
+    target with every duplicate kept.
+    """
+    symbols: dict[int, Action] = {}
+    null, first, last, follow = _positions(lic, symbols, count(1))
+    start = 0
+    transitions = [(start, symbols[p], p) for p in first]
+    transitions += [(q, symbols[p], p) for q, p in follow]
+    finals = set(last)
+    if null:
+        finals.add(start)
+    alive = set(finals)
+    changed = True
+    while changed:
+        changed = False
+        for source, _, target in transitions:
+            if target in alive and source not in alive:
+                alive.add(source)
+                changed = True
+    transitions = [edge for edge in transitions if edge[0] in alive and edge[2] in alive]
+    pad = None
+    if padded and finals:
+        pad = max(alive) + 1
+        transitions += [(final, BOT, pad) for final in finals]
+        transitions.append((pad, BOT, pad))
+        alive.add(pad)
+        finals.add(pad)
+    transitions.sort(key=lambda edge: (edge[0], action_key(edge[1]), edge[2]))
+    return Nfa(alive, {start} & alive, finals, transitions, pad)
 
 
 # ---------------------------------------------------------------------------

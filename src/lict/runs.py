@@ -34,36 +34,30 @@ class Run:
     actions: tuple[tuple[int, str, Action], ...]
 
     def __post_init__(self):
-        seen_names = set()
-        for time, name, _ in self.issuances:
+        issuance_map: dict[str, tuple[int, License]] = {}
+        issued_at: dict[int, list[tuple[str, License]]] = {}
+        for time, name, lic in self.issuances:
             if time < 0:
                 raise ValueError(f"issuance of {name} at negative time {time}")
             if time > self.horizon:
                 raise ValueError(f"issuance of {name} at {time} is past the horizon")
-            if name in seen_names:
+            if name in issuance_map:
                 raise ValueError(f"name reused: {name} is issued more than once")
-            seen_names.add(name)
-        seen_slots = set()
-        for time, name, _ in self.actions:
+            issuance_map[name] = (time, lic)
+            issued_at.setdefault(time, []).append((name, lic))
+        by_name: dict[str, dict[int, Action]] = {}  # each name's actions by time
+        for time, name, action in self.actions:
             if time < 0:
                 raise ValueError(f"action for {name} at negative time {time}")
             if time > self.horizon:
                 raise ValueError(f"action for {name} at {time} is past the horizon")
-            if (time, name) in seen_slots:
+            timeline = by_name.setdefault(name, {})
+            if time in timeline:
                 raise ValueError(f"two actions for {name} at time {time}")
-            seen_slots.add((time, name))
-        object.__setattr__(
-            self, "_action_map", {(t, n): a for t, n, a in self.actions}
-        )
-        object.__setattr__(
-            self, "_issuance_map", {n: (t, lic) for t, n, lic in self.issuances}
-        )
-        issued_at: dict[int, list[tuple[str, License]]] = {}
-        for t, n, lic in self.issuances:
-            issued_at.setdefault(t, []).append((n, lic))
-        object.__setattr__(
-            self, "_issued_at", {t: frozenset(v) for t, v in issued_at.items()}
-        )
+            timeline[time] = action
+        object.__setattr__(self, "_issuance_map", issuance_map)
+        object.__setattr__(self, "_actions_by_name", by_name)
+        object.__setattr__(self, "_issued_at", {t: frozenset(v) for t, v in issued_at.items()})
 
     @property
     def names(self) -> frozenset[str]:
@@ -72,7 +66,11 @@ class Run:
 
     def action(self, name: str, t: int) -> Action:
         """The action of ``name`` at time ``t`` (bot when none is recorded)."""
-        return self._action_map.get((t, name), BOT)
+        return self._actions_by_name.get(name, {}).get(t, BOT)
+
+    def actions_of(self, name: str) -> dict[int, Action]:
+        """``name``'s recorded actions by time; a time it lacks is bot."""
+        return self._actions_by_name.get(name, {})
 
     def licenses_at(self, t: int) -> frozenset[tuple[str, License]]:
         return self._issued_at.get(t, frozenset())
@@ -114,10 +112,11 @@ class _NameTimeline:
         # One subset per time in [issue_time, horizon + 1]; the last entry is
         # where the bot tail starts.
         self.explicit_subsets: list[SubsetState] = [subset]
+        append, step, get = self.explicit_subsets.append, self.nfa.step, run.actions_of(name).get
         for t in range(issue_time, run.horizon + 1):
-            subset = self.nfa.step(subset, run.action(name, t))
-            self.explicit_subsets.append(subset)
-        self.tail_prefix, self.tail_loop = lasso_of(self.nfa, self.explicit_subsets[-1])
+            subset = step(subset, get(t, BOT))
+            append(subset)
+        self.tail_prefix, self.tail_loop = lasso_of(self.nfa, subset)
 
     def subset(self, t: int) -> SubsetState | None:
         if t < self.issue_time:

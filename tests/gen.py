@@ -12,8 +12,12 @@ import random
 from dataclasses import fields, replace
 from decimal import Decimal
 
+from hypothesis import strategies as st
+
 from lict import (
     BOT,
+    ONE,
+    ZERO,
     Act,
     ActionExpr,
     Always,
@@ -69,6 +73,24 @@ def random_license(rng: random.Random, depth: int, pool=POOL):
     if shape < 0.8:
         return Union(random_license(rng, depth - 1, pool), random_license(rng, depth - 1, pool))
     return Star(random_license(rng, depth - 1, pool))
+
+
+def licenses(constants: bool = False, pool=POOL):
+    """A hypothesis strategy for licenses with nested stars and unions.
+
+    With ``constants`` the leaves include the internal ZERO and ONE, which
+    have no surface syntax.
+    """
+    leaves = st.sampled_from(pool).map(Atom)
+    if constants:
+        leaves = leaves | st.sampled_from((ZERO, ONE))
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(Concat, inner, inner), st.builds(Union, inner, inner), inner.map(Star)
+        ),
+        max_leaves=16,
+    )
 
 
 def random_trace(rng: random.Random, length: int, pool=POOL):

@@ -3,13 +3,16 @@
 import random
 from decimal import Decimal
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lict import (
     BOT,
     ZERO,
     Atom,
+    Concat,
     Pay,
+    Union,
     parse_license,
 )
 from lict.automata import (
@@ -18,18 +21,19 @@ from lict.automata import (
     lasso_of,
     padded_nfa,
     reachable_subsets,
-    with_bot_padding,
 )
+from lict.licenses import action_key
 from lict.reference import (
     accepts,
     license_size,
+    position_nfa,
     subset_permitted,
     subset_step,
     traces,
     viable,
 )
 
-from gen import POOL, SMALL_POOL, random_action, random_license, random_trace, small_license
+from gen import POOL, SMALL_POOL, licenses, random_action, random_license, random_trace, small_license
 
 PAY = Pay(Decimal("1.00"))
 JOURNAL = parse_license("((pay[1.00] bot* render[journal,d]) | bot)*")
@@ -78,6 +82,45 @@ class TestConstruction:
             size = license_size(lic)
             assert len(nfa.states) <= size + 1
             assert len(nfa.transitions) <= (size + 1) ** 2
+
+
+def _fields(nfa):
+    return nfa.states, nfa.starts, nfa.finals, nfa.transitions, nfa.pad_state
+
+
+class TestOnePassConstruction:
+    """The explicit-stack builder gives the recursive definition's automaton."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lic=licenses(constants=True))
+    def test_matches_the_recursive_builder(self, lic):
+        for built, padded in ((build_nfa(lic), False), (padded_nfa(lic), True)):
+            oracle = position_nfa(lic, padded)
+            assert _fields(built) == _fields(oracle)
+            key = lambda edge: (edge[0], action_key(edge[1]), edge[2])
+            assert list(built.transitions) == sorted(built.transitions, key=key)
+
+    def test_nested_stars_keep_each_follow_pair(self):
+        # The inner and the outer star both add the pair (1, 1).
+        nfa = padded_nfa(parse_license("(pay[1.00]*)*"))
+        assert nfa.transitions == (
+            (0, BOT, 2), (0, PAY, 1), (1, BOT, 2), (1, PAY, 1), (1, PAY, 1), (2, BOT, 2),
+        )
+
+    @pytest.mark.parametrize("left_deep", [True, False])
+    def test_chains_deeper_than_the_recursion_limit(self, left_deep):
+        # 3000 atoms in one chain; padded without the cache, which hashes the tree.
+        actions = [POOL[i % len(POOL)] for i in range(3000)]
+        chain = Atom(actions[0])
+        for action in actions[1:]:
+            chain = Concat(chain, Atom(action)) if left_deep else Concat(Atom(action), chain)
+        trace = tuple(actions) if left_deep else tuple(reversed(actions))
+        nfa = build_nfa(Union(chain, Atom(BOT)), padded=True)
+        assert nfa.states == frozenset(range(3003))
+        # two from the start, 2999 along the chain, bot from both finals and the pad loop
+        assert len(nfa.transitions) == 2 + 2999 + 3
+        assert accepts(nfa, trace) and accepts(nfa, trace + (BOT,))
+        assert not accepts(nfa, trace[:-1])
 
 
 class TestSubsets:

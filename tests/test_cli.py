@@ -259,12 +259,18 @@ class TestEncodeAndTranslate:
             assert not accepts(nfa, body + (Pay(fee + Decimal("0.01")),))
 
 
-DEEP_LICENSE = "issue(n, " + "(" * 300 + "bot" + ")" * 300 + ")"
+# 600 actions in one left-deep chain: the parser and the automaton take it,
+# but the license tree's generated ``__hash__`` recurses once per action.
+FLAT_LICENSE = " ".join(["bot"] * 600)
+
+
+def deep_license(depth: int) -> str:
+    return "(" * depth + "pay[1.00] bot*" + ")" * depth
 
 
 class TestDeepInput:
-    """Formulas of any depth are decided; a license nested beyond the
-    interpreter's stack ends in a usage error."""
+    """Formulas and licenses of any nesting depth are decided; a flat license
+    whose tree hashes beyond the interpreter's stack ends in a usage error."""
 
     @pytest.mark.parametrize(
         "text", ["(" * 300 + "true" + ")" * 300, "X " * 1000 + "true"]
@@ -278,8 +284,27 @@ class TestDeepInput:
         assert code == 0
         assert out.splitlines()[0] == "result=ok"
 
+    @pytest.mark.parametrize("depth", [300, 1000])
+    def test_deep_license_is_decided(self, tmp_path, capsys, depth):
+        lic = deep_license(depth)
+        code, out = invoke(capsys, "sat", write(tmp_path, "f.lic", f"issue(n, {lic}) & O(pay[1.00], n)"))
+        assert code == 0
+        assert out.splitlines()[:3] == ["result=sat", "witness run:", "@0 issue n = pay[1.00] bot*"]
+        run = write(tmp_path, "r.run", f"@0 issue n = {lic}\n@0 do n pay[1.00]\n")
+        code, out = invoke(capsys, "permissions", run)
+        assert code == 0
+        assert out.splitlines() == [
+            "result=ok",
+            "t=0 n=n permits={pay[1.00]} obligated=pay[1.00]",
+        ]
+        with mock.patch("sys.stdin", io.StringIO(f"issue m {lic}\nshow\nquit\n")):
+            code, out = invoke(capsys, "step", run)
+        assert code == 0
+        assert "issued m at t=1" in out
+        assert "  n=m permits={pay[1.00]} obligated=pay[1.00]" in out.splitlines()
+
     def test_nested_too_deeply_exits_two(self, tmp_path, capsys):
-        code, out = invoke(capsys, "sat", write(tmp_path, "f.lic", DEEP_LICENSE))
+        code, out = invoke(capsys, "sat", write(tmp_path, "f.lic", f"issue(n, {FLAT_LICENSE})"))
         assert code == 2
         lines = out.splitlines()
         assert lines[0] == "result=error"
@@ -601,13 +626,15 @@ class TestRepl:
 
     def test_nested_too_deeply_session_continues(self):
         deep = "(" * 300 + "true" + ")" * 300
-        deep_license = "(" * 300 + "bot" + ")" * 300
         out = self.run_session(
-            f"issue n pay[1.00]\neval {deep}\nissue m {deep_license}\nshow\nquit\n"
+            f"issue n pay[1.00]\neval {deep}\nissue k {deep_license(1000)}\nshow\n"
+            f"issue m {FLAT_LICENSE}\nshow\nundo\nshow\nquit\n"
         )
         assert "lict> true" in out
-        assert "error: the input is nested too deeply to process" in out
-        assert "n=n permits={pay[1.00]} obligated=pay[1.00]" in out
+        assert "issued k at t=0" in out
+        assert "  n=k permits={pay[1.00]} obligated=pay[1.00]" in out.splitlines()
+        assert "lict> error: the input is nested too deeply to process" in out.splitlines()
+        assert out.split("undone")[1].count("n=n permits={pay[1.00]} obligated=pay[1.00]") == 1
 
     def test_non_ascii_digit_session_continues(self, tmp_path, capsys):
         path = write(tmp_path, "empty.run", "")

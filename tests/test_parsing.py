@@ -32,7 +32,7 @@ from lict import (
 from lict import make_run, parsing, reference
 from lict.formulas import Act, ActionExpr, And, Issue, Next, Not, Perm, Truth, Until
 
-from gen import random_formula, random_license, random_run
+from gen import licenses, random_formula, random_license, random_run
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
@@ -87,6 +87,74 @@ class TestLicenses:
         for _ in range(200):
             lic = random_license(rng, 5)
             assert parse_license(pretty_license(lic)) == lic
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lic=licenses())
+    def test_round_trip_of_nested_stars_and_unions(self, lic):
+        assert parse_license(pretty_license(lic)) == lic
+
+    def test_one_atom_per_distinct_action_text(self):
+        lic = parse_license("pay[1.00] pay[1.00] pay[1.0]")
+        assert lic.left.left is lic.left.right
+        assert lic.right == lic.left.right and lic.right is not lic.left.right
+
+    def test_deep_licenses(self):
+        # Compared as text: the dataclass == recurses as deep as the license.
+        assert parse_license("(" * 1000 + "bot" + ")" * 1000) == Atom(BOT)
+        nest = "(" * 1000 + "bot" + " | pay[1.00])*" * 1000
+        flat = " ".join(["bot", "pay[1.00]", "render[w,d]"] * 1000)
+        for text in (nest, flat):
+            assert pretty_license(parse_license(text)) == text
+
+    # Malformed licenses with the message, line and column each must give; an
+    # action read again from the parse's memo must not move any of them.
+    @pytest.mark.parametrize("grammar, text, message, line, col", [
+        ('license', '', 'expected a license (line 1, column 1)', 1, 1),
+        ('license', '(', 'expected a license (line 1, column 2)', 1, 2),
+        ('license', ')', 'expected a license (line 1, column 1)', 1, 1),
+        ('license', '()', 'expected a license (line 1, column 2)', 1, 2),
+        ('license', 'pay[1.00] |', 'expected a license (line 1, column 12)', 1, 12),
+        ('license', '| bot', 'expected a license (line 1, column 1)', 1, 1),
+        ('license', 'bot ||bot', 'expected a license (line 1, column 6)', 1, 6),
+        ('license', '(bot', "expected ')', found end of input (line 1, column 5)", 1, 5),
+        ('license', '((bot)', "expected ')', found end of input (line 1, column 7)", 1, 7),
+        ('license', 'bot)', "unexpected trailing input ')' (line 1, column 4)", 1, 4),
+        ('license', 'bot )*', "unexpected trailing input ')' (line 1, column 5)", 1, 5),
+        ('license', '*', 'expected a license (line 1, column 1)', 1, 1),
+        ('license', 'bot (*)', 'expected a license (line 1, column 6)', 1, 6),
+        ('license', '0', 'the license constants 0 and 1 are not part of the surface syntax (line 1, column 1)', 1, 1),
+        ('license', 'bot | 1', 'the license constants 0 and 1 are not part of the surface syntax (line 1, column 7)', 1, 7),
+        ('license', 'bot 0', "unexpected trailing input '0' (line 1, column 5)", 1, 5),
+        ('license', 'pay', "expected '[', found end of input (line 1, column 4)", 1, 4),
+        ('license', 'pay[', 'expected a decimal amount (line 1, column 5)', 1, 5),
+        ('license', 'pay[1.001]', 'amount 1.001 has more than two fractional digits (line 1, column 5)', 1, 5),
+        ('license', 'pay[x]', 'expected a decimal amount (line 1, column 5)', 1, 5),
+        ('license', 'render[w]', "expected ',', found ']' (line 1, column 9)", 1, 9),
+        ('license', 'render[w,]', 'expected a device identifier (line 1, column 10)', 1, 10),
+        ('license', 'render[bot,d]', 'expected a work identifier (line 1, column 8)', 1, 8),
+        ('license', 'bot*)', "unexpected trailing input ')' (line 1, column 5)", 1, 5),
+        ('license', 'bot ,', "unexpected trailing input ',' (line 1, column 5)", 1, 5),
+        ('license', 'x', 'expected a license (line 1, column 1)', 1, 1),
+        ('license', '(bot | )', 'expected a license (line 1, column 8)', 1, 8),
+        ('license', '(bot) (pay[1.00]) )', "unexpected trailing input ')' (line 1, column 19)", 1, 19),
+        ('license', 'bot # note\n|', 'expected a license (line 2, column 2)', 2, 2),
+        ('license', 'bot pay[1.00] render[w,d] |\n (bot', "expected ')', found end of input (line 2, column 6)", 2, 6),
+        ('license', '(\n(bot | pay[2.50]* \n', "expected ')', found end of input (line 3, column 1)", 3, 1),
+        ('license', 'pay[1.00] pay[1.00] pay[1.001]', 'amount 1.001 has more than two fractional digits (line 1, column 25)', 1, 25),
+        ('license', 'render[w,d] render[w,d', "expected ']', found end of input (line 1, column 23)", 1, 23),
+        ('license', 'pay[1.00] pay[1.00] ]', "unexpected trailing input ']' (line 1, column 21)", 1, 21),
+        ('license', 'bot bot bot*| (bot bot', "expected ')', found end of input (line 1, column 23)", 1, 23),
+        ('formula', 'issue(n, bot', "expected ')', found end of input (line 1, column 13)", 1, 13),
+        ('formula', 'issue(n, (bot) | )', 'expected a license (line 1, column 18)', 1, 18),
+        ('formula', 'issue(n, pay[1.00] 1)', "expected ')', found '1' (line 1, column 20)", 1, 20),
+        ('run', '@0 issue n = (bot\n', "expected ')', found end of input (line 1, column 18)", 1, 18),
+        ('run', '@0 do n bot\n@1 issue n = bot | (pay[2.50] *\n', "expected ')', found end of input (line 2, column 32)", 2, 32),
+    ])
+    def test_malformed_license_errors(self, grammar, text, message, line, col):
+        parse = {"license": parse_license, "formula": parse_formula, "run": parse_run}[grammar]
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line, err.value.col) == (message, line, col)
 
 
 class TestFormulas:
