@@ -18,6 +18,7 @@ from itertools import combinations
 
 from .licenses import (
     BOT,
+    EXACT,
     ONE,
     Action,
     Atom,
@@ -144,7 +145,7 @@ def _period_license(dr: DrLicense) -> License:
     joined: dict[tuple[int, int], License] = {}
     alternatives: list[License] = []
     for uses in range(slots + 1):
-        payment = Atom(Pay(dr.amount * uses))
+        payment = Atom(Pay(EXACT.multiply(dr.amount, uses)))
         for positions in combinations(range(slots), uses):
             pattern: License = ONE
             for index in range(slots):

@@ -13,9 +13,12 @@ itself (enumeration, derivatives, viability) is the oracle in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 
 _CENT = Decimal("0.01")
+# Amounts are exact at any size: sums, products and cents computed in this
+# context never round, and an exact result takes only the digits it has.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,7 @@ class Render:
 
 @dataclass(frozen=True)
 class Pay:
-    """Pay an exact, non-negative amount (fixed point, two fractional digits).
+    """Pay an exact, non-negative amount of any size (fixed point, two fractional digits).
 
     Amounts are compared by exact value; ``Pay("1.5")`` and ``Pay("1.50")``
     denote the same action.
@@ -40,7 +43,7 @@ class Pay:
         amount = self.amount
         if not isinstance(amount, Decimal):
             amount = Decimal(str(amount))
-        quantized = amount.quantize(_CENT)
+        quantized = amount.quantize(_CENT, context=EXACT)
         if quantized != amount:
             raise ValueError(f"pay amount {amount} has more than two fractional digits")
         if quantized < 0:

@@ -5,10 +5,12 @@ The decision runs the translated formula's tableau in lockstep with a
 run-shaped transition system: per license name an int status (unissued,
 violated, or one reachable subset of one license's automaton), whose options
 come from a choice table built once per formula.  Each literal atom of a
-name gets one bit; an option's label is the int mask of the propositions a
-real run would produce that are among those atoms, and each tableau state
-holds a (required, forbidden) mask pair per name, so an option meets the
-state's literal obligations by two int tests.  A model is an accepting lasso
+name gets one bit; an option's label is the int mask of those atoms that
+hold of it, read straight off the atoms: a ``permitted`` or ``obligated``
+bit off its status's permitted set, an ``issued`` bit off the license it
+issues (by equality), a ``done`` bit off its act.  Each tableau state holds
+a (required, forbidden) mask pair per name, so an option meets the state's
+literal obligations by two int tests.  A model is an accepting lasso
 whose loop is quiet (no issuances and only bot actions), so every witness
 unwinds into an actual run value.  Each witness run is re-checked against
 the direct semantics before being returned.
@@ -30,13 +32,14 @@ choices again.
 Every atom speaks about one license name and each name's license evolves on
 its own, so a formula is first split at its boolean top (a conjunction or a
 disjunction under its leading negations) into groups over pairwise disjoint
-names, each through the product on its own: k names then cost k small
-products instead of one exponential in k.  A conjunction merges its groups'
-witnesses, a disjunction takes its first; validity is sat of the negation.
+names, each through the product on its own with its own vocabulary: k
+names then cost k small products instead of one exponential in k.  A
+conjunction merges its groups' witnesses, a disjunction takes its first;
+validity is sat of the negation.
 
 Client actions outside the formula's vocabulary are folded into a single
-"other" choice; a witness materializes it as a payment amount the whole
-formula's vocabulary does not mention.
+"other" choice; a witness materializes it as a payment amount that no
+group's vocabulary mentions.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ from itertools import product
 from math import prod
 
 from .automata import padded_nfa, reachable_subsets
-from .formulas import Act, And, Formula, Issue, Not, Perm, evaluate, formula_atoms
-from .licenses import BOT, Action, License, Pay, action_key, license_actions
-from .ltl import build_vocabulary, name_props, translate
+from .formulas import And, Formula, Issue, Not, evaluate, formula_atoms
+from .licenses import BOT, EXACT, Action, License, Pay, action_key, license_actions
+from .ltl import Done, Issued, Permitted, Vocabulary, build_vocabulary, translate
 from .runs import Run, compute_permissions, make_run
 from .tableau import (
     DEFAULT_BUDGET,
@@ -78,7 +81,7 @@ _ONLY_BOT = frozenset({BOT})
 def fresh_action(actions) -> Action:
     """A concrete non-bot action distinct from every action in ``actions``."""
     amounts = [a.amount for a in actions if isinstance(a, Pay)]
-    base = max(amounts) + 1 if amounts else Decimal("1")
+    base = EXACT.add(max(amounts), 1) if amounts else Decimal("1")
     return Pay(base)
 
 
@@ -93,24 +96,20 @@ class _RunSpace:
     no issuance first, then each license (from status 0 only), and acts in
     alphabet order within each.  ``atom_bits[name]`` gives each of the
     name's literal atoms its bit, and an option's label mask has the bits of
-    the atoms that hold of it.
+    the atoms that hold of it.  ``vocab`` is the formula's vocabulary.
     """
 
-    def __init__(self, formula: Formula, atom_bits: dict[str, dict[Formula, int]]):
-        self.vocab = build_vocabulary(formula)
-        self.names = self.vocab.names
-        exprs = [atom.expr for atom in formula_atoms(formula) if isinstance(atom, (Act, Perm))]
+    def __init__(self, vocab: Vocabulary, atom_bits: dict[str, dict[Formula, int]]):
+        self.vocab = vocab
+        self.names = vocab.names
         graphs: dict[License, dict] = {}
         self.choices: dict[str, list[list[tuple]]] = {}
         for name in self.names:
-            licenses = self.vocab.licenses_of(name)
-            actions = {BOT} | {expr.action for expr in exprs if expr.name == name}
+            licenses = vocab.licenses_of(name)
             for lic in licenses:
-                actions |= license_actions(lic)
                 if lic not in graphs:
-                    graphs[lic] = reachable_subsets(padded_nfa(lic), self.vocab.actions)
-            alphabet = tuple(sorted(actions, key=action_key)) + (OTHER,)
-            self.choices[name] = _choice_table(name, licenses, alphabet, graphs, atom_bits[name])
+                    graphs[lic] = reachable_subsets(padded_nfa(lic), vocab.actions)
+            self.choices[name] = _choice_table(licenses, graphs, atom_bits[name])
 
 
 def _atom_bits(tableau) -> dict[str, dict[Formula, int]]:
@@ -122,28 +121,44 @@ def _atom_bits(tableau) -> dict[str, dict[Formula, int]]:
     return atom_bits
 
 
-def _choice_table(name: str, licenses, alphabet, graphs, bits) -> list[list[tuple]]:
-    # An option's atoms are its status's, its issuance's and its act's
-    # (``name_props`` with the other two left out); only those in ``bits``
-    # are kept, as one int.
-    def mask(props) -> int:
-        return sum(bits[prop] for prop in props & bits.keys())
+def _choice_table(licenses, graphs, bits) -> list[list[tuple]]:
+    # An option's label is its status's, its issuance's and its act's bits,
+    # each read straight off the name's literal atoms (what ``name_props``
+    # would hold of the option, cut to ``bits``).  The alphabet is bot, the
+    # atoms' actions and the licenses' actions.
+    issued, done, permitted, obligated = [], {}, [], []
+    actions = {BOT}
+    for atom, bit in bits.items():
+        if isinstance(atom, Issued):
+            issued.append((atom.license, bit))
+            continue
+        actions.add(atom.action)
+        if isinstance(atom, Done):
+            done[atom.action] = bit
+        else:
+            (permitted if isinstance(atom, Permitted) else obligated).append((atom.action, bit))
+    for lic in licenses:
+        actions |= license_actions(lic)
+    alphabet = tuple(sorted(actions, key=action_key)) + (OTHER,)
 
-    act_bits = {
-        act: mask(name_props(name, None, None if act is OTHER else act, None, ()))
-        for act in alphabet
-    }
+    def status_label(allowed) -> int:
+        label = sum(bit for action, bit in permitted if action in allowed)
+        if len(allowed) == 1:
+            label += sum(bit for action, bit in obligated if action in allowed)
+        return label
 
-    # Per status: its label mask and next status by act.
-    statuses = [
-        (mask(name_props(name, None, None, subset, _ONLY_BOT)), {act: status for act in alphabet})
-        for status, subset in enumerate((None, frozenset()))
-    ]
+    act_bits = {act: done.get(act, 0) for act in alphabet}
+
+    # Per status: its label mask and next status by act.  Unissued and over
+    # both permit only bot and stay put.
+    idle = status_label(_ONLY_BOT)
+    statuses = [(idle, dict.fromkeys(alphabet, status)) for status in (0, 1)]
 
     def options(status: int, issue) -> list[tuple]:
         label, successor = statuses[status]
         if issue is not None:
-            label |= mask(name_props(name, issue, None, None, ()))
+            # equal licenses parsed apart share one atom, so match by equality
+            label |= sum(bit for lic, bit in issued if lic == issue)
         return [
             (issue, act, label | act_bits[act], successor[act], issue is None and act == BOT)
             for act in alphabet
@@ -155,8 +170,7 @@ def _choice_table(name: str, licenses, alphabet, graphs, bits) -> list[list[tupl
         number = {subset: len(statuses) + i for i, subset in enumerate(graphs[lic])}
         for subset, row in graphs[lic].items():
             successor = {act: 1 if act is OTHER else number.get(row[act], 1) for act in alphabet}
-            label = mask(name_props(name, None, None, subset, nfa.permitted(subset)))
-            statuses.append((label, successor))
+            statuses.append((status_label(nfa.permitted(subset)), successor))
         issuances += options(number.get(nfa.starts, 1), lic)
     table = [options(status, None) for status in range(len(statuses))]
     table[0] += issuances
@@ -232,12 +246,13 @@ def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
     work is at most the number of groups times ``budget``.  A witness is
     re-checked against the whole formula before it is returned.
     """
-    other = fresh_action(build_vocabulary(formula).actions)
     conjunctive, groups = _components(formula)
+    vocabs = [build_vocabulary(group) for group in groups]
+    other = fresh_action({action for vocab in vocabs for action in vocab.actions})
     runs = []
     exhausted = False
-    for group in groups:
-        result = _product_sat(group, budget, other)
+    for group, vocab in zip(groups, vocabs):
+        result = _product_sat(group, vocab, budget, other)
         exhausted = exhausted or result.status == "budget"
         if result.status == "sat":
             runs.append(result.run)
@@ -312,10 +327,11 @@ def _undominated(tableau: Tableau) -> dict[int, list[int]]:
     return pruned
 
 
-def _product_sat(formula: Formula, budget: int, other: Action) -> LicSatResult:
+def _product_sat(formula: Formula, vocab: Vocabulary, budget: int, other: Action) -> LicSatResult:
     """The tableau x run-space product of one formula; the run is not re-checked.
 
-    ``other`` is the concrete action a witness does for the "other" choice.
+    ``vocab`` is the formula's vocabulary and ``other`` the concrete action a
+    witness does for the "other" choice.
     """
     try:
         tableau = build_tableau(to_nnf(translate(formula)), budget)
@@ -323,7 +339,7 @@ def _product_sat(formula: Formula, budget: int, other: Action) -> LicSatResult:
         return LicSatResult("budget")
     successor_lists = _undominated(tableau)
     atom_bits = _atom_bits(tableau)
-    space = _RunSpace(formula, atom_bits)
+    space = _RunSpace(vocab, atom_bits)
     tables = [space.choices[name] for name in space.names]
 
     # Per tableau state left in some pruned list, each name's (required,

@@ -54,6 +54,7 @@ from .formulas import (
 )
 from .licenses import (
     BOT,
+    EXACT,
     ONE,
     ZERO,
     Action,
@@ -360,7 +361,7 @@ def _period_traces(dr: DrLicense) -> frozenset[Trace]:
     else:
         for body in product(slots, repeat=period - 1):
             uses = sum(1 for action in body if action != BOT)
-            out.add(body + (Pay(dr.amount * uses),))
+            out.add(body + (Pay(EXACT.multiply(dr.amount, uses)),))
     return frozenset(out)
 
 

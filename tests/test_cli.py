@@ -151,6 +151,50 @@ class TestCheckSpec:
         assert completed.stdout.splitlines()[0] == "result=error"
 
 
+# 28 and 30 significant digits: past the 28 digits of the default decimal context
+BIG = "99999999999999999999999999.99"
+HUGE = "9999999999999999999999999999.99"
+
+
+class TestLargeAmounts:
+    def test_sat_pays_the_amount(self, tmp_path, capsys):
+        path = write(tmp_path, "f.lic", f"(pay[{BIG}], n)")
+        code, out = invoke(capsys, "sat", path)
+        assert code == 0
+        assert out.splitlines() == ["result=sat", "witness run:", f"@0 do n pay[{BIG}]"]
+
+    def test_sat_witness_pays_one_more_than_every_amount(self, tmp_path, capsys):
+        path = write(tmp_path, "f.lic", f"(~bot, n) & !(pay[{BIG}], n) & !(pay[{HUGE}], n)")
+        code, out = invoke(capsys, "sat", path)
+        assert code == 0
+        assert out.splitlines()[-1] == "@0 do n pay[10000000000000000000000000000.99]"
+
+    def test_unsat_and_valid(self, tmp_path, capsys):
+        path = write(tmp_path, "f.lic", f"(pay[{HUGE}], n) & !(pay[{HUGE}], n)")
+        code, out = invoke(capsys, "sat", path)
+        assert (code, out.splitlines()[0]) == (1, "result=unsat")
+        path = write(tmp_path, "g.lic", f"issue(n, pay[{HUGE}] bot*) -> X P(bot, n)")
+        code, out = invoke(capsys, "valid", path)
+        assert (code, out.splitlines()[0]) == (0, "result=valid")
+
+    def test_invalid(self, tmp_path, capsys):
+        path = write(tmp_path, "f.lic", f"P(pay[{HUGE}], n)")
+        code, out = invoke(capsys, "valid", path)
+        assert (code, out.splitlines()[0]) == (1, "result=invalid")
+
+    def test_permissions_and_check_spec(self, tmp_path, capsys):
+        run = write(tmp_path, "r.run", f"@0 issue n = pay[{HUGE}] render[w,d]\n@0 do n pay[{HUGE}]\n")
+        code, out = invoke(capsys, "permissions", run)
+        assert code == 0
+        assert out.splitlines()[1] == f"t=0 n=n permits={{pay[{HUGE}]}} obligated=pay[{HUGE}]"
+        holds = write(tmp_path, "p.lic", f"O(pay[{HUGE}], n) & X O(render[w,d], n)")
+        code, out = invoke(capsys, "check-spec", run, holds, "--at", "0")
+        assert (code, out.splitlines()[0]) == (0, "result=holds")
+        fails = write(tmp_path, "q.lic", f"X P(pay[{HUGE}], n)")
+        code, out = invoke(capsys, "check-spec", run, fails, "--at", "0")
+        assert (code, out.splitlines()[0]) == (1, "result=fails")
+
+
 class TestPermissionsDump:
     def test_line_format(self, tmp_path, capsys):
         run = write(tmp_path, "r.run", "@0 issue m = pay[1.00]")

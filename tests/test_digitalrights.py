@@ -51,6 +51,13 @@ class TestPeriodTraces:
         }
         assert dr_traces(dr(Single(3), "2.00", "peruse")) == expected
 
+    def test_peruse_sums_large_amounts_exactly(self):
+        # twice the amount has 29 significant digits, one past the default context
+        entry = dr(Single(3), "99999999999999999999999999.99", "peruse")
+        payments = {trace[-1] for trace in dr_traces(entry)}
+        assert payments == {Pay(Decimal(text)) for text in ("0", entry.amount, "199999999999999999999999999.98")}
+        assert traces(compile_dr(entry), entry.total_units) == dr_traces(entry)
+
     def test_flatrate_degenerates_at_period_one(self):
         assert dr_traces(dr(Single(1), "3.00", "flatrate")) == {(Pay(Decimal("3.00")),)}
 

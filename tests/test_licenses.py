@@ -23,6 +23,7 @@ from lict import (
 )
 from lict import licenses
 from lict.licenses import license_actions
+from lict.licsat import fresh_action
 from lict.reference import (
     derivative,
     first_actions,
@@ -75,6 +76,18 @@ class TestActions:
     def test_pay_rejects_negative(self):
         with pytest.raises(ValueError):
             Pay(Decimal("-1"))
+
+    def test_pay_is_exact_past_the_default_precision(self):
+        # 29 and 40 significant digits; the default decimal context keeps 28
+        for text in ("999999999999999999999999999.99", "9" * 40 + ".5", "1" + "0" * 60):
+            amount = Pay(Decimal(text)).amount
+            assert amount == Decimal(text) and amount.as_tuple().exponent == -2
+        with pytest.raises(ValueError):
+            Pay(Decimal("9" * 40 + ".001"))
+
+    def test_fresh_action_adds_one_exactly(self):
+        big = Pay(Decimal("99999999999999999999999999.99"))
+        assert fresh_action([BOT, A, big]) == Pay(Decimal("100000000000000000000000000.99"))
 
     def test_bot_is_distinct(self):
         assert BOT != A and BOT != B

@@ -30,10 +30,12 @@ from lict import (
     parse_formula,
     parse_license,
     pretty_formula,
+    pretty_license,
     pretty_run,
     translate,
 )
 from lict.automata import padded_nfa, reachable_subsets
+from lict.formulas import map_atoms
 from lict.licsat import (
     OTHER,
     _atom_bits,
@@ -191,11 +193,48 @@ def _issued(lic, space) -> tuple:
     return frozenset(), frozenset({BOT})
 
 
+def _licenses_parsed_apart(formula):
+    """The formula with each issue atom's license rebuilt from its text."""
+    return map_atoms(
+        formula,
+        lambda atom: Issue(atom.name, parse_license(pretty_license(atom.license)))
+        if isinstance(atom, Issue)
+        else atom,
+    )
+
+
+def _check_option_labels(formula, vocab) -> tuple[int, int, int]:
+    """Checks every option label of the formula's run space against name_props.
+
+    Returns how many options with an issuance, with a vocabulary act and
+    with the "other" act have a nonzero label.
+    """
+    atom_bits = _atom_bits(build_tableau(to_nnf(translate(formula))))
+    space = _RunSpace(vocab, atom_bits)
+    issued = done = other = 0
+    for name in space.names:
+        bits = atom_bits[name]
+        statuses = _statuses(name, space)
+        assert len(space.choices[name]) == len(statuses)
+        for status, row in enumerate(space.choices[name]):
+            for issue, act, label, *_ in row:
+                entered = statuses[status] if issue is None else _issued(issue, space)
+                action = None if act is OTHER else act
+                props = name_props(name, issue, action, *entered)
+                assert label == sum(bits[prop] for prop in props if prop in bits)
+                issued += issue is not None and label != 0
+                done += action is not None and label != 0
+                other += action is None and label != 0
+    return issued, done, other
+
+
 class TestProductMoves:
     def test_option_labels_are_the_literal_bits_of_name_props(self):
         # An option's label mask ORs its status's, issuance's and act's
         # atoms; it must equal the option's whole name_props set cut to the
-        # name's literal atoms.
+        # name's literal atoms.  Each formula is also labelled under a
+        # vocabulary whose licenses equal the atoms' but were parsed apart,
+        # so a label matching licenses by identity loses the issued bits.
         rng = random.Random(211)
         issued = done = 0
         for _ in range(60):
@@ -203,21 +242,27 @@ class TestProductMoves:
             licenses = [(names[0], JOURNAL)]
             licenses += [(name, random_license(rng, 2)) for name in names if rng.random() < 0.5]
             formula = random_formula(rng, rng.randint(1, 4), names=names, licenses=licenses)
-            atom_bits = _atom_bits(build_tableau(to_nnf(translate(formula))))
-            space = _RunSpace(formula, atom_bits)
-            for name in space.names:
-                bits = atom_bits[name]
-                statuses = _statuses(name, space)
-                assert len(space.choices[name]) == len(statuses)
-                for status, row in enumerate(space.choices[name]):
-                    for issue, act, label, *_ in row:
-                        entered = statuses[status] if issue is None else _issued(issue, space)
-                        action = None if act is OTHER else act
-                        props = name_props(name, issue, action, *entered)
-                        assert label == sum(bits[prop] for prop in props if prop in bits)
-                        issued += issue is not None and label != 0
-                        done += action is not None and label != 0
-        assert issued > 20 and done > 100
+            for vocab_of in (formula, _licenses_parsed_apart(formula)):
+                counts = _check_option_labels(formula, build_vocabulary(vocab_of))
+                issued += counts[0]
+                done += counts[1]
+        assert issued > 40 and done > 200
+
+    def test_option_labels_when_only_another_action_meets_the_formula(self):
+        # Not bot, not the journal's pay or render: at time 0 the name does
+        # the "other" action, whose label carries its status's and
+        # issuance's bits but no Done bit.  The journal is parsed once per
+        # issue atom, so the two atoms hold equal, distinct licenses.
+        text = (
+            f"issue(n, {JOURNAL_TEXT}) & (~bot, n) & !(pay[1.00], n) & !(render[journal,d], n)"
+            f" & P(pay[1.00], n) & X (G !issue(n, {JOURNAL_TEXT}) & !P(pay[1.00], n))"
+        )
+        formula = parse_formula(text)
+        issued, _, other = _check_option_labels(formula, build_vocabulary(formula))
+        assert issued > 0 and other > 0
+        report = lic_sat(formula)
+        assert report.status == "sat"
+        assert report.run.action("n", 0) == Pay(Decimal("2.00"))
 
     def test_replayed_moves_are_still_charged(self):
         # Golden budget #24: a tableau state kept in the pruned successor
@@ -442,9 +487,10 @@ class TestNameComponents:
                 random_formula(rng, rng.randint(1, 3), names=(name,), pool=(BOT, PAY), licenses=licenses)
             )
         formula = TOPS[top](parts)
-        other = fresh_action(build_vocabulary(formula).actions)
-        joint_sat = _product_sat(formula, 200_000, other).status
-        joint_counter = _product_sat(Not(formula), 200_000, other).status
+        vocab = build_vocabulary(formula)
+        other = fresh_action(vocab.actions)
+        joint_sat = _product_sat(formula, vocab, 200_000, other).status
+        joint_counter = _product_sat(Not(formula), vocab, 200_000, other).status
         sat = lic_sat(formula)
         assert sat.status == joint_sat, pretty_formula(formula)
         if sat.status == "sat":
@@ -471,8 +517,8 @@ class TestNameComponents:
         # Each journal alone fits a budget of 100 ticks; their joint product does not.
         formula = chain("issue({n}, " + JOURNAL_TEXT + ") & F (render[journal,d], {n})", NAMES_5[:2])
         for part in _components(formula)[1]:
-            assert _product_sat(part, 100, PAY).status == "sat"
-        assert _product_sat(formula, 100, PAY).status == "budget"
+            assert _product_sat(part, build_vocabulary(part), 100, PAY).status == "sat"
+        assert _product_sat(formula, build_vocabulary(formula), 100, PAY).status == "budget"
         report = lic_sat(formula, budget=100)
         assert report.status == "sat"
         assert holds(report.run, formula)
@@ -514,9 +560,9 @@ class TestNameComponents:
         # Each shape once went through one joint product over all its names.
         built = []
 
-        def recording(formula, budget, other):
+        def recording(formula, vocab, budget, other):
             built.append(build_vocabulary(formula).names)
-            return _product_sat(formula, budget, other)
+            return _product_sat(formula, vocab, budget, other)
 
         monkeypatch.setattr("lict.licsat._product_sat", recording)
         reads = "issue({n}, " + JOURNAL_TEXT + ") & F (render[journal,d], {n})"
@@ -549,8 +595,9 @@ class TestNameComponents:
         formula = parse_formula("(~pay[1.00], n) & (~bot, m) & !(pay[2.00], k)")
         report = lic_sat(formula)
         assert report.status == "sat"
-        other = fresh_action(build_vocabulary(formula).actions)
-        assert pretty_run(report.run) == pretty_run(_product_sat(formula, 10**6, other).run)
+        vocab = build_vocabulary(formula)
+        other = fresh_action(vocab.actions)
+        assert pretty_run(report.run) == pretty_run(_product_sat(formula, vocab, 10**6, other).run)
 
 
 def seeded_witness_text() -> str:
