@@ -11,10 +11,16 @@ completed license: an extra absorbing state reachable from every accepting
 state by bot.  Permission tracking always runs on the padded automaton; the
 empty subset is the absorbing "violated" condition, which permits only bot.
 
-Every engine steps subsets of states and asks what they permit through
-``Nfa.step`` and ``Nfa.permitted``, which memoise the subset construction
-(Rabin & Scott, 1959) on the automaton as it is asked for; ``padded_nfa`` keeps
-one automaton per license, so every caller shares its memo.
+Each automaton numbers its alphabet as letters, sorted by ``action_key`` with
+bot always letter 0, and a set of actions as the int with bit ``i`` set for
+letter ``i``; its transitions are indexed by ``(state, letter)``.  It keeps
+one memo, the subset construction (Rabin & Scott, 1959) filled as it is
+asked for: every subset reached gets a small int id, 0 the empty one, with
+a row of successor ids by letter and its permitted set as a bitmask.
+``step_id`` and ``masks`` are the engines' interface; ``step``,
+``permitted``, ``lasso_of`` and ``reachable_subsets`` answer in frozensets
+through the same memo.  ``padded_nfa`` keeps one automaton per license, so
+every caller shares it.
 """
 
 from __future__ import annotations
@@ -36,52 +42,125 @@ from .licenses import (
 )
 
 SubsetState = frozenset  # frozenset[int]
+_NO_EDGES: dict = {}  # the transitions of a state the automaton does not have
+
+
+def mask_actions(letters, mask: int) -> frozenset[Action]:
+    """The actions whose letters are set in ``mask``."""
+    return frozenset(action for letter, action in enumerate(letters) if mask >> letter & 1)
 
 
 class Nfa:
-    """An epsilon-free automaton over actions, fixed at construction.
+    """An epsilon-free automaton over ``letters``, fixed at construction, and its subset memo.
 
-    The memos behind ``step`` and ``permitted`` are keyed by the values asked
-    about, so their answers do not depend on who asked first.
+    ``subsets[i]`` is the frozenset of states with id ``i``, ``masks[i]``
+    what it permits, and ``rows[i][letter]`` the id it steps to, None until
+    asked for.  Each row ends with one more entry, 0, the column ``letter``
+    gives every action outside the alphabet.  Ids are given in the order
+    subsets are first asked about, but every answer is a function of the
+    subset and the letter alone, so none depends on who asked first.
     """
 
-    __slots__ = ("states", "starts", "finals", "transitions", "pad_state",
-                 "_successors", "_outgoing", "_steps", "_permits")
+    __slots__ = ("states", "starts", "finals", "pad_state", "letters", "start", "subsets",
+                 "rows", "masks", "_letter_of", "_edges", "_targets", "_out", "_ids", "_permitted")
 
-    def __init__(self, states, starts, finals, transitions, pad_state=None):
+    def __init__(self, states, starts, finals, letters, edges, pad_state=None):
+        """``letters`` sorted by ``action_key``, bot first; ``edges`` (source, letter, target)."""
         self.states = frozenset(states)
         self.starts = frozenset(starts)
         self.finals = frozenset(finals)
-        self.transitions = tuple(
-            sorted(transitions, key=lambda edge: (edge[0], action_key(edge[1]), edge[2]))
-        )
         self.pad_state = pad_state
-        successors: dict[tuple[int, Action], set[int]] = {}
-        outgoing: dict[int, set[Action]] = {state: set() for state in self.states}
-        for source, action, target in self.transitions:
-            successors.setdefault((source, action), set()).add(target)
-            outgoing[source].add(action)
-        self._successors = {key: frozenset(value) for key, value in successors.items()}
-        self._outgoing = {state: frozenset(value) for state, value in outgoing.items()}
-        self._steps: dict[tuple[SubsetState, Action], SubsetState] = {}
-        self._permits: dict[SubsetState, frozenset[Action]] = {}
+        self.letters = tuple(letters)
+        self._letter_of = {action: letter for letter, action in enumerate(self.letters)}
+        self._edges = tuple(edges)
+        targets: dict[int, dict[int, list[int]]] = {state: {} for state in self.states}
+        out = dict.fromkeys(self.states, 0)  # each state's outgoing letters
+        for source, letter, target in self._edges:
+            row = targets[source]
+            found = row.get(letter)
+            if found is None:
+                row[letter] = [target]
+                out[source] |= 1 << letter
+            else:
+                found.append(target)
+        self._targets = targets
+        self._out = out
+        empty = frozenset()
+        self.subsets: list[SubsetState] = [empty]
+        self._ids = {empty: 0}
+        self.rows: list[list] = [[0] * (len(self.letters) + 1)]
+        self.masks = [1]
+        self._permitted: list = [None]
+        self.start = self.subset_id(self.starts)
+
+    @property
+    def transitions(self) -> tuple[tuple[int, Action, int], ...]:
+        """(source, action, target), by source, ``action_key`` and target, duplicates kept."""
+        letters = self.letters
+        return tuple((source, letters[letter], target) for source, letter, target in sorted(self._edges))
+
+    def letter(self, action: Action) -> int:
+        """The action's letter; one outside the alphabet gets the column that steps to 0."""
+        return self._letter_of.get(action, len(self.letters))
+
+    def subset_id(self, subset: SubsetState) -> int:
+        """The id of a frozenset of states, given on first sight."""
+        found = self._ids.get(subset)
+        if found is None:
+            found = self._ids[subset] = len(self.subsets)
+            self.subsets.append(subset)
+            mask = 1 if subset & self.finals else 0
+            for state in subset:
+                mask |= self._out.get(state, 0)
+            self.masks.append(mask)
+            self.rows.append([None] * len(self.letters) + [0])
+            self._permitted.append(None)
+        return found
+
+    def step_id(self, subset: int, letter: int) -> int:
+        """The id subset ``subset`` steps to on ``letter``; the empty subset is absorbing."""
+        row = self.rows[subset]
+        found = row[letter]
+        if found is None:
+            image: set[int] = set()
+            for state in self.subsets[subset]:
+                image.update(self._targets.get(state, _NO_EDGES).get(letter, ()))
+            found = row[letter] = self.subset_id(frozenset(image))
+        return found
+
+    def permitted_id(self, subset: int) -> frozenset[Action]:
+        """``masks[subset]`` as a set of actions."""
+        found = self._permitted[subset]
+        if found is None:
+            found = self._permitted[subset] = mask_actions(self.letters, self.masks[subset])
+        return found
+
+    def bot_lasso(self, subset: int) -> tuple[list[int], list[int]]:
+        """The bot-evolution of ``subset`` as prefix and loop ids.
+
+        Stepping on bot is deterministic over subsets, so the sequence of
+        subsets eventually repeats; replaying prefix then loop forever
+        reproduces it.
+        """
+        seen: dict[int, int] = {}
+        sequence: list[int] = []
+        while subset not in seen:
+            seen[subset] = len(sequence)
+            sequence.append(subset)
+            subset = self.step_id(subset, 0)
+        split = seen[subset]
+        return sequence[:split], sequence[split:]
 
     def successors(self, state: int, action: Action) -> frozenset[int]:
-        return self._successors.get((state, action), frozenset())
+        letter = self._letter_of.get(action)
+        return frozenset(self._targets.get(state, _NO_EDGES).get(letter, ()))
 
     def outgoing_actions(self, state: int) -> frozenset[Action]:
-        return self._outgoing.get(state, frozenset())
+        return frozenset(self.letters[letter] for letter in self._targets.get(state, _NO_EDGES))
 
     def step(self, subset: SubsetState, action: Action) -> SubsetState:
         """Image of the subset under one action; the empty subset is absorbing."""
-        key = (subset, action)
-        image = self._steps.get(key)
-        if image is None:
-            out: set[int] = set()
-            for state in subset:
-                out |= self.successors(state, action)
-            image = self._steps[key] = frozenset(out)
-        return image
+        return self.subsets[self.step_id(self.subset_id(subset), self.letter(action))]
 
     def permitted(self, subset: SubsetState) -> frozenset[Action]:
         """Actions with a transition from the subset, plus bot where padding applies.
@@ -90,13 +169,7 @@ class Nfa:
         license can be considered complete, so doing nothing stays viable).  A
         violated (empty) subset permits exactly bot.
         """
-        permitted = self._permits.get(subset)
-        if permitted is None:
-            actions = {BOT} if not subset or subset & self.finals else set()
-            for state in subset:
-                actions |= self.outgoing_actions(state)
-            permitted = self._permits[subset] = frozenset(actions)
-        return permitted
+        return self.permitted_id(self.subset_id(subset))
 
 
 def build_nfa(lic: License, padded: bool = False) -> Nfa:
@@ -105,11 +178,12 @@ def build_nfa(lic: License, padded: bool = False) -> Nfa:
     ``padded`` appends the bot stream that follows a completed license.  The
     (nullable, first, last) of each node is computed on an explicit
     post-order stack, numbering action occurrences 1, 2, ... from the left,
-    and each node's follow pairs are appended in place as transitions, after
-    those of its children; state 0 is the start.
+    and each node's follow pairs are appended in place, after those of its
+    children; state 0 is the start.  Every transition into a position
+    carries that position's action, so each position is lettered once.
     """
-    symbols: list[Action] = [BOT]  # position -> its action (0: the start, unused)
-    transitions: list[tuple[int, Action, int]] = []
+    symbols: list[Action] = [BOT]  # position -> its action (0: the start, so bot is a letter)
+    follow: list[tuple[int, int]] = []  # (source, target position)
     done: list[tuple] = []  # (nullable, first, last) of the finished nodes, in order
     stack: list = [lic]  # nodes to walk, and the classes of nodes whose children are done
     while stack:
@@ -126,14 +200,14 @@ def build_nfa(lic: License, padded: bool = False) -> Nfa:
             done.append((kind is One, [], []))
         elif node is Star:
             null, first, last = done[-1]
-            transitions += [(q, symbols[p], p) for q in last for p in first]
+            follow += [(q, p) for q in last for p in first]
             done[-1] = (True, first, last)
         elif node is Concat or node is Union:
             null_r, first_r, last_r = done.pop()
             null_l, first_l, last_l = done[-1]
             union = node is Union
             if not union:
-                transitions += [(q, symbols[p], p) for q in last_l for p in first_r]
+                follow += [(q, p) for q in last_l for p in first_r]
             if union or null_l:
                 first_l += first_r
             if union or null_r:
@@ -142,7 +216,7 @@ def build_nfa(lic: License, padded: bool = False) -> Nfa:
         else:
             raise TypeError(f"not a license: {node!r}")
     null, first, last = done[0]
-    transitions += [(0, symbols[p], p) for p in first]
+    follow += [(0, p) for p in first]
     finals = set(last)
     if null:
         finals.add(0)
@@ -150,7 +224,7 @@ def build_nfa(lic: License, padded: bool = False) -> Nfa:
     # Trim states that cannot reach acceptance; aliveness of a subset then
     # coincides with viability of the consumed input.
     backward: dict[int, set[int]] = {}
-    for source, _, target in transitions:
+    for source, target in follow:
         backward.setdefault(target, set()).add(source)
     alive = set(finals)
     frontier = list(finals)
@@ -160,16 +234,19 @@ def build_nfa(lic: License, padded: bool = False) -> Nfa:
             if previous not in alive:
                 alive.add(previous)
                 frontier.append(previous)
-    transitions = [edge for edge in transitions if edge[0] in alive and edge[2] in alive]
 
+    letters = sorted(set(symbols), key=action_key)  # bot first
+    letter_of = {action: letter for letter, action in enumerate(letters)}
+    symbols = [letter_of[action] for action in symbols]
+    transitions = [(q, symbols[p], p) for q, p in follow if q in alive and p in alive]
     pad = None
     if padded and finals:
         pad = max(alive) + 1
-        transitions += [(final, BOT, pad) for final in finals]
-        transitions.append((pad, BOT, pad))
+        transitions += [(final, 0, pad) for final in finals]
+        transitions.append((pad, 0, pad))
         alive.add(pad)
         finals.add(pad)
-    return Nfa(alive, {0} & alive, finals, transitions, pad)
+    return Nfa(alive, {0} & alive, finals, letters, transitions, pad)
 
 
 @lru_cache(maxsize=None)
@@ -179,20 +256,10 @@ def padded_nfa(lic: License) -> Nfa:
 
 
 def lasso_of(nfa: Nfa, subset: SubsetState) -> tuple[tuple[SubsetState, ...], tuple[SubsetState, ...]]:
-    """Decompose the bot-evolution starting at ``subset`` into prefix + loop.
-
-    Stepping on bot is deterministic over subsets, so the sequence of subsets
-    eventually repeats; replaying prefix then loop forever reproduces it.
-    """
-    seen: dict[SubsetState, int] = {}
-    sequence: list[SubsetState] = []
-    current = subset
-    while current not in seen:
-        seen[current] = len(sequence)
-        sequence.append(current)
-        current = nfa.step(current, BOT)
-    split = seen[current]
-    return tuple(sequence[:split]), tuple(sequence[split:])
+    """Decompose the bot-evolution starting at ``subset`` into prefix + loop."""
+    prefix, loop = nfa.bot_lasso(nfa.subset_id(subset))
+    subsets = nfa.subsets
+    return tuple(subsets[i] for i in prefix), tuple(subsets[i] for i in loop)
 
 
 def reachable_subsets(nfa: Nfa, actions) -> dict[SubsetState, dict[Action, SubsetState]]:
@@ -201,23 +268,18 @@ def reachable_subsets(nfa: Nfa, actions) -> dict[SubsetState, dict[Action, Subse
     The empty subset appears as a successor but is not expanded; it stands
     for the absorbing violated condition.
     """
-    graph: dict[SubsetState, dict[Action, SubsetState]] = {}
-    start = nfa.starts
-    if not start:
-        return graph
-    worklist = [start]
+    actions = tuple(actions)
+    letters = [nfa.letter(action) for action in actions]
+    graph: dict[int, list[int]] = {}
+    worklist = [nfa.start] if nfa.start else []
     while worklist:
         subset = worklist.pop()
         if subset in graph:
             continue
-        row: dict[Action, SubsetState] = {}
-        for action in actions:
-            successor = nfa.step(subset, action)
-            row[action] = successor
-            if successor and successor not in graph:
-                worklist.append(successor)
-        graph[subset] = row
-    return graph
+        row = graph[subset] = [nfa.step_id(subset, letter) for letter in letters]
+        worklist += [successor for successor in row if successor and successor not in graph]
+    subsets = nfa.subsets
+    return {subsets[i]: {a: subsets[j] for a, j in zip(actions, row)} for i, row in graph.items()}
 
 
 def dump_dot(nfa: Nfa, title: str = "license") -> str:

@@ -14,7 +14,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .automata import dump_dot, padded_nfa
+from .automata import dump_dot, mask_actions, padded_nfa
 from .digitalrights import DEFAULT_DR_CAP, DrCapExceeded, compile_dr
 from .formulas import check_spec, encode_run, evaluate, pretty_formula
 from .licenses import pretty_license
@@ -55,9 +55,9 @@ def permissions_lines(run, horizon: int) -> list[str]:
     perms = compute_permissions(run)
     columns = []  # per name, its row at each time
     for name in sorted(run.names):
-        column = [perms.permitted(name, t) for t in range(horizon + 1)]
-        rows = {permitted: permission_line(name, permitted) for permitted in set(column)}
-        columns.append([rows[permitted] for permitted in column])
+        letters, column = perms.permitted_masks(name, horizon + 1)
+        rows = {mask: permission_line(name, mask_actions(letters, mask)) for mask in set(column)}
+        columns.append([rows[mask] for mask in column])
     return [f"t={t} {row}" for t, rows_at in enumerate(zip(*columns)) for row in rows_at]
 
 

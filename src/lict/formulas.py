@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from .automata import mask_actions
 from .licenses import (
     BOT,
     Action,
@@ -311,7 +312,7 @@ def evaluate(run: Run, perms: PermissionInterpretation, t: int, formula: Formula
     ``perms`` must be the permission interpretation computed from ``run``;
     the model is the run's ultimately periodic extension.  Each atom is
     labelled from time masks: per name, the times of each recorded action,
-    and lazily the times of each automaton subset.
+    and lazily the times of each permitted set.
     """
     size = perms.prefix_len + perms.loop_len
     full = (1 << size) - 1
@@ -320,22 +321,19 @@ def evaluate(run: Run, perms: PermissionInterpretation, t: int, formula: Formula
     for time, name, action in run.actions:
         masks = done.setdefault(name, {})
         masks[action] = masks.get(action, 0) | 1 << time
-    subsets: dict[str, list[list]] = {}
+    permits: dict[str, list[tuple]] = {}
 
-    def subset_masks(name: str) -> list[list]:
-        """[permitted set, times] per automaton subset of the name."""
-        found = subsets.get(name)
+    def permitted_times(name: str) -> list[tuple]:
+        """(permitted set, times) per distinct permitted set of the name."""
+        found = permits.get(name)
         if found is None:
-            by_subset: dict = {}
-            for time in range(size):
-                # None, unissued or before issuance, permits exactly bot
-                subset = perms.subset_state(name, time)
-                entry = by_subset.get(subset)
-                if entry is None:
-                    by_subset[subset] = [perms.permitted(name, time), 1 << time]
-                else:
-                    entry[1] |= 1 << time
-            found = subsets[name] = list(by_subset.values())
+            letters, column = perms.permitted_masks(name, size)
+            times: dict[int, int] = {}
+            for time, mask in enumerate(column):
+                times[mask] = times.get(mask, 0) | 1 << time
+            found = permits[name] = [
+                (mask_actions(letters, mask), bits) for mask, bits in times.items()
+            ]
         return found
 
     def atom_label(node: Formula) -> int:
@@ -357,7 +355,7 @@ def evaluate(run: Run, perms: PermissionInterpretation, t: int, formula: Formula
         if isinstance(node, Perm):
             expr = node.expr
             label = 0
-            for permitted, mask in subset_masks(expr.name):
+            for permitted, mask in permitted_times(expr.name):
                 if expr.positive:
                     holds = expr.action in permitted
                 else:

@@ -73,7 +73,7 @@ def action_key(action: Action):
     if isinstance(action, Bot):
         return (0, "", "")
     if isinstance(action, Pay):
-        return (1, str(action.amount), "")
+        return (1, action.amount, "")
     return (2, action.work, action.device)
 
 

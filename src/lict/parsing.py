@@ -44,7 +44,7 @@ from .licenses import (
     Star,
     Union,
 )
-from .runs import Run, make_run
+from .runs import Run
 
 
 class ParseError(ValueError):
@@ -402,6 +402,7 @@ def parse_run(text: str) -> Run:
     issuances: list[tuple[int, str, License]] = []
     actions: list[tuple[int, str, Action]] = []
     tails: dict[str, tuple[bool, str, License | Action]] = {}
+    horizon = 0  # the last event time
     match = _LEXEME.match
     for lineno, raw in enumerate(text.split("\n"), start=1):
         at = match(raw)
@@ -438,7 +439,9 @@ def parse_run(text: str) -> Run:
             time = int(digits)
         is_issue, name, payload = entry
         (issuances if is_issue else actions).append((time, name, payload))
-    return make_run(issuances, actions)
+        if time > horizon:
+            horizon = time
+    return Run(horizon, tuple(issuances), tuple(actions))
 
 
 # DR licenses:  for [upto] [m] p pay x (upfront|flatrate|peruse) for {..} on {..}

@@ -339,8 +339,10 @@ def position_nfa(lic: License, padded: bool = False) -> Nfa:
         transitions.append((pad, BOT, pad))
         alive.add(pad)
         finals.add(pad)
-    transitions.sort(key=lambda edge: (edge[0], action_key(edge[1]), edge[2]))
-    return Nfa(alive, {start} & alive, finals, transitions, pad)
+    letters = sorted({BOT, *(action for _, action, _ in transitions)}, key=action_key)
+    letter_of = {action: letter for letter, action in enumerate(letters)}
+    edges = [(source, letter_of[action], target) for source, action, target in transitions]
+    return Nfa(alive, {start} & alive, finals, letters, edges, pad)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 A run is finite: it has a horizon, nothing is issued after it, and beyond it
 every name does bot.  The permitted actions for each issued name are computed
-by walking the license's padded position automaton through its memoised
-``Nfa.step`` and ``Nfa.permitted``: the subset of automaton states reached
-by the name's action sequence determines what may happen next.  A client
-that deviates empties its subset, after which only bot is permitted,
-forever.  Beyond the horizon the subsets evolve deterministically under bot
-and eventually cycle, so the whole interpretation is a prefix plus a loop.
+by walking the license's padded position automaton: the subset of automaton
+states reached by the name's action sequence determines what may happen
+next.  A timeline steps the automaton's subset ids (``Nfa.step_id``) on the
+letter of each recorded action, looked up once per action object, so the
+whole walk reads one memo per license.  A client that deviates, or does an
+action outside the license's alphabet, steps to id 0, the empty subset,
+after which only bot is permitted, forever.  Beyond the horizon the subsets
+evolve deterministically under bot and eventually cycle, so the whole
+interpretation is a prefix plus a loop.  ``permitted_masks`` hands out a
+name's permitted sets as bitmasks over its automaton's letters, one per
+time, for callers that group times by what they permit.
 """
 
 from __future__ import annotations
@@ -15,8 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .automata import Nfa, SubsetState, lasso_of, padded_nfa
-from .licenses import BOT, Action, License, pretty_action, pretty_license
+from .automata import SubsetState, padded_nfa
+from .licenses import BOT, Action, License, action_key, pretty_action, pretty_license
+
+_ONLY_BOT = frozenset({BOT})
 
 
 @dataclass(frozen=True)
@@ -35,7 +42,6 @@ class Run:
 
     def __post_init__(self):
         issuance_map: dict[str, tuple[int, License]] = {}
-        issued_at: dict[int, list[tuple[str, License]]] = {}
         for time, name, lic in self.issuances:
             if time < 0:
                 raise ValueError(f"issuance of {name} at negative time {time}")
@@ -44,7 +50,6 @@ class Run:
             if name in issuance_map:
                 raise ValueError(f"name reused: {name} is issued more than once")
             issuance_map[name] = (time, lic)
-            issued_at.setdefault(time, []).append((name, lic))
         by_name: dict[str, dict[int, Action]] = {}  # each name's actions by time
         for time, name, action in self.actions:
             if time < 0:
@@ -57,7 +62,7 @@ class Run:
             timeline[time] = action
         object.__setattr__(self, "_issuance_map", issuance_map)
         object.__setattr__(self, "_actions_by_name", by_name)
-        object.__setattr__(self, "_issued_at", {t: frozenset(v) for t, v in issued_at.items()})
+        object.__setattr__(self, "_issued_at", None)
 
     @property
     def names(self) -> frozenset[str]:
@@ -73,6 +78,12 @@ class Run:
         return self._actions_by_name.get(name, {})
 
     def licenses_at(self, t: int) -> frozenset[tuple[str, License]]:
+        # Built on the first call, as it hashes every issued license.
+        if self._issued_at is None:
+            issued_at: dict[int, set[tuple[str, License]]] = {}
+            for time, name, lic in self.issuances:
+                issued_at.setdefault(time, set()).add((name, lic))
+            object.__setattr__(self, "_issued_at", {t: frozenset(v) for t, v in issued_at.items()})
         return self._issued_at.get(t, frozenset())
 
     def issuance(self, name: str) -> tuple[int, License] | None:
@@ -101,40 +112,56 @@ def pretty_run(run: Run) -> str:
 
 
 class _NameTimeline:
-    """Subset states and permitted sets for one issued name."""
+    """Subset ids for one issued name: one per time to the horizon, then the bot tail."""
 
-    __slots__ = ("issue_time", "nfa", "explicit_subsets", "tail_prefix", "tail_loop")
+    __slots__ = ("issue_time", "nfa", "explicit_ids", "tail_prefix", "tail_loop")
 
     def __init__(self, run: Run, name: str, issue_time: int, lic: License):
         self.issue_time = issue_time
-        self.nfa: Nfa = padded_nfa(lic)
-        subset = self.nfa.starts
-        # One subset per time in [issue_time, horizon + 1]; the last entry is
-        # where the bot tail starts.
-        self.explicit_subsets: list[SubsetState] = [subset]
-        append, step, get = self.explicit_subsets.append, self.nfa.step, run.actions_of(name).get
-        for t in range(issue_time, run.horizon + 1):
-            subset = step(subset, get(t, BOT))
+        nfa = self.nfa = padded_nfa(lic)
+        # The letter done at each time in [issue_time, horizon]; bot unless recorded.
+        word = [0] * (run.horizon + 1 - issue_time)
+        letters: dict[int, int] = {}  # by the id of the action object
+        for time, action in run.actions_of(name).items():
+            if time >= issue_time:
+                letter = letters.get(id(action))
+                if letter is None:
+                    letter = letters[id(action)] = nfa.letter(action)
+                word[time - issue_time] = letter
+        # One id per time in [issue_time, horizon + 1]; the last is where the
+        # bot tail starts.
+        subset = nfa.start
+        ids = self.explicit_ids = [subset]
+        append, rows, step = ids.append, nfa.rows, nfa.step_id
+        for letter in word:
+            image = rows[subset][letter]
+            subset = step(subset, letter) if image is None else image
             append(subset)
-        self.tail_prefix, self.tail_loop = lasso_of(self.nfa, subset)
+        self.tail_prefix, self.tail_loop = nfa.bot_lasso(subset)
 
-    def subset(self, t: int) -> SubsetState | None:
-        if t < self.issue_time:
-            return None
+    def id_at(self, t: int) -> int | None:
+        """The subset id at ``t``; None before issuance."""
         offset = t - self.issue_time
-        if offset < len(self.explicit_subsets) - 1:
-            return self.explicit_subsets[offset]
-        tail_offset = offset - (len(self.explicit_subsets) - 1)
-        if tail_offset < len(self.tail_prefix):
-            return self.tail_prefix[tail_offset]
-        tail_offset -= len(self.tail_prefix)
-        return self.tail_loop[tail_offset % len(self.tail_loop)]
+        if offset < 0:
+            return None
+        if offset < len(self.explicit_ids) - 1:
+            return self.explicit_ids[offset]
+        offset -= len(self.explicit_ids) - 1
+        if offset < len(self.tail_prefix):
+            return self.tail_prefix[offset]
+        offset -= len(self.tail_prefix)
+        return self.tail_loop[offset % len(self.tail_loop)]
 
-    def permitted(self, t: int) -> frozenset[Action]:
-        subset = self.subset(t)
-        if subset is None:
-            return frozenset({BOT})
-        return self.nfa.permitted(subset)
+    def masks(self, n: int) -> list[int]:
+        """The permitted bitmask at each time ``0..n-1``; 1, bot alone, before issuance."""
+        before = min(self.issue_time, n)
+        ids = self.explicit_ids[:-1] + self.tail_prefix
+        after = n - before
+        if len(ids) < after:
+            loop = self.tail_loop
+            ids += loop * ((after - len(ids)) // len(loop) + 1)
+        masks = self.nfa.masks
+        return [1] * before + [masks[subset] for subset in ids[:after]]
 
 
 class PermissionInterpretation:
@@ -157,9 +184,19 @@ class PermissionInterpretation:
 
     def permitted(self, name: str, t: int) -> frozenset[Action]:
         timeline = self._timelines.get(name)
+        subset = None if timeline is None else timeline.id_at(t)
+        return _ONLY_BOT if subset is None else timeline.nfa.permitted_id(subset)
+
+    def permitted_masks(self, name: str, n: int) -> tuple[tuple[Action, ...], list[int]]:
+        """``name``'s letters, and what it permits at each time ``0..n-1`` as a bitmask over them.
+
+        Bot is letter 0 of every automaton, so bot alone is 1, as before
+        issuance or at any time of a name never issued.
+        """
+        timeline = self._timelines.get(name)
         if timeline is None:
-            return frozenset({BOT})
-        return timeline.permitted(t)
+            return (BOT,), [1] * n
+        return timeline.nfa.letters, timeline.masks(n)
 
     def obligated(self, name: str, t: int) -> Action | None:
         """The sole permitted action, if there is exactly one."""
@@ -171,14 +208,16 @@ class PermissionInterpretation:
     def subset_state(self, name: str, t: int) -> SubsetState | None:
         """The automaton subset tracking ``name`` at ``t`` (None before issuance)."""
         timeline = self._timelines.get(name)
-        if timeline is None:
-            return None
-        return timeline.subset(t)
+        subset = None if timeline is None else timeline.id_at(t)
+        return None if subset is None else timeline.nfa.subsets[subset]
 
 
 def permission_line(name: str, permitted: frozenset[Action]) -> str:
-    """What ``name`` may and must do, given its permitted set, as the CLI and REPL print it."""
-    rendered = sorted(pretty_action(a) for a in permitted)
+    """What ``name`` may and must do, given its permitted set, as the CLI and REPL print it.
+
+    Actions are listed in ``action_key`` order, pay by amount.
+    """
+    rendered = [pretty_action(a) for a in sorted(permitted, key=action_key)]
     obligated = rendered[0] if len(rendered) == 1 else "none"
     return f"n={name} permits={{{','.join(rendered)}}} obligated={obligated}"
 

@@ -12,6 +12,7 @@ from lict import (
     Atom,
     Concat,
     Pay,
+    Render,
     Union,
     parse_license,
 )
@@ -19,6 +20,7 @@ from lict.automata import (
     build_nfa,
     dump_dot,
     lasso_of,
+    mask_actions,
     padded_nfa,
     reachable_subsets,
 )
@@ -254,6 +256,38 @@ class TestWarmMemo:
             walk[0], walk[1] = nfa.step(subset, action), left - 1
             assert walk[0] == subset_step(nfa, subset, action)
             assert nfa.permitted(walk[0]) == subset_permitted(nfa, walk[0])
+
+
+class TestDenseIds:
+    def test_letters_follow_action_key_with_bot_first(self):
+        nfa = build_nfa(parse_license("render[w,dA] pay[10.00] | pay[9.00] render[w,d]"))
+        assert nfa.letters == (
+            BOT, Pay(Decimal("9.00")), Pay(Decimal("10.00")), Render("w", "d"), Render("w", "dA"),
+        )
+
+    def test_empty_subset_is_id_zero_and_the_start_is_one(self):
+        nfa = padded_nfa(Atom(PAY))
+        assert nfa.subsets[:2] == [frozenset(), nfa.starts]
+        assert nfa.start == 1 and nfa.masks[0] == 1
+        assert nfa.step_id(0, nfa.letter(PAY)) == 0
+        assert build_nfa(ZERO).start == 0
+
+    def test_an_action_outside_the_alphabet_steps_to_zero(self):
+        nfa = padded_nfa(Atom(PAY))
+        outside = nfa.letter(Pay(Decimal("2.00")))
+        assert outside == len(nfa.letters)
+        assert nfa.step_id(nfa.start, outside) == 0
+        assert nfa.step(nfa.starts, Pay(Decimal("2.00"))) == frozenset()
+
+    def test_masks_decode_to_the_permitted_sets(self):
+        # unpadded too, where an accepting state permits bot without a bot edge
+        rng = random.Random(83)
+        for _ in range(50):
+            lic = random_license(rng, 4)
+            for nfa in (build_nfa(lic), padded_nfa(lic)):
+                reachable_subsets(nfa, POOL)
+                for subset, mask in zip(nfa.subsets, nfa.masks):
+                    assert mask_actions(nfa.letters, mask) == subset_permitted(nfa, subset)
 
 
 class TestDot:

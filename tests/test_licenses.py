@@ -92,6 +92,10 @@ class TestActions:
     def test_bot_is_distinct(self):
         assert BOT != A and BOT != B
 
+    def test_action_key_orders_pay_by_amount(self):
+        ordered = [BOT, Pay(Decimal("9.00")), Pay(Decimal("10.00")), Render("w", "d"), Render("w", "dA")]
+        assert sorted(reversed(ordered), key=licenses.action_key) == ordered
+
 
 class TestTraces:
     def test_single_atom(self):

@@ -1,6 +1,7 @@
 """Runs and the permission interpretation against the viability definition."""
 
 import random
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -15,10 +16,12 @@ from lict import (
     parse_license,
     parse_run,
 )
-from lict.reference import action_sequence, active, viable
+from lict.automata import padded_nfa
+from lict.cli import permissions_lines
+from lict.reference import action_sequence, active, subset_permitted, subset_step, viable
 from lict.runs import permission_line
 
-from gen import POOL, oracle_permitted, random_action, random_license, random_run
+from gen import POOL, licenses, oracle_permitted, random_action, random_license, random_run
 
 PAY = Pay(Decimal("1.00"))
 READ = Render("journal", "d")
@@ -159,3 +162,88 @@ class TestComputePermissions:
         perms = compute_permissions(JOURNAL_RUN)
         assert perms.subset_state("n", 0)
         assert perms.subset_state("zz", 0) is None
+
+
+# Actions no license drawn from POOL holds; a name doing one is violated.
+OUTSIDE = (Pay(Decimal("10.00")), Render("x", "y"))
+
+
+class TestDenseSubsets:
+    """Subset ids, their rows and the permitted bitmasks against the uncached oracle."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_timelines_rows_and_lines_match_the_oracle(self, data):
+        names = ("n", "m")
+        horizon = data.draw(st.integers(0, 8))
+        issuances, actions = [], []
+        for name in names:
+            start = data.draw(st.integers(0, horizon))
+            issuances.append((start, name, data.draw(licenses())))
+            for t in range(horizon + 1):
+                action = data.draw(st.none() | st.sampled_from(POOL + OUTSIDE))
+                if action is not None:
+                    if data.draw(st.booleans()):
+                        action = replace(action)  # equal, but another object
+                    actions.append((t, name, action))
+        run = make_run(issuances, actions, horizon=horizon)
+        perms = compute_permissions(run)
+        end = perms.prefix_len + 2 * perms.loop_len + 2
+        for start, name, lic in issuances:
+            nfa = padded_nfa(lic)
+            subset = nfa.starts
+            for t in range(end):
+                if t < start:
+                    assert perms.subset_state(name, t) is None
+                    assert perms.permitted(name, t) == {BOT}
+                    continue
+                assert perms.subset_state(name, t) == subset, (name, t)
+                assert perms.permitted(name, t) == subset_permitted(nfa, subset), (name, t)
+                subset = subset_step(nfa, subset, run.action(name, t))
+            for i, row in enumerate(nfa.rows):
+                assert nfa.permitted(nfa.subsets[i]) == subset_permitted(nfa, nfa.subsets[i])
+                for letter, image in enumerate(row[:-1]):
+                    if image is not None:
+                        action = nfa.letters[letter]
+                        assert nfa.subsets[image] == nfa.step(nfa.subsets[i], action)
+                        assert nfa.subsets[image] == subset_step(nfa, nfa.subsets[i], action)
+                assert row[-1] == 0  # every action outside the alphabet
+        lines = permissions_lines(run, end)
+        assert lines == [
+            f"t={t} {permission_line(name, perms.permitted(name, t))}"
+            for t in range(end + 1)
+            for name in sorted(run.names)
+        ]
+
+    def test_an_action_outside_the_alphabet_violates(self):
+        run = parse_run("@0 issue n = pay[1.00]*\n@1 do n pay[10.00]")
+        perms = compute_permissions(run)
+        assert perms.subset_state("n", 2) == frozenset()
+        assert perms.permitted("n", 2) == {BOT}
+
+    def test_permitted_masks_are_over_the_letters(self):
+        perms = compute_permissions(JOURNAL_RUN)
+        letters, masks = perms.permitted_masks("n", 4)
+        assert letters == (BOT, PAY, READ)
+        assert masks == [0b011, 0b101, 0b101, 0b011]
+        assert perms.permitted_masks("zz", 2) == ((BOT,), [1, 1])
+
+
+class TestPrintedOrder:
+    def test_pay_is_listed_by_amount(self):
+        run = parse_run("@0 issue n = pay[9.00] | pay[10.00]")
+        assert permissions_lines(run, 0) == [
+            "t=0 n=n permits={pay[9.00],pay[10.00]} obligated=none"
+        ]
+
+    def test_render_is_listed_by_work_then_device(self):
+        # as text, "render[w,dA]" sorts before "render[w,d]"
+        run = parse_run("@0 issue n = render[w,d] | render[w,dA]")
+        assert permissions_lines(run, 0) == [
+            "t=0 n=n permits={render[w,d],render[w,dA]} obligated=none"
+        ]
+
+    def test_permission_line_sorts_by_action_key(self):
+        permitted = frozenset({Pay(Decimal("10.00")), Pay(Decimal("9.00")), BOT})
+        line = permission_line("n", permitted)
+        assert line == "n=n permits={bot,pay[9.00],pay[10.00]} obligated=none"
