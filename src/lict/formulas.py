@@ -16,9 +16,11 @@ issued and every name does ``bot`` forever.  The evaluator labels each
 subformula, children first, with the canonical times at which it holds, one
 int bit vector per subformula.
 
-Every walk over a formula here (printing, atom mapping, labelling) runs on
-an explicit stack, so depth costs no recursion: a run's encoding nests
-twice as deep as the run is long.
+Every walk over a formula here (printing, atom mapping, labelling) goes
+through the node walk and DAG printer of :mod:`lict.licenses`, which run on
+explicit stacks, so depth costs no recursion: a run's encoding nests twice
+as deep as the run is long.  This module supplies only each node's children
+and layout.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .licenses import (
     BOT,
     Action,
     License,
+    dag_text,
     fold_balanced,
+    post_order,
     pretty_action,
     pretty_license,
 )
@@ -124,6 +128,7 @@ class Until(Formula):
 
 _UNARY_NODES = (Not, Next, Always)
 _BINARY_NODES = (And, Until)
+_CONNECTIVES = (Truth, *_UNARY_NODES, *_BINARY_NODES)
 
 
 # Derived forms normalize to the core connectives at construction time; the
@@ -168,43 +173,13 @@ def _children(node: Formula) -> tuple:
 
 def formula_atoms(formula: Formula) -> frozenset[Formula]:
     """Every atom of the formula: each leaf other than ``Truth``."""
-    atoms = set()
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        children = _children(node)
-        if children:
-            stack.extend(children)
-        elif not isinstance(node, Truth):
-            atoms.add(node)
-    return frozenset(atoms)
-
-
-def _post_order(formula: Formula) -> list[Formula]:
-    """Each distinct subformula once, children before parents, left first.
-
-    Walks an explicit stack, so depth costs no recursion, and keys nodes by
-    ``id``: the generated ``__hash__`` recurses, and a subformula shared
-    between parents is visited once.
-    """
-    order: list[Formula] = []
-    seen: set[int] = set()
-    stack: list[tuple[Formula, bool]] = [(formula, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(_children(node)))
-    return order
+    return frozenset(node for node in post_order(formula, _children) if not isinstance(node, _CONNECTIVES))
 
 
 def map_atoms(formula: Formula, atom_map: Callable[[Formula], Formula]) -> Formula:
     """The formula with every atom replaced by its image; connectives kept."""
     images: dict[int, Formula] = {}
-    for node in _post_order(formula):
+    for node in post_order(formula, _children):
         if isinstance(node, _UNARY_NODES):
             image = type(node)(images[id(node.operand)])
         elif isinstance(node, _BINARY_NODES):
@@ -239,7 +214,7 @@ def lasso_labels(
     loop_mask = full ^ prefix_mask
     labels: dict[int, int] = {}
     atoms: dict[Formula, int] = {}
-    for node in _post_order(formula):
+    for node in post_order(formula, _children):
         if isinstance(node, Not):
             label = full ^ labels[id(node.operand)]
         elif isinstance(node, And):
@@ -417,67 +392,7 @@ _IMPLIES, _OR, _AND, _UNTIL, _UNARY, _ATOM = range(6)
 
 def pretty_formula(formula: Formula) -> str:
     """Render a formula of either logic, re-sugaring O, F, |, and ->."""
-    # Each node lays out as text pieces and (child, minimum level) slots; the
-    # slots are expanded in place on an explicit stack, so depth costs no
-    # recursion.  A node object reached more than once is laid out once: its
-    # text is kept unparenthesised with its level, and each occurrence adds
-    # the parentheses its own slot needs.  Other nodes' text is never joined
-    # before the end, which keeps the encoding's long spine linear.
-    shared = _shared_nodes(formula)
-    out: list[str] = []
-    outer: list[list[str]] = []  # the enclosing texts of shared nodes being laid out
-    stack: list = [(formula, _IMPLIES)]
-    while stack:
-        item = stack.pop()
-        kind = type(item)
-        if kind is str:
-            out.append(item)
-            continue
-        if kind is list:
-            # the end of a shared node's first layout: keep its text
-            key, level = item
-            shared[key] = ("".join(out), level)
-            out = outer.pop()
-            continue
-        node, minimum = item
-        if shared and id(node) in shared:
-            key = id(node)
-            rendered = shared[key]
-            if rendered is not None:
-                text, level = rendered
-                if level < minimum:
-                    out += ("(", text, ")")
-                else:
-                    out.append(text)
-                continue
-            # lay the node out alone, then come back to this slot
-            level, pieces = _layout(node)
-            stack.append(item)
-            stack.append([key, level])
-            outer.append(out)
-            out = []
-        else:
-            level, pieces = _layout(node)
-            if level < minimum:
-                pieces = ("(", *pieces, ")")
-        stack.extend(reversed(pieces))
-    return "".join(out)
-
-
-def _shared_nodes(formula: Formula) -> dict:
-    """The ids of the node objects reached more than once, each mapped to None."""
-    seen: set[int] = set()
-    shared: dict = {}
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        key = id(node)
-        if key in seen:
-            shared[key] = None
-            continue
-        seen.add(key)
-        stack.extend(_children(node))
-    return shared
+    return dag_text(formula, _IMPLIES, _layout, _children)
 
 
 def _pair(expr: ActionExpr) -> str:

@@ -8,6 +8,9 @@ infinite tail of ``bot`` when judging viability).  The engines read licenses
 through their position automata (:mod:`lict.automata`); the trace semantics
 itself (enumeration, derivatives, viability) is the oracle in
 :mod:`lict.reference`.
+
+This module also holds the DAG layer that licenses and formulas share: one
+node walk (:func:`post_order`) and one printer (:func:`dag_text`).
 """
 
 from __future__ import annotations
@@ -77,41 +80,115 @@ def action_key(action: Action):
     return (2, action.work, action.device)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class License:
-    pass
+    """A license node, equal to another of the same structure.
+
+    Hashing and comparing run on explicit stacks, so a long chain costs no
+    recursion.  A node's hash is computed once, from its children's, and
+    kept; it is the hash of the tuple of its fields, as a frozen
+    dataclass's would be.
+    """
+
+    _hash = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            stack = [self]
+            while stack:
+                # the node on top is hashed once its children are
+                node = stack[-1]
+                kind = type(node)
+                if kind is Concat or kind is Union:
+                    left, right = node.left, node.right
+                    if left._hash is None:
+                        stack.append(left)
+                        continue
+                    if right._hash is None:
+                        stack.append(right)
+                        continue
+                    fields = (left, right)
+                elif kind is Star:
+                    body = node.body
+                    if body._hash is None:
+                        stack.append(body)
+                        continue
+                    fields = (body,)
+                elif kind is Atom:
+                    fields = (node.action,)
+                else:
+                    fields = ()
+                stack.pop()
+                object.__setattr__(node, "_hash", hash(fields))
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, License):
+            return NotImplemented
+        if self._hash is not None and other._hash is not None and self._hash != other._hash:
+            return False
+        pairs = [(self, other)]
+        while pairs:
+            left, right = pairs.pop()
+            if left is right:
+                continue
+            kind = type(left)
+            if kind is not type(right):
+                return False
+            if kind is Concat or kind is Union:
+                # left operands first, as a dataclass compares its fields
+                pairs.append((left.right, right.right))
+                pairs.append((left.left, right.left))
+            elif kind is Star:
+                pairs.append((left.body, right.body))
+            elif kind is Atom and left.action != right.action:
+                return False
+        return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(License):
     action: Action
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Concat(License):
     left: License
     right: License
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Union(License):
     left: License
     right: License
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Star(License):
     body: License
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Zero(License):
     """The license with no traces at all.  Internal only, never parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class One(License):
     """The license whose sole trace is empty.  Internal only, never parsed."""
+
+
+def _children(node: License) -> tuple:
+    kind = type(node)
+    if kind is Concat or kind is Union:
+        return (node.left, node.right)
+    if kind is Star:
+        return (node.body,)
+    if kind is Atom or kind is Zero or kind is One:
+        return ()
+    raise TypeError(f"not a license: {node!r}")
 
 
 ZERO = Zero()
@@ -151,64 +228,66 @@ def fold_balanced(parts: list, combine):
 
 
 def license_actions(lic: License) -> frozenset[Action]:
-    """Every action literally occurring in the license.
+    """Every action literally occurring in the license."""
+    return frozenset(node.action for node in post_order(lic, _children) if type(node) is Atom)
 
-    Walks an explicit stack, so depth costs no recursion.
-    """
-    actions = set()
-    stack = [lic]
+
+# One DAG layer serves both ASTs, licenses here and formulas in
+# :mod:`lict.formulas`: a walk and a printer, each given the AST's children
+# function.  Both run on explicit stacks, so depth costs no recursion, and
+# both key nodes by ``id``, so a node object reached from several parents is
+# handled once.
+
+_EXIT = object()  # marks where a node's children end on the walk's stack
+
+
+def post_order(root, children) -> list:
+    """Each distinct node object once, children before parents, left first."""
+    order = []
+    seen: set[int] = set()
+    stack = [root]
     while stack:
         node = stack.pop()
-        kind = type(node)
-        if kind is Atom:
-            actions.add(node.action)
-        elif kind is Concat or kind is Union:
-            stack.append(node.left)
-            stack.append(node.right)
-        elif kind is Star:
-            stack.append(node.body)
-        elif kind is not Zero and kind is not One:
-            raise TypeError(f"not a license: {node!r}")
-    return frozenset(actions)
+        if node is _EXIT:
+            order.append(stack.pop())
+            continue
+        key = id(node)
+        if key not in seen:
+            seen.add(key)
+            stack.append(node)
+            stack.append(_EXIT)
+            stack += reversed(children(node))
+    return order
 
 
-_LEVEL_UNION = 0
-_LEVEL_CONCAT = 1
-_LEVEL_STAR = 2
-_LEVEL_ATOM = 3
+def dag_text(root, top_level: int, layout, children) -> str:
+    """The text of a license or formula, each shared node object laid out once.
 
-_LEVELS = {Union: _LEVEL_UNION, Concat: _LEVEL_CONCAT, Star: _LEVEL_STAR}
-
-
-def pretty_license(lic: License) -> str:
-    """Render a license in the surface grammar (0/1 only for internal forms).
-
-    A node object other than an atom that is reached more than once is
-    rendered once.  Most licenses printed are trees, so the first rendering
-    assumes one; only if a node recurs is the license rendered again,
-    knowing every node that recurs.
+    ``layout(node)`` gives the node's precedence level and its pieces: text,
+    or (child, minimum level) slots; a slot whose node's level is below its
+    minimum is parenthesised.  The slots are expanded in place on an explicit
+    stack.  A node object reached more than once through ``children`` is
+    laid out once, alone: its text is kept unparenthesised with its level,
+    and each occurrence adds the parentheses its own slot needs, since one
+    shared node can sit under different minimum levels.  No other node's
+    text is joined before the end, which keeps a long chain linear.
     """
-    text = _render(lic, {})
-    if text is None:
-        text = _render(lic, _shared_nodes(lic))
-    return text
-
-
-def _render(lic: License, shared: dict) -> str | None:
-    """The license's text, or None if a node recurs that ``shared`` lacks.
-
-    ``shared`` maps the id of each node known to recur to None, and then to
-    its unparenthesised text and level once rendered; each occurrence adds
-    the parentheses its own slot needs, since one shared node can sit under
-    different minimum levels.  Slots (node, minimum level) and text are
-    expanded in place on an explicit stack, so depth costs no recursion, and
-    no other node's text is joined before the end, which keeps a long chain
-    linear.
-    """
+    # the ids of the node objects reached more than once, each mapped to None
+    # until laid out, then to its text and level
+    shared: dict = {}
     seen: set[int] = set()
+    stack: list = [root]
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        if key in seen:
+            shared[key] = None
+        else:
+            seen.add(key)
+            stack += children(node)
     out: list[str] = []
-    outer: list[list[str]] = []  # the enclosing texts of shared nodes being rendered
-    stack: list = [(lic, _LEVEL_UNION)]
+    outer: list[list[str]] = []  # the enclosing texts of shared nodes being laid out
+    stack = [(root, top_level)]
     while stack:
         item = stack.pop()
         kind = type(item)
@@ -216,86 +295,61 @@ def _render(lic: License, shared: dict) -> str | None:
             out.append(item)
             continue
         if kind is list:
-            # the end of a shared node's first rendering: keep its text
+            # the end of a shared node's first layout: keep its text
             key, level = item
             shared[key] = ("".join(out), level)
             out = outer.pop()
             continue
         node, minimum = item
-        kind = type(node)
-        if kind is Atom:
-            out.append(pretty_action(node.action))
-            continue
-        key = id(node)
-        if key in shared:
-            rendered = shared[key]
-            if rendered is not None:
-                text, level = rendered
+        if shared and id(node) in shared:
+            key = id(node)
+            laid_out = shared[key]
+            if laid_out is not None:
+                text, level = laid_out
                 if level < minimum:
                     out += ("(", text, ")")
                 else:
                     out.append(text)
                 continue
-            # render the node alone, then come back to this slot
+            # lay the node out alone, then come back to this slot
+            level, pieces = layout(node)
             stack.append(item)
-            stack.append([key, _LEVELS.get(kind, _LEVEL_ATOM)])
+            stack.append([key, level])
             outer.append(out)
             out = []
-            minimum = _LEVEL_UNION
-        elif key in seen:
-            return None
         else:
-            seen.add(key)
-        # an atom child's text is pushed as it is, saving it a slot
-        if kind is Concat:
-            if minimum > _LEVEL_CONCAT:
+            level, pieces = layout(node)
+            if level < minimum:
                 out.append("(")
                 stack.append(")")
-            right = node.right
-            stack.append(pretty_action(right.action) if type(right) is Atom else (right, _LEVEL_STAR))
-            stack.append(" ")
-            stack.append((node.left, _LEVEL_CONCAT))
-        elif kind is Union:
-            if minimum > _LEVEL_UNION:
-                out.append("(")
-                stack.append(")")
-            right = node.right
-            stack.append(pretty_action(right.action) if type(right) is Atom else (right, _LEVEL_CONCAT))
-            stack.append(" | ")
-            stack.append((node.left, _LEVEL_UNION))
-        elif kind is Star:
-            if minimum > _LEVEL_STAR:
-                out.append("(")
-                stack.append(")")
-            stack.append("*")
-            stack.append((node.body, _LEVEL_ATOM))
-        elif kind is Zero:
-            out.append("0")
-        elif kind is One:
-            out.append("1")
-        else:
-            raise TypeError(f"not a license: {node!r}")
+        stack += reversed(pieces)
     return "".join(out)
 
 
-def _shared_nodes(lic: License) -> dict:
-    """The ids of the non-atom node objects reached more than once, each mapped to None."""
-    seen: set[int] = set()
-    shared: dict = {}
-    stack = [lic]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Atom:
-            continue
-        key = id(node)
-        if key in seen:
-            shared[key] = None
-            continue
-        seen.add(key)
-        if kind is Concat or kind is Union:
-            stack.append(node.left)
-            stack.append(node.right)
-        elif kind is Star:
-            stack.append(node.body)
-    return shared
+_LEVEL_UNION = 0
+_LEVEL_CONCAT = 1
+_LEVEL_STAR = 2
+_LEVEL_ATOM = 3
+
+
+def pretty_license(lic: License) -> str:
+    """Render a license in the surface grammar (0/1 only for internal forms)."""
+    return dag_text(lic, _LEVEL_UNION, _layout, _children)
+
+
+def _layout(lic: License) -> tuple[int, tuple]:
+    """The node's precedence level and its pieces: text or (child, minimum)."""
+    kind = type(lic)
+    if kind is Concat:
+        return _LEVEL_CONCAT, ((lic.left, _LEVEL_CONCAT), " ", (lic.right, _LEVEL_STAR))
+    if kind is Union:
+        return _LEVEL_UNION, ((lic.left, _LEVEL_UNION), " | ", (lic.right, _LEVEL_CONCAT))
+    if kind is Star:
+        return _LEVEL_STAR, ((lic.body, _LEVEL_ATOM), "*")
+    if kind is Atom:
+        return _LEVEL_ATOM, (pretty_action(lic.action),)
+    if kind is Zero:
+        return _LEVEL_ATOM, ("0",)
+    if kind is One:
+        return _LEVEL_ATOM, ("1",)
+    raise TypeError(f"not a license: {lic!r}")

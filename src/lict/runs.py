@@ -78,7 +78,8 @@ class Run:
         return self._actions_by_name.get(name, {})
 
     def licenses_at(self, t: int) -> frozenset[tuple[str, License]]:
-        # Built on the first call, as it hashes every issued license.
+        # Built on the first call: only the run's encoding and its LTL
+        # structure read it.
         if self._issued_at is None:
             issued_at: dict[int, set[tuple[str, License]]] = {}
             for time, name, lic in self.issuances:

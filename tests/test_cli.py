@@ -15,9 +15,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lict import cli
+from lict import cli, repl
 from lict.cli import main
-from lict.repl import step_repl
+from lict.repl import NESTED_TOO_DEEPLY, step_repl
 from lict import BOT, Pay, Render, compile_dr, parse_dr, parse_run
 from lict.digitalrights import DEFAULT_DR_CAP
 from lict.automata import build_nfa
@@ -303,9 +303,9 @@ class TestEncodeAndTranslate:
             assert not accepts(nfa, body + (Pay(fee + Decimal("0.01")),))
 
 
-# 600 actions in one left-deep chain: the parser and the automaton take it,
-# but the license tree's generated ``__hash__`` recurses once per action.
-FLAT_LICENSE = " ".join(["bot"] * 600)
+# 2000 actions in one left-deep chain, far longer than the recursion limit:
+# parsing, hashing, comparing and printing it all run on explicit stacks.
+FLAT_LICENSE = " ".join(["bot"] * 2000)
 
 
 def deep_license(depth: int) -> str:
@@ -313,8 +313,8 @@ def deep_license(depth: int) -> str:
 
 
 class TestDeepInput:
-    """Formulas and licenses of any nesting depth are decided; a flat license
-    whose tree hashes beyond the interpreter's stack ends in a usage error."""
+    """Formulas and licenses of any nesting depth, and flat licenses of any
+    length, are decided."""
 
     @pytest.mark.parametrize(
         "text", ["(" * 300 + "true" + ")" * 300, "X " * 1000 + "true"]
@@ -347,12 +347,36 @@ class TestDeepInput:
         assert "issued m at t=1" in out
         assert "  n=m permits={pay[1.00]} obligated=pay[1.00]" in out.splitlines()
 
-    def test_nested_too_deeply_exits_two(self, tmp_path, capsys):
+    def test_flat_license_is_decided(self, tmp_path, capsys):
         code, out = invoke(capsys, "sat", write(tmp_path, "f.lic", f"issue(n, {FLAT_LICENSE})"))
+        assert code == 0
+        assert out.splitlines() == ["result=sat", "witness run:", f"@0 issue n = {FLAT_LICENSE}"]
+        run = write(tmp_path, "r.run", f"@0 issue n = {FLAT_LICENSE}\n")
+        code, out = invoke(capsys, "permissions", run)
+        assert code == 0
+        assert out.splitlines() == ["result=ok", "t=0 n=n permits={bot} obligated=bot"]
+        with mock.patch("sys.stdin", io.StringIO(f"issue m {FLAT_LICENSE}\nshow\nquit\n")):
+            code, out = invoke(capsys, "step", run)
+        assert code == 0
+        assert "issued m at t=1" in out
+        assert "  n=m permits={bot} obligated=bot" in out.splitlines()
+
+    def test_recursion_error_is_a_usage_error(self, tmp_path, capsys):
+        # No known input recurses; should one, the command and the session
+        # report it and the session goes on.
+        path = write(tmp_path, "f.lic", "true")
+        with mock.patch.object(cli, "lic_sat", side_effect=RecursionError):
+            code, out = invoke(capsys, "sat", path)
         assert code == 2
+        assert out.splitlines() == ["result=error", NESTED_TOO_DEEPLY]
+        run = write(tmp_path, "r.run", "")
+        script = io.StringIO("issue n pay[1.00]\neval true\nshow\nquit\n")
+        with mock.patch("sys.stdin", script), mock.patch.object(repl, "evaluate", side_effect=RecursionError):
+            code, out = invoke(capsys, "step", run)
+        assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "result=error"
-        assert "nested too deeply" in lines[1]
+        assert f"lict> error: {NESTED_TOO_DEEPLY}" in lines
+        assert "  n=n permits={pay[1.00]} obligated=pay[1.00]" in lines
 
     def test_encoding_at_horizon_1000_holds_on_its_run(self, tmp_path, capsys):
         run_path = write(tmp_path, "r.run", "@0 issue n = pay[1.00] bot*\n@0 do n pay[1.00]\n@1000 do n bot\n")
@@ -668,7 +692,7 @@ class TestRepl:
         out = self.run_session("issue n pay[1.00]\neval O(pay[1.00], n)\nquit\n")
         assert "lict> true" in out
 
-    def test_nested_too_deeply_session_continues(self):
+    def test_deep_and_flat_inputs_session_continues(self):
         deep = "(" * 300 + "true" + ")" * 300
         out = self.run_session(
             f"issue n pay[1.00]\neval {deep}\nissue k {deep_license(1000)}\nshow\n"
@@ -677,8 +701,12 @@ class TestRepl:
         assert "lict> true" in out
         assert "issued k at t=0" in out
         assert "  n=k permits={pay[1.00]} obligated=pay[1.00]" in out.splitlines()
-        assert "lict> error: the input is nested too deeply to process" in out.splitlines()
-        assert out.split("undone")[1].count("n=n permits={pay[1.00]} obligated=pay[1.00]") == 1
+        assert "issued m at t=0" in out
+        assert "  n=m permits={bot} obligated=bot" in out.splitlines()
+        assert "error" not in out
+        after_undo = out.split("undone")[1]
+        assert after_undo.count("n=n permits={pay[1.00]} obligated=pay[1.00]") == 1
+        assert "n=m" not in after_undo
 
     def test_non_ascii_digit_session_continues(self, tmp_path, capsys):
         path = write(tmp_path, "empty.run", "")

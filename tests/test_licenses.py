@@ -1,6 +1,7 @@
 """License algebra: trace enumeration, derivatives, first sets, viability."""
 
 import random
+from collections import Counter
 from decimal import Decimal
 from unittest import mock
 
@@ -45,6 +46,7 @@ from gen import (
     unshared,
 )
 from gen import _atom_count as atom_count
+from gen import licenses as license_trees
 
 JOURNAL = parse_license("((pay[1.00] bot* render[journal,d]) | bot)*")
 PAY = Pay(Decimal("1.00"))
@@ -271,39 +273,60 @@ class TestPretty:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_shared_subterms_print_once_and_as_their_copy(self, seed):
         lic = shared_license(random.Random(seed))
-        text = pretty_license(lic)
+        layouts = Counter()
+        layout = licenses._layout
+
+        def counting(node):
+            layouts[id(node)] += 1
+            return layout(node)
+
+        with mock.patch.object(licenses, "_layout", counting):
+            text = pretty_license(lic)
         assert text == pretty_license(unshared(lic))
         assert parse_license(text) == lic
-        # Rendered as a tree, the license is found to share; rendered knowing
-        # what recurs, each shared node renders once, so only the atom
-        # children of distinct nodes are rendered.
-        assert licenses._render(lic, {}) is None
-        rendered = []
+        # A node reached twice is laid out at most once.  The shared union is
+        # always laid out.
+        shared = _reached_twice(lic)
+        assert all(layouts[key] <= 1 for key in shared)
+        assert any(layouts[key] == 1 for key in shared)
 
-        def counting(action):
-            rendered.append(action)
-            return pretty_action(action)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        pair=st.one_of(
+            st.tuples(license_trees(pool=SMALL_POOL[:2]), license_trees(pool=SMALL_POOL[:2])),
+            license_trees(pool=SMALL_POOL).map(lambda lic: (lic, unshared(lic))),
+            st.integers(0, 2**32 - 1).map(lambda seed: shared_license(random.Random(seed))).map(
+                lambda lic: (lic, unshared(lic))
+            ),
+        ),
+        hashed=st.sampled_from(((), (0,), (1,), (0, 1))),
+    )
+    def test_equal_exactly_when_printed_alike(self, pair, hashed):
+        # Parsing a license's text gives that license back, so equal texts
+        # mean equal licenses.  Hashing first caches hashes the comparison
+        # may read.
+        for index in hashed:
+            hash(pair[index])
+        a, b = pair
+        alike = pretty_license(a) == pretty_license(b)
+        assert (a == b) is alike
+        assert (b == a) is alike
+        assert (a != b) is not alike
+        if alike:
+            assert hash(a) == hash(b)
 
-        with mock.patch.object(licenses, "pretty_action", counting):
-            assert licenses._render(lic, licenses._shared_nodes(lic)) == text
-            dag_atoms = len(rendered)
-            rendered.clear()
-            pretty_license(unshared(lic))
-        assert dag_atoms == _atom_children(lic) < len(rendered)
 
-
-def _atom_children(lic) -> int:
-    """The number of atom children of the distinct node objects in a license DAG."""
-    seen, atoms, stack = set(), 0, [lic]
+def _reached_twice(lic) -> set[int]:
+    """The ids of the node objects reached more than once in a license DAG."""
+    seen, twice, stack = set(), set(), [lic]
     while stack:
         node = stack.pop()
         if id(node) in seen:
+            twice.add(id(node))
             continue
         seen.add(id(node))
-        children = [getattr(node, name) for name in ("left", "right", "body") if hasattr(node, name)]
-        atoms += sum(isinstance(child, Atom) for child in children)
-        stack += [child for child in children if not isinstance(child, Atom)]
-    return atoms
+        stack += [getattr(node, name) for name in ("left", "right", "body") if hasattr(node, name)]
+    return twice
 
 
 class TestDeepLicenses:
@@ -311,11 +334,15 @@ class TestDeepLicenses:
 
     def test_flat_concat_chain(self):
         actions = [POOL[i % len(POOL)] for i in range(5000)]
-        lic = Atom(actions[0])
-        for action in actions[1:]:
-            lic = Concat(lic, Atom(action))
+        lic = _chain(actions)
         assert pretty_license(lic) == " ".join(pretty_action(action) for action in actions)
         assert license_actions(lic) == frozenset(POOL)
+        # compared and hashed without recursion
+        twin = _chain(actions)
+        assert lic == twin and hash(lic) == hash(twin)
+        for changed in ([POOL[1], *actions[1:]], [*actions[:-1], POOL[1]]):
+            assert lic != _chain(changed)
+            assert not lic == _chain(changed)
 
     def test_star_union_nest(self):
         lic = Atom(BOT)
@@ -323,3 +350,11 @@ class TestDeepLicenses:
             lic = Star(Union(lic, Atom(PAY)))
         assert pretty_license(lic) == "(" * 1000 + "bot" + " | pay[1.00])*" * 1000
         assert license_actions(lic) == frozenset({BOT, PAY})
+
+
+def _chain(actions) -> Concat:
+    """The left-deep concatenation of the actions, each in a fresh atom."""
+    lic = Atom(actions[0])
+    for action in actions[1:]:
+        lic = Concat(lic, Atom(action))
+    return lic

@@ -99,12 +99,13 @@ class TestLicenses:
         assert lic.right == lic.left.right and lic.right is not lic.left.right
 
     def test_deep_licenses(self):
-        # Compared as text: the dataclass == recurses as deep as the license.
         assert parse_license("(" * 1000 + "bot" + ")" * 1000) == Atom(BOT)
         nest = "(" * 1000 + "bot" + " | pay[1.00])*" * 1000
         flat = " ".join(["bot", "pay[1.00]", "render[w,d]"] * 1000)
         for text in (nest, flat):
-            assert pretty_license(parse_license(text)) == text
+            lic = parse_license(text)
+            assert pretty_license(lic) == text
+            assert parse_license(text) == lic
 
     # Malformed licenses with the message, line and column each must give; an
     # action read again from the parse's memo must not move any of them.
