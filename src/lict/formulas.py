@@ -33,6 +33,7 @@ from .licenses import (
     BOT,
     Action,
     License,
+    Node,
     dag_text,
     fold_balanced,
     post_order,
@@ -55,9 +56,13 @@ class ActionExpr:
     name: str
 
 
-@dataclass(frozen=True)
-class Formula:
-    pass
+@dataclass(frozen=True, eq=False)
+class Formula(Node):
+    """A formula node.
+
+    The connectives hash and compare on explicit stacks; each atom is a
+    frozen dataclass with the dataclass's own hash and equality.
+    """
 
 
 @dataclass(frozen=True)
@@ -99,29 +104,34 @@ class Perm(Formula):
         return f"P{_pair(self.expr)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
+    _arity = 1
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
+    _arity = 2
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Next(Formula):
+    _arity = 1
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Always(Formula):
+    _arity = 1
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Until(Formula):
+    _arity = 2
     left: Formula
     right: Formula
 

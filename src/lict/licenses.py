@@ -80,17 +80,22 @@ def action_key(action: Action):
     return (2, action.work, action.device)
 
 
-@dataclass(frozen=True, eq=False)
-class License:
-    """A license node, equal to another of the same structure.
+class Node:
+    """A frozen dataclass node, equal to another of the same class and fields.
 
-    Hashing and comparing run on explicit stacks, so a long chain costs no
-    recursion.  A node's hash is computed once, from its children's, and
+    Licenses and formulas share it.  Hashing and comparing run on explicit
+    stacks, so a long chain costs no recursion.  ``_arity`` counts a node's
+    children: a binary node's are its fields ``left`` and ``right``, a unary
+    node's is its one field, and a leaf (arity 0) is hashed and compared by
+    its fields as they are.  Each class's ``_fields`` gives a node's fields
+    as a tuple.  A node's hash is computed once, from its children's, and
     kept; it is the hash of the tuple of its fields, as a frozen
     dataclass's would be.
     """
 
     _hash = None
+    _arity = 0
+    _fields = staticmethod(lambda node: tuple(map(node.__getattribute__, node.__match_args__)))
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -98,8 +103,8 @@ class License:
             while stack:
                 # the node on top is hashed once its children are
                 node = stack[-1]
-                kind = type(node)
-                if kind is Concat or kind is Union:
+                arity = node._arity
+                if arity == 2:
                     left, right = node.left, node.right
                     if left._hash is None:
                         stack.append(left)
@@ -108,16 +113,11 @@ class License:
                         stack.append(right)
                         continue
                     fields = (left, right)
-                elif kind is Star:
-                    body = node.body
-                    if body._hash is None:
-                        stack.append(body)
-                        continue
-                    fields = (body,)
-                elif kind is Atom:
-                    fields = (node.action,)
                 else:
-                    fields = ()
+                    fields = node._fields(node)
+                    if arity and fields[0]._hash is None:
+                        stack.append(fields[0])
+                        continue
                 stack.pop()
                 object.__setattr__(node, "_hash", hash(fields))
         return self._hash
@@ -125,7 +125,7 @@ class License:
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        if not isinstance(other, License):
+        if type(other) is not type(self):
             return NotImplemented
         if self._hash is not None and other._hash is not None and self._hash != other._hash:
             return False
@@ -137,36 +137,47 @@ class License:
             kind = type(left)
             if kind is not type(right):
                 return False
-            if kind is Concat or kind is Union:
+            arity = kind._arity
+            if arity == 2:
                 # left operands first, as a dataclass compares its fields
                 pairs.append((left.right, right.right))
                 pairs.append((left.left, right.left))
-            elif kind is Star:
-                pairs.append((left.body, right.body))
-            elif kind is Atom and left.action != right.action:
+            elif arity:
+                pairs.append((kind._fields(left)[0], kind._fields(right)[0]))
+            elif kind._fields(left) != kind._fields(right):
                 return False
         return True
 
 
 @dataclass(frozen=True, eq=False)
+class License(Node):
+    """A license node."""
+
+
+@dataclass(frozen=True, eq=False)
 class Atom(License):
+    _fields = staticmethod(lambda node: (node.action,))
     action: Action
 
 
 @dataclass(frozen=True, eq=False)
 class Concat(License):
+    _arity = 2
     left: License
     right: License
 
 
 @dataclass(frozen=True, eq=False)
 class Union(License):
+    _arity = 2
     left: License
     right: License
 
 
 @dataclass(frozen=True, eq=False)
 class Star(License):
+    _arity = 1
+    _fields = staticmethod(lambda node: (node.body,))
     body: License
 
 

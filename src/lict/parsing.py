@@ -1,18 +1,21 @@
 """Text front ends: actions, licenses, formulas, run files, and DR licenses.
 
-All grammars are plain ASCII and share one lexer, a compiled regular
-expression scanned once over the input (run files: once per line, and a
-line repeating an earlier line's text after ``@<time>`` only up to it).  Any
-other character, including a non-ASCII letter or digit, is a ``ParseError``
-at its line and column.  ``#`` starts a comment anywhere.  Reserved words
-(``pay render bot issue true P O X G F U``) cannot be used as license names.
+All grammars are plain ASCII.  Tokens are their texts: one ``findall`` of a
+compiled lexer regex splits the input into token texts, and each parser reads
+that list with an int cursor.  Positions are computed only on an error, by
+lexing the same text again with lines and columns (:func:`tokenize`), which
+reports any other character first, a non-ASCII letter or digit too, as a
+``ParseError`` at its line and column.  A run file is scanned in one pass by
+a regex that splits each line's ``@<time>`` from the text after it; each
+distinct such text is parsed once per file.  ``#`` starts a comment
+anywhere.  Reserved words (``pay render bot issue true P O X G F U``) cannot
+be used as license names.
 """
 
 from __future__ import annotations
 
 import re
 from decimal import Decimal
-from operator import itemgetter
 from typing import NamedTuple
 
 from .digitalrights import DrLicense, Exactly, Single, Upto
@@ -82,7 +85,6 @@ _LEXEME = re.compile(
     re.ASCII | re.DOTALL,
 )
 _TEXT_KINDS = frozenset({"ident", "op", "number"})
-_tuple_new = tuple.__new__  # builds a Token without the Python-level NamedTuple constructor
 
 
 def tokenize(text: str, first_line: int = 1) -> list[Token]:
@@ -94,12 +96,12 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
         kind = match.lastgroup
         if kind in _TEXT_KINDS:
             col = match.start(kind) - line_start + 1
-            append(_tuple_new(Token, (kind, match.group(kind), line, col)))
+            append(Token(kind, match.group(kind), line, col))
         elif kind == "newline":
             line += 1
             line_start = match.end()
         elif kind == "eof":
-            append(_tuple_new(Token, (kind, "", line, match.start(kind) - line_start + 1)))
+            append(Token(kind, "", line, match.start(kind) - line_start + 1))
             break
         elif kind == "bad":
             start = match.start(kind)
@@ -107,108 +109,113 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
     return tokens
 
 
-class _Stream:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
-        self._pos = 0
-        self._last = len(tokens) - 1  # the eof token
-
-    def peek(self, ahead: int = 0) -> Token:
-        if not ahead:  # the position never passes eof
-            return self._tokens[self._pos]
-        at = self._pos + ahead
-        return self._tokens[at if at < self._last else self._last]
-
-    def next(self) -> Token:
-        token = self._tokens[self._pos]
-        if self._pos < self._last:
-            self._pos += 1
-        return token
-
-    def expect(self, text: str) -> Token:
-        token = self._tokens[self._pos]
-        if token.text != text:
-            self.fail(f"expected {text!r}, found {self._describe(token)}")
-        if self._pos < self._last:
-            self._pos += 1
-        return token
-
-    def fail(self, message: str):
-        token = self.peek()
-        raise ParseError(message, token.line, token.col)
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "eof"
-
-    def expect_end(self) -> None:
-        if not self.at_end():
-            self.fail(f"unexpected trailing input {self._describe(self.peek())}")
-
-    @staticmethod
-    def _describe(token: Token) -> str:
-        return "end of input" if token.kind == "eof" else repr(token.text)
+# A parse reads token texts, not Token tuples: one findall of _TOKEN gives
+# each token's text, blanks and line breaks skipped, and a comment as one
+# text that is dropped.  Any character no lexeme starts with is a token of
+# its own, which no grammar accepts; so a parse fails on it, and the error
+# path's tokenize reports it.  The texts end in "", the end of input.
+_TOKEN = re.compile(r"#[^\n]*|[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]*)?|->|[^ \t\r\n]")
 
 
-def _parse_name(stream: _Stream, what: str = "name") -> str:
-    token = stream.peek()
-    if token.kind != "ident" or token.text in RESERVED:
-        stream.fail(f"expected a {what}")
-    return stream.next().text
+def _token_texts(text: str) -> list[str]:
+    tokens = _TOKEN.findall(text)
+    if "#" in text:
+        tokens = [token for token in tokens if token[0] != "#"]
+    tokens.append("")
+    return tokens
 
 
-def _parse_amount(stream: _Stream) -> Decimal:
-    token = stream.peek()
-    if token.kind != "number":
-        stream.fail("expected a decimal amount")
-    stream.next()
-    if "." in token.text and len(token.text.split(".")[1]) > 2:
-        raise ParseError(
-            f"amount {token.text} has more than two fractional digits",
-            token.line,
-            token.col,
-        )
-    return Decimal(token.text)
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGITS = frozenset("0123456789")
 
 
-def _parse_natural(stream: _Stream, what: str = "number") -> int:
-    token = stream.peek()
-    if token.kind != "number" or "." in token.text:
-        stream.fail(f"expected a {what}")
-    stream.next()
-    return int(token.text)
+class _Syntax(Exception):
+    """A grammar error at a token index: ``(index, message)``."""
 
 
-def _starts_action(token: Token) -> bool:
-    return token.text in ("pay", "render", "bot")
+def _located(text: str, first_line: int, index: int, message: str) -> ParseError:
+    """The error at the ``index``-th token of ``text``, at that token's line and column.
+
+    Lexing the text again with positions reports a character outside the
+    grammar first, wherever it stands, as a lexer run before the parse would.
+    """
+    tokens = tokenize(text, first_line)
+    token = tokens[min(index, len(tokens) - 1)]
+    return ParseError(message, token.line, token.col)
 
 
-def _parse_action(stream: _Stream) -> Action:
-    token = stream.peek()
-    if token.text == "bot":
-        stream.next()
-        return BOT
-    if token.text == "pay":
-        stream.next()
-        stream.expect("[")
-        amount = _parse_amount(stream)
-        stream.expect("]")
-        return Pay(amount)
-    if token.text == "render":
-        stream.next()
-        stream.expect("[")
-        work = _parse_name(stream, "work identifier")
-        stream.expect(",")
-        device = _parse_name(stream, "device identifier")
-        stream.expect("]")
-        return Render(work, device)
-    stream.fail("expected an action (pay[..], render[..,..], or bot)")
+def _expect(tokens: list[str], pos: int, text: str) -> int:
+    """The position after the token ``text`` expected at ``pos``."""
+    found = tokens[pos]
+    if found != text:
+        raise _Syntax(pos, f"expected {text!r}, found {repr(found) if found else 'end of input'}")
+    return pos + 1
+
+
+def _expect_end(tokens: list[str], pos: int) -> None:
+    if tokens[pos]:
+        raise _Syntax(pos, f"unexpected trailing input {tokens[pos]!r}")
+
+
+def _read(text: str, read):
+    """``read(tokens, 0)`` over the whole of ``text``; its value, or a located ``ParseError``."""
+    tokens = _token_texts(text)
+    try:
+        value, pos = read(tokens, 0)
+        _expect_end(tokens, pos)
+    except _Syntax as err:
+        raise _located(text, 1, *err.args) from None
+    except ValueError:  # an over-long number
+        tokenize(text)
+        raise
+    return value
+
+
+def _name(tokens: list[str], pos: int, what: str = "name") -> str:
+    text = tokens[pos]
+    if text[:1] not in _NAME_START or text in RESERVED:
+        raise _Syntax(pos, f"expected a {what}")
+    return text
+
+
+def _amount(tokens: list[str], pos: int) -> Decimal:
+    text = tokens[pos]
+    if text[:1] not in _DIGITS:
+        raise _Syntax(pos, "expected a decimal amount")
+    if len(text.partition(".")[2]) > 2:
+        raise _Syntax(pos, f"amount {text} has more than two fractional digits")
+    return Decimal(text)
+
+
+def _natural(tokens: list[str], pos: int, what: str) -> int:
+    text = tokens[pos]
+    if text[:1] not in _DIGITS or "." in text:
+        raise _Syntax(pos, f"expected a {what}")
+    return int(text)
+
+
+def _action(tokens: list[str], pos: int) -> tuple[Action, int]:
+    """The action at ``pos``, and the position after it."""
+    word = tokens[pos]
+    if word == "bot":
+        return BOT, pos + 1
+    if word == "pay":
+        _expect(tokens, pos + 1, "[")
+        amount = _amount(tokens, pos + 2)
+        _expect(tokens, pos + 3, "]")
+        return Pay(amount), pos + 4
+    if word == "render":
+        _expect(tokens, pos + 1, "[")
+        work = _name(tokens, pos + 2, "work identifier")
+        _expect(tokens, pos + 3, ",")
+        device = _name(tokens, pos + 4, "device identifier")
+        _expect(tokens, pos + 5, "]")
+        return Render(work, device), pos + 6
+    raise _Syntax(pos, "expected an action (pay[..], render[..,..], or bot)")
 
 
 def parse_action(text: str) -> Action:
-    stream = _Stream(tokenize(text))
-    action = _parse_action(stream)
-    stream.expect_end()
-    return action
+    return _read(text, _action)
 
 
 # License grammar: union over concatenation over starred primaries, both
@@ -217,58 +224,55 @@ def parse_action(text: str) -> Action:
 # costs no recursion.
 
 _ACTION_TOKENS = {"bot": 1, "pay": 4, "render": 6}  # tokens of each action's text
-_text = itemgetter(1)  # a token's text
 
 
-def _parse_license(stream: _Stream) -> License:
+def _license(tokens: list[str], pos: int) -> tuple[License, int]:
     atoms: dict[tuple[str, ...], Atom] = {}  # one atom per distinct action text
     groups: list[tuple] = []  # (union, concatenation) outside each open "("
     union = concat = None
     while True:
         # A primary: open parentheses, then an action.
-        token = stream.peek()
-        if token.text == "(":
-            stream.next()
+        token = tokens[pos]
+        if token == "(":
+            pos += 1
             groups.append((union, concat))
             union = concat = None
             continue
-        if token.text not in _ACTION_TOKENS:
-            stream.fail("the license constants 0 and 1 are not part of the surface syntax"
-                        if token.kind == "number" else "expected a license")
-        tokens, at = stream._tokens, stream._pos
-        key = tuple(map(_text, tokens[at:at + _ACTION_TOKENS[token.text]]))
+        width = _ACTION_TOKENS.get(token)
+        if width is None:
+            raise _Syntax(pos, "the license constants 0 and 1 are not part of the surface syntax"
+                          if token[:1] in _DIGITS else "expected a license")
+        key = tuple(tokens[pos:pos + width])
         lic = atoms.get(key)
         if lic is None:
-            lic = atoms[key] = Atom(_parse_action(stream))
+            action, pos = _action(tokens, pos)
+            lic = atoms[key] = Atom(action)
         else:  # the same tokens parsed into this action before
-            stream._pos = at + len(key)
+            pos += width
         # Stars, then close parentheses until the next primary or the end.
         while True:
-            token = stream.peek()
-            while token.text == "*":
-                stream.next()
+            token = tokens[pos]
+            while token == "*":
+                pos += 1
                 lic = Star(lic)
-                token = stream.peek()
+                token = tokens[pos]
             concat = lic if concat is None else Concat(concat, lic)
-            if token.text == "(" or token.text in _ACTION_TOKENS:
+            if token == "(" or token in _ACTION_TOKENS:
                 break
-            if token.text == "|":
-                stream.next()
+            if token == "|":
+                pos += 1
                 union = concat if union is None else Union(union, concat)
                 concat = None
                 break
             lic = concat if union is None else Union(union, concat)
             if not groups:
-                return lic
-            stream.expect(")")
+                return lic, pos
+            pos = _expect(tokens, pos, ")")
             union, concat = groups.pop()
 
 
 def parse_license(text: str) -> License:
-    stream = _Stream(tokenize(text))
-    lic = _parse_license(stream)
-    stream.expect_end()
-    return lic
+    return _read(text, _license)
 
 
 # Formula grammar, loosest to tightest: ->, |, &, U, unary (! X G F), atoms.
@@ -286,6 +290,7 @@ _INFIX = {
 }
 _PREFIX_PRECEDENCE = 5
 _GROUP = None  # an open parenthesis on the operator stack
+_PAIR_STARTS = frozenset({"~", "pay", "render", "bot"})  # what follows the "(" of an action pair
 
 
 def _reduce(values: list[Formula], ops: list, precedence: int = 0, right: bool = False) -> None:
@@ -307,179 +312,182 @@ def _reduce(values: list[Formula], ops: list, precedence: int = 0, right: bool =
             values[-1] = build(values[-1], operand)
 
 
-def _parse_formula(stream: _Stream) -> Formula:
+def _formula(tokens: list[str], pos: int) -> tuple[Formula, int]:
     values: list[Formula] = []
     ops: list = []  # _GROUP or (precedence, constructor, arity)
     while True:
         # An operand: prefix operators and open parentheses, then an atom.
         while True:
-            token = stream.peek()
-            if token.text in _PREFIX:
-                ops.append((_PREFIX_PRECEDENCE, _PREFIX[token.text], 1))
-            elif token.text == "(" and not _starts_pair(stream):
+            token = tokens[pos]
+            if token in _PREFIX:
+                ops.append((_PREFIX_PRECEDENCE, _PREFIX[token], 1))
+            elif token == "(" and tokens[pos + 1] not in _PAIR_STARTS:
                 ops.append(_GROUP)
             else:
                 break
-            stream.next()
-        values.append(_parse_formula_atom(stream))
+            pos += 1
+        atom, pos = _formula_atom(tokens, pos)
+        values.append(atom)
         # Close parentheses until an infix operator or the end of the formula.
-        infix = _INFIX.get(stream.peek().text)
+        infix = _INFIX.get(tokens[pos])
         while infix is None:
             _reduce(values, ops)
             if not ops:
-                return values[0]
-            stream.expect(")")
+                return values[0], pos
+            pos = _expect(tokens, pos, ")")
             ops.pop()
-            infix = _INFIX.get(stream.peek().text)
-        stream.next()
+            infix = _INFIX.get(tokens[pos])
+        pos += 1
         precedence, right, build = infix
         _reduce(values, ops, precedence, right)
         ops.append((precedence, build, 2))
 
 
-def _starts_pair(stream: _Stream) -> bool:
-    """Whether the ``(`` ahead opens an action pair rather than a group."""
-    after = stream.peek(1)
-    return after.text == "~" or _starts_action(after)
+def _action_pair(tokens: list[str], pos: int) -> tuple[ActionExpr, int]:
+    pos = _expect(tokens, pos, "(")
+    positive = tokens[pos] != "~"
+    if not positive:
+        pos += 1
+    action, pos = _action(tokens, pos)
+    _expect(tokens, pos, ",")
+    name = _name(tokens, pos + 1)
+    _expect(tokens, pos + 2, ")")
+    return ActionExpr(positive, action, name), pos + 3
 
 
-def _parse_action_pair(stream: _Stream) -> ActionExpr:
-    stream.expect("(")
-    positive = True
-    if stream.peek().text == "~":
-        stream.next()
-        positive = False
-    action = _parse_action(stream)
-    stream.expect(",")
-    name = _parse_name(stream)
-    stream.expect(")")
-    return ActionExpr(positive, action, name)
-
-
-def _parse_formula_atom(stream: _Stream) -> Formula:
-    token = stream.peek()
-    if token.text == "true":
-        stream.next()
-        return Truth()
-    if token.text == "issue":
-        stream.next()
-        stream.expect("(")
-        name = _parse_name(stream)
-        stream.expect(",")
-        lic = _parse_license(stream)
-        stream.expect(")")
-        return Issue(name, lic)
-    if token.text == "P":
-        stream.next()
-        return Perm(_parse_action_pair(stream))
-    if token.text == "O":
-        stream.next()
-        expr = _parse_action_pair(stream)
+def _formula_atom(tokens: list[str], pos: int) -> tuple[Formula, int]:
+    token = tokens[pos]
+    if token == "true":
+        return Truth(), pos + 1
+    if token == "issue":
+        _expect(tokens, pos + 1, "(")
+        name = _name(tokens, pos + 2)
+        _expect(tokens, pos + 3, ",")
+        lic, pos = _license(tokens, pos + 4)
+        return Issue(name, lic), _expect(tokens, pos, ")")
+    if token == "P":
+        expr, pos = _action_pair(tokens, pos + 1)
+        return Perm(expr), pos
+    if token == "O":
+        expr, after = _action_pair(tokens, pos + 1)
         if not expr.positive:
-            stream.fail("obligations take a plain action, not a complement")
-        return f_oblig(expr.action, expr.name)
-    if token.text == "(":
-        return Act(_parse_action_pair(stream))
-    stream.fail("expected a formula")
+            raise _Syntax(after, "obligations take a plain action, not a complement")
+        return f_oblig(expr.action, expr.name), after
+    if token == "(":
+        expr, pos = _action_pair(tokens, pos)
+        return Act(expr), pos
+    raise _Syntax(pos, "expected a formula")
 
 
 def parse_formula(text: str) -> Formula:
-    stream = _Stream(tokenize(text))
-    formula = _parse_formula(stream)
-    stream.expect_end()
-    return formula
+    return _read(text, _formula)
 
 
 # Run files are line oriented (lines end at "\n" alone):
 #   @<t> issue <name> = <license>
 #   @<t> do <name> <action>
-# A file repeats a few texts after the time many times over, so each distinct
-# tail is parsed once: a line whose frame is ``@`` and a natural reads its
-# ``(is_issue, name, license or action)`` from the first line with the same
-# tail.  Only lines that parsed are remembered, so errors are unchanged.
+# One findall of _RUN_LINE splits the file into lines, each as (time, tail,
+# other): a line whose frame is "@" and a natural gives its digits and the
+# text after them, any other line that is not blank its text.  A file
+# repeats a few tails many times over, so each distinct tail is parsed once,
+# and only tails that parsed are remembered, so errors are unchanged.
+_RUN_LINE = re.compile(
+    r"^[ \t\r]*(?:@[ \t\r]*([0-9]+)(?![.0-9])([^\n]*)|(?:#[^\n]*)?$|([^\n]+))",
+    re.MULTILINE,
+)
+
+
+def _run_entry(tokens: list[str], pos: int) -> tuple[bool, str, License | Action]:
+    """``(is_issue, name, license or action)`` of the line text after the time."""
+    keyword = tokens[pos]
+    if keyword == "issue":
+        name = _name(tokens, pos + 1)
+        _expect(tokens, pos + 2, "=")
+        payload, pos = _license(tokens, pos + 3)
+    elif keyword == "do":
+        name = _name(tokens, pos + 1)
+        payload, pos = _action(tokens, pos + 2)
+    else:
+        raise _Syntax(pos, "expected 'issue' or 'do'")
+    _expect_end(tokens, pos)
+    return keyword == "issue", name, payload
+
+
+def _run_line(tokens: list[str]) -> tuple[int, tuple]:
+    """The time and entry of a whole line whose frame is not ``@`` and a natural."""
+    return _natural(tokens, _expect(tokens, 0, "@"), "time"), _run_entry(tokens, 2)
+
 
 def parse_run(text: str) -> Run:
     issuances: list[tuple[int, str, License]] = []
     actions: list[tuple[int, str, Action]] = []
     tails: dict[str, tuple[bool, str, License | Action]] = {}
     horizon = 0  # the last event time
-    match = _LEXEME.match
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        at = match(raw)
-        kind = at.lastgroup
-        if kind == "eof":  # blanks and a comment at most
-            continue
-        tail = entry = None
-        if kind == "op" and at[kind] == "@":
-            number = match(raw, at.end())
-            digits = number["number"]
-            if digits is not None and "." not in digits:
-                tail = raw[number.end():]
+    lines = _RUN_LINE.findall(text)
+    try:
+        for digits, tail, other in lines:
+            if digits:
+                time = int(digits)
                 entry = tails.get(tail)
-        if entry is None:
-            stream = _Stream(tokenize(raw, first_line=lineno))
-            stream.expect("@")
-            time = _parse_natural(stream, "time")
-            keyword = stream.peek()
-            if keyword.text == "issue":
-                stream.next()
-                name = _parse_name(stream)
-                stream.expect("=")
-                entry = (True, name, _parse_license(stream))
-            elif keyword.text == "do":
-                stream.next()
-                name = _parse_name(stream)
-                entry = (False, name, _parse_action(stream))
-            else:
-                stream.fail("expected 'issue' or 'do'")
-            stream.expect_end()
-            if tail is not None:
-                tails[tail] = entry
-        else:
-            time = int(digits)
-        is_issue, name, payload = entry
-        (issuances if is_issue else actions).append((time, name, payload))
-        if time > horizon:
-            horizon = time
+                if entry is None:
+                    entry = tails[tail] = _run_entry(_token_texts(tail), 0)
+            elif other:
+                time, entry = _run_line(_token_texts(other))
+            else:  # blanks and a comment at most
+                continue
+            is_issue, name, payload = entry
+            (issuances if is_issue else actions).append((time, name, payload))
+            if time > horizon:
+                horizon = time
+    except (_Syntax, ValueError) as err:
+        # The first line with this text fails: a line repeating an earlier
+        # one's text would have failed there.
+        index = lines.index((digits, tail, other))
+        raw = text.split("\n")[index]
+        if isinstance(err, ValueError):  # an over-long time
+            tokenize(raw, index + 1)
+            raise
+        at, message = err.args
+        # "@" and the time come before a tail's tokens
+        raise _located(raw, index + 1, at + 2 if digits else at, message) from None
     return Run(horizon, tuple(issuances), tuple(actions))
 
 
 # DR licenses:  for [upto] [m] p pay x (upfront|flatrate|peruse) for {..} on {..}
 
-def _parse_ident_set(stream: _Stream) -> frozenset[str]:
-    stream.expect("{")
-    names = [_parse_name(stream, "identifier")]
-    while stream.peek().text == ",":
-        stream.next()
-        names.append(_parse_name(stream, "identifier"))
-    stream.expect("}")
-    return frozenset(names)
+def _ident_set(tokens: list[str], pos: int) -> tuple[frozenset[str], int]:
+    _expect(tokens, pos, "{")
+    names = [_name(tokens, pos + 1, "identifier")]
+    pos += 2
+    while tokens[pos] == ",":
+        names.append(_name(tokens, pos + 1, "identifier"))
+        pos += 2
+    return frozenset(names), _expect(tokens, pos, "}")
+
+
+def _dr(tokens: list[str], pos: int) -> tuple[tuple, int]:
+    """The fields of a ``DrLicense``, built once the whole text has parsed."""
+    pos = _expect(tokens, pos, "for")
+    if tokens[pos] == "upto":
+        count = _natural(tokens, pos + 1, "period count")
+        repetition = Upto(count, _natural(tokens, pos + 2, "period length"))
+        pos += 3
+    else:
+        first = _natural(tokens, pos, "period length")
+        if tokens[pos + 1][:1] in _DIGITS:
+            repetition = Exactly(first, _natural(tokens, pos + 1, "period length"))
+            pos += 2
+        else:
+            repetition = Single(first)
+            pos += 1
+    amount = _amount(tokens, _expect(tokens, pos, "pay"))
+    schedule = tokens[pos + 2]
+    if schedule not in ("upfront", "flatrate", "peruse"):
+        raise _Syntax(pos + 2, "expected a payment schedule (upfront, flatrate, or peruse)")
+    works, pos = _ident_set(tokens, _expect(tokens, pos + 3, "for"))
+    devices, pos = _ident_set(tokens, _expect(tokens, pos, "on"))
+    return (repetition, amount, schedule, works, devices), pos
 
 
 def parse_dr(text: str) -> DrLicense:
-    stream = _Stream(tokenize(text))
-    stream.expect("for")
-    if stream.peek().text == "upto":
-        stream.next()
-        count = _parse_natural(stream, "period count")
-        period = _parse_natural(stream, "period length")
-        repetition = Upto(count, period)
-    else:
-        first = _parse_natural(stream, "period length")
-        if stream.peek().kind == "number":
-            period = _parse_natural(stream, "period length")
-            repetition = Exactly(first, period)
-        else:
-            repetition = Single(first)
-    stream.expect("pay")
-    amount = _parse_amount(stream)
-    schedule = stream.peek().text
-    if schedule not in ("upfront", "flatrate", "peruse"):
-        stream.fail("expected a payment schedule (upfront, flatrate, or peruse)")
-    stream.next()
-    stream.expect("for")
-    works = _parse_ident_set(stream)
-    stream.expect("on")
-    devices = _parse_ident_set(stream)
-    stream.expect_end()
-    return DrLicense(repetition, amount, schedule, works, devices)
+    return DrLicense(*_read(text, _dr))

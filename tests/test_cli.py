@@ -579,8 +579,46 @@ class TestGoldenOutput:
         assert code == 0
         assert out == self.expected("compile-dr-exactly-peruse-7.txt")
 
+    def test_parse_errors(self, tmp_path, capsys):
+        blocks = []
+        for case, command, name, text in PARSE_ERROR_CASES:
+            code, out = invoke(capsys, *command, write(tmp_path, name, text))
+            assert code == 2
+            blocks.append(f"# {case}: lict {' '.join(command)} {name}\n{out}")
+        assert "".join(blocks) == self.expected("parse-errors.txt")
+
 
 EXACTLY_PERUSE_7 = "for 2 7 pay 1.50 peruse for {w,v} on {d}"
+
+
+def memoised_run_text() -> str:
+    """A run file whose line 500 is malformed after 498 lines of one repeated tail."""
+    lines = ["@0 issue n = (bot | pay[1.00])*"]
+    lines += [f"@{t} do n bot" for t in range(1, 499)]
+    lines.append("@499 do n pay[1.00]]")
+    return "\n".join(lines) + "\n"
+
+
+# (case, command, input file, text): malformed inputs whose result=error
+# output is pinned, so where an error is reported cannot move.
+PARSE_ERROR_CASES = [
+    ("run-line-500", ("permissions",), "line500.run", memoised_run_text()),
+    ("run-reserved-device", ("permissions",), "device.run", "@0 issue n = render[w,bot]\n"),
+    ("run-reserved-device-json", ("--format=json", "permissions"), "device.run", "@0 issue n = render[w,bot]\n"),
+    ("run-time-not-natural", ("encode-run",), "time.run", "@0 do n bot\n@1.5 do n bot\n"),
+    ("run-no-at", ("permissions",), "at.run", "# plan\n  do n bot\n"),
+    ("run-unclosed-after-comments", ("permissions",), "open.run", "# a\n\n@0 issue n = (bot | pay[2.50]\n@1 do n bot\n"),
+    ("run-form-feed", ("permissions",), "feed.run", "@0 issue n = bot*\n@1 do n bot\x0c\n"),
+    ("run-two-actions", ("permissions",), "twice.run", "@0 issue n = bot*\n@1 do n bot\n@1 do n bot\n"),
+    ("bad-character-after-grammar-error", ("sat",), "late.lic", "issue(n, bot |) & (bot, n) $"),
+    ("long-license-three-fraction-digits", ("sat",), "long.lic",
+     "issue(n, " + " ".join(["pay[1.00] bot* (render[w,d] | bot)"] * 60) + " pay[1.234])"),
+    ("comment-ends-input", ("sat",), "comment.lic", "(bot, n) &\n  # nothing follows"),
+    ("complement-obligation", ("valid",), "oblig.lic", "G (P(bot, n) -> O(~bot, n))"),
+    ("formula-missing-comma", ("translate-ltl",), "comma.lic", "G (\n  (pay[1.00], n) ->\n  F (render[w,d] n))"),
+    ("dr-unknown-schedule", ("compile-dr",), "monthly.dr", "for 2 pay 1.00 monthly for {w} on {d}"),
+    ("dr-upto-one-number", ("compile-dr",), "upto.dr", "for upto 2 pay 1.00 upfront for {w} on {d}"),
+]
 
 
 class TestSamples:

@@ -42,6 +42,7 @@ from lict import (
 )
 from lict import formulas
 from lict.formulas import formula_atoms
+from lict.licenses import post_order
 from lict.ltl import Done, LinearStructure, Obligated, Permitted, build_structure, ltl_eval
 from lict.reference import lasso_eval as reference_lasso_eval
 from lict.reference import expr_matches, license_consequences, run_atom_holds
@@ -328,6 +329,58 @@ class TestLicenseConsequences:
             perms = compute_permissions(run)
             for t in range(run.horizon + 2):
                 assert evaluate(run, perms, t, implication)
+
+
+class _Hashed:
+    """Stands for a node in a tuple: a tuple's hash reads only its items' hashes."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+def _dataclass_hash(formula) -> int:
+    """The hash a frozen dataclass connective would have, children first, without recursion."""
+    hashes: dict[int, int] = {}
+    for node in post_order(formula, formulas._children):
+        children = formulas._children(node)
+        hashes[id(node)] = hash(tuple(_Hashed(hashes[id(child)]) for child in children)) if children else hash(node)
+    return hashes[id(formula)]
+
+
+class TestConnectiveHashing:
+    """Connectives hash and compare on explicit stacks, to the dataclass values."""
+
+    def test_deep_next_chain(self):
+        text = "X " * 1000 + "true"
+        formula, twin = parse_formula(text), parse_formula(text)
+        assert formula == twin and hash(formula) == hash(twin)
+        assert hash(parse_formula(text)) == _dataclass_hash(formula)
+        assert formula != parse_formula("X " * 999 + "true")
+        assert formula != parse_formula("X " * 999 + "(bot, n)")
+
+    def test_deep_and_chain(self):
+        atoms = ["(bot, n)", "P(pay[1.00], m)", "issue(n, bot*)"]
+        parts = [atoms[i % 3] for i in range(2000)]
+        formula, twin = parse_formula(" & ".join(parts)), parse_formula(" & ".join(parts))
+        assert formula == twin and hash(formula) == hash(twin)
+        assert len({formula, twin}) == 1
+        assert hash(parse_formula(" & ".join(parts))) == _dataclass_hash(formula)
+        for changed in (["true", *parts[1:]], [*parts[:-1], "true"]):
+            assert formula != parse_formula(" & ".join(changed))
+
+    def test_random_formulas(self):
+        rng = random.Random(43)
+        licenses = [("n", shared_license(rng)), ("m", shared_license(rng))]
+        previous = Truth()
+        for _ in range(200):
+            formula = random_formula(rng, 5, names=("n", "m"), licenses=licenses)
+            again = parse_formula(pretty_formula(formula))
+            assert formula == again and hash(formula) == hash(again) == _dataclass_hash(formula)
+            assert (formula == previous) is (pretty_formula(formula) == pretty_formula(previous))
+            previous = formula
 
 
 class TestPretty:

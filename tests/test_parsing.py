@@ -205,7 +205,6 @@ class TestFormulas:
             assert parse_formula(pretty_formula(formula)) == formula
 
     def test_deep_formulas_round_trip(self):
-        # Compared as text: the dataclass == recurses as deep as the formula.
         nexts = "X " * 1000 + "true"
         grouped = "true U (bot, n)"
         for _ in range(300):
@@ -214,6 +213,7 @@ class TestFormulas:
         for text, size in ((nexts, 1001), (grouped, 603)):
             formula = parse_formula(text)
             assert pretty_formula(formula) == text
+            assert parse_formula(text) == formula
             assert reference.formula_size(formula) == size
         assert pretty_formula(parse_formula("(" * 300 + "true" + ")" * 300)) == "true"
 
@@ -389,6 +389,55 @@ def _outcome(parse, text: str):
         return (str(err), err.line, err.col)
     except ValueError as err:  # a well-formed file that is not a run
         return str(err)
+
+
+# Each production parser and its token-stream oracle in lict.reference.
+_PARSERS = (
+    (parse_action, reference.parse_action),
+    (parse_license, reference.parse_license),
+    (parse_formula, reference.parse_formula),
+    (parse_run, reference.parse_run),
+    (parse_dr, reference.parse_dr),
+)
+# non-ASCII letters and digits, which no grammar accepts
+_ORACLE_MUTATIONS = _MUTATIONS + ("é", "٣")
+
+
+class TestParserOracles:
+    """Every parser gives the tree, or the message, line and column, that its oracle gives."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_values_and_errors_match_the_reference(self, data):
+        text = data.draw(st.one_of(
+            st.sampled_from(_samples()),
+            licenses().map(pretty_license),
+            st.builds(lambda rng: pretty_run(random_run(rng, horizon=4)), st.randoms(use_true_random=False)),
+        ))
+        if data.draw(st.booleans()):
+            start = data.draw(st.integers(0, len(text)))
+            text = text[start : data.draw(st.integers(start, len(text)))]
+        for _ in range(data.draw(st.integers(0, 4))):
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + data.draw(st.sampled_from(_ORACLE_MUTATIONS)) + text[at:]
+        for parse, oracle in _PARSERS:
+            assert _outcome(parse, text) == _outcome(oracle, text)
+
+    @pytest.mark.parametrize("text", [
+        "", "#", "bot #", "pay[1.00", "render[w,d]]", "(bot", "bot)", "@", "@0", "@0 do", "@ 7 do n bot",
+        "@1. do n bot", "@0 do n bot\n@1 do n bot $", "é bot |", "for upto 2 pay 1.00 upfront for {w} on {d}",
+        "for 0 pay 1.00 upfront for {w} on {d}", "for 2 3 pay 1.001 flatrate for {w,} on {d}", "X" * 50 + " (bot, n",
+        "O(~bot, n) ٣", "issue(n, pay[1.00] ) & P(bot, n)", "G ((bot, n) -> F (render[w,d], n))",
+        "@" + "9" * 5000 + " do n bot", "@" + "9" * 5000 + " do n bot $", "for " + "9" * 5000 + " pay x",
+        # reserved words where a name is expected
+        "render[w,bot]", "render[X,d]", "@0 issue do = bot", "@0 do issue bot", "P(bot, U)",
+        "issue(true, bot)", "for 2 pay 1.00 upfront for {w,pay} on {d}", "for 2 w pay 1.00 upfront for {w} on {d}",
+        # a failing line repeated: the first one is reported
+        "@0 do n bot\n@1 do n pay[x]\n@1 do n pay[x]", "# x\ndo n bot\ndo n bot",
+    ])
+    def test_edges_match_the_reference(self, text):
+        for parse, oracle in _PARSERS:
+            assert _outcome(parse, text) == _outcome(oracle, text)
 
 
 def _line_by_line(text: str):
