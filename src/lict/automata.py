@@ -17,10 +17,10 @@ letter ``i``; its transitions are indexed by ``(state, letter)``.  It keeps
 one memo, the subset construction (Rabin & Scott, 1959) filled as it is
 asked for: every subset reached gets a small int id, 0 the empty one, with
 a row of successor ids by letter and its permitted set as a bitmask.
-``step_id`` and ``masks`` are the engines' interface; ``step``,
-``permitted``, ``lasso_of`` and ``reachable_subsets`` answer in frozensets
-through the same memo.  ``padded_nfa`` keeps one automaton per license, so
-every caller shares it.
+Every question is asked by id: ``step_id``, ``masks``, ``permitted_id``,
+``bot_lasso`` and ``reachable_subsets`` all answer through that memo, and
+``subsets[i]`` gives the states behind id ``i``.  ``padded_nfa`` keeps one
+automaton per license, so every caller shares it.
 """
 
 from __future__ import annotations
@@ -129,7 +129,12 @@ class Nfa:
         return found
 
     def permitted_id(self, subset: int) -> frozenset[Action]:
-        """``masks[subset]`` as a set of actions."""
+        """``masks[subset]`` as a set of actions.
+
+        The actions leaving the subset, plus bot when it holds an accepting
+        state (the license may be complete, so doing nothing stays viable);
+        the empty (violated) subset permits exactly bot.
+        """
         found = self._permitted[subset]
         if found is None:
             found = self._permitted[subset] = mask_actions(self.letters, self.masks[subset])
@@ -150,26 +155,6 @@ class Nfa:
             subset = self.step_id(subset, 0)
         split = seen[subset]
         return sequence[:split], sequence[split:]
-
-    def successors(self, state: int, action: Action) -> frozenset[int]:
-        letter = self._letter_of.get(action)
-        return frozenset(self._targets.get(state, _NO_EDGES).get(letter, ()))
-
-    def outgoing_actions(self, state: int) -> frozenset[Action]:
-        return frozenset(self.letters[letter] for letter in self._targets.get(state, _NO_EDGES))
-
-    def step(self, subset: SubsetState, action: Action) -> SubsetState:
-        """Image of the subset under one action; the empty subset is absorbing."""
-        return self.subsets[self.step_id(self.subset_id(subset), self.letter(action))]
-
-    def permitted(self, subset: SubsetState) -> frozenset[Action]:
-        """Actions with a transition from the subset, plus bot where padding applies.
-
-        Bot is included whenever the subset contains an accepting state (the
-        license can be considered complete, so doing nothing stays viable).  A
-        violated (empty) subset permits exactly bot.
-        """
-        return self.permitted_id(self.subset_id(subset))
 
 
 def build_nfa(lic: License, padded: bool = False) -> Nfa:
@@ -255,31 +240,26 @@ def padded_nfa(lic: License) -> Nfa:
     return build_nfa(lic, padded=True)
 
 
-def lasso_of(nfa: Nfa, subset: SubsetState) -> tuple[tuple[SubsetState, ...], tuple[SubsetState, ...]]:
-    """Decompose the bot-evolution starting at ``subset`` into prefix + loop."""
-    prefix, loop = nfa.bot_lasso(nfa.subset_id(subset))
-    subsets = nfa.subsets
-    return tuple(subsets[i] for i in prefix), tuple(subsets[i] for i in loop)
+def reachable_subsets(nfa: Nfa, actions) -> dict[int, dict[Action, int]]:
+    """Deterministic subset graph from the start subset over the given actions, by id.
 
-
-def reachable_subsets(nfa: Nfa, actions) -> dict[SubsetState, dict[Action, SubsetState]]:
-    """Deterministic subset graph from the start subset over the given actions.
-
-    The empty subset appears as a successor but is not expanded; it stands
-    for the absorbing violated condition.
+    Each reached id maps every action to the id it steps to, in the order a
+    depth-first search first expands them.  The empty subset, id 0, appears
+    as a successor but is not expanded; it stands for the absorbing
+    violated condition.
     """
     actions = tuple(actions)
     letters = [nfa.letter(action) for action in actions]
-    graph: dict[int, list[int]] = {}
+    graph: dict[int, dict[Action, int]] = {}
     worklist = [nfa.start] if nfa.start else []
     while worklist:
         subset = worklist.pop()
         if subset in graph:
             continue
-        row = graph[subset] = [nfa.step_id(subset, letter) for letter in letters]
+        row = [nfa.step_id(subset, letter) for letter in letters]
+        graph[subset] = dict(zip(actions, row))
         worklist += [successor for successor in row if successor and successor not in graph]
-    subsets = nfa.subsets
-    return {subsets[i]: {a: subsets[j] for a, j in zip(actions, row)} for i, row in graph.items()}
+    return graph
 
 
 def dump_dot(nfa: Nfa, title: str = "license") -> str:

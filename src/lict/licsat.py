@@ -85,31 +85,28 @@ def fresh_action(actions) -> Action:
     return Pay(base)
 
 
-class _RunSpace:
+def _choice_tables(vocab: Vocabulary, atom_bits: dict[str, dict[Formula, int]]) -> list:
     """The run-shaped transition system of one formula: one choice table per name.
 
     A name's status is an int: 0 unissued, 1 over (violated), and from 2 on
     one int per reachable automaton subset of each license the formula
     issues to the name, numbered license by license (equal subsets of two
-    licenses stay apart).  ``choices[name][status]`` lists every
-    ``(issue, act, label mask, next status, quiet)`` option of that status:
-    no issuance first, then each license (from status 0 only), and acts in
-    alphabet order within each.  ``atom_bits[name]`` gives each of the
-    name's literal atoms its bit, and an option's label mask has the bits of
-    the atoms that hold of it.  ``vocab`` is the formula's vocabulary.
+    licenses stay apart).  The table of ``vocab.names[i]`` is at ``i``, and
+    its row ``status`` lists every ``(issue, act, label mask, next status,
+    quiet)`` option of that status: no issuance first, then each license
+    (from status 0 only), and acts in alphabet order within each.
+    ``atom_bits[name]`` gives each of the name's literal atoms its bit, and
+    an option's label mask has the bits of the atoms that hold of it.
     """
-
-    def __init__(self, vocab: Vocabulary, atom_bits: dict[str, dict[Formula, int]]):
-        self.vocab = vocab
-        self.names = vocab.names
-        graphs: dict[License, dict] = {}
-        self.choices: dict[str, list[list[tuple]]] = {}
-        for name in self.names:
-            licenses = vocab.licenses_of(name)
-            for lic in licenses:
-                if lic not in graphs:
-                    graphs[lic] = reachable_subsets(padded_nfa(lic), vocab.actions)
-            self.choices[name] = _choice_table(licenses, graphs, atom_bits[name])
+    graphs: dict[License, dict] = {}
+    tables = []
+    for name in vocab.names:
+        licenses = vocab.licenses_of(name)
+        for lic in licenses:
+            if lic not in graphs:
+                graphs[lic] = reachable_subsets(padded_nfa(lic), vocab.actions)
+        tables.append(_choice_table(licenses, graphs, atom_bits[name]))
+    return tables
 
 
 def _atom_bits(tableau) -> dict[str, dict[Formula, int]]:
@@ -123,9 +120,9 @@ def _atom_bits(tableau) -> dict[str, dict[Formula, int]]:
 
 def _choice_table(licenses, graphs, bits) -> list[list[tuple]]:
     # An option's label is its status's, its issuance's and its act's bits,
-    # each read straight off the name's literal atoms (what ``name_props``
-    # would hold of the option, cut to ``bits``).  The alphabet is bot, the
-    # atoms' actions and the licenses' actions.
+    # each read straight off the name's literal atoms (what
+    # ``reference.name_props`` would hold of the option, cut to ``bits``).
+    # The alphabet is bot, the atoms' actions and the licenses' actions.
     issued, done, permitted, obligated = [], {}, [], []
     actions = {BOT}
     for atom, bit in bits.items():
@@ -167,11 +164,12 @@ def _choice_table(licenses, graphs, bits) -> list[list[tuple]]:
     issuances = []
     for lic in licenses:
         nfa = padded_nfa(lic)
+        # a successor id outside the graph is 0, the empty subset: over
         number = {subset: len(statuses) + i for i, subset in enumerate(graphs[lic])}
         for subset, row in graphs[lic].items():
             successor = {act: 1 if act is OTHER else number.get(row[act], 1) for act in alphabet}
-            statuses.append((status_label(nfa.permitted(subset)), successor))
-        issuances += options(number.get(nfa.starts, 1), lic)
+            statuses.append((status_label(nfa.permitted_id(subset)), successor))
+        issuances += options(number.get(nfa.start, 1), lic)
     table = [options(status, None) for status in range(len(statuses))]
     table[0] += issuances
     return table
@@ -339,12 +337,11 @@ def _product_sat(formula: Formula, vocab: Vocabulary, budget: int, other: Action
         return LicSatResult("budget")
     successor_lists = _undominated(tableau)
     atom_bits = _atom_bits(tableau)
-    space = _RunSpace(vocab, atom_bits)
-    tables = [space.choices[name] for name in space.names]
+    tables = _choice_tables(vocab, atom_bits)
 
     # Per tableau state left in some pruned list, each name's (required,
     # forbidden) label masks.
-    index = {name: i for i, name in enumerate(space.names)}
+    index = {name: i for i, name in enumerate(vocab.names)}
     marks = [
         (bit, index[atom.name], 0 if positive else 1, atom_bits[atom.name][atom])
         for bit, atom, positive in tableau.literals
@@ -424,7 +421,7 @@ def _product_sat(formula: Formula, vocab: Vocabulary, budget: int, other: Action
     if lasso is None:
         return LicSatResult("unsat")
     prefix, loop = lasso
-    return LicSatResult("sat", _extract_run(space.names, prefix + loop, other))
+    return LicSatResult("sat", _extract_run(vocab.names, prefix + loop, other))
 
 
 def _move(state: int, mask: int, per_name: list[list[tuple]]) -> tuple[list, tuple | None]:

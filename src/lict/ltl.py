@@ -1,16 +1,16 @@
-"""The temporal target logic: atoms, translation, restrictions, structures.
+"""The temporal target logic: atoms, translation, restrictions.
 
 Formulas of the license logic translate, atom by atom, into a propositional
 temporal logic over a vocabulary describing runs: which licenses are issued,
 what the client does, what is permitted, and what is obligated.  Both logics
 share the formula AST, evaluator and printer of :mod:`lict.formulas`; this
-module adds the target atoms.  A run's model is ultimately periodic (prefix
-plus loop).  ``implicit_restrictions`` produces the temporal formula that
-makes arbitrary models of a translated formula behave like runs; it embeds
-each mentioned license's deterministic subset automaton through
-``instate``/``over`` propositions.  The generic decision route built on it
-(with the finiteness restriction, and run validity through the structure)
-is the oracle in :mod:`lict.reference`.
+module adds the target atoms.  ``implicit_restrictions`` produces the
+temporal formula that makes arbitrary models of a translated formula behave
+like runs; it embeds each mentioned license's deterministic subset automaton
+through ``instate``/``over`` propositions.  A run's ultimately periodic
+structure, its evaluation, and the generic decision route built on the
+restrictions (with the finiteness restriction) are the oracles in
+:mod:`lict.reference`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .formulas import (
     f_implies,
     f_or,
     formula_atoms,
-    lasso_eval,
     map_atoms,
 )
 from .licenses import (
@@ -46,7 +45,9 @@ from .licenses import (
     pretty_action,
     pretty_license,
 )
-from .runs import Run, compute_permissions
+# Not called here: kept for the WRAPS entry ("ltl", "compute_permissions", ...)
+# of perfbench/tracing.py, which looks the name up in this module.
+from .runs import compute_permissions
 
 
 # ---------------------------------------------------------------------------
@@ -103,55 +104,8 @@ class Over(Formula):
         return f"over({self.name})"
 
 
-Prop = Issued | Done | Permitted | Obligated | InState | Over
-
-
 def subset_label(subset: SubsetState) -> str:
     return "s" + "_".join(str(q) for q in sorted(subset))
-
-
-# ---------------------------------------------------------------------------
-# Linear structures and their evaluation
-
-
-@dataclass(frozen=True)
-class LinearStructure:
-    """An ultimately periodic model: labeled prefix states plus a loop."""
-
-    prefix: tuple[frozenset, ...]
-    loop: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        if not self.loop:
-            raise ValueError("a linear structure needs a nonempty loop")
-
-    @property
-    def prefix_len(self) -> int:
-        return len(self.prefix)
-
-    @property
-    def loop_len(self) -> int:
-        return len(self.loop)
-
-    def label(self, t: int) -> frozenset:
-        if t < len(self.prefix):
-            return self.prefix[t]
-        return self.loop[(t - len(self.prefix)) % len(self.loop)]
-
-
-def ltl_eval(structure: LinearStructure, t: int, formula: Formula) -> bool:
-    """Truth of a target-logic formula at state ``t`` of the structure."""
-
-    labels = structure.prefix + structure.loop
-
-    def atom_label(atom: Formula) -> int:
-        mask = 0
-        for time, label in enumerate(labels):
-            if atom in label:
-                mask |= 1 << time
-        return mask
-
-    return lasso_eval(structure.prefix_len, structure.loop_len, atom_label, t, formula)
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +231,20 @@ def _automaton_formula(name: str, lic: License, vocab: Vocabulary) -> Formula:
     graph = reachable_subsets(nfa, vocab.actions)
     over = Over(name)
 
-    subsets = sorted(graph, key=subset_label)
-    in_state = {subset: InState(name, subset) for subset in subsets}
+    ids = sorted(graph, key=lambda i: subset_label(nfa.subsets[i]))
+    in_state = {i: InState(name, nfa.subsets[i]) for i in ids}
 
-    entry = in_state.get(nfa.starts, over)
+    entry = in_state.get(nfa.start, over)
 
-    states_parts = [f_implies(over, f_and_all([Not(in_state[s]) for s in subsets]))]
-    for subset in subsets:
-        others = [Not(in_state[s]) for s in subsets if s != subset]
+    states_parts = [f_implies(over, f_and_all([Not(in_state[i]) for i in ids]))]
+    for subset in ids:
+        others = [Not(in_state[i]) for i in ids if i != subset]
         states_parts.append(f_implies(in_state[subset], f_and_all([Not(over)] + others)))
     states = f_and_all(states_parts)
 
     step_parts = []
-    for subset in subsets:
-        allowed = nfa.permitted(subset)
+    for subset in ids:
+        allowed = nfa.permitted_id(subset)
         conjuncts: list[Formula] = [
             Permitted(action, name) for action in sorted(allowed, key=action_key)
         ]
@@ -335,53 +289,3 @@ def implicit_restrictions(formula: Formula) -> Formula:
         _schema_licenses(vocab),
     ]
     return f_and_all(schema for schema in schemas if not isinstance(schema, Truth))
-
-
-# ---------------------------------------------------------------------------
-# The structure of a run
-
-
-def name_props(name: str, issued, action, subset, permitted) -> frozenset[Prop]:
-    """The target atoms true of one name at one time.
-
-    ``issued`` is the license issued to the name at that time, or None;
-    ``action`` is what the name does, or None for an action the vocabulary
-    does not mention; ``subset`` is the name's automaton subset, None before
-    issuance and empty once violated; ``permitted`` is its permitted set.
-    """
-    props: set[Prop] = {Permitted(action, name) for action in permitted}
-    if issued is not None:
-        props.add(Issued(name, issued))
-    if action is not None:
-        props.add(Done(action, name))
-    if len(permitted) == 1:
-        props.add(Obligated(next(iter(permitted)), name))
-    if subset is not None:
-        props.add(InState(name, subset) if subset else Over(name))
-    return frozenset(props)
-
-
-def build_structure(run: Run, extra_names=()) -> LinearStructure:
-    """The ultimately periodic model of a run.
-
-    Labels each time with the issuances, the actions done, the permitted and
-    obligated actions, and the license automaton subsets.  ``extra_names``
-    extends the vocabulary with names the run never issues (they do bot and
-    permit only bot throughout).
-    """
-    perms = compute_permissions(run)
-    names = sorted(run.names | frozenset(extra_names))
-
-    def label(t: int) -> frozenset:
-        issued = dict(run.licenses_at(t))
-        props: set[Prop] = set()
-        for name in names:
-            subset, permitted = perms.subset_state(name, t), perms.permitted(name, t)
-            props |= name_props(name, issued.get(name), run.action(name, t), subset, permitted)
-        return frozenset(props)
-
-    prefix = tuple(label(t) for t in range(perms.prefix_len))
-    loop = tuple(
-        label(t) for t in range(perms.prefix_len, perms.prefix_len + perms.loop_len)
-    )
-    return LinearStructure(prefix, loop)

@@ -3,15 +3,18 @@
 Nothing in the toolkit's commands calls into this module; the tests compare
 the engines with it.  It holds the trace semantics of licenses (trace
 enumeration, Brzozowski derivatives, viability), plain word acceptance by
-an automaton and the uncached subset stepping that ``Nfa.step`` and
-``Nfa.permitted`` memoise, the position automaton built by structural
-recursion that the one-pass ``build_nfa`` must match, the DR schedule trace sets, the license and
-formula AST sizes that complexity bounds are stated in, the run helpers of
-the definitions, the permissions a license forces, formula truth on a lasso
-decided one time at a time, license-logic atoms read off a run one time
-at a time, the generic decision route (translate, conjoin the restriction
-formulas, and search the target logic's tableau on its own for a lasso,
-edges labelled with the states they enter), the stack-based tableau
+an automaton and the subset step and permitted set, read off the
+automaton's public ``transitions`` and ``finals``, that its subset-id memo
+is checked against, the position automaton built by structural recursion
+that the one-pass ``build_nfa`` must match, the DR schedule trace sets, the
+license and formula AST sizes that complexity bounds are stated in, the run
+helpers of the definitions, the permissions a license forces, formula truth
+on a lasso decided one time at a time, license-logic atoms read off a run
+one time at a time, the target logic's linear structures (a run's, built
+from its permissions, and ``ltl_eval``, the direct route's evaluator over
+structure labels), the generic decision route (translate, conjoin the
+restriction formulas, and search the target logic's tableau on its own for
+a lasso, edges labelled with the states they enter), the stack-based tableau
 construction that expands a next mask once per state holding it, whose
 graph and budget outcomes the memoised ``build_tableau`` must match, the
 character-by-character lexer that the regex lexer of ``lict.parsing``
@@ -23,10 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import lru_cache
 from itertools import count, product
 from operator import itemgetter
 from typing import Callable
 
+from . import formulas
 from .automata import Nfa, SubsetState
 from .digitalrights import (
     DEFAULT_DR_CAP,
@@ -79,16 +84,17 @@ from .licenses import (
 )
 from .ltl import (
     Done,
+    InState,
     Issued,
-    LinearStructure,
-    build_structure,
+    Obligated,
+    Over,
+    Permitted,
     build_vocabulary,
-    ltl_eval,
     translate,
 )
 from .parsing import _LEXEME, RESERVED, ParseError, Token
 from .parsing import tokenize as _tokenize
-from .runs import PermissionInterpretation, Run
+from .runs import PermissionInterpretation, Run, compute_permissions
 from .tableau import (
     _KIND_AND,
     _KIND_FALSE,
@@ -251,25 +257,37 @@ def prefix_sets(lic: License, k: int) -> frozenset[Trace]:
     return frozenset(out)
 
 
+@lru_cache(maxsize=32)
+def _edge_index(nfa: Nfa) -> dict[tuple[int, Action], list[int]]:
+    """Each (state, action)'s targets, read from the automaton's public ``transitions``.
+
+    An automaton's transitions are fixed when it is built, and it hashes by
+    identity, so the index is kept for the last few automata asked about.
+    """
+    index: dict[tuple[int, Action], list[int]] = {}
+    for source, action, target in nfa.transitions:
+        index.setdefault((source, action), []).append(target)
+    return index
+
+
+def _image(index: dict, subset: SubsetState, action: Action) -> SubsetState:
+    return frozenset(target for state in subset for target in index.get((state, action), ()))
+
+
 def subset_step(nfa: Nfa, subset: SubsetState, action: Action) -> SubsetState:
-    """Image of the subset under one action, unioned afresh from ``nfa.successors``."""
-    out: set[int] = set()
-    for state in subset:
-        out |= nfa.successors(state, action)
-    return frozenset(out)
+    """Image of the subset under one action, read from ``nfa.transitions``."""
+    return _image(_edge_index(nfa), subset, action)
 
 
 def subset_permitted(nfa: Nfa, subset: SubsetState) -> frozenset[Action]:
-    """What the subset permits, read afresh from ``nfa.outgoing_actions``.
+    """What the subset permits, read afresh from ``nfa.transitions`` and ``nfa.finals``.
 
     The actions leaving the subset, plus bot when it holds an accepting
     state; the empty (violated) subset permits exactly bot.
     """
     if not subset:
         return frozenset({BOT})
-    actions: set[Action] = set()
-    for state in subset:
-        actions |= nfa.outgoing_actions(state)
+    actions = {action for source, action, _ in nfa.transitions if source in subset}
     if subset & nfa.finals:
         actions.add(BOT)
     return frozenset(actions)
@@ -277,9 +295,10 @@ def subset_permitted(nfa: Nfa, subset: SubsetState) -> frozenset[Action]:
 
 def accepts(nfa: Nfa, trace) -> bool:
     """Whether the automaton accepts the whole trace (stepped without its memo)."""
+    index = _edge_index(nfa)
     subset = nfa.starts
     for action in trace:
-        subset = subset_step(nfa, subset, action)
+        subset = _image(index, subset, action)
     return bool(subset & nfa.finals)
 
 
@@ -560,6 +579,115 @@ def run_atom_holds(run: Run, perms: PermissionInterpretation, time: int, atom: F
 
 
 # ---------------------------------------------------------------------------
+# Linear structures: the target logic's models, and the one of a run
+
+Prop = Issued | Done | Permitted | Obligated | InState | Over
+
+
+@dataclass(frozen=True)
+class LinearStructure:
+    """An ultimately periodic model: labeled prefix states plus a loop."""
+
+    prefix: tuple[frozenset, ...]
+    loop: tuple[frozenset, ...]
+
+    def __post_init__(self):
+        if not self.loop:
+            raise ValueError("a linear structure needs a nonempty loop")
+
+    @property
+    def prefix_len(self) -> int:
+        return len(self.prefix)
+
+    @property
+    def loop_len(self) -> int:
+        return len(self.loop)
+
+    def label(self, t: int) -> frozenset:
+        if t < len(self.prefix):
+            return self.prefix[t]
+        return self.loop[(t - len(self.prefix)) % len(self.loop)]
+
+
+def ltl_eval(structure: LinearStructure, t: int, formula: Formula) -> bool:
+    """Truth of a target-logic formula at state ``t`` of the structure.
+
+    Runs the evaluator ``evaluate`` runs, ``formulas.lasso_eval``, on each
+    atom's times read off the structure's labels, so comparing the two
+    compares two atom labellings over one evaluator.
+    """
+    labels = structure.prefix + structure.loop
+
+    def atom_label(atom: Formula) -> int:
+        mask = 0
+        for time, label in enumerate(labels):
+            if atom in label:
+                mask |= 1 << time
+        return mask
+
+    return formulas.lasso_eval(structure.prefix_len, structure.loop_len, atom_label, t, formula)
+
+
+def state_atoms(tableau: Tableau, state: int, positive: bool = True) -> frozenset:
+    """The atoms a tableau state requires true, or with ``positive`` False, false."""
+    old = tableau.old_sets[state]
+    return frozenset(atom for bit, atom, sign in tableau.literals if sign == positive and old & bit)
+
+
+def subset_state(perms: PermissionInterpretation, name: str, t: int) -> SubsetState | None:
+    """The automaton subset ``perms`` tracks ``name`` in at ``t`` (None before issuance)."""
+    timeline = perms._timelines.get(name)
+    subset = None if timeline is None else timeline.id_at(t)
+    return None if subset is None else timeline.nfa.subsets[subset]
+
+
+def name_props(name: str, issued, action, subset, permitted) -> frozenset[Prop]:
+    """The target atoms true of one name at one time.
+
+    ``issued`` is the license issued to the name at that time, or None;
+    ``action`` is what the name does, or None for an action the vocabulary
+    does not mention; ``subset`` is the name's automaton subset, None before
+    issuance and empty once violated; ``permitted`` is its permitted set.
+    """
+    props: set[Prop] = {Permitted(action, name) for action in permitted}
+    if issued is not None:
+        props.add(Issued(name, issued))
+    if action is not None:
+        props.add(Done(action, name))
+    if len(permitted) == 1:
+        props.add(Obligated(next(iter(permitted)), name))
+    if subset is not None:
+        props.add(InState(name, subset) if subset else Over(name))
+    return frozenset(props)
+
+
+def build_structure(run: Run, extra_names=()) -> LinearStructure:
+    """The ultimately periodic model of a run.
+
+    Labels each time with the issuances, the actions done, the permitted and
+    obligated actions, and the license automaton subsets.  ``extra_names``
+    extends the vocabulary with names the run never issues (they do bot and
+    permit only bot throughout).
+    """
+    perms = compute_permissions(run)
+    names = sorted(run.names | frozenset(extra_names))
+
+    def label(t: int) -> frozenset:
+        issued = dict(run.licenses_at(t))
+        props: set[Prop] = set()
+        for name in names:
+            subset, permitted = subset_state(perms, name, t), perms.permitted(name, t)
+            props |= name_props(name, issued.get(name), run.action(name, t), subset, permitted)
+        return frozenset(props)
+
+    prefix = tuple(label(t) for t in range(perms.prefix_len))
+    loop = tuple(
+        label(t) for t in range(perms.prefix_len, perms.prefix_len + perms.loop_len)
+    )
+    return LinearStructure(prefix, loop)
+
+
+# ---------------------------------------------------------------------------
 # The generic route through the target logic
 
 
@@ -620,8 +748,8 @@ def ltl_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> SatResult:
         return SatResult("unsat")
     prefix, loop = lasso
     witness = LinearStructure(
-        prefix=tuple(tableau.positive_props(state) for _, state in prefix),
-        loop=tuple(tableau.positive_props(state) for _, state in loop),
+        prefix=tuple(state_atoms(tableau, state) for _, state in prefix),
+        loop=tuple(state_atoms(tableau, state) for _, state in loop),
     )
     if not ltl_eval(witness, 0, formula):
         raise RuntimeError("internal error: tableau witness failed evaluation")

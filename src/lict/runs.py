@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .automata import SubsetState, padded_nfa
+from .automata import padded_nfa
 from .licenses import BOT, Action, License, action_key, pretty_action, pretty_license
 
 _ONLY_BOT = frozenset({BOT})
@@ -205,12 +205,6 @@ class PermissionInterpretation:
         if len(permitted) == 1:
             return next(iter(permitted))
         return None
-
-    def subset_state(self, name: str, t: int) -> SubsetState | None:
-        """The automaton subset tracking ``name`` at ``t`` (None before issuance)."""
-        timeline = self._timelines.get(name)
-        subset = None if timeline is None else timeline.id_at(t)
-        return None if subset is None else timeline.nfa.subsets[subset]
 
 
 def permission_line(name: str, permitted: frozenset[Action]) -> str:

@@ -170,18 +170,6 @@ class Tableau:
         self.initial: list[int] = []
         self.accept_sets: list[frozenset[int]] = []
 
-    def _props(self, state: int, positive: bool) -> frozenset:
-        old = self.old_sets[state]
-        return frozenset(
-            atom for bit, atom, sign in self.literals if sign == positive and old & bit
-        )
-
-    def positive_props(self, state: int) -> frozenset:
-        return self._props(state, True)
-
-    def negative_props(self, state: int) -> frozenset:
-        return self._props(state, False)
-
 
 def _expand(
     mask: int, table: list[tuple[int, int, int]], allowance: int

@@ -35,11 +35,12 @@ from lict import (
     parse_run,
     translate,
 )
-from lict.ltl import build_structure, ltl_eval
 from lict.reference import (
+    build_structure,
     check_run_validity_ltl,
     dr_traces,
     license_consequences,
+    ltl_eval,
     traces,
 )
 from lict.cli import main

@@ -4,7 +4,8 @@
 the reference oracles in ``lict.reference`` are kept out of every production
 module, so the command line never loads them.  One of them is the
 character-by-character lexer that ``lict.parsing``'s regex lexer is checked
-against.
+against.  A production module holds only what production code reaches or
+the library exports; the rest lives in ``lict.reference``.
 """
 
 import ast
@@ -81,3 +82,42 @@ def test_only_reference_holds_the_oracles():
         if any(isinstance(node, ast.FunctionDef) and node.name == "tokenize" for node in _tree(name).body)
     ]
     assert lexers == ["parsing.py", "reference.py"]
+
+
+def test_every_production_function_is_reached():
+    # A function or method that no command reaches belongs in lict.reference
+    # (or nowhere).  A top-level function counts as reached when production
+    # code names it or lict exports it; a method, when production code reads
+    # it as an attribute or the README's Library section calls it.
+    modules = [name for name in sorted(os.listdir(PACKAGE)) if name.endswith(".py") and name != "reference.py"]
+    names, attributes, defined = set(), set(), []
+    for module in modules:
+        tree = _tree(module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((f"{module}:{node.name}", node.name, False))
+            elif isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{module}:{node.name}.{item.name}", item.name, True)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                ]
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(_tree("__init__.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    library = _library_section()
+
+    def reached(name: str, method: bool) -> bool:
+        if method:
+            return name in attributes or re.search(rf"\.{name}\(", library) is not None
+        return name in names or name in attributes or name in exported
+
+    assert [where for where, name, method in defined if not reached(name, method)] == []

@@ -16,14 +16,7 @@ from lict import (
     Union,
     parse_license,
 )
-from lict.automata import (
-    build_nfa,
-    dump_dot,
-    lasso_of,
-    mask_actions,
-    padded_nfa,
-    reachable_subsets,
-)
+from lict.automata import build_nfa, dump_dot, mask_actions, padded_nfa, reachable_subsets
 from lict.licenses import action_key
 from lict.reference import (
     accepts,
@@ -125,42 +118,47 @@ class TestOnePassConstruction:
         assert not accepts(nfa, trace[:-1])
 
 
+def walk(nfa, trace, subset=None) -> int:
+    """The subset id the trace leads to, from the start or from id ``subset``."""
+    subset = nfa.start if subset is None else subset
+    for action in trace:
+        subset = nfa.step_id(subset, nfa.letter(action))
+    return subset
+
+
 class TestSubsets:
     def test_step_to_final(self):
         nfa = build_nfa(Atom(PAY))
-        after = nfa.step(nfa.starts, PAY)
-        assert after & nfa.finals
+        after = walk(nfa, (PAY,))
+        assert nfa.subsets[after] & nfa.finals
 
     def test_step_mismatch_empties(self):
         nfa = build_nfa(Atom(PAY))
-        assert nfa.step(nfa.starts, BOT) == frozenset()
+        assert walk(nfa, (BOT,)) == 0
 
     def test_empty_subset_is_absorbing(self):
         nfa = padded_nfa(JOURNAL)
         for action in POOL:
-            assert nfa.step(frozenset(), action) == frozenset()
+            assert walk(nfa, (action,), 0) == 0
 
     def test_journal_walk_returns_to_start_permissions(self):
         nfa = padded_nfa(JOURNAL)
-        subset = nfa.starts
-        for action in (PAY, BOT, parse_license("render[journal,d]").action):
-            subset = nfa.step(subset, action)
-        assert nfa.permitted(subset) == nfa.permitted(nfa.starts)
+        subset = walk(nfa, (PAY, BOT, parse_license("render[journal,d]").action))
+        assert nfa.permitted_id(subset) == nfa.permitted_id(nfa.start)
 
 
 class TestPermittedFrom:
     def test_before_pay_no_bot(self):
         nfa = padded_nfa(Atom(PAY))
-        assert nfa.permitted(nfa.starts) == {PAY}
+        assert nfa.permitted_id(nfa.start) == {PAY}
 
     def test_after_pay_only_bot(self):
         nfa = padded_nfa(Atom(PAY))
-        after = nfa.step(nfa.starts, PAY)
-        assert nfa.permitted(after) == {BOT}
+        assert nfa.permitted_id(walk(nfa, (PAY,))) == {BOT}
 
     def test_empty_subset_permits_bot(self):
         nfa = padded_nfa(Atom(PAY))
-        assert nfa.permitted(frozenset()) == {BOT}
+        assert nfa.permitted_id(0) == {BOT}
 
     def test_agrees_with_viability(self):
         # The central agreement: after consuming a viable trace, the subset
@@ -174,45 +172,40 @@ class TestPermittedFrom:
                 continue
             checked += 1
             nfa = padded_nfa(lic)
-            subset = nfa.starts
-            for action in trace:
-                subset = nfa.step(subset, action)
             expected = {a for a in SMALL_POOL if viable(lic, trace + (a,))}
-            assert nfa.permitted(subset) == expected
+            assert nfa.permitted_id(walk(nfa, trace)) == expected
 
 
 class TestLasso:
     def test_completed_license_loops_on_padding(self):
         nfa = padded_nfa(Atom(PAY))
-        after = nfa.step(nfa.starts, PAY)
-        prefix, loop = lasso_of(nfa, after)
+        prefix, loop = nfa.bot_lasso(walk(nfa, (PAY,)))
         assert len(loop) == 1
-        assert loop[0] == frozenset({nfa.pad_state})
+        assert nfa.subsets[loop[0]] == frozenset({nfa.pad_state})
 
     def test_empty_subset_loops_on_itself(self):
         nfa = padded_nfa(Atom(PAY))
-        prefix, loop = lasso_of(nfa, frozenset())
-        assert prefix == ()
-        assert loop == (frozenset(),)
+        prefix, loop = nfa.bot_lasso(0)
+        assert prefix == []
+        assert loop == [0]
 
     def test_journal_start_reaches_a_fixpoint(self):
         nfa = padded_nfa(JOURNAL)
-        prefix, loop = lasso_of(nfa, nfa.starts)
+        prefix, loop = nfa.bot_lasso(nfa.start)
         assert len(loop) == 1
-        assert nfa.permitted(loop[0]) == nfa.permitted(nfa.starts)
+        assert nfa.permitted_id(loop[0]) == nfa.permitted_id(nfa.start)
 
     def test_replay_matches_stepping(self):
         rng = random.Random(59)
         for _ in range(100):
             lic = random_license(rng, 4)
             nfa = padded_nfa(lic)
-            subset = nfa.starts
-            prefix, loop = lasso_of(nfa, subset)
-            replay = list(prefix) + list(loop) + list(loop)
-            current = subset
+            prefix, loop = nfa.bot_lasso(nfa.start)
+            replay = prefix + loop + loop
+            current = nfa.starts
             for expected in replay:
-                assert current == expected
-                current = nfa.step(current, BOT)
+                assert current == nfa.subsets[expected]
+                current = subset_step(nfa, current, BOT)
 
 
 class TestReachableSubsets:
@@ -229,7 +222,17 @@ class TestReachableSubsets:
             graph = reachable_subsets(nfa, SMALL_POOL)
             for subset, row in graph.items():
                 for action, successor in row.items():
-                    assert successor == subset_step(nfa, subset, action)
+                    assert nfa.subsets[successor] == subset_step(nfa, nfa.subsets[subset], action)
+
+    def test_the_start_is_reached_first_and_only_the_empty_subset_is_left_out(self):
+        rng = random.Random(67)
+        for _ in range(50):
+            nfa = padded_nfa(random_license(rng, 4))
+            graph = reachable_subsets(nfa, SMALL_POOL)
+            assert 0 not in graph
+            assert list(graph)[:1] == ([nfa.start] if nfa.start else [])
+            reached = {successor for row in graph.values() for successor in row.values()}
+            assert reached - {0} <= set(graph)
 
 
 class TestWarmMemo:
@@ -243,19 +246,20 @@ class TestWarmMemo:
         # and revisit ones another walk filled in first.
         rng = random.Random(seed)
         nfa = padded_nfa(random_license(rng, 4))
-        walks = [[nfa.starts, rng.randint(0, 8)] for _ in range(8)]
-        assert nfa.permitted(nfa.starts) == subset_permitted(nfa, nfa.starts)
+        walks = [[nfa.start, rng.randint(0, 8)] for _ in range(8)]
+        assert nfa.permitted_id(nfa.start) == subset_permitted(nfa, nfa.starts)
         while walks:
-            walk = rng.choice(walks)
-            subset, left = walk
+            entry = rng.choice(walks)
+            subset, left = entry
             if not left:
-                walks.remove(walk)
+                walks.remove(entry)
                 continue
-            allowed = [a for a in POOL if a in subset_permitted(nfa, subset)]
+            states = nfa.subsets[subset]
+            allowed = [a for a in POOL if a in subset_permitted(nfa, states)]
             action = rng.choice(allowed) if rng.random() < 0.8 else random_action(rng)
-            walk[0], walk[1] = nfa.step(subset, action), left - 1
-            assert walk[0] == subset_step(nfa, subset, action)
-            assert nfa.permitted(walk[0]) == subset_permitted(nfa, walk[0])
+            entry[0], entry[1] = walk(nfa, (action,), subset), left - 1
+            assert nfa.subsets[entry[0]] == subset_step(nfa, states, action)
+            assert nfa.permitted_id(entry[0]) == subset_permitted(nfa, nfa.subsets[entry[0]])
 
 
 class TestDenseIds:
@@ -277,7 +281,6 @@ class TestDenseIds:
         outside = nfa.letter(Pay(Decimal("2.00")))
         assert outside == len(nfa.letters)
         assert nfa.step_id(nfa.start, outside) == 0
-        assert nfa.step(nfa.starts, Pay(Decimal("2.00"))) == frozenset()
 
     def test_masks_decode_to_the_permitted_sets(self):
         # unpadded too, where an accepting state permits bot without a bot edge

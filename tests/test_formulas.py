@@ -43,9 +43,16 @@ from lict import (
 from lict import formulas
 from lict.formulas import formula_atoms
 from lict.licenses import post_order
-from lict.ltl import Done, LinearStructure, Obligated, Permitted, build_structure, ltl_eval
+from lict.ltl import Done, Obligated, Permitted
 from lict.reference import lasso_eval as reference_lasso_eval
-from lict.reference import expr_matches, license_consequences, run_atom_holds
+from lict.reference import (
+    LinearStructure,
+    build_structure,
+    expr_matches,
+    license_consequences,
+    ltl_eval,
+    run_atom_holds,
+)
 
 from gen import (
     NAMES,

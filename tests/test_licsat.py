@@ -40,13 +40,13 @@ from lict.licsat import (
     OTHER,
     _atom_bits,
     _components,
+    _choice_tables,
     _product_sat,
-    _RunSpace,
     _undominated,
     fresh_action,
 )
-from lict.ltl import build_vocabulary, implicit_restrictions, name_props
-from lict.reference import finiteness_restriction, ltl_sat
+from lict.ltl import build_vocabulary, implicit_restrictions
+from lict.reference import finiteness_restriction, ltl_sat, name_props
 from lict.tableau import Tableau, build_tableau, to_nnf
 
 from gen import enumerate_satisfying_run, micro_formula, random_formula, random_license
@@ -174,22 +174,21 @@ class TestRunSpaceEdges:
         assert lic_sat(formula).status == "unsat"
 
 
-def _statuses(name, space) -> list[tuple]:
-    """Each status's (subset, permitted set), numbered as the run space numbers them."""
+def _statuses(name, vocab) -> list[tuple]:
+    """Each status's (subset, permitted set), numbered as the choice tables number them."""
     statuses = [(None, frozenset({BOT})), (frozenset(), frozenset({BOT}))]
-    for lic in space.vocab.licenses_of(name):
+    for lic in vocab.licenses_of(name):
         nfa = padded_nfa(lic)
-        for subset in reachable_subsets(nfa, space.vocab.actions):
-            statuses.append((subset, nfa.permitted(subset)))
+        for subset in reachable_subsets(nfa, vocab.actions):
+            statuses.append((nfa.subsets[subset], nfa.permitted_id(subset)))
     return statuses
 
 
-def _issued(lic, space) -> tuple:
+def _issued(lic, vocab) -> tuple:
     """The (subset, permitted set) a name enters when ``lic`` is issued to it."""
     nfa = padded_nfa(lic)
-    start = nfa.starts
-    if start in reachable_subsets(nfa, space.vocab.actions):
-        return start, nfa.permitted(start)
+    if nfa.start in reachable_subsets(nfa, vocab.actions):
+        return nfa.starts, nfa.permitted_id(nfa.start)
     return frozenset(), frozenset({BOT})
 
 
@@ -204,21 +203,21 @@ def _licenses_parsed_apart(formula):
 
 
 def _check_option_labels(formula, vocab) -> tuple[int, int, int]:
-    """Checks every option label of the formula's run space against name_props.
+    """Checks every option label of the formula's choice tables against name_props.
 
     Returns how many options with an issuance, with a vocabulary act and
     with the "other" act have a nonzero label.
     """
     atom_bits = _atom_bits(build_tableau(to_nnf(translate(formula))))
-    space = _RunSpace(vocab, atom_bits)
+    tables = _choice_tables(vocab, atom_bits)
     issued = done = other = 0
-    for name in space.names:
+    for name, table in zip(vocab.names, tables, strict=True):
         bits = atom_bits[name]
-        statuses = _statuses(name, space)
-        assert len(space.choices[name]) == len(statuses)
-        for status, row in enumerate(space.choices[name]):
+        statuses = _statuses(name, vocab)
+        assert len(table) == len(statuses)
+        for status, row in enumerate(table):
             for issue, act, label, *_ in row:
-                entered = statuses[status] if issue is None else _issued(issue, space)
+                entered = statuses[status] if issue is None else _issued(issue, vocab)
                 action = None if act is OTHER else act
                 props = name_props(name, issue, action, *entered)
                 assert label == sum(bits[prop] for prop in props if prop in bits)

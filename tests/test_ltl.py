@@ -19,17 +19,15 @@ from lict import (
     pretty_formula,
     translate,
 )
-from lict.ltl import (
-    Done,
-    Issued,
+from lict.ltl import Done, Issued, Obligated, Permitted, implicit_restrictions
+from lict.reference import (
     LinearStructure,
-    Obligated,
-    Permitted,
     build_structure,
-    implicit_restrictions,
+    check_run_validity_ltl,
+    finiteness_restriction,
+    formula_size,
     ltl_eval,
 )
-from lict.reference import check_run_validity_ltl, finiteness_restriction, formula_size
 from lict.formulas import Act, ActionExpr, Perm
 
 from gen import random_formula, random_run

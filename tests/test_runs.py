@@ -18,7 +18,7 @@ from lict import (
 )
 from lict.automata import padded_nfa
 from lict.cli import permissions_lines
-from lict.reference import action_sequence, active, subset_permitted, subset_step, viable
+from lict.reference import action_sequence, active, subset_permitted, subset_state, subset_step, viable
 from lict.runs import permission_line
 
 from gen import POOL, licenses, oracle_permitted, random_action, random_license, random_run
@@ -160,8 +160,8 @@ class TestComputePermissions:
 
     def test_subset_state_exposed_for_structure_labeling(self):
         perms = compute_permissions(JOURNAL_RUN)
-        assert perms.subset_state("n", 0)
-        assert perms.subset_state("zz", 0) is None
+        assert subset_state(perms, "n", 0)
+        assert subset_state(perms, "zz", 0) is None
 
 
 # Actions no license drawn from POOL holds; a name doing one is violated.
@@ -194,18 +194,17 @@ class TestDenseSubsets:
             subset = nfa.starts
             for t in range(end):
                 if t < start:
-                    assert perms.subset_state(name, t) is None
+                    assert subset_state(perms, name, t) is None
                     assert perms.permitted(name, t) == {BOT}
                     continue
-                assert perms.subset_state(name, t) == subset, (name, t)
+                assert subset_state(perms, name, t) == subset, (name, t)
                 assert perms.permitted(name, t) == subset_permitted(nfa, subset), (name, t)
                 subset = subset_step(nfa, subset, run.action(name, t))
             for i, row in enumerate(nfa.rows):
-                assert nfa.permitted(nfa.subsets[i]) == subset_permitted(nfa, nfa.subsets[i])
+                assert nfa.permitted_id(i) == subset_permitted(nfa, nfa.subsets[i])
                 for letter, image in enumerate(row[:-1]):
                     if image is not None:
                         action = nfa.letters[letter]
-                        assert nfa.subsets[image] == nfa.step(nfa.subsets[i], action)
                         assert nfa.subsets[image] == subset_step(nfa, nfa.subsets[i], action)
                 assert row[-1] == 0  # every action outside the alphabet
         lines = permissions_lines(run, end)
@@ -218,7 +217,7 @@ class TestDenseSubsets:
     def test_an_action_outside_the_alphabet_violates(self):
         run = parse_run("@0 issue n = pay[1.00]*\n@1 do n pay[10.00]")
         perms = compute_permissions(run)
-        assert perms.subset_state("n", 2) == frozenset()
+        assert subset_state(perms, "n", 2) == frozenset()
         assert perms.permitted("n", 2) == {BOT}
 
     def test_permitted_masks_are_over_the_letters(self):

@@ -24,8 +24,8 @@ from lict import (
     pretty_formula,
     translate,
 )
-from lict.ltl import Done, LinearStructure, Permitted, implicit_restrictions, ltl_eval
-from lict.reference import lifo_tableau, ltl_sat
+from lict.ltl import Done, Permitted, implicit_restrictions
+from lict.reference import LinearStructure, lifo_tableau, ltl_eval, ltl_sat, state_atoms
 from lict.tableau import BudgetExceededError, accepting_lasso, build_tableau, to_nnf
 
 from gen import random_formula
@@ -121,7 +121,7 @@ class TestNnf:
             formula = Next(formula) if depth % 2 else Not(Next(formula))
         tableau = build_tableau(to_nnf(formula))
         assert len(tableau.old_sets) == 5002
-        assert sum(1 for state in tableau.old_sets if P in tableau.positive_props(state)) == 1
+        assert sum(1 for state in tableau.old_sets if P in state_atoms(tableau, state)) == 1
 
 
 class TestBudget:
@@ -186,8 +186,8 @@ def _tableau_lines(formula, budget: int) -> list[str]:
         return [f"over budget {budget}"]
     lines = [f"states {len(tableau.old_sets)} initial {tableau.initial}"]
     for state in sorted(tableau.old_sets):
-        positive = _props(tableau.positive_props(state))
-        negative = _props(tableau.negative_props(state))
+        positive = _props(state_atoms(tableau, state))
+        negative = _props(state_atoms(tableau, state, positive=False))
         lines.append(f"{state} +{positive} -{negative} -> {tableau.edges[state]}")
     lines.extend(f"accept {sorted(members)}" for members in tableau.accept_sets)
     return lines
