@@ -19,15 +19,10 @@ The tableau is read as a transition-based automaton: its states are the
 next-obligation masks and each tableau state is a transition out of every
 mask whose successor list holds it.  A product node pairs one mask with the
 names' statuses, each edge is one tableau state taken with one joint choice
-of options, and acceptance is read off the edges' tableau states.  Before
-the product is built, dominated transitions are dropped from each successor
-list (``_undominated``): a state is dropped when another of the same next
-mask asks for a subset of its literals and is in every accept set it is
-in.  It adds no lasso the other does not, and it is never taken or charged.
-The move of one tableau state from one statuses tuple (its joint choices,
-first edge per target and quiet edge) is built once and replayed for every
-node whose mask lists that state, and each replay is charged its joint
-choices again.
+of options, and acceptance is read off the edges' tableau states.  The move
+of one tableau state from one statuses tuple (its joint choices, first edge
+per target and quiet edge) is built once and replayed for every node whose
+mask lists that state, and each replay is charged its joint choices again.
 
 Every atom speaks about one license name and each name's license evolves on
 its own, so a formula is first split at its boolean top (a conjunction or a
@@ -58,7 +53,6 @@ from .runs import Run, compute_permissions, make_run
 from .tableau import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    Tableau,
     _strip,
     accepting_lasso,
     build_tableau,
@@ -270,61 +264,6 @@ def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
     return LicSatResult("sat", run)
 
 
-def _undominated(tableau: Tableau) -> dict[int, list[int]]:
-    """Each successor list of the tableau, keyed by its id, without its dominated states.
-
-    Within one list, state ``s`` is dominated by ``d`` when both have the
-    same next mask (share one ``edges`` list), ``d``'s literal bits are a
-    subset of ``s``'s, and ``d`` is in every accept set holding ``s``
-    (Gastin & Oddoux, "Fast LTL to Buchi automata translation", CAV 2001).
-    Every joint choice meeting ``s`` then meets ``d`` and enters the same
-    product node, quiet or not, so dropping ``s`` loses no accepting lasso.
-    Of equal states the first is kept, and the kept states stay in list
-    order.  Candidates of one next mask are tried fewest literal bits first,
-    then most accept sets, which tries every dominator of a state before
-    the state itself; as domination is transitive, a dominated state always
-    finds a kept dominator.
-    """
-    # One int per state: its literal bits, and above them the accept sets it
-    # is not in.  ``d`` dominates ``s`` exactly when d's int is a subset of s's.
-    literal_bits = sum(bit for bit, _, _ in tableau.literals)  # one distinct bit each
-    outside = dict.fromkeys(tableau.old_sets, (1 << len(tableau.accept_sets)) - 1)
-    for number, accept_set in enumerate(tableau.accept_sets):
-        for state in accept_set:
-            outside[state] ^= 1 << number
-    demands = {}
-    rank = {}
-    for state, old in tableau.old_sets.items():
-        lits = old & literal_bits
-        demands[state] = lits | outside[state] << literal_bits.bit_length()
-        rank[state] = (lits.bit_count(), outside[state].bit_count())
-
-    pruned: dict[int, list[int]] = {}
-    for successors in (tableau.initial, *tableau.edges.values()):
-        if id(successors) in pruned:
-            continue
-        pruned[id(successors)] = successors
-        if len(successors) < 2:
-            continue
-        groups: dict[int, list[int]] = {}
-        for state in successors:
-            groups.setdefault(id(tableau.edges[state]), []).append(state)
-        dropped = set()
-        for group in groups.values():
-            if len(group) < 2:
-                continue
-            kept: list[int] = []
-            for state in sorted(group, key=rank.__getitem__):  # stable: ties in list order
-                mine = demands[state]
-                if any(other | mine == mine for other in kept):
-                    dropped.add(state)
-                else:
-                    kept.append(mine)
-        if dropped:
-            pruned[id(successors)] = [state for state in successors if state not in dropped]
-    return pruned
-
-
 def _product_sat(formula: Formula, vocab: Vocabulary, budget: int, other: Action) -> LicSatResult:
     """The tableau x run-space product of one formula; the run is not re-checked.
 
@@ -335,20 +274,18 @@ def _product_sat(formula: Formula, vocab: Vocabulary, budget: int, other: Action
         tableau = build_tableau(to_nnf(translate(formula)), budget)
     except BudgetExceededError:
         return LicSatResult("budget")
-    successor_lists = _undominated(tableau)
+    successor_lists = {id(listed): listed for listed in (tableau.initial, *tableau.edges.values())}
     atom_bits = _atom_bits(tableau)
     tables = _choice_tables(vocab, atom_bits)
 
-    # Per tableau state left in some pruned list, each name's (required,
-    # forbidden) label masks.
+    # Per tableau state, each name's (required, forbidden) label masks.
     index = {name: i for i, name in enumerate(vocab.names)}
     marks = [
         (bit, index[atom.name], 0 if positive else 1, atom_bits[atom.name][atom])
         for bit, atom, positive in tableau.literals
     ]
     literals = {}
-    for state in set().union(*successor_lists.values()):
-        old = tableau.old_sets[state]
+    for state, old in tableau.old_sets.items():
         split = [[0, 0] for _ in tables]
         for bit, i, side, label in marks:
             if old & bit:
@@ -361,13 +298,12 @@ def _product_sat(formula: Formula, vocab: Vocabulary, budget: int, other: Action
     # choice of options meeting its literals, is an edge ``(target, state,
     # choice)`` into the state's own mask and the options' next statuses, so
     # a witness can be read back as run events; every joint choice is one
-    # budget tick.  Dominated states are gone from the lists, so they are
-    # never taken or charged.  ``edges[node]`` keeps the first edge into each
-    # target.  ``quiet[node]`` lists the quiet edges (no issuance, all names
-    # doing bot), at most one per state as each status has one quiet option:
-    # only they may form the lasso loop, which keeps every witness a finite
-    # run.  The move of a (state, statuses) pair is built once, on first use,
-    # and replayed for every later node reaching it; a replay is charged its
+    # budget tick.  ``edges[node]`` keeps the first edge into each target.
+    # ``quiet[node]`` lists the quiet edges (no issuance, all names doing
+    # bot), at most one per state as each status has one quiet option: only
+    # they may form the lasso loop, which keeps every witness a finite run.
+    # The move of a (state, statuses) pair is built once, on first use, and
+    # replayed for every later node reaching it; a replay is charged its
     # joint choices again, as if they were enumerated anew.
     next_mask = {state: id(successors) for state, successors in tableau.edges.items()}
     start = (id(tableau.initial), (0,) * len(tables))

@@ -14,10 +14,10 @@ one time at a time, the target logic's linear structures (a run's, built
 from its permissions, and ``ltl_eval``, the direct route's evaluator over
 structure labels), the generic decision route (translate, conjoin the
 restriction formulas, and search the target logic's tableau on its own for
-a lasso, edges labelled with the states they enter), the stack-based tableau
-construction that expands a next mask once per state holding it, whose
-graph and budget outcomes the memoised ``build_tableau`` must match, the
-character-by-character lexer that the regex lexer of ``lict.parsing``
+a lasso, edges labelled with the states they enter), the unpruned
+stack-based tableau expansion that expands a next mask once per state
+holding it, whose decisions the pruned cube-set ``build_tableau`` must
+match, the character-by-character lexer that the regex lexer of ``lict.parsing``
 must agree with on ASCII input, and the token-stream parsers of every
 grammar whose trees and errors ``lict.parsing``'s parsers must match.
 """
@@ -757,16 +757,20 @@ def ltl_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> SatResult:
 
 
 # ---------------------------------------------------------------------------
-# The stack-based tableau construction that ``tableau.build_tableau`` replaced
+# The unpruned stack-based tableau expansion that ``tableau.build_tableau`` replaced
 
 _INIT = -1
 
 
 def lifo_tableau(closure: _Closure, budget: int = DEFAULT_BUDGET) -> Tableau:
-    """The obligation graph ``build_tableau`` must give, one expansion per state.
+    """The unpruned obligation graph, whose decisions ``build_tableau``'s must match.
 
-    Every new state pushes its next mask for expansion on one LIFO stack, so
-    a mask is expanded again for each state holding it.
+    This is the expansion of Gerth, Peled, Vardi & Wolper ("Simple
+    on-the-fly automatic verification of linear temporal logic", PSTV
+    1995): every new state pushes its next mask for expansion on one LIFO
+    stack, so a mask is expanded again for each state holding it, and no
+    state is dropped for another.  Each state has its own successor list,
+    and ``old_sets`` holds whole obligation masks, literals among them.
 
     A pending node is an ``(incoming state, new, old, next)`` tuple of masks
     and a state is keyed by its ``(old, next)`` masks; every pop of a pending

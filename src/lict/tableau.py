@@ -1,26 +1,32 @@
-"""The tableau of the target temporal logic: obligation graph and lasso search.
+"""The tableau of the target temporal logic: transition graph and lasso search.
 
-The formula is put in negation normal form and expanded on the fly into a
-graph of obligation states (the classic expansion-graph construction): each
-state records what must hold now and what is postponed to the next step.
-Until-formulas contribute generalized acceptance sets of states.  Read as a
-transition-based generalized Buchi automaton, a next-obligation mask is an
-automaton state and each state of the graph is a transition out of every
-mask whose successor list holds it; a model is a reachable lasso whose cycle
-takes a transition from every acceptance set.
+The formula is put in negation normal form and turned into a generalized
+Buchi automaton by the transition construction of Gastin & Oddoux ("Fast
+LTL to Buchi automata translation", CAV 2001, sections 3-4).  A transition
+is a cube: the literals that must hold now, the mask of subformulas
+postponed to the next step, and the acceptance sets it is in, one per
+until.  The cubes of each NNF subformula are built bottom-up from its
+operands' (a conjunction is the product of its parts' cube sets, a
+disjunction their union, and an until or release its one-step unfolding),
+and the cubes of a next mask are the product over its subformulas.
+Dominated cubes are dropped at every product and union: a cube goes when
+another of the same next mask asks for a subset of its literals and is in
+every acceptance set it is in, as every run through it has a run through
+the other that is accepted whenever it is.
 
-An obligation set is one Python int with a bit per interned NNF subformula.
-The closure ids are ranked once by ``(kind, id)`` and bit ``r`` stands for
-the id of rank ``r``, so the cheapest pending obligation (falsum, literals,
-conjunctions before any disjunctive split) is the lowest set bit, ``x & -x``:
-contradictions are pruned early and the construction is deterministic.
+A state of the graph is one distinct cube, and it is a transition out of
+every mask whose successor list holds it; a model is a reachable lasso
+whose cycle takes a transition from every acceptance set.
 
 :mod:`lict.licsat` runs this search over the product with its run space;
 deciding a target formula on the tableau alone is the oracle
 ``lict.reference.ltl_sat``.
 
-Construction work is metered: exceeding the node budget raises
-:class:`BudgetExceededError`, an outcome deliberately distinct from "unsat".
+Construction work is metered: each product of two cube sets costs its
+cube pairs, and each cube put into a set costs the cubes it is checked
+against for dominance, all charged before the work is done.  Exceeding the
+budget raises :class:`BudgetExceededError`, an outcome deliberately
+distinct from "unsat".
 """
 
 from __future__ import annotations
@@ -39,8 +45,9 @@ class BudgetExceededError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Negation normal form, interned
 
-# The expansion works on interned formula ids rather than AST nodes; the
-# kinds are numbered in the order their obligations are processed.
+# The construction works on interned formula ids rather than AST nodes; the
+# kinds are numbered in the order lict.reference's stack-based expansion
+# processes their obligations.
 
 _KIND_FALSE, _KIND_TRUE, _KIND_LIT, _KIND_AND, _KIND_X, _KIND_RELEASE, _KIND_OR, _KIND_UNTIL = range(8)
 
@@ -147,20 +154,19 @@ def to_nnf(formula: Formula) -> _Closure:
 
 
 # ---------------------------------------------------------------------------
-# Expansion graph
+# Transition graph
 
 
 class Tableau:
-    """The expanded obligation graph of one formula.
+    """The transition graph of one formula.
 
-    ``old_sets[state]`` is the state's obligation mask over the ranked
-    closure ids; ``accept_sets`` hold state ids, one set per until.  A
-    state's successors depend only on its next-obligation mask, so
-    ``edges[state]`` is the sorted successor list of that mask, one list
-    object shared by every state holding the mask, and ``initial`` is the
-    list of the root's mask.  ``literals`` holds one ``(bit, atom,
-    polarity)`` per literal of the closure, the bit over the ranked ids.
-    These lists are read-only.
+    ``old_sets[state]`` is the state's literal mask, one bit per literal of
+    the closure; ``accept_sets`` hold state ids, one set per until.  A
+    state's successors depend only on its next mask, so ``edges[state]`` is
+    the sorted successor list of that mask, one list object shared by every
+    state holding the mask, and ``initial`` is the list of the root's mask.
+    ``literals`` holds one ``(bit, atom, polarity)`` per literal of the
+    closure.  These lists are read-only.
     """
 
     def __init__(self, literals: tuple[tuple[int, Formula, bool], ...]):
@@ -171,121 +177,144 @@ class Tableau:
         self.accept_sets: list[frozenset[int]] = []
 
 
-def _expand(
-    mask: int, table: list[tuple[int, int, int]], allowance: int
-) -> tuple[list[tuple[int, int]], int]:
-    """The ordered leaves ``(old, next)`` of one mask's expansion, and its ticks.
+def _add(keys: list[int], key: int) -> None:
+    """Put a cube's key among the keys of its next mask, keeping none dominated.
 
-    Pending nodes are ``(new, old, next)`` masks on a stack and every pop is
-    one tick; the expansion stops once it has used more than ``allowance``.
+    A key is the cube's literal bits with, above them, a bit per acceptance
+    set it is not in, so ``kept`` dominates ``key`` exactly when its bits are
+    a subset of key's.  Of equal cubes the first stays.
     """
-    leaves = []
-    pending = [(mask, 0, 0)]
-    ticks = 0
-    while pending:
-        ticks += 1
-        if ticks > allowance:
+    for kept in keys:
+        if kept | key == key:
+            return
+        if key | kept == kept:
+            # kept keys never dominate each other, so none dominates key
+            keys[:] = [other for other in keys if key | other != other]
             break
-        new, old, nxt = pending.pop()
-        if not new:
-            leaves.append((old, nxt))
-            continue
-        low = new & -new
-        new ^= low
-        if old & low:
-            pending.append((new, old, nxt))
-            continue
-        kind, first, second = table[low.bit_length() - 1]
-        if kind == _KIND_TRUE:
-            pending.append((new, old, nxt))
-        elif kind == _KIND_FALSE:
-            continue
-        elif kind == _KIND_LIT:
-            if not old & first:
-                pending.append((new, old | low, nxt))
-        elif kind == _KIND_AND:
-            pending.append((new | first | second, old | low, nxt))
-        elif kind == _KIND_X:
-            pending.append((new, old | low, nxt | first))
-        elif kind == _KIND_OR:
-            pending.append((new | first, old | low, nxt))
-            pending.append((new | second, old | low, nxt))
-        elif kind == _KIND_UNTIL:
-            pending.append((new | first, old | low, nxt | low))
-            pending.append((new | second, old | low, nxt))
-        else:  # release
-            pending.append((new | second, old | low, nxt | low))
-            pending.append((new | first | second, old | low, nxt))
-    return leaves, ticks
+    keys.append(key)
 
 
 def build_tableau(closure: _Closure, budget: int = DEFAULT_BUDGET) -> Tableau:
-    """Expand an interned NNF formula into its obligation graph.
+    """Build the transition graph of an interned NNF formula.
 
-    A state is keyed by its ``(old, next)`` masks.  The root's mask and each
-    distinct next mask are expanded once (``_expand``) into an ordered list
-    of leaves.  The lists are walked depth first from the root's, a new
-    state's list at once, which numbers the states as one stack-based
-    expansion per state would; a list whose leaves are all states already
-    is not walked again.  Every use of a list is charged the ticks of its
-    expansion, so the budget still counts one expansion per state.
+    A cube set maps each next mask (a bit per closure id) to the keys of its
+    cubes (see ``_add``).  A literal and its complement take two adjacent
+    bits, the lower one even, so a cube holding both shows as a pair and a
+    product drops it.  The cube set of each closure id is built once,
+    operands first, and that of each next mask once, in the order a walk
+    from the root's mask reaches them, which numbers the states.
     """
-    kinds = closure.kinds
-    ranked = [index for _, index in sorted(zip(kinds, range(len(kinds))))]
-    bits = [0] * len(ranked)
-    for rank, index in enumerate(ranked):
-        bits[index] = 1 << rank
-    # per rank: kind and two operand masks (a literal's first is its complement)
-    table = []
-    for index in ranked:
-        operands = [bits[arg] for arg in closure.args[index]] + [0, 0]
-        if kinds[index] == _KIND_LIT:
-            operands[0] = bits[closure.complement[index]]
-        table.append((kinds[index], operands[0], operands[1]))
-
-    expansions: dict[int, tuple[list[tuple[int, int]], int]] = {}
+    kinds, args = closure.kinds, closure.args
+    literal_bits: dict[int, int] = {}
+    for index, literal in enumerate(closure.literals):
+        if literal is not None and index not in literal_bits:
+            low = 1 << len(literal_bits)
+            literal_bits[index], literal_bits[closure.complement[index]] = low, low << 1
+    width = len(literal_bits)
+    clashes = ((1 << width) - 1) // 3  # the lower bit of every pair
+    postponed = {until: 1 << (width + number) for number, until in enumerate(closure.untils())}
     ticks = 0
+    exceeded = f"tableau exceeded its budget of {budget} ticks"
 
-    def leaves(mask: int) -> list[tuple[int, int]]:
+    def product(left: dict[int, list[int]], right: dict[int, list[int]]) -> dict[int, list[int]]:
         nonlocal ticks
-        expansion = expansions.get(mask)
-        if expansion is None:
-            expansion = expansions[mask] = _expand(mask, table, budget - ticks)
-        ticks += expansion[1]
+        ticks += sum(map(len, left.values())) * sum(map(len, right.values()))
         if ticks > budget:
-            raise BudgetExceededError(f"tableau exceeded its budget of {budget} nodes")
-        return expansion[0]
+            raise BudgetExceededError(exceeded)
+        cubes: dict[int, list[int]] = {}
+        for left_next, left_keys in left.items():
+            for right_next, right_keys in right.items():
+                keys = None
+                for left_key in left_keys:
+                    for right_key in right_keys:
+                        key = left_key | right_key
+                        if key & key >> 1 & clashes:
+                            continue
+                        if keys is None:
+                            keys = cubes.setdefault(left_next | right_next, [])
+                        ticks += len(keys)
+                        if ticks > budget:
+                            raise BudgetExceededError(exceeded)
+                        _add(keys, key)
+        return cubes
 
-    stored: dict[tuple[int, int], int] = {}  # the state of each (old, next) leaf
-    successors: dict[int, list[int]] = {}  # per mask whose leaves are all states
-    root = bits[closure.root]
-    walk = [(root, iter(leaves(root)))]
-    while walk:
-        mask, pending = walk[-1]
-        for leaf in pending:
-            if leaf not in stored:
-                stored[leaf] = len(stored)
-                found = leaves(leaf[1])
-                if leaf[1] not in successors:
-                    walk.append((leaf[1], iter(found)))
-                break
-        else:
-            walk.pop()
-            if mask not in successors:
-                successors[mask] = sorted(set(map(stored.__getitem__, expansions[mask][0])))
+    def union(left: dict[int, list[int]], right: dict[int, list[int]]) -> dict[int, list[int]]:
+        nonlocal ticks
+        cubes = {nxt: keys[:] for nxt, keys in left.items()}
+        for nxt, keys in right.items():
+            kept = cubes.setdefault(nxt, [])
+            for key in keys:
+                ticks += len(kept) + 1
+                if ticks > budget:
+                    raise BudgetExceededError(exceeded)
+                _add(kept, key)
+        return cubes
+
+    # Per closure id its cube set, built on an explicit stack; ids are in
+    # post-order, and a next needs no cubes of its operand.
+    transitions: list[dict[int, list[int]] | None] = [None] * len(kinds)
+
+    def cubes_of(index: int) -> dict[int, list[int]]:
+        stack = [index]
+        while stack:
+            top = stack[-1]
+            if transitions[top] is not None:
+                stack.pop()
+                continue
+            kind = kinds[top]
+            missing = [] if kind == _KIND_X else [arg for arg in args[top] if transitions[arg] is None]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            parts = [transitions[arg] for arg in args[top]]
+            if kind == _KIND_TRUE:
+                cubes = {0: [0]}
+            elif kind == _KIND_FALSE:
+                cubes = {}
+            elif kind == _KIND_LIT:
+                cubes = {0: [literal_bits[top]]}
+            elif kind == _KIND_X:
+                cubes = {1 << args[top][0]: [0]}
+            elif kind == _KIND_AND:
+                cubes = product(*parts)
+            elif kind == _KIND_OR:
+                cubes = union(*parts)
+            elif kind == _KIND_UNTIL:
+                cubes = union(parts[1], product(parts[0], {1 << top: [postponed[top]]}))
+            else:  # release
+                cubes = union(product(*parts), product(parts[1], {1 << top: [0]}))
+            transitions[top] = cubes
+        return transitions[index]
+
+    states: dict[tuple[int, int], int] = {}  # the state of each (next, key) cube
+    successors: dict[int, list[int]] = {}  # per next mask
+    masks = [1 << closure.root]
+    successors[masks[0]] = []
+    for mask in masks:  # grows as new next masks are reached
+        cubes = {0: [0]}  # the true cube, so every mask's cubes are charged
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cubes = product(cubes, cubes_of(low.bit_length() - 1))
+        listed = successors[mask]
+        for nxt, keys in cubes.items():
+            if nxt not in successors:
+                successors[nxt] = []
+                masks.append(nxt)
+            listed += [states.setdefault((nxt, key), len(states)) for key in keys]
+        listed.sort()
 
     tableau = Tableau(tuple(
-        (bits[index], *literal) for index, literal in enumerate(closure.literals) if literal is not None
+        (literal_bits[index], *literal) for index, literal in enumerate(closure.literals) if literal is not None
     ))
-    tableau.old_sets = olds = {state: old for (old, _), state in stored.items()}
-    tableau.edges = {state: successors[nxt] for (_, nxt), state in stored.items()}
-    tableau.initial = successors[root]
-
-    for until in closure.untils():
-        pending_bit, right = bits[until], bits[closure.args[until][1]]
-        tableau.accept_sets.append(frozenset(
-            state for state, old in olds.items() if not old & pending_bit or old & right
-        ))
+    literal_mask = (1 << width) - 1
+    tableau.old_sets = {state: key & literal_mask for (_, key), state in states.items()}
+    tableau.edges = {state: successors[nxt] for (nxt, _), state in states.items()}
+    tableau.initial = successors[masks[0]]
+    for bit in postponed.values():
+        tableau.accept_sets.append(frozenset(state for (_, key), state in states.items() if not key & bit))
     return tableau
 
 

@@ -12,6 +12,7 @@ import random
 from decimal import Decimal
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +21,10 @@ from lict import (
     ZERO,
     And,
     Issue,
+    Next,
     Not,
     Pay,
+    Until,
     compute_permissions,
     evaluate,
     f_or,
@@ -42,12 +45,12 @@ from lict.licsat import (
     _components,
     _choice_tables,
     _product_sat,
-    _undominated,
     fresh_action,
 )
-from lict.ltl import build_vocabulary, implicit_restrictions
-from lict.reference import finiteness_restriction, ltl_sat, name_props
-from lict.tableau import Tableau, build_tableau, to_nnf
+from lict.ltl import Done, Permitted, build_vocabulary, implicit_restrictions
+from lict.reference import finiteness_restriction, lifo_tableau, ltl_sat, name_props, state_atoms
+from lict import tableau as tableau_module
+from lict.tableau import build_tableau, to_nnf
 
 from gen import enumerate_satisfying_run, micro_formula, random_formula, random_license
 
@@ -142,6 +145,11 @@ class TestSpotChecks:
     def test_budget_outcome(self):
         formula = parse_formula("issue(n, (pay[1.00] | bot)*) & F O(pay[1.00], n)")
         assert lic_sat(formula, budget=3).status == "budget"
+
+    def test_always_of_many_disjunctions_runs_out_in_the_tableau(self):
+        # 2**30 transitions, each a choice of one action per name and pair
+        pairs = " & ".join(f"((bot, a{i}) | (bot, b{i}))" for i in range(30))
+        assert lic_sat(parse_formula(f"G ({pairs})"), budget=1000).status == "budget"
 
 
 class TestRunSpaceEdges:
@@ -273,74 +281,75 @@ class TestProductMoves:
         assert lic_sat(formula, budget=752).status == "unsat"
 
 
-LIT_P, LIT_NOT_P, LIT_Q, PENDING = 1, 2, 4, 8  # PENDING stands for a non-literal obligation
+P_N, Q_N, R_M = Done(BOT, "n"), Permitted(BOT, "n"), Done(BOT, "m")
 
 
-def hand_tableau(olds, next_of, initial, accept_sets=()) -> Tableau:
-    """A tableau over the literals p, !p and q, built by hand.
-
-    ``olds[state]`` is the state's obligation mask, ``next_of[state]`` its
-    successor list object (states sharing one list share a next mask).
-    """
-    p, q = parse_formula("(pay[1.00], n)"), parse_formula("P(bot, n)")
-    tableau = Tableau(((LIT_P, p, True), (LIT_NOT_P, p, False), (LIT_Q, q, True)))
-    tableau.old_sets = dict(enumerate(olds))
-    tableau.edges = dict(enumerate(next_of))
-    tableau.initial = initial
-    tableau.accept_sets = [frozenset(accept_set) for accept_set in accept_sets]
-    return tableau
-
-
-def unpruned(tableau: Tableau) -> dict[int, list[int]]:
-    """The pruning pass made the identity: every successor list as built."""
-    return {id(successors): successors for successors in (tableau.initial, *tableau.edges.values())}
+def _initial(formula):
+    """The tableau of a target formula, and each initial state's (true, false) atoms."""
+    tableau = build_tableau(to_nnf(formula))
+    atoms = [(state_atoms(tableau, state), state_atoms(tableau, state, False)) for state in tableau.initial]
+    return tableau, atoms
 
 
 class TestDominatedTransitions:
+    """The tableau drops a cube when another of the same next mask asks for a
+    subset of its literals and is in every accept set it is in."""
+
+    def test_a_literal_superset_of_the_same_next_mask_is_dropped(self):
+        _, atoms = _initial(f_or(P_N, And(P_N, Q_N)))
+        assert atoms == [({P_N}, set())]
+
     def test_different_next_masks_never_prune_each_other(self):
-        # Equal literals and no accept sets, but each state has its own
-        # next mask: two list objects, even with equal contents.
-        first, second = [0, 1], [0, 1]
-        tableau = hand_tableau([LIT_P, LIT_P | LIT_Q], [first, second], first)
-        pruned = _undominated(tableau)
-        assert pruned[id(first)] == [0, 1]
-        assert pruned[id(second)] == [0, 1]
+        # p & X q asks for fewer literals than p & q, but postpones q
+        tableau, atoms = _initial(f_or(And(P_N, Next(Q_N)), And(P_N, Q_N)))
+        assert atoms == [({P_N}, set()), ({P_N, Q_N}, set())]
+        first, second = tableau.initial
+        assert tableau.edges[first] is not tableau.edges[second]
+
+    def test_the_postponing_cube_of_an_until_is_outside_its_accept_set(self):
+        tableau, atoms = _initial(Until(P_N, Q_N))
+        assert atoms == [({Q_N}, set()), ({P_N}, set())]
+        fulfilling, postponing = tableau.initial
+        assert tableau.accept_sets == [frozenset(tableau.accept_sets[0])]
+        assert fulfilling in tableau.accept_sets[0] and postponing not in tableau.accept_sets[0]
 
     def test_literal_superset_is_dropped_only_when_its_accept_sets_are_covered(self):
-        # 1 and 2 ask for p and q, a superset of 0's p.  1 is in the second
-        # accept set, which 0 is not in, so 1 stays; 2 is only in the first,
-        # which holds 0 too, so 2 goes.
-        shared = [0, 1, 2]
-        olds = [LIT_P, LIT_P | LIT_Q, LIT_P | LIT_Q | PENDING]
-        tableau = hand_tableau(olds, [shared] * 3, shared, [{0, 2}, {1}])
-        assert _undominated(tableau)[id(shared)] == [0, 1]
-        # once 0 is in the second set too, it covers 1 as well
-        tableau = hand_tableau(olds, [shared] * 3, shared, [{0, 2}, {0, 1}])
-        assert _undominated(tableau)[id(shared)] == [0]
-        # equal literals: the later state is in more accept sets and wins
-        pair = [0, 1]
-        tableau = hand_tableau(olds[1:], [pair] * 2, pair, [{1}])
-        assert _undominated(tableau)[id(pair)] == [1]
+        until = Until(P_N, Q_N)
+        # p & r & X(p U q) asks for more than the postponing p, but is in the
+        # accept set the postponing cube is not in, so both stay
+        tableau, atoms = _initial(f_or(until, And(And(P_N, R_M), Next(until))))
+        assert atoms == [({Q_N}, set()), ({P_N}, set()), ({P_N, R_M}, set())]
+        # p & X(p U q) asks for the same literals and is in every accept set
+        # the postponing cube is in, so it takes the postponing cube's place
+        tableau, atoms = _initial(f_or(until, And(P_N, Next(until))))
+        assert atoms == [({Q_N}, set()), ({P_N}, set())]
+        assert set(tableau.initial) <= tableau.accept_sets[0]
 
     def test_of_equal_states_the_first_is_kept(self):
-        # the literal bits are equal; the pending bit is not a literal
-        shared = [0, 1, 2]
-        olds = [LIT_Q | PENDING, LIT_Q, LIT_Q | PENDING]
-        tableau = hand_tableau(olds, [shared] * 3, shared, [{0, 1, 2}])
-        assert _undominated(tableau)[id(shared)] == [0]
+        # one cube from two branches of one union
+        tableau, atoms = _initial(f_or(And(P_N, Q_N), And(Q_N, P_N)))
+        assert atoms == [({P_N, Q_N}, set())]
+        # one state reached from two next masks, each with its own list
+        tableau, _ = _initial(f_or(Next(And(P_N, Q_N)), Next(And(Q_N, P_N))))
+        first, second = tableau.initial
+        assert tableau.edges[first] is not tableau.edges[second]
+        assert tableau.edges[first] == tableau.edges[second] == [2]
+        assert len(tableau.old_sets) == 4  # and the true cube after it
 
     def test_list_order_is_kept(self):
-        # 1 has the fewest literals and is tried first, but 0 stays ahead of it
-        shared = [0, 1, 2, 3]
-        olds = [LIT_NOT_P | LIT_Q, LIT_P, LIT_P | LIT_Q, LIT_NOT_P | LIT_Q | PENDING]
-        tableau = hand_tableau(olds, [shared] * 4, shared)
-        assert _undominated(tableau)[id(shared)] == [0, 1]
+        # p dominates p & q and comes after !p & q, which dominates !p & q & r:
+        # the kept cubes are numbered in the order they are first built
+        formula = f_or(f_or(f_or(And(Not(P_N), Q_N), P_N), And(P_N, Q_N)), And(And(Not(P_N), Q_N), R_M))
+        tableau, atoms = _initial(formula)
+        assert tableau.initial == [0, 1]
+        assert atoms == [({Q_N}, {P_N}), ({P_N}, set())]
 
     def test_pruning_keeps_statuses_and_raises_no_budget(self, monkeypatch):
-        # The product with the pruning pass and with it made the identity:
-        # the same answer, witnesses that re-verify either way, and no more
-        # ticks pruned.  Golden budgets #22 and #24 ride along, as pruning
-        # lowers theirs.
+        # Pruned cube sets against the same construction keeping every
+        # distinct cube (one unit of ticks, so least budgets compare), and
+        # against the unpruned stack-based expansion of lict.reference (the
+        # same answers, witnesses that re-verify either way).  Golden budgets
+        # #22 and #24 ride along, as pruning lowers theirs.
         rng = random.Random(227)
         formulas = [micro_formula(rng, two_names=index % 3 == 0) for index in range(150)]
         journal = f"issue(n, {JOURNAL_TEXT})"
@@ -348,24 +357,53 @@ class TestDominatedTransitions:
             parse_formula(f"G (render[w,d], n) U (X {journal} & X ({journal} | (bot, n)))"),
             parse_formula(f"G (F (pay[2.50], m) | F {journal})"),
         ]
-        pruned_any = sum(
-            _undominated(tableau) != unpruned(tableau)
-            for tableau in (build_tableau(to_nnf(translate(formula))) for formula in formulas)
-        )
+        keep = tableau_module._add
+        pruned = []
+
+        def counting_add(keys, key):
+            before = keys[:]
+            keep(keys, key)
+            pruned.append(key not in before and len(keys) != len(before) + 1)
+
+        def unpruned_add(keys, key):
+            if key not in keys:
+                keys.append(key)
+
+        pruned_any = 0
+        for formula in formulas:
+            with monkeypatch.context() as patch:
+                patch.setattr(tableau_module, "_add", counting_add)
+                pruned.clear()
+                build_tableau(to_nnf(translate(formula)))
+            pruned_any += any(pruned)
         shipped = [(lic_sat(formula), _least_budget(formula)) for formula in formulas]
-        monkeypatch.setattr("lict.licsat._undominated", unpruned)
+        with monkeypatch.context() as patch:
+            patch.setattr(tableau_module, "_add", unpruned_add)
+            unpruned = [_least_budget(formula) for formula in formulas]
+        monkeypatch.setattr("lict.licsat.build_tableau", lifo_tableau)
         lowered = sat = 0
-        for formula, (report, (status, budget)) in zip(formulas, shipped):
+        for formula, (report, (status, budget)), (unpruned_status, unpruned_budget) in zip(formulas, shipped, unpruned):
             full = lic_sat(formula)
-            full_status, full_budget = _least_budget(formula)
             text = pretty_formula(formula)
-            assert report.status == full.status == status == full_status, text
+            assert report.status == full.status == status == unpruned_status, text
             if report.status == "sat":
                 sat += 1
                 assert holds(report.run, formula) and holds(full.run, formula), text
-            assert budget <= full_budget, text
-            lowered += budget < full_budget
+            assert budget <= unpruned_budget, text
+            lowered += budget < unpruned_budget
         assert pruned_any >= 5 and sat >= 30 and lowered >= 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), two_names=st.booleans())
+    def test_random_statuses_match_the_unpruned_expansion(self, seed, two_names):
+        formula = micro_formula(random.Random(seed), two_names=two_names)
+        pruned = lic_sat(formula)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("lict.licsat.build_tableau", lifo_tableau)
+            full = lic_sat(formula)
+        assert pruned.status == full.status, pretty_formula(formula)
+        if pruned.status == "sat":
+            assert holds(pruned.run, formula) and holds(full.run, formula)
 
 
 class TestWitnessRoundTrip:

@@ -1,10 +1,12 @@
 """The satisfiability engine: classics, witnesses, a bounded oracle, and pinned tableaux."""
 
+import functools
 import glob
 import itertools
 import os
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +26,10 @@ from lict import (
     pretty_formula,
     translate,
 )
+from lict import tableau as tableau_module
 from lict.ltl import Done, Permitted, implicit_restrictions
 from lict.reference import LinearStructure, lifo_tableau, ltl_eval, ltl_sat, state_atoms
-from lict.tableau import BudgetExceededError, accepting_lasso, build_tableau, to_nnf
+from lict.tableau import DEFAULT_BUDGET, BudgetExceededError, accepting_lasso, build_tableau, to_nnf
 
 from gen import random_formula
 
@@ -124,11 +127,41 @@ class TestNnf:
         assert sum(1 for state in tableau.old_sets if P in state_atoms(tableau, state)) == 1
 
 
+def _always_disjunctions(count: int):
+    """G of a conjunction of ``count`` two-literal disjunctions: 2**count cubes."""
+    pairs = [f_or(Done(BOT, f"a{i}"), Done(BOT, f"b{i}")) for i in range(count)]
+    return Always(functools.reduce(And, pairs))
+
+
 class TestBudget:
     def test_tiny_budget_reports_distinct_outcome(self):
         formula = Until(P, Until(Q, Until(R, And(P, Q))))
         report = ltl_sat(formula, budget=3)
         assert report.status == "budget"
+
+    def test_products_are_charged_before_they_are_enumerated(self, monkeypatch):
+        # Every cube the construction keeps or drops passes through _add once.
+        assert len(build_tableau(to_nnf(_always_disjunctions(4))).old_sets) == 16
+        added = []
+        keep = tableau_module._add
+        monkeypatch.setattr(tableau_module, "_add", lambda keys, key: added.append(key) or keep(keys, key))
+        closure = to_nnf(_always_disjunctions(40))
+        with pytest.raises(BudgetExceededError):
+            build_tableau(closure, 1000)
+        assert 0 < len(added) <= 1000
+
+    @pytest.mark.parametrize("count, budget", [(11, 10_000), (16, DEFAULT_BUDGET), (18, DEFAULT_BUDGET)])
+    def test_dominance_scans_are_charged(self, monkeypatch, count, budget):
+        # 2**count mutually non-dominating cubes of one next mask: putting
+        # each in compares it with every kept one, about 4**count / 2 in all
+        # against only 2**(count + 2) cube pairs.  Each _add compares key
+        # with at most the keys it finds, so their sum bounds the work.
+        compared = []
+        keep = tableau_module._add
+        monkeypatch.setattr(tableau_module, "_add", lambda keys, key: compared.append(len(keys)) or keep(keys, key))
+        with pytest.raises(BudgetExceededError):
+            build_tableau(to_nnf(_always_disjunctions(count)), budget)
+        assert sum(compared) <= budget
 
 
 def _labelled_graph(triples):
@@ -257,20 +290,16 @@ class TestGoldenTableaux:
 
 
 def _assert_same_as_lifo(formula):
-    closure = to_nnf(formula)
-    memoised, lifo = build_tableau(closure), lifo_tableau(closure)
-    assert memoised.old_sets == lifo.old_sets
-    assert memoised.initial == lifo.initial
-    assert memoised.edges == lifo.edges
-    assert memoised.accept_sets == lifo.accept_sets
-    # completion is monotone in the budget, so this is the same least budget
-    least = _smallest_budget(formula)
-    assert _completes(lifo_tableau, closure, least)
-    assert not _completes(lifo_tableau, closure, least - 1)
+    # ltl_sat re-checks each witness it returns, over either tableau
+    pruned = ltl_sat(formula)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("lict.reference.build_tableau", lifo_tableau)
+        full = ltl_sat(formula)
+    assert pruned.status == full.status != "budget", pretty_formula(formula)
 
 
 class TestAgainstLifoTableau:
-    """Expanding each next mask once gives the graph and budget of one expansion per state."""
+    """The pruned cube-set transitions decide like the unpruned stack-based expansion."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), positive=st.booleans())
@@ -285,7 +314,7 @@ class TestAgainstLifoTableau:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), positive=st.booleans())
     def test_response_conjunctions(self, seed, positive):
-        # Many states, few next masks: the case the memo is for.
+        # Many states, few next masks: the case pruning is for.
         rng = random.Random(seed)
         formula = Truth()
         for _ in range(rng.randint(1, 3)):
