@@ -20,7 +20,8 @@ a row of successor ids by letter and its permitted set as a bitmask.
 Every question is asked by id: ``step_id``, ``masks``, ``permitted_id``,
 ``bot_lasso`` and ``reachable_subsets`` all answer through that memo, and
 ``subsets[i]`` gives the states behind id ``i``.  ``padded_nfa`` keeps one
-automaton per license, so every caller shares it.
+automaton per license, so every caller shares it, for the 512 licenses
+asked for most recently.
 """
 
 from __future__ import annotations
@@ -234,7 +235,9 @@ def build_nfa(lic: License, padded: bool = False) -> Nfa:
     return Nfa(alive, {0} & alive, finals, letters, transitions, pad)
 
 
-@lru_cache(maxsize=None)
+# far above the handful of licenses one command reads, and bounded, so a long
+# session or library caller does not grow without end
+@lru_cache(maxsize=512)
 def padded_nfa(lic: License) -> Nfa:
     """The license's padded automaton: one per license, so its memos are shared."""
     return build_nfa(lic, padded=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import combinations
 
 from .licenses import (
     BOT,
@@ -27,6 +26,7 @@ from .licenses import (
     Render,
     concat,
     fold_balanced,
+    tree_size,
     union,
 )
 
@@ -36,10 +36,13 @@ PERUSE = "peruse"
 SCHEDULES = (UPFRONT, FLATRATE, PERUSE)
 
 DEFAULT_DR_CAP = 64
+# The most nodes a compiled license may have as a tree, which bounds its
+# printed text: a peruse period of 17 with two renders fits, 18 does not.
+DR_SIZE_LIMIT = 10**6
 
 
 class DrCapExceeded(ValueError):
-    """The license spans more time units than the enumeration cap allows."""
+    """The license spans more time units than the cap, or compiles to more nodes than the limit."""
 
 
 @dataclass(frozen=True)
@@ -121,42 +124,29 @@ def _license_power(lic: License, count: int) -> License:
     return result
 
 
-def _union_all(parts: list[License]) -> License:
-    # balanced, so a peruse period's 2^(p-1) alternatives nest only p deep
-    return fold_balanced(parts, union)
-
-
 def _period_license(dr: DrLicense) -> License:
     """A regular license with exactly the period's traces."""
     renders = _render_slots(dr)
     bot = Atom(BOT)
-    slot = _union_all([bot] + [Atom(action) for action in renders])
-    body = _license_power(slot, dr.period - 1)
-    if dr.schedule == UPFRONT:
-        return concat(Atom(Pay(dr.amount)), body)
-    if dr.schedule == FLATRATE:
+    if dr.schedule != PERUSE:
+        slot = fold_balanced([bot] + [Atom(action) for action in renders], union)
+        body = _license_power(slot, dr.period - 1)
+        if dr.schedule == UPFRONT:
+            return concat(Atom(Pay(dr.amount)), body)
         return concat(body, Atom(Pay(dr.amount)))
-    # Per use: group period bodies by how many slots hold a render, because
-    # the closing payment depends on that count.  Alternatives with a common
-    # prefix share its one object, so the patterns form a trie of fewer than
-    # 2^(slots + 1) nodes, and the printer renders each of them once.
+    # Per use: the closing payment depends on how many slots hold a render.
+    # What may follow slot i after k renders is one residual language
+    # (Brzozowski, 1964), S(i, k) = bot S(i+1, k) | R S(i+1, k+1), which ends
+    # in the payment for k renders.  Built from the last slot back, each S is
+    # one object shared by both its parents: O(p^2) distinct nodes, and the
+    # printer lays each out once.
+    render = fold_balanced([Atom(action) for action in renders], union)
     slots = dr.period - 1
-    render_union = _union_all([Atom(action) for action in renders])
-    joined: dict[tuple[int, int], License] = {}
-    alternatives: list[License] = []
-    for uses in range(slots + 1):
-        payment = Atom(Pay(EXACT.multiply(dr.amount, uses)))
-        for positions in combinations(range(slots), uses):
-            pattern: License = ONE
-            for index in range(slots):
-                piece = render_union if index in positions else bot
-                key = (id(pattern), id(piece))
-                longer = joined.get(key)
-                if longer is None:
-                    longer = joined[key] = concat(pattern, piece)
-                pattern = longer
-            alternatives.append(concat(pattern, payment))
-    return _union_all(alternatives)
+    rest = [Atom(Pay(EXACT.multiply(dr.amount, uses))) for uses in range(slots + 1)]
+    for slot in range(slots - 1, -1, -1):
+        # at most ``slot`` renders come before this slot
+        rest = [union(concat(bot, rest[k]), concat(render, rest[k + 1])) for k in range(slot + 1)]
+    return rest[0]
 
 
 def compile_dr(dr: DrLicense, cap: int = DEFAULT_DR_CAP) -> License:
@@ -166,13 +156,20 @@ def compile_dr(dr: DrLicense, cap: int = DEFAULT_DR_CAP) -> License:
     union of per-period concatenations.  ``upto`` repetitions include the
     empty trace, which is only expressible with the internal empty license,
     so their compiled form is not re-parseable from surface syntax.
+
+    Raises :class:`DrCapExceeded` when the license spans more than ``cap``
+    time units, or when the result has more than ``DR_SIZE_LIMIT`` nodes as
+    a tree, which is what its printed text spells out.
     """
     _check_cap(dr, cap)
     period = _period_license(dr)
     if isinstance(dr.repetition, Single):
-        return period
-    if isinstance(dr.repetition, Exactly):
-        return _license_power(period, dr.repetition.count)
-    return _union_all(
-        [_license_power(period, n) for n in range(dr.repetition.count + 1)]
-    )
+        lic = period
+    elif isinstance(dr.repetition, Exactly):
+        lic = _license_power(period, dr.repetition.count)
+    else:
+        lic = fold_balanced([_license_power(period, n) for n in range(dr.repetition.count + 1)], union)
+    size = tree_size(lic)
+    if size > DR_SIZE_LIMIT:
+        raise DrCapExceeded(f"license compiles to {size} nodes, above the limit of {DR_SIZE_LIMIT}")
+    return lic

@@ -42,9 +42,10 @@ from lict import (
     f_oblig,
     f_or,
     make_run,
+    parse_license,
 )
 from lict.formulas import Formula, formula_atoms
-from lict.licenses import License, license_actions
+from lict.licenses import License, license_actions, union
 from lict.licsat import fresh_action
 from lict.reference import license_size, viable
 
@@ -279,6 +280,17 @@ def enumerate_satisfying_run(formula, max_horizon: int = 3):
             if evaluate(run, compute_permissions(run), 0, formula):
                 return run
     return None
+
+
+def parse_compiled(text: str) -> License:
+    """Parse ``compile-dr`` output.
+
+    An ``upto`` license's text opens with ``1 |``, its empty trace, which is
+    not surface syntax; the rest parses.
+    """
+    if text.startswith("1 | "):
+        return union(ONE, parse_license(text[len("1 | "):]))
+    return parse_license(text)
 
 
 def repeating_run_text(steps: int = 300) -> str:

@@ -117,6 +117,15 @@ class TestOnePassConstruction:
         assert accepts(nfa, trace) and accepts(nfa, trace + (BOT,))
         assert not accepts(nfa, trace[:-1])
 
+    def test_the_cache_is_bounded(self):
+        bound = padded_nfa.cache_info().maxsize
+        assert bound is not None
+        for cents in range(bound + 100):
+            lic = Atom(Pay(Decimal(cents) / 100))
+            nfa = padded_nfa(lic)
+            assert padded_nfa(lic) is nfa
+        assert padded_nfa.cache_info().currsize <= bound
+
 
 def walk(nfa, trace, subset=None) -> int:
     """The subset id the trace leads to, from the start or from id ``subset``."""

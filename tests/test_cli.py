@@ -9,6 +9,8 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
+from dataclasses import replace
 from decimal import Decimal
 from unittest import mock
 
@@ -18,12 +20,12 @@ from hypothesis import given, settings, strategies as st
 from lict import cli, repl
 from lict.cli import main
 from lict.repl import NESTED_TOO_DEEPLY, step_repl
-from lict import BOT, Pay, Render, compile_dr, parse_dr, parse_run
+from lict import BOT, Exactly, Pay, Render, Single, compile_dr, parse_dr, parse_run
 from lict.digitalrights import DEFAULT_DR_CAP
 from lict.automata import build_nfa
-from lict.reference import accepts
+from lict.reference import accepts, dr_traces, traces
 
-from gen import repeating_run_text
+from gen import parse_compiled, repeating_run_text
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -285,6 +287,17 @@ class TestEncodeAndTranslate:
         code, out = invoke(capsys, "compile-dr", os.path.join(SAMPLES, "flatrate.dr"), "--cap", "-1")
         assert code == 2
         assert out.splitlines() == ["result=error", "--cap -1 is negative"]
+
+    @pytest.mark.parametrize("period", [30, 64])
+    def test_compile_dr_size_limit_exits_three(self, tmp_path, capsys, period):
+        # the time cap admits these periods; their printed trees would not fit
+        path = write(tmp_path, "l.dr", f"for {period} pay 2.00 peruse for {{w,v}} on {{d}}")
+        start = time.perf_counter()
+        code, out = invoke(capsys, "compile-dr", path)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out.splitlines()[0] == "result=budget-exceeded"
+        assert "above the limit of 1000000" in out
 
     @pytest.mark.parametrize("period", [11, 12])
     def test_compile_dr_long_peruse_period(self, tmp_path, capsys, period):
@@ -578,6 +591,26 @@ class TestGoldenOutput:
         code, out = invoke(capsys, "compile-dr", write(tmp_path, "l.dr", EXACTLY_PERUSE_7))
         assert code == 0
         assert out == self.expected("compile-dr-exactly-peruse-7.txt")
+
+    @pytest.mark.parametrize("name", ["flatrate", "peruse", "exactly-peruse-7"])
+    def test_compile_dr_golden_parses_to_the_dr_language(self, name):
+        if name == "exactly-peruse-7":
+            entry = parse_dr(EXACTLY_PERUSE_7)
+        else:
+            with open(os.path.join(SAMPLES, f"{name}.dr"), encoding="ascii") as handle:
+                entry = parse_dr(handle.read())
+        lic = parse_compiled(self.expected(f"compile-dr-{name}.txt").split("\n")[1])
+        if entry.schedule == "peruse" and isinstance(entry.repetition, Exactly):
+            # a peruse period is a union, so each is parenthesised and parses
+            # back whole: count equal periods in a row.  Checking one checks
+            # them all, where enumerating 2 x 7 units would take 531 441 traces.
+            periods = []
+            for _ in range(entry.repetition.count - 1):
+                lic, last = lic.left, lic.right
+                periods.append(last)
+            assert all(period == lic for period in periods)
+            entry = replace(entry, repetition=Single(entry.period))
+        assert traces(lic, entry.total_units) == dr_traces(entry)
 
     def test_parse_errors(self, tmp_path, capsys):
         blocks = []

@@ -4,11 +4,10 @@ import itertools
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lict import (
     BOT,
-    Atom,
-    Concat,
     DrLicense,
     Exactly,
     Pay,
@@ -20,8 +19,11 @@ from lict import (
     make_run,
     parse_dr,
 )
-from lict.digitalrights import DrCapExceeded
+from lict.digitalrights import DR_SIZE_LIMIT, SCHEDULES, DrCapExceeded
+from lict.licenses import pretty_license, tree_size
 from lict.reference import dr_traces, license_size, traces
+
+from gen import parse_compiled
 
 W = frozenset({"w"})
 D = frozenset({"d"})
@@ -115,23 +117,50 @@ class TestCompilation:
         assert traces(compiled, 9) == dr_traces(entry)
 
 
+@st.composite
+def small_drs(draw):
+    """DR licenses of 1 to 4 units a period, 1 or 2 periods, on 1 to 4 render slots."""
+    period = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 2))
+    repetition = draw(st.sampled_from((Single(period), Exactly(count, period), Upto(count, period))))
+    amount = draw(st.decimals("0.00", "99.99", places=2))
+    works = draw(st.frozensets(st.sampled_from("wv"), min_size=1))
+    devices = draw(st.frozensets(st.sampled_from("de"), min_size=1))
+    return DrLicense(repetition, amount, draw(st.sampled_from(SCHEDULES)), works, devices)
+
+
+class TestCompiledLanguage:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(entry=small_drs())
+    def test_compiled_and_printed_accept_the_dr_traces(self, entry):
+        compiled = compile_dr(entry)
+        expected = dr_traces(entry)
+        assert traces(compiled, entry.total_units) == expected
+        assert traces(parse_compiled(pretty_license(compiled)), entry.total_units) == expected
+
+
 class TestSharing:
-    def test_peruse_patterns_share_their_prefixes(self):
-        lic = compile_dr(parse_dr("for 8 pay 1.00 peruse for {w,v} on {d}"))
-        seen, patterns, stack = set(), 0, [lic]
+    def test_peruse_period_is_a_quadratic_dag(self):
+        entry = parse_dr("for 8 pay 1.00 peruse for {w,v} on {d}")
+        lic = compile_dr(entry)
+        seen, stack = set(), [lic]
         while stack:
             node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if isinstance(node, Concat):
-                # the payment closing each alternative is not part of its pattern
-                patterns += not (isinstance(node.right, Atom) and isinstance(node.right.action, Pay))
-            stack += [getattr(node, name) for name in ("left", "right", "body") if hasattr(node, name)]
-        # 2^7 alternatives of 7 slots would be 768 pattern concatenations unshared
-        assert patterns <= 2**8
-        # the tree, and so the printed text, is the same as without sharing
-        assert license_size(lic) == 2943
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack += [getattr(node, name) for name in ("left", "right", "body") if hasattr(node, name)]
+        # each rest of the period, by slot and renders so far, is one object;
+        # the 2^7 render patterns spelled out apart would take over 2^8 nodes
+        assert len(seen) <= 2 * 8**2
+        # the size limit counts the tree that the printed text spells out
+        assert tree_size(lic) == license_size(lic)
+        assert traces(lic, entry.total_units) == dr_traces(entry)
+
+    def test_size_limit_admits_period_17_and_refuses_18(self):
+        text = "for {} pay 2.00 peruse for {{w,v}} on {{d}}"
+        assert tree_size(compile_dr(parse_dr(text.format(17)))) == 524_281 <= DR_SIZE_LIMIT
+        with pytest.raises(DrCapExceeded, match="1048569 nodes"):
+            compile_dr(parse_dr(text.format(18)))
 
 
 class TestPipeline:
