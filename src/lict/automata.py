@@ -21,7 +21,9 @@ Every question is asked by id: ``step_id``, ``masks``, ``permitted_id``,
 ``bot_lasso`` and ``reachable_subsets`` all answer through that memo, and
 ``subsets[i]`` gives the states behind id ``i``.  ``padded_nfa`` keeps one
 automaton per license, so every caller shares it, for the 512 licenses
-asked for most recently.
+asked for most recently.  An evicted license's automaton is built again
+and numbers its subsets afresh, so a caller that keeps ids keeps the
+automaton they came from.
 """
 
 from __future__ import annotations

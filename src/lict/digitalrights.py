@@ -26,7 +26,6 @@ from .licenses import (
     Render,
     concat,
     fold_balanced,
-    tree_size,
     union,
 )
 
@@ -149,6 +148,32 @@ def _period_license(dr: DrLicense) -> License:
     return rest[0]
 
 
+def compiled_size(dr: DrLicense) -> int:
+    """The size as a tree of the license ``compile_dr`` builds, without building it.
+
+    Read off the shapes built: a union of n atoms has 2n - 1 nodes, n
+    copies of a part of s nodes concatenated have n (s + 1) - 1, and the
+    rests of a ``peruse`` period at one slot all have the same size,
+    ``4 + |R| + 2 |rest after it|``, from 1 for the closing payment.
+    """
+    renders = len(dr.works) * len(dr.devices)
+    units = dr.period
+    if dr.schedule == PERUSE:
+        # s(1) = 1 and s(u) = 2 renders + 3 + 2 s(u - 1), solved
+        period = (2 * renders + 4) * 2 ** (units - 1) - (2 * renders + 3)
+    else:
+        # units - 1 slots of bot | renders, the payment, and units - 1 concats
+        period = (units - 1) * (2 * renders + 1) + units
+    repetition = dr.repetition
+    if isinstance(repetition, Single):
+        return period
+    count = repetition.count
+    if isinstance(repetition, Exactly):
+        return count * (period + 1) - 1
+    # the empty license and the powers 1 to count, joined by count unions
+    return 1 + (period + 1) * count * (count + 1) // 2
+
+
 def compile_dr(dr: DrLicense, cap: int = DEFAULT_DR_CAP) -> License:
     """Translate a DR license into a regular license with the same traces.
 
@@ -158,10 +183,16 @@ def compile_dr(dr: DrLicense, cap: int = DEFAULT_DR_CAP) -> License:
     so their compiled form is not re-parseable from surface syntax.
 
     Raises :class:`DrCapExceeded` when the license spans more than ``cap``
-    time units, or when the result has more than ``DR_SIZE_LIMIT`` nodes as
-    a tree, which is what its printed text spells out.
+    time units, or when the result would have more than ``DR_SIZE_LIMIT``
+    nodes as a tree, which is what its printed text spells out; both are
+    checked before anything is built.
     """
     _check_cap(dr, cap)
+    size = compiled_size(dr)
+    if size > DR_SIZE_LIMIT:
+        # a raised cap can make the count too long to print in full
+        nodes = size if size.bit_length() <= 64 else f"over 2^{size.bit_length() - 1}"
+        raise DrCapExceeded(f"license compiles to {nodes} nodes, above the limit of {DR_SIZE_LIMIT}")
     period = _period_license(dr)
     if isinstance(dr.repetition, Single):
         lic = period
@@ -169,7 +200,4 @@ def compile_dr(dr: DrLicense, cap: int = DEFAULT_DR_CAP) -> License:
         lic = _license_power(period, dr.repetition.count)
     else:
         lic = fold_balanced([_license_power(period, n) for n in range(dr.repetition.count + 1)], union)
-    size = tree_size(lic)
-    if size > DR_SIZE_LIMIT:
-        raise DrCapExceeded(f"license compiles to {size} nodes, above the limit of {DR_SIZE_LIMIT}")
     return lic

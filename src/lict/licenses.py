@@ -243,17 +243,6 @@ def license_actions(lic: License) -> frozenset[Action]:
     return frozenset(node.action for node in post_order(lic, _children) if type(node) is Atom)
 
 
-def tree_size(lic: License) -> int:
-    """The license's nodes as a tree, a shared node counted at each occurrence.
-
-    That is the size of its printed text; the walk visits each distinct node once.
-    """
-    sizes: dict[int, int] = {}
-    for node in post_order(lic, _children):
-        sizes[id(node)] = sum(map(sizes.__getitem__, map(id, _children(node))), 1)
-    return sizes[id(lic)]
-
-
 # One DAG layer serves both ASTs, licenses here and formulas in
 # :mod:`lict.formulas`: a walk and a printer, each given the AST's children
 # function.  Both run on explicit stacks, so depth costs no recursion, and

@@ -92,13 +92,16 @@ def _choice_tables(vocab: Vocabulary, atom_bits: dict[str, dict[Formula, int]]) 
     ``atom_bits[name]`` gives each of the name's literal atoms its bit, and
     an option's label mask has the bits of the atoms that hold of it.
     """
-    graphs: dict[License, dict] = {}
+    # each graph keeps the automaton whose subset ids it holds: the shared
+    # cache may evict and rebuild a license's automaton, numbering it afresh
+    graphs: dict[License, tuple] = {}
     tables = []
     for name in vocab.names:
         licenses = vocab.licenses_of(name)
         for lic in licenses:
             if lic not in graphs:
-                graphs[lic] = reachable_subsets(padded_nfa(lic), vocab.actions)
+                nfa = padded_nfa(lic)
+                graphs[lic] = (nfa, reachable_subsets(nfa, vocab.actions))
         tables.append(_choice_table(licenses, graphs, atom_bits[name]))
     return tables
 
@@ -157,10 +160,10 @@ def _choice_table(licenses, graphs, bits) -> list[list[tuple]]:
 
     issuances = []
     for lic in licenses:
-        nfa = padded_nfa(lic)
+        nfa, graph = graphs[lic]
         # a successor id outside the graph is 0, the empty subset: over
-        number = {subset: len(statuses) + i for i, subset in enumerate(graphs[lic])}
-        for subset, row in graphs[lic].items():
+        number = {subset: len(statuses) + i for i, subset in enumerate(graph)}
+        for subset, row in graph.items():
             successor = {act: 1 if act is OTHER else number.get(row[act], 1) for act in alphabet}
             statuses.append((status_label(nfa.permitted_id(subset)), successor))
         issuances += options(number.get(nfa.start, 1), lic)

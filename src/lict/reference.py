@@ -78,8 +78,10 @@ from .licenses import (
     Star,
     Union,
     Zero,
+    _children as license_children,
     action_key,
     concat,
+    post_order,
     union,
 )
 from .ltl import (
@@ -433,6 +435,14 @@ def license_size(lic: License) -> int:
     if isinstance(lic, Star):
         return 1 + license_size(lic.body)
     raise TypeError(f"not a license: {lic!r}")
+
+
+def tree_size(lic: License) -> int:
+    """``license_size`` in one visit per distinct node object, on an explicit stack."""
+    sizes: dict[int, int] = {}
+    for node in post_order(lic, license_children):
+        sizes[id(node)] = sum(map(sizes.__getitem__, map(id, license_children(node))), 1)
+    return sizes[id(lic)]
 
 
 def formula_size(formula: Formula) -> int:

@@ -288,12 +288,13 @@ class TestEncodeAndTranslate:
         assert code == 2
         assert out.splitlines() == ["result=error", "--cap -1 is negative"]
 
-    @pytest.mark.parametrize("period", [30, 64])
+    @pytest.mark.parametrize("period", [30, 64, 600, 20000])
     def test_compile_dr_size_limit_exits_three(self, tmp_path, capsys, period):
-        # the time cap admits these periods; their printed trees would not fit
+        # the time cap admits these periods; their printed trees would not
+        # fit, and the limit is checked before the period is built
         path = write(tmp_path, "l.dr", f"for {period} pay 2.00 peruse for {{w,v}} on {{d}}")
         start = time.perf_counter()
-        code, out = invoke(capsys, "compile-dr", path)
+        code, out = invoke(capsys, "compile-dr", path, "--cap", str(max(period, DEFAULT_DR_CAP)))
         assert time.perf_counter() - start < 1
         assert code == 3
         assert out.splitlines()[0] == "result=budget-exceeded"

@@ -19,9 +19,10 @@ from lict import (
     make_run,
     parse_dr,
 )
-from lict.digitalrights import DR_SIZE_LIMIT, SCHEDULES, DrCapExceeded
-from lict.licenses import pretty_license, tree_size
-from lict.reference import dr_traces, license_size, traces
+from lict import digitalrights
+from lict.digitalrights import DR_SIZE_LIMIT, SCHEDULES, DrCapExceeded, compiled_size
+from lict.licenses import pretty_license
+from lict.reference import dr_traces, license_size, traces, tree_size
 
 from gen import parse_compiled
 
@@ -137,6 +138,7 @@ class TestCompiledLanguage:
         expected = dr_traces(entry)
         assert traces(compiled, entry.total_units) == expected
         assert traces(parse_compiled(pretty_license(compiled)), entry.total_units) == expected
+        assert compiled_size(entry) == tree_size(compiled)
 
 
 class TestSharing:
@@ -161,6 +163,34 @@ class TestSharing:
         assert tree_size(compile_dr(parse_dr(text.format(17)))) == 524_281 <= DR_SIZE_LIMIT
         with pytest.raises(DrCapExceeded, match="1048569 nodes"):
             compile_dr(parse_dr(text.format(18)))
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("repetition", ["", "3 ", "upto 3 "])
+    @pytest.mark.parametrize("period", [1, 2, 7, 12])
+    def test_compiled_size_is_the_tree_size(self, schedule, repetition, period):
+        entry = parse_dr(f"for {repetition}{period} pay 1.50 {schedule} for {{w,v}} on {{d,e}}")
+        assert compiled_size(entry) == tree_size(compile_dr(entry))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "for 18 pay 2.00 peruse for {w,v} on {d}",
+            "for 2000 pay 2.00 peruse for {w} on {d}",
+            "for upto 40000 25 pay 1.00 flatrate for {w} on {d}",
+        ],
+    )
+    def test_size_limit_is_checked_before_building(self, text, monkeypatch):
+        def build(dr):
+            raise AssertionError("built a license past the limit")
+
+        monkeypatch.setattr(digitalrights, "_period_license", build)
+        with pytest.raises(DrCapExceeded, match="above the limit"):
+            compile_dr(parse_dr(text), cap=10**6)
+
+    def test_a_count_too_long_to_print_is_shown_as_a_power_of_two(self):
+        entry = parse_dr("for 100000 pay 2.00 peruse for {w} on {d}")
+        with pytest.raises(DrCapExceeded, match=r"over 2\^100001 nodes"):
+            compile_dr(entry, cap=10**5)
 
 
 class TestPipeline:

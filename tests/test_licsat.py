@@ -10,7 +10,7 @@ import glob
 import os
 import random
 from decimal import Decimal
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +37,7 @@ from lict import (
     pretty_run,
     translate,
 )
-from lict.automata import padded_nfa, reachable_subsets
+from lict.automata import build_nfa, padded_nfa, reachable_subsets
 from lict.formulas import map_atoms
 from lict.licsat import (
     OTHER,
@@ -180,6 +180,48 @@ class TestRunSpaceEdges:
             "issue(n, pay[1.00]) & X P(pay[2.00], n) & G !issue(n, pay[2.00] pay[2.00])"
         )
         assert lic_sat(formula).status == "unsat"
+
+
+def _two_pays(cents: int) -> str:
+    """A two-step license: its automaton has subset ids past 0 and 1."""
+    return f"pay[{cents / 100:.2f}] pay[{cents / 100:.2f}]"
+
+
+class TestEvictedAutomata:
+    """The automaton cache is bounded, so a license's automaton may be
+    evicted and rebuilt while one formula's choice tables are built; the
+    rebuilt one numbers its subsets afresh, and the tables must keep reading
+    ids through the automaton their graph came from."""
+
+    ONE_NAME = [
+        f"(issue(n, {_two_pays(100)}) | issue(n, {_two_pays(200)})) & X P(pay[2.00], n)",
+        f"(issue(n, {_two_pays(100)}) | issue(n, {_two_pays(200)})) & X P(pay[3.00], n)",
+    ]
+    # a, k and z fall in one component, and k's license is padded between
+    # the two uses of the one a and z share
+    SHARED = [
+        f"issue(a, {_two_pays(100)}) & issue(z, {_two_pays(100)})"
+        f" & X (P(pay[1.00], a) & P(pay[1.00], z) & !issue(k, {_two_pays(500)}))",
+        f"issue(a, {_two_pays(100)}) & issue(z, {_two_pays(100)})"
+        f" & X (P(pay[1.00], a) & !P(pay[1.00], z) & !issue(k, {_two_pays(500)}))",
+    ]
+
+    @pytest.mark.parametrize("text", ONE_NAME + SHARED)
+    def test_a_one_entry_cache_gives_the_same_status(self, text, monkeypatch):
+        formula = parse_formula(text)
+        expected = lic_sat(formula).status
+        tiny = lru_cache(maxsize=1)(lambda lic: build_nfa(lic, padded=True))
+        monkeypatch.setattr("lict.licsat.padded_nfa", tiny)
+        assert lic_sat(formula).status == expected
+
+    def test_more_licenses_for_one_name_than_the_cache_holds(self):
+        count = padded_nfa.cache_info().maxsize + 1
+        others = " & ".join(f"!issue(n, {_two_pays(cents)})" for cents in range(100, 100 * (count + 1), 100))
+        formula = parse_formula(f"issue(n, {_two_pays(100)}) | ({others} & X P(pay[2.00], n))")
+        padded_nfa.cache_clear()
+        report = lic_sat(formula)
+        assert report.status == "sat"
+        assert holds(report.run, formula)
 
 
 def _statuses(name, vocab) -> list[tuple]:
