@@ -174,9 +174,12 @@ def f_nexts(formula: Formula, count: int) -> Formula:
 
 
 def _children(node: Formula) -> tuple:
-    if isinstance(node, _UNARY_NODES):
+    kind = type(node)
+    if kind is And:
+        return (node.left, node.right)
+    if kind is Next or kind is Not or kind is Always:
         return (node.operand,)
-    if isinstance(node, _BINARY_NODES):
+    if kind is Until:
         return (node.left, node.right)
     return ()
 
@@ -369,31 +372,39 @@ def encode_run(run: Run) -> Formula:
     behaves exactly like this run as far as its names are concerned.  It is
     nested, ``s0 & X (s1 & X (... & X G idle))`` with ``st`` the state at
     time t, so its size as a tree is linear in the horizon and its depth
-    twice it.  Each distinct state is built once and every time in that
-    state shares its one object, so the formula's DAG is the linear spine
-    with the distinct states as its only branches.
+    twice it.  The states are read from per-name columns, one list per
+    name of its action at each time.  Each distinct state is built once and
+    every time in that state shares its one object, so the formula's DAG is
+    the linear spine with the distinct states as its only branches.
     """
     names = sorted(run.names)
+    size = run.horizon + 1
+    columns = []
+    for name in names:
+        column = [BOT] * size
+        for time, action in run.actions_of(name).items():
+            column[time] = action
+        columns.append(column)
+    rows = list(zip(*columns)) if names else [()] * size
+    issued: dict[int, list[Formula]] = {}
+    for time, name, lic in sorted(run.issuances, key=lambda issuance: issuance[1]):
+        issued.setdefault(time, []).append(Issue(name, lic))
     states: dict[tuple, Formula] = {}
-
-    def state_formula(t: int) -> Formula:
-        actions = tuple(run.action(name, t) for name in names)
-        issued = run.licenses_at(t)
-        state = states.get((actions, issued))
+    idle = f_and_all([Act(ActionExpr(True, BOT, name)) for name in names])
+    formula: Formula = Always(idle)
+    for time in reversed(range(size)):
+        actions = rows[time]
+        # Each name is issued once, so an issuance time is keyed apart by
+        # its time and shares its state with no other time.
+        key = (actions, time) if time in issued else actions
+        state = states.get(key)
         if state is None:
             conjuncts: list[Formula] = [
                 Act(ActionExpr(True, action, name)) for name, action in zip(names, actions)
             ]
-            conjuncts += [
-                Issue(name, lic) for name, lic in sorted(issued, key=lambda pair: pair[0])
-            ]
-            state = states[actions, issued] = f_and_all(conjuncts)
-        return state
-
-    idle = f_and_all([Act(ActionExpr(True, BOT, name)) for name in names])
-    formula: Formula = Always(idle)
-    for t in reversed(range(run.horizon + 1)):
-        formula = And(state_formula(t), Next(formula))
+            conjuncts += issued.get(time, ())
+            state = states[key] = f_and_all(conjuncts)
+        formula = And(state, Next(formula))
     return formula
 
 
@@ -412,24 +423,26 @@ def _pair(expr: ActionExpr) -> str:
 
 def _layout(formula: Formula) -> tuple[int, tuple]:
     """The node's precedence level and its pieces: text or (child, minimum)."""
-    if isinstance(formula, Not):
+    kind = type(formula)
+    if kind is And:
+        return _AND, ((formula.left, _AND), " & ", (formula.right, _UNTIL))
+    if kind is Next:
+        return _UNARY, ("X ", (formula.operand, _UNARY))
+    if kind is Not:
         inner = formula.operand
-        if isinstance(inner, Perm) and not inner.expr.positive:
+        inner_kind = type(inner)
+        if inner_kind is Perm and not inner.expr.positive:
             return _ATOM, (f"O({pretty_action(inner.expr.action)}, {inner.expr.name})",)
-        if isinstance(inner, Always) and isinstance(inner.operand, Not):
+        if inner_kind is Always and type(inner.operand) is Not:
             return _UNARY, ("F ", (inner.operand.operand, _UNARY))
-        if isinstance(inner, And) and isinstance(inner.left, Not) and isinstance(inner.right, Not):
-            return _OR, ((inner.left.operand, _OR), " | ", (inner.right.operand, _AND))
-        if isinstance(inner, And) and isinstance(inner.right, Not):
+        if inner_kind is And and type(inner.right) is Not:
+            if type(inner.left) is Not:
+                return _OR, ((inner.left.operand, _OR), " | ", (inner.right.operand, _AND))
             return _IMPLIES, ((inner.left, _OR), " -> ", (inner.right.operand, _IMPLIES))
         return _UNARY, ("!", (inner, _UNARY))
-    if isinstance(formula, And):
-        return _AND, ((formula.left, _AND), " & ", (formula.right, _UNTIL))
-    if isinstance(formula, Next):
-        return _UNARY, ("X ", (formula.operand, _UNARY))
-    if isinstance(formula, Always):
+    if kind is Always:
         return _UNARY, ("G ", (formula.operand, _UNARY))
-    if isinstance(formula, Until):
+    if kind is Until:
         return _UNTIL, ((formula.left, _UNARY), " U ", (formula.right, _UNTIL))
     if isinstance(formula, Formula):
         return _ATOM, (formula.pretty(),)

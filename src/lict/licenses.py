@@ -288,52 +288,52 @@ def dag_text(root, top_level: int, layout, children) -> str:
     shared: dict = {}
     seen: set[int] = set()
     stack: list = [root]
+    pop, extend, add = stack.pop, stack.extend, seen.add
     while stack:
-        node = stack.pop()
+        node = pop()
         key = id(node)
-        if key in seen:
-            shared[key] = None
+        if key not in seen:
+            add(key)
+            extend(children(node))
         else:
-            seen.add(key)
-            stack += children(node)
+            shared[key] = None
     out: list[str] = []
     outer: list[list[str]] = []  # the enclosing texts of shared nodes being laid out
     stack = [(root, top_level)]
     while stack:
         item = stack.pop()
         kind = type(item)
-        if kind is str:
+        if kind is tuple:  # a (node, minimum) slot, the commonest item
+            node, minimum = item
+            if shared and id(node) in shared:
+                key = id(node)
+                laid_out = shared[key]
+                if laid_out is not None:
+                    text, level = laid_out
+                    if level < minimum:
+                        out += ("(", text, ")")
+                    else:
+                        out.append(text)
+                    continue
+                # lay the node out alone, then come back to this slot
+                level, pieces = layout(node)
+                stack.append(item)
+                stack.append([key, level])
+                outer.append(out)
+                out = []
+            else:
+                level, pieces = layout(node)
+                if level < minimum:
+                    out.append("(")
+                    stack.append(")")
+            stack += reversed(pieces)
+        elif kind is str:
             out.append(item)
-            continue
-        if kind is list:
+        else:
             # the end of a shared node's first layout: keep its text
             key, level = item
             shared[key] = ("".join(out), level)
             out = outer.pop()
-            continue
-        node, minimum = item
-        if shared and id(node) in shared:
-            key = id(node)
-            laid_out = shared[key]
-            if laid_out is not None:
-                text, level = laid_out
-                if level < minimum:
-                    out += ("(", text, ")")
-                else:
-                    out.append(text)
-                continue
-            # lay the node out alone, then come back to this slot
-            level, pieces = layout(node)
-            stack.append(item)
-            stack.append([key, level])
-            outer.append(out)
-            out = []
-        else:
-            level, pieces = layout(node)
-            if level < minimum:
-                out.append("(")
-                stack.append(")")
-        stack += reversed(pieces)
     return "".join(out)
 
 

@@ -476,6 +476,11 @@ def action_sequence(run: Run, name: str, t: int) -> tuple[Action, ...]:
     return tuple(run.action(name, start + i) for i in range(t - start))
 
 
+def licenses_at(run: Run, t: int) -> frozenset[tuple[str, License]]:
+    """The (name, license) pairs issued at ``t``."""
+    return frozenset((name, lic) for time, name, lic in run.issuances if time == t)
+
+
 def license_consequences(name: str, lic: License, depth: int) -> Formula:
     """Permissions forced by issuing a license, unfolded ``depth`` steps.
 
@@ -683,7 +688,7 @@ def build_structure(run: Run, extra_names=()) -> LinearStructure:
     names = sorted(run.names | frozenset(extra_names))
 
     def label(t: int) -> frozenset:
-        issued = dict(run.licenses_at(t))
+        issued = dict(licenses_at(run, t))
         props: set[Prop] = set()
         for name in names:
             subset, permitted = subset_state(perms, name, t), perms.permitted(name, t)

@@ -62,7 +62,6 @@ class Run:
             timeline[time] = action
         object.__setattr__(self, "_issuance_map", issuance_map)
         object.__setattr__(self, "_actions_by_name", by_name)
-        object.__setattr__(self, "_issued_at", None)
 
     @property
     def names(self) -> frozenset[str]:
@@ -76,16 +75,6 @@ class Run:
     def actions_of(self, name: str) -> dict[int, Action]:
         """``name``'s recorded actions by time; a time it lacks is bot."""
         return self._actions_by_name.get(name, {})
-
-    def licenses_at(self, t: int) -> frozenset[tuple[str, License]]:
-        # Built on the first call: only the run's encoding and its LTL
-        # structure read it.
-        if self._issued_at is None:
-            issued_at: dict[int, set[tuple[str, License]]] = {}
-            for time, name, lic in self.issuances:
-                issued_at.setdefault(time, set()).add((name, lic))
-            object.__setattr__(self, "_issued_at", {t: frozenset(v) for t, v in issued_at.items()})
-        return self._issued_at.get(t, frozenset())
 
     def issuance(self, name: str) -> tuple[int, License] | None:
         return self._issuance_map.get(name)

@@ -6,7 +6,7 @@ from collections import Counter
 from decimal import Decimal
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lict import (
     BOT,
@@ -50,6 +50,7 @@ from lict.reference import (
     build_structure,
     expr_matches,
     license_consequences,
+    licenses_at,
     ltl_eval,
     run_atom_holds,
 )
@@ -198,6 +199,27 @@ class TestCheckSpec:
         assert not check_spec(bad, spec)
 
 
+@st.composite
+def _run_lines(draw):
+    """Run-file lines over up to three issued names and one that never is, and a horizon.
+
+    Names may be issued together, at the horizon, or never act; pay is
+    written both as ``pay[1.0]`` and as ``pay[1.00]``, equal actions parsed
+    as two objects.
+    """
+    horizon = draw(st.integers(0, 12))
+    times = st.integers(0, horizon)
+    licenses = ("bot*", "(pay[1.00] render[w,d])*", "(pay[1.0] | bot)*")
+    actions = ("bot", "pay[1.0]", "pay[1.00]", "render[w,d]")
+    lines = []
+    for name in NAMES[: draw(st.integers(0, 3))]:
+        lines.append(f"@{draw(times)} issue {name} = {draw(st.sampled_from(licenses))}")
+    for name in (*NAMES, "j"):
+        for t in sorted(draw(st.sets(times, max_size=horizon + 1))):
+            lines.append(f"@{t} do {name} {draw(st.sampled_from(actions))}")
+    return lines, horizon
+
+
 class TestEncodeRun:
     def test_own_run_satisfies_encoding(self):
         rng = random.Random(107)
@@ -227,7 +249,7 @@ class TestEncodeRun:
         for run in _encoding_runs() + [repeating]:
             names = sorted(run.names)
             states = {
-                (tuple(run.action(name, t) for name in names), run.licenses_at(t))
+                (tuple(run.action(name, t) for name in names), licenses_at(run, t))
                 for t in range(run.horizon + 1)
             }
             lefts, node = [], encode_run(run)
@@ -250,6 +272,45 @@ class TestEncodeRun:
             changed = make_run(run.issuances, actions + [(t, name, action)], horizon=run.horizon)
             assert not evaluate(changed, compute_permissions(changed), 0, encode_run(run))
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(lines_and_horizon=_run_lines())
+    @example(lines_and_horizon=([], 0))
+    @example(lines_and_horizon=(["@2 issue n = bot*"], 2))
+    @example(
+        lines_and_horizon=(
+            [
+                "@0 issue n = (pay[1.00] bot)*",
+                "@4 issue m = bot*",
+                "@4 issue k = (render[w,d] | pay[1.0])*",
+                "@0 do n pay[1.0]",
+                "@2 do n pay[1.00]",
+                "@3 do m pay[1.0]",
+                "@1 do j render[w,d]",
+            ],
+            4,
+        )
+    )
+    def test_each_distinct_state_is_one_object(self, lines_and_horizon):
+        lines, horizon = lines_and_horizon
+        parsed = parse_run("\n".join(lines))
+        run = make_run(parsed.issuances, parsed.actions, horizon=max(horizon, parsed.horizon))
+        formula = encode_run(run)
+        assert _timed_conjuncts(formula) == _timed_conjuncts(_flat_encoding(run))
+        names = sorted(run.names)
+        lefts, node = [], formula
+        while isinstance(node, And):
+            lefts.append(node.left)
+            node = node.right.operand
+        assert len(lefts) == run.horizon + 1
+        objects = {}
+        for t, left in enumerate(lefts):
+            state = (tuple(run.action(name, t) for name in names), licenses_at(run, t))
+            assert objects.setdefault(state, left) is left
+        assert len({id(left) for left in lefts}) == len(objects)
+        text = pretty_formula(formula)
+        assert text == pretty_formula(unshared(formula))
+        assert parse_formula(text) == formula
+
 
 def _encoding_runs():
     """Both sample runs and 50 seeded random ones."""
@@ -268,7 +329,7 @@ def _flat_encoding(run):
     parts = []
     for t in range(run.horizon + 1):
         state = [Act(ActionExpr(True, run.action(name, t), name)) for name in names]
-        state += [Issue(name, lic) for name, lic in sorted(run.licenses_at(t), key=lambda pair: pair[0])]
+        state += [Issue(name, lic) for name, lic in sorted(licenses_at(run, t), key=lambda pair: pair[0])]
         parts.append(f_nexts(f_and_all(state), t))
     idle = f_and_all([Act(ActionExpr(True, BOT, name)) for name in names])
     parts.append(f_nexts(Always(idle), run.horizon + 1))
