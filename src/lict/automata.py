@@ -245,19 +245,20 @@ def padded_nfa(lic: License) -> Nfa:
     return build_nfa(lic, padded=True)
 
 
-def reachable_subsets(nfa: Nfa, actions) -> dict[int, dict[Action, int]]:
+def reachable_subsets(nfa: Nfa, actions, limit: int | None = None) -> dict[int, dict[Action, int]]:
     """Deterministic subset graph from the start subset over the given actions, by id.
 
     Each reached id maps every action to the id it steps to, in the order a
     depth-first search first expands them.  The empty subset, id 0, appears
     as a successor but is not expanded; it stands for the absorbing
-    violated condition.
+    violated condition.  Under a ``limit`` the search stops as soon as the
+    graph holds more than ``limit`` ids.
     """
     actions = tuple(actions)
     letters = [nfa.letter(action) for action in actions]
     graph: dict[int, dict[Action, int]] = {}
     worklist = [nfa.start] if nfa.start else []
-    while worklist:
+    while worklist and (limit is None or len(graph) <= limit):
         subset = worklist.pop()
         if subset in graph:
             continue

@@ -19,7 +19,7 @@ from .digitalrights import DEFAULT_DR_CAP, DrCapExceeded, compile_dr
 from .formulas import check_spec, encode_run, evaluate, pretty_formula
 from .licenses import pretty_license
 from .licsat import lic_sat, lic_valid
-from .ltl import implicit_restrictions, translate
+from .ltl import SubsetLimitExceeded, implicit_restrictions, translate
 from .parsing import ParseError, parse_dr, parse_formula, parse_run
 from .repl import NESTED_TOO_DEEPLY, printable, step_repl
 from .runs import compute_permissions, permission_line, pretty_run
@@ -207,8 +207,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         outcome = args.handler(args)
-    except (ParseError, DrCapExceeded, ValueError, OSError) as exc:
-        if isinstance(exc, DrCapExceeded):
+    except (ParseError, ValueError, OSError) as exc:
+        if isinstance(exc, (DrCapExceeded, SubsetLimitExceeded)):
             outcome = _Outcome("budget-exceeded", EXIT_BUDGET, str(exc))
         else:
             outcome = _Outcome("error", EXIT_USAGE, str(exc))

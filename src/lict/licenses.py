@@ -238,11 +238,6 @@ def fold_balanced(parts: list, combine):
     return parts[0]
 
 
-def license_actions(lic: License) -> frozenset[Action]:
-    """Every action literally occurring in the license."""
-    return frozenset(node.action for node in post_order(lic, _children) if type(node) is Atom)
-
-
 # One DAG layer serves both ASTs, licenses here and formulas in
 # :mod:`lict.formulas`: a walk and a printer, each given the AST's children
 # function.  Both run on explicit stacks, so depth costs no recursion, and

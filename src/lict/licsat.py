@@ -3,17 +3,21 @@
 A formula is satisfiable when some finite run makes it true at time zero.
 The decision runs the translated formula's tableau in lockstep with a
 run-shaped transition system: per license name an int status (unissued,
-violated, or one reachable subset of one license's automaton), whose options
-come from a choice table built once per formula.  Each literal atom of a
-name gets one bit; an option's label is the int mask of those atoms that
-hold of it, read straight off the atoms: a ``permitted`` or ``obligated``
-bit off its status's permitted set, an ``issued`` bit off the license it
-issues (by equality), a ``done`` bit off its act.  Each tableau state holds
-a (required, forbidden) mask pair per name, so an option meets the state's
-literal obligations by two int tests.  A model is an accepting lasso
-whose loop is quiet (no issuances and only bot actions), so every witness
-unwinds into an actual run value.  Each witness run is re-checked against
-the direct semantics before being returned.
+violated, or one subset of one license's automaton), whose row of options is
+built the first time the product reaches the status, stepping the
+automaton's subset ids on the name's alphabet: the subset construction
+(Rabin & Scott, 1959) filled on the fly inside an on-the-fly product
+(Couvreur, FM 1999), so subsets the product never reaches are never built.
+Each literal atom of a name gets one bit; an option's label is the int mask
+of those atoms that hold of it, read straight off the atoms: a
+``permitted`` or ``obligated`` bit off the bits of its subset's permitted
+letters, an ``issued`` bit off the license it issues (by equality), a
+``done`` bit off its act.  Each tableau state holds a (required, forbidden)
+mask pair per name, so an option meets the state's literal obligations by
+two int tests.  A model is an accepting lasso whose loop is quiet (no
+issuances and only bot actions), so every witness unwinds into an actual
+run value.  Each witness run is re-checked against the direct semantics
+before being returned.
 
 The tableau is read as a transition-based automaton: its states are the
 next-obligation masks and each tableau state is a transition out of every
@@ -27,8 +31,9 @@ mask lists that state, and each replay is charged its joint choices again.
 Every atom speaks about one license name and each name's license evolves on
 its own, so a formula is first split at its boolean top (a conjunction or a
 disjunction under its leading negations) into groups over pairwise disjoint
-names, each through the product on its own with its own vocabulary: k
-names then cost k small products instead of one exponential in k.  A
+names, each through the product on its own with its own vocabulary, built
+from the atoms the split read: k names then cost k small products instead
+of one exponential in k.  A
 conjunction merges its groups' witnesses, a disjunction takes its first;
 validity is sat of the negation.
 
@@ -45,10 +50,13 @@ from functools import reduce
 from itertools import product
 from math import prod
 
-from .automata import padded_nfa, reachable_subsets
+from .automata import padded_nfa
+# Not called here: kept for the WRAPS entry ("licsat", "reachable_subsets", ...)
+# of perfbench/tracing.py, which looks the name up in this module.
+from .automata import reachable_subsets
 from .formulas import And, Formula, Issue, Not, evaluate, formula_atoms
-from .licenses import BOT, EXACT, Action, License, Pay, action_key, license_actions
-from .ltl import Done, Issued, Permitted, Vocabulary, build_vocabulary, translate
+from .licenses import BOT, EXACT, Action, Pay, action_key
+from .ltl import Done, Issued, Permitted, Vocabulary, translate, vocabulary_of
 from .runs import Run, compute_permissions, make_run
 from .tableau import (
     DEFAULT_BUDGET,
@@ -69,41 +77,12 @@ class _OtherAction:
 
 OTHER = _OtherAction()
 
-_ONLY_BOT = frozenset({BOT})
-
 
 def fresh_action(actions) -> Action:
     """A concrete non-bot action distinct from every action in ``actions``."""
     amounts = [a.amount for a in actions if isinstance(a, Pay)]
     base = EXACT.add(max(amounts), 1) if amounts else Decimal("1")
     return Pay(base)
-
-
-def _choice_tables(vocab: Vocabulary, atom_bits: dict[str, dict[Formula, int]]) -> list:
-    """The run-shaped transition system of one formula: one choice table per name.
-
-    A name's status is an int: 0 unissued, 1 over (violated), and from 2 on
-    one int per reachable automaton subset of each license the formula
-    issues to the name, numbered license by license (equal subsets of two
-    licenses stay apart).  The table of ``vocab.names[i]`` is at ``i``, and
-    its row ``status`` lists every ``(issue, act, label mask, next status,
-    quiet)`` option of that status: no issuance first, then each license
-    (from status 0 only), and acts in alphabet order within each.
-    ``atom_bits[name]`` gives each of the name's literal atoms its bit, and
-    an option's label mask has the bits of the atoms that hold of it.
-    """
-    # each graph keeps the automaton whose subset ids it holds: the shared
-    # cache may evict and rebuild a license's automaton, numbering it afresh
-    graphs: dict[License, tuple] = {}
-    tables = []
-    for name in vocab.names:
-        licenses = vocab.licenses_of(name)
-        for lic in licenses:
-            if lic not in graphs:
-                nfa = padded_nfa(lic)
-                graphs[lic] = (nfa, reachable_subsets(nfa, vocab.actions))
-        tables.append(_choice_table(licenses, graphs, atom_bits[name]))
-    return tables
 
 
 def _atom_bits(tableau) -> dict[str, dict[Formula, int]]:
@@ -115,61 +94,122 @@ def _atom_bits(tableau) -> dict[str, dict[Formula, int]]:
     return atom_bits
 
 
-def _choice_table(licenses, graphs, bits) -> list[list[tuple]]:
-    # An option's label is its status's, its issuance's and its act's bits,
-    # each read straight off the name's literal atoms (what
-    # ``reference.name_props`` would hold of the option, cut to ``bits``).
-    # The alphabet is bot, the atoms' actions and the licenses' actions.
-    issued, done, permitted, obligated = [], {}, [], []
-    actions = {BOT}
-    for atom, bit in bits.items():
-        if isinstance(atom, Issued):
-            issued.append((atom.license, bit))
-            continue
-        actions.add(atom.action)
-        if isinstance(atom, Done):
-            done[atom.action] = bit
-        else:
-            (permitted if isinstance(atom, Permitted) else obligated).append((atom.action, bit))
-    for lic in licenses:
-        actions |= license_actions(lic)
-    alphabet = tuple(sorted(actions, key=action_key)) + (OTHER,)
+class _RunSpace:
+    """One name's part of the run-shaped transition system, its rows built on first reach.
 
-    def status_label(allowed) -> int:
-        label = sum(bit for action, bit in permitted if action in allowed)
-        if len(allowed) == 1:
-            label += sum(bit for action, bit in obligated if action in allowed)
-        return label
+    A status is an int: 0 unissued, 1 over (violated), and from 2 on one
+    (license index, subset id) pair of a license issued to the name,
+    numbered the first time a built row steps or issues into it (equal
+    subsets of two licenses stay apart).  ``rows[status]`` is None until ``build`` fills it
+    with every ``(issue, act, label mask, next status, quiet)`` option of the
+    status: no issuance first, then each license (from status 0 only), and
+    acts in alphabet order within each.  ``bits`` gives each of the name's
+    literal atoms its bit, and an option's label mask has the bits of the
+    atoms that hold of it, read straight off the atoms (what
+    ``reference.name_props`` would hold of the option, cut to ``bits``): a
+    ``permitted`` or ``obligated`` bit off the status's permitted letters,
+    an ``issued`` bit off the license it issues, a ``done`` bit off its act.
+    """
 
-    act_bits = {act: done.get(act, 0) for act in alphabet}
+    __slots__ = ("automata", "alphabet", "act_bits", "issued", "columns", "atom_letters",
+                 "statuses", "numbers", "cores", "rows")
 
-    # Per status: its label mask and next status by act.  Unissued and over
-    # both permit only bot and stay put.
-    idle = status_label(_ONLY_BOT)
-    statuses = [(idle, dict.fromkeys(alphabet, status)) for status in (0, 1)]
+    def __init__(self, automata, bits: dict[Formula, int]):
+        """``automata`` pairs each license issued to the name with the automaton whose ids it keeps."""
+        issued, done, permitted, obligated = [], {}, [], []
+        actions = {BOT}
+        for atom, bit in bits.items():
+            if isinstance(atom, Issued):
+                issued.append((atom.license, bit))
+                continue
+            actions.add(atom.action)
+            if isinstance(atom, Done):
+                done[atom.action] = bit
+            else:
+                (permitted if isinstance(atom, Permitted) else obligated).append((atom.action, bit))
+        for _, nfa in automata:
+            actions.update(nfa.letters)
+        self.alphabet = tuple(sorted(actions, key=action_key)) + (OTHER,)
+        self.act_bits = [done.get(act, 0) for act in self.alphabet]
+        self.automata = automata
+        # equal licenses parsed apart share one atom, so match by equality
+        self.issued = [sum(bit for lic, bit in issued if lic == issue) for issue, _ in automata]
+        # per license: each act's letter (OTHER's is the column outside the
+        # alphabet, which steps to 0), and the permitted and obligated atoms'
+        # bits by letter mask
+        self.columns = [[nfa.letter(act) for act in self.alphabet[:-1]] + [len(nfa.letters)] for _, nfa in automata]
+        self.atom_letters = [
+            ([(1 << nfa.letter(act), bit) for act, bit in permitted],
+             [(1 << nfa.letter(act), bit) for act, bit in obligated])
+            for _, nfa in automata
+        ]
+        self.statuses: list[tuple | None] = [None, None]  # (license index, subset id) per status
+        self.numbers: dict[tuple, int] = {}
+        # Per status: its label mask and next statuses by act, None until a
+        # row needs them.  Unissued and over both permit only bot and stay put.
+        idle = sum(bit for act, bit in permitted + obligated if act == BOT)
+        self.cores: list[tuple | None] = [(idle, [status] * len(self.alphabet)) for status in (0, 1)]
+        self.rows: list[list | None] = [None, None]
 
-    def options(status: int, issue) -> list[tuple]:
-        label, successor = statuses[status]
-        if issue is not None:
-            # equal licenses parsed apart share one atom, so match by equality
-            label |= sum(bit for lic, bit in issued if lic == issue)
+    def _number(self, license_index: int, subset: int) -> int:
+        """The status of a subset of one license's automaton; the empty subset is over."""
+        if not subset:
+            return 1
+        key = (license_index, subset)
+        status = self.numbers.get(key)
+        if status is None:
+            status = self.numbers[key] = len(self.statuses)
+            self.statuses.append(key)
+            self.cores.append(None)
+            self.rows.append(None)
+        return status
+
+    def _core(self, status: int) -> tuple:
+        core = self.cores[status]
+        if core is None:
+            license_index, subset = self.statuses[status]
+            nfa = self.automata[license_index][1]
+            mask = nfa.masks[subset]
+            permitted, obligated = self.atom_letters[license_index]
+            label = sum(bit for letter, bit in permitted if mask & letter)
+            if not mask & (mask - 1):  # one permitted letter: it is obligated
+                label += sum(bit for letter, bit in obligated if mask & letter)
+            successors = [
+                self._number(license_index, nfa.step_id(subset, column))
+                for column in self.columns[license_index]
+            ]
+            core = self.cores[status] = (label, successors)
+        return core
+
+    def _options(self, status: int, license_index: int | None) -> list[tuple]:
+        """The options of ``status``, issuing the license at ``license_index`` unless it is None."""
+        label, successors = self._core(status)
+        lic = None
+        if license_index is not None:
+            lic = self.automata[license_index][0]
+            label |= self.issued[license_index]
         return [
-            (issue, act, label | act_bits[act], successor[act], issue is None and act == BOT)
-            for act in alphabet
+            (lic, act, label | act_bit, successor, lic is None and act == BOT)
+            for act, act_bit, successor in zip(self.alphabet, self.act_bits, successors)
         ]
 
-    issuances = []
-    for lic in licenses:
-        nfa, graph = graphs[lic]
-        # a successor id outside the graph is 0, the empty subset: over
-        number = {subset: len(statuses) + i for i, subset in enumerate(graph)}
-        for subset, row in graph.items():
-            successor = {act: 1 if act is OTHER else number.get(row[act], 1) for act in alphabet}
-            statuses.append((status_label(nfa.permitted_id(subset)), successor))
-        issuances += options(number.get(nfa.start, 1), lic)
-    table = [options(status, None) for status in range(len(statuses))]
-    table[0] += issuances
-    return table
+    def build(self, status: int) -> None:
+        """Fill ``rows[status]``; issuing a license enters its start subset's status."""
+        row = self._options(status, None)
+        if status == 0:
+            for index, (_, nfa) in enumerate(self.automata):
+                row += self._options(self._number(index, nfa.start), index)
+        self.rows[status] = row
+
+
+def _run_spaces(vocab: Vocabulary, atom_bits: dict[str, dict[Formula, int]]) -> list[_RunSpace]:
+    """The run space of each of ``vocab.names``, in order, with no row built yet."""
+    # each space keeps the automata whose subset ids it holds: the shared
+    # cache may evict and rebuild a license's automaton, numbering it afresh
+    return [
+        _RunSpace(tuple((lic, padded_nfa(lic)) for lic in vocab.licenses_of(name)), atom_bits.get(name, {}))
+        for name in vocab.names
+    ]
 
 
 @dataclass
@@ -184,7 +224,7 @@ class ValidityResult:
     counterexample: Run | None = None
 
 
-def _components(formula: Formula) -> tuple[bool, list[Formula]]:
+def _components(formula: Formula) -> tuple[bool, list[tuple[Formula, frozenset]]]:
     """The formula's boolean top, split into groups over pairwise disjoint names.
 
     Under its leading negations the formula is an ``And``, a conjunction of
@@ -194,7 +234,8 @@ def _components(formula: Formula) -> tuple[bool, list[Formula]]:
     a license name, directly or through other parts, fall in one group,
     which conjoins them in their order (negated, for a disjunction); groups
     come in the order of their first part.  Returns whether the top is a
-    conjunction, and the groups; a formula with one group is its own group.
+    conjunction, and each group with its atoms; a formula with one group is
+    its own group.
     """
     top, conjunctive = _strip(formula, True)
     parts = []
@@ -206,6 +247,9 @@ def _components(formula: Formula) -> tuple[bool, list[Formula]]:
             stack += (inner.right, inner.left)
         else:
             parts.append(node)
+    atoms = [formula_atoms(part) for part in parts]
+    if len(parts) == 1:
+        return conjunctive, [(formula, atoms[0])]
     parent = list(range(len(parts)))  # union-find over part indices
 
     def root(i: int) -> int:
@@ -215,17 +259,20 @@ def _components(formula: Formula) -> tuple[bool, list[Formula]]:
         return i
 
     owner: dict[str, int] = {}
-    for index, part in enumerate(parts):
-        for atom in formula_atoms(part):
+    for index, part_atoms in enumerate(atoms):
+        for atom in part_atoms:
             name = atom.name if isinstance(atom, Issue) else atom.expr.name
             parent[root(owner.setdefault(name, index))] = root(index)
-    groups: dict[int, list[Formula]] = {}
-    for index, part in enumerate(parts):
-        groups.setdefault(root(index), []).append(part)
+    groups: dict[int, list[int]] = {}
+    for index in range(len(parts)):
+        groups.setdefault(root(index), []).append(index)
     if len(groups) == 1:
-        return conjunctive, [formula]
-    joined = [reduce(And, members) for members in groups.values()]
-    return conjunctive, joined if conjunctive else [Not(group) for group in joined]
+        return conjunctive, [(formula, frozenset().union(*atoms))]
+    joined = []
+    for members in groups.values():
+        group = reduce(And, [parts[i] for i in members])
+        joined.append((group if conjunctive else Not(group), frozenset().union(*(atoms[i] for i in members))))
+    return conjunctive, joined
 
 
 def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
@@ -242,11 +289,11 @@ def lic_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> LicSatResult:
     re-checked against the whole formula before it is returned.
     """
     conjunctive, groups = _components(formula)
-    vocabs = [build_vocabulary(group) for group in groups]
+    vocabs = [vocabulary_of(atoms) for _, atoms in groups]
     other = fresh_action({action for vocab in vocabs for action in vocab.actions})
     runs = []
     exhausted = False
-    for group, vocab in zip(groups, vocabs):
+    for (group, _), vocab in zip(groups, vocabs):
         result = _product_sat(group, vocab, budget, other)
         exhausted = exhausted or result.status == "budget"
         if result.status == "sat":
@@ -279,7 +326,8 @@ def _product_sat(formula: Formula, vocab: Vocabulary, budget: int, other: Action
         return LicSatResult("budget")
     successor_lists = {id(listed): listed for listed in (tableau.initial, *tableau.edges.values())}
     atom_bits = _atom_bits(tableau)
-    tables = _choice_tables(vocab, atom_bits)
+    spaces = _run_spaces(vocab, atom_bits)
+    tables = [space.rows for space in spaces]
 
     # Per tableau state, each name's (required, forbidden) label masks.
     index = {name: i for i, name in enumerate(vocab.names)}
@@ -307,7 +355,10 @@ def _product_sat(formula: Formula, vocab: Vocabulary, budget: int, other: Action
     # they may form the lasso loop, which keeps every witness a finite run.
     # The move of a (state, statuses) pair is built once, on first use, and
     # replayed for every later node reaching it; a replay is charged its
-    # joint choices again, as if they were enumerated anew.
+    # joint choices again, as if they were enumerated anew.  A name's row of
+    # a status is built when a node first holds the status, which only a
+    # charged joint choice (or the start) leads to, so rows cost no ticks of
+    # their own: a group builds at most ticks x names + 1 of them.
     next_mask = {state: id(successors) for state, successors in tableau.edges.items()}
     start = (id(tableau.initial), (0,) * len(tables))
     edges: dict[tuple, dict] = {}
@@ -324,6 +375,9 @@ def _product_sat(formula: Formula, vocab: Vocabulary, budget: int, other: Action
         row_moves = moves.get(statuses)
         if row_moves is None:
             row_moves = moves[statuses] = [None] * len(tableau.old_sets)
+            for space, status in zip(spaces, statuses):
+                if space.rows[status] is None:
+                    space.build(status)
         for state in successor_lists[mask]:
             move = row_moves[state]
             if move is None:

@@ -7,9 +7,10 @@ share the formula AST, evaluator and printer of :mod:`lict.formulas`; this
 module adds the target atoms.  ``implicit_restrictions`` produces the
 temporal formula that makes arbitrary models of a translated formula behave
 like runs; it embeds each mentioned license's deterministic subset automaton
-through ``instate``/``over`` propositions.  A run's ultimately periodic
-structure, its evaluation, and the generic decision route built on the
-restrictions (with the finiteness restriction) are the oracles in
+through ``instate``/``over`` propositions, and refuses a license whose
+automaton reaches more than ``SUBSET_LIMIT`` subsets.  A run's ultimately
+periodic structure, its evaluation, and the generic decision route built on
+the restrictions (with the finiteness restriction) are the oracles in
 :mod:`lict.reference`.
 """
 
@@ -41,7 +42,6 @@ from .licenses import (
     Action,
     License,
     action_key,
-    license_actions,
     pretty_action,
     pretty_license,
 )
@@ -147,18 +147,34 @@ class Vocabulary:
 
 
 def build_vocabulary(formula: Formula) -> Vocabulary:
-    atoms = formula_atoms(formula)
-    exprs = [atom.expr for atom in atoms if isinstance(atom, (Act, Perm))]
-    named = sorted(
-        {(atom.name, atom.license) for atom in atoms if isinstance(atom, Issue)},
-        key=lambda pair: (pair[0], pretty_license(pair[1])),
-    )
-    names = {name for name, _ in named} | {expr.name for expr in exprs}
-    actions = {expr.action for expr in exprs} | {BOT}
-    for _, lic in named:
-        actions |= license_actions(lic)
+    return vocabulary_of(formula_atoms(formula))
+
+
+def vocabulary_of(atoms) -> Vocabulary:
+    """The vocabulary of a formula whose atoms are ``atoms``; repeats do no harm.
+
+    Names and actions are sorted, and the licenses by name, then a name's
+    licenses by their text.  A license's actions are its automaton's letters.
+    """
+    names: set[str] = set()
+    actions = {BOT}
+    issued: dict[str, set[License]] = {}
+    for atom in atoms:
+        if isinstance(atom, Issue):
+            issued.setdefault(atom.name, set()).add(atom.license)
+        elif isinstance(atom, (Act, Perm)):
+            names.add(atom.expr.name)
+            actions.add(atom.expr.action)
+    named = []
+    for name in sorted(issued):
+        licenses = issued[name]
+        if len(licenses) > 1:
+            licenses = sorted(licenses, key=pretty_license)
+        for lic in licenses:
+            named.append((name, lic))
+            actions.update(padded_nfa(lic).letters)
     return Vocabulary(
-        names=tuple(sorted(names)),
+        names=tuple(sorted(names.union(issued))),
         named_licenses=tuple(named),
         actions=tuple(sorted(actions, key=action_key)),
     )
@@ -225,10 +241,24 @@ def _schema_unissued(vocab: Vocabulary) -> Formula:
     return f_and_all(parts)
 
 
+# The most subsets one license may reach in the restriction formulas, which
+# state mutual exclusion per pair of subsets and so grow with its square.
+SUBSET_LIMIT = 1024
+
+
+class SubsetLimitExceeded(ValueError):
+    """A license reaches more automaton subsets than ``SUBSET_LIMIT``."""
+
+
 def _automaton_formula(name: str, lic: License, vocab: Vocabulary) -> Formula:
     """The consequences of following ``lic``: its subset automaton in formulas."""
     nfa = padded_nfa(lic)
-    graph = reachable_subsets(nfa, vocab.actions)
+    graph = reachable_subsets(nfa, vocab.actions, SUBSET_LIMIT)
+    if len(graph) > SUBSET_LIMIT:
+        raise SubsetLimitExceeded(
+            f"the license {pretty_license(lic)} issued to {name} reaches more than"
+            f" {SUBSET_LIMIT} automaton subsets, the most the restriction formulas admit"
+        )
     over = Over(name)
 
     ids = sorted(graph, key=lambda i: subset_label(nfa.subsets[i]))
@@ -278,7 +308,8 @@ def implicit_restrictions(formula: Formula) -> Formula:
     licenses and is never issued twice; obligation means sole permission;
     unissued names owe bot; issuing a license pins the permitted sets to its
     automaton, with deviation absorbing into ``over``.  Schemas with nothing
-    to say are left out.
+    to say are left out.  Raises ``SubsetLimitExceeded`` when a license's
+    automaton reaches more than ``SUBSET_LIMIT`` subsets.
     """
     vocab = build_vocabulary(formula)
     schemas = [

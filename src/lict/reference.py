@@ -166,6 +166,11 @@ def first_actions(lic: License) -> frozenset[Action]:
     raise TypeError(f"not a license: {lic!r}")
 
 
+def license_actions(lic: License) -> frozenset[Action]:
+    """Every action literally occurring in the license."""
+    return frozenset(node.action for node in post_order(lic, license_children) if type(node) is Atom)
+
+
 def derivative(lic: License, action: Action) -> License:
     """The license recognizing exactly the continuations after ``action``.
 

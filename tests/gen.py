@@ -45,9 +45,9 @@ from lict import (
     parse_license,
 )
 from lict.formulas import Formula, formula_atoms
-from lict.licenses import License, license_actions, union
+from lict.licenses import License, union
 from lict.licsat import fresh_action
-from lict.reference import license_size, viable
+from lict.reference import license_actions, license_size, viable
 
 POOL = (
     BOT,
@@ -291,6 +291,17 @@ def parse_compiled(text: str) -> License:
     if text.startswith("1 | "):
         return union(ONE, parse_license(text[len("1 | "):]))
     return parse_license(text)
+
+
+def subset_blowup_text(copies: int) -> str:
+    """A formula issuing a license whose automaton reaches 3 * 2**copies + 1 subsets.
+
+    The license is ``(pay[1.00] | bot)* pay[1.00] S ... S`` with ``copies``
+    copies of ``S = (pay[1.00] | bot)``: its subset automaton must remember
+    which of the last ``copies + 1`` steps paid, the textbook subset blowup.
+    """
+    tail = " ".join(["(pay[1.00] | bot)"] * copies)
+    return f"issue(n, (pay[1.00] | bot)* pay[1.00] {tail}) & F P(pay[1.00], n)"
 
 
 def repeating_run_text(steps: int = 300) -> str:

@@ -25,7 +25,7 @@ from lict.digitalrights import DEFAULT_DR_CAP
 from lict.automata import build_nfa
 from lict.reference import accepts, dr_traces, traces
 
-from gen import parse_compiled, repeating_run_text
+from gen import parse_compiled, repeating_run_text, subset_blowup_text
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -262,6 +262,40 @@ class TestEncodeAndTranslate:
         assert code == 0
         assert "instate(" in out
         assert "over(n)" in out
+
+    @pytest.mark.parametrize("copies", [10, 16])
+    def test_translate_with_restrictions_past_the_subset_limit_exits_three(self, tmp_path, capsys, copies):
+        # 3073 and 196609 subsets; the search stops past the 1024th, before
+        # any restriction formula is built
+        path = write(tmp_path, "f.lic", subset_blowup_text(copies))
+        start = time.perf_counter()
+        code, out = invoke(capsys, "translate-ltl", path, "--with-restrictions")
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[0] == "result=budget-exceeded"
+        assert len(lines) == 2
+        assert "(pay[1.00] | bot)* pay[1.00] (pay[1.00] | bot)" in lines[1]
+        assert "more than 1024 automaton subsets" in lines[1]
+
+    def test_translate_with_restrictions_within_the_subset_limit(self, tmp_path, capsys):
+        # 769 subsets: the formulas are built and printed, tens of megabytes
+        path = write(tmp_path, "f.lic", subset_blowup_text(8))
+        code, out = invoke(capsys, "translate-ltl", path, "--with-restrictions")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "result=ok"
+        assert lines[1].startswith("issued(n, (pay[1.00] | bot)* pay[1.00]")
+        assert "instate(n, " in lines[2]
+
+    def test_sat_of_a_subset_blowup_spends_only_its_budget(self, tmp_path, capsys):
+        # rows are built as the product reaches them, not for all 196609 subsets
+        path = write(tmp_path, "f.lic", subset_blowup_text(16))
+        start = time.perf_counter()
+        code, out = invoke(capsys, "sat", path, "--budget", "1000")
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out.splitlines()[0] == "result=budget-exceeded"
 
     def test_compile_dr_output_parses(self, tmp_path, capsys):
         from lict import parse_license, parse_dr

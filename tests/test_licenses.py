@@ -23,12 +23,12 @@ from lict import (
     pretty_license,
 )
 from lict import licenses
-from lict.licenses import license_actions
 from lict.licsat import fresh_action
 from lict.reference import (
     derivative,
     first_actions,
     is_empty,
+    license_actions,
     license_size,
     nullable,
     prefix_sets,

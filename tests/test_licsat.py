@@ -37,14 +37,14 @@ from lict import (
     pretty_run,
     translate,
 )
-from lict.automata import build_nfa, padded_nfa, reachable_subsets
-from lict.formulas import map_atoms
+from lict.automata import Nfa, build_nfa, padded_nfa, reachable_subsets
+from lict.formulas import formula_atoms, map_atoms
 from lict.licsat import (
     OTHER,
     _atom_bits,
     _components,
-    _choice_tables,
     _product_sat,
+    _run_spaces,
     fresh_action,
 )
 from lict.ltl import Done, Permitted, build_vocabulary, implicit_restrictions
@@ -52,7 +52,7 @@ from lict.reference import finiteness_restriction, lifo_tableau, ltl_sat, name_p
 from lict import tableau as tableau_module
 from lict.tableau import build_tableau, to_nnf
 
-from gen import enumerate_satisfying_run, micro_formula, random_formula, random_license
+from gen import enumerate_satisfying_run, micro_formula, random_formula, random_license, subset_blowup_text
 
 PAY = Pay(Decimal("1.00"))
 NAMES_5 = ("n", "m", "k", "j", "i")
@@ -189,9 +189,9 @@ def _two_pays(cents: int) -> str:
 
 class TestEvictedAutomata:
     """The automaton cache is bounded, so a license's automaton may be
-    evicted and rebuilt while one formula's choice tables are built; the
-    rebuilt one numbers its subsets afresh, and the tables must keep reading
-    ids through the automaton their graph came from."""
+    evicted and rebuilt while one formula's run spaces are in use; the
+    rebuilt one numbers its subsets afresh, and each run space must keep
+    reading ids through the automaton it was built with."""
 
     ONE_NAME = [
         f"(issue(n, {_two_pays(100)}) | issue(n, {_two_pays(200)})) & X P(pay[2.00], n)",
@@ -224,22 +224,27 @@ class TestEvictedAutomata:
         assert holds(report.run, formula)
 
 
-def _statuses(name, vocab) -> list[tuple]:
-    """Each status's (subset, permitted set), numbered as the choice tables number them."""
-    statuses = [(None, frozenset({BOT})), (frozenset(), frozenset({BOT}))]
-    for lic in vocab.licenses_of(name):
-        nfa = padded_nfa(lic)
-        for subset in reachable_subsets(nfa, vocab.actions):
-            statuses.append((nfa.subsets[subset], nfa.permitted_id(subset)))
-    return statuses
+def _entered(space, status) -> tuple:
+    """The (subset, permitted set) behind a status: None before issuance, empty once over."""
+    if status < 2:
+        return (None, frozenset({BOT})) if status == 0 else (frozenset(), frozenset({BOT}))
+    license_index, subset = space.statuses[status]
+    nfa = space.automata[license_index][1]
+    return nfa.subsets[subset], nfa.permitted_id(subset)
 
 
-def _issued(lic, vocab) -> tuple:
-    """The (subset, permitted set) a name enters when ``lic`` is issued to it."""
-    nfa = padded_nfa(lic)
-    if nfa.start in reachable_subsets(nfa, vocab.actions):
-        return nfa.starts, nfa.permitted_id(nfa.start)
-    return frozenset(), frozenset({BOT})
+def _expand(space) -> set[int]:
+    """Builds every row reachable from status 0; returns the statuses reached."""
+    reached = {0}
+    stack = [0]
+    while stack:
+        status = stack.pop()
+        space.build(status)
+        for option in space.rows[status]:
+            if option[3] not in reached:
+                reached.add(option[3])
+                stack.append(option[3])
+    return reached
 
 
 def _licenses_parsed_apart(formula):
@@ -253,21 +258,31 @@ def _licenses_parsed_apart(formula):
 
 
 def _check_option_labels(formula, vocab) -> tuple[int, int, int]:
-    """Checks every option label of the formula's choice tables against name_props.
+    """Checks every option label of the formula's rows, each built, against name_props.
 
-    Returns how many options with an issuance, with a vocabulary act and
-    with the "other" act have a nonzero label.
+    Also checks that the statuses built are 0, 1 and one per nonempty
+    reachable subset of each license.  Returns how many options with an
+    issuance, with a vocabulary act and with the "other" act have a
+    nonzero label.
     """
     atom_bits = _atom_bits(build_tableau(to_nnf(translate(formula))))
-    tables = _choice_tables(vocab, atom_bits)
+    spaces = _run_spaces(vocab, atom_bits)
     issued = done = other = 0
-    for name, table in zip(vocab.names, tables, strict=True):
-        bits = atom_bits[name]
-        statuses = _statuses(name, vocab)
-        assert len(table) == len(statuses)
-        for status, row in enumerate(table):
-            for issue, act, label, *_ in row:
-                entered = statuses[status] if issue is None else _issued(issue, vocab)
+    for name, space in zip(vocab.names, spaces, strict=True):
+        bits = atom_bits.get(name, {})
+        reached = _expand(space)
+        # a license's start status is entered at issuance, whose option's
+        # next status is the start's successor
+        starts = {id(lic): space.numbers.get((index, nfa.start), 1) for index, (lic, nfa) in enumerate(space.automata)}
+        assert reached | {1} | set(starts.values()) == set(range(len(space.rows)))
+        assert set(space.statuses[2:]) == {
+            (index, subset)
+            for index, (_, nfa) in enumerate(space.automata)
+            for subset in reachable_subsets(nfa, vocab.actions)
+        }
+        for status, row in enumerate(space.rows):
+            for issue, act, label, *_ in row or ():
+                entered = _entered(space, status if issue is None else starts[id(issue)])
                 action = None if act is OTHER else act
                 props = name_props(name, issue, action, *entered)
                 assert label == sum(bits[prop] for prop in props if prop in bits)
@@ -321,6 +336,26 @@ class TestProductMoves:
         formula = parse_formula(f"G (F (pay[2.50], m) | F issue(n, {JOURNAL_TEXT}))")
         assert lic_sat(formula, budget=751).status == "budget"
         assert lic_sat(formula, budget=752).status == "unsat"
+
+
+class TestRowsOnFirstReach:
+    @pytest.mark.parametrize("budget", [100, 1000])
+    def test_a_subset_blowup_is_stepped_within_the_budget(self, budget, monkeypatch):
+        # The license reaches 3 * 2**16 + 1 subsets.  A row is built only for
+        # a status a charged joint choice reached, each with one step per
+        # letter of the name's alphabet, so the automaton is stepped at most
+        # ``budget`` times here (51 and 486), not once per subset and letter.
+        calls = 0
+        step_id = Nfa.step_id
+
+        def counting(nfa, subset, letter):
+            nonlocal calls
+            calls += 1
+            return step_id(nfa, subset, letter)
+
+        monkeypatch.setattr(Nfa, "step_id", counting)
+        assert lic_sat(parse_formula(subset_blowup_text(16)), budget=budget).status == "budget"
+        assert 0 < calls <= budget
 
 
 P_N, Q_N, R_M = Done(BOT, "n"), Permitted(BOT, "n"), Done(BOT, "m")
@@ -540,7 +575,13 @@ class TestNameComponents:
         )
         conjunctive, groups = _components(formula)
         assert conjunctive
-        assert [pretty_formula(part) for part in groups] == [
+        assert [sorted(atom.pretty() for atom in atoms) for _, atoms in groups] == [
+            ["(bot, n)", "(pay[1.00], n)", "issue(k, bot)"],
+            ["P(bot, m)"],
+            [],
+            ["(bot, j)"],
+        ]
+        assert [pretty_formula(part) for part, _ in groups] == [
             "(pay[1.00], n) & (issue(k, bot) -> (bot, n))",
             "P(bot, m)",
             "true",
@@ -553,7 +594,8 @@ class TestNameComponents:
         conjunctive, groups = _components(formula)
         assert conjunctive
         assert len(groups) == 1
-        assert groups[0] is formula
+        assert groups[0][0] is formula
+        assert groups[0][1] == formula_atoms(formula)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), top=st.sampled_from(list(TOPS)))
@@ -595,7 +637,7 @@ class TestNameComponents:
     def test_budget_applies_per_component(self):
         # Each journal alone fits a budget of 100 ticks; their joint product does not.
         formula = chain("issue({n}, " + JOURNAL_TEXT + ") & F (render[journal,d], {n})", NAMES_5[:2])
-        for part in _components(formula)[1]:
+        for part, _ in _components(formula)[1]:
             assert _product_sat(part, build_vocabulary(part), 100, PAY).status == "sat"
         assert _product_sat(formula, build_vocabulary(formula), 100, PAY).status == "budget"
         report = lic_sat(formula, budget=100)

@@ -14,23 +14,27 @@ from lict import (
     check_spec,
     compute_permissions,
     evaluate,
+    f_and_all,
     parse_formula,
+    parse_license,
     parse_run,
     pretty_formula,
     translate,
 )
-from lict.ltl import Done, Issued, Obligated, Permitted, implicit_restrictions
+from lict.ltl import Done, Issued, Obligated, Permitted, build_vocabulary, implicit_restrictions
 from lict.reference import (
     LinearStructure,
     build_structure,
     check_run_validity_ltl,
     finiteness_restriction,
     formula_size,
+    license_actions,
     ltl_eval,
 )
-from lict.formulas import Act, ActionExpr, Perm
+from lict.formulas import Act, ActionExpr, Issue, Perm, formula_atoms
+from lict.licenses import action_key, pretty_license
 
-from gen import random_formula, random_run
+from gen import random_formula, random_license, random_run
 
 PAY = Pay(Decimal("1.00"))
 READ = Render("journal", "d")
@@ -155,6 +159,34 @@ class TestRouteAgreement:
     def test_journal_property_via_ltl(self):
         prop = parse_formula("(pay[1.00], n) -> X(!O(render[journal,d], n))")
         assert check_run_validity_ltl(JOURNAL_RUN, prop)
+
+
+class TestVocabulary:
+    def test_matches_its_definition(self):
+        # Names and actions sorted, licenses by name and then by text, and a
+        # license's actions every action in it, bot always among them.  Each
+        # name is drawn up to three licenses, some of them equal licenses
+        # built apart.
+        rng = random.Random(223)
+        shared = 0
+        for _ in range(150):
+            names = ("n", "m", "k")[: rng.randint(1, 3)]
+            licenses = [(rng.choice(names), random_license(rng, 2)) for _ in range(rng.randint(0, 5))]
+            licenses += [(name, parse_license(pretty_license(lic))) for name, lic in licenses[:1]]
+            formula = random_formula(rng, rng.randint(1, 4), names=names, licenses=licenses)
+            formula = f_and_all([formula] + [Issue(name, lic) for name, lic in licenses if rng.random() < 0.7])
+            atoms = formula_atoms(formula)
+            issued = {(atom.name, atom.license) for atom in atoms if isinstance(atom, Issue)}
+            exprs = [atom.expr for atom in atoms if isinstance(atom, (Act, Perm))]
+            vocab = build_vocabulary(formula)
+            assert vocab.named_licenses == tuple(
+                sorted(issued, key=lambda pair: (pair[0], pretty_license(pair[1])))
+            )
+            assert vocab.names == tuple(sorted({name for name, _ in issued} | {expr.name for expr in exprs}))
+            actions = {BOT, *(expr.action for expr in exprs)}.union(*(license_actions(lic) for _, lic in issued))
+            assert vocab.actions == tuple(sorted(actions, key=action_key))
+            shared += len(issued) > len({name for name, _ in issued})
+        assert shared > 20
 
 
 class TestImplicitRestrictions:

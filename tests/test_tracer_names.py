@@ -45,16 +45,31 @@ def test_traced_sat_counts_the_tableau(capsys):
     assert counts["tableau.edges"] > 0
 
 
-def test_traced_sat_counts_the_license_automata(capsys):
-    # The run space builds its automata through lict.licsat's names; a
-    # traced run that bypassed them would count zero.
+def _traced_counts(argv, capsys) -> dict:
     tracer = _tracing().Tracer()
     tracer.install()
     try:
-        assert main(["sat", os.path.join(SAMPLES, "journal-noviolation.lic")]) == 0
+        assert main(argv) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    _, counts = tracer.collect()
+    return tracer.collect()[1]
+
+
+def test_traced_sat_counts_the_license_automata(capsys):
+    # The run space builds its automata through lict.licsat's names; a
+    # traced run that bypassed them would count zero.  It steps their
+    # subsets row by row, as the product reaches them, so it builds no
+    # subset graph for the tracer to count.
+    counts = _traced_counts(["sat", os.path.join(SAMPLES, "journal-noviolation.lic")], capsys)
+    assert counts["automata.nfa_states"] > 0
+    assert counts["automata.subsets"] == 0
+
+
+def test_traced_restrictions_count_the_subset_graphs(capsys):
+    # The restriction formulas embed each license's whole subset graph,
+    # built through lict.ltl's names.
+    argv = ["translate-ltl", "--with-restrictions", os.path.join(SAMPLES, "journal-noviolation.lic")]
+    counts = _traced_counts(argv, capsys)
     assert counts["automata.nfa_states"] > 0
     assert counts["automata.subsets"] > 0
