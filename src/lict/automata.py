@@ -23,7 +23,10 @@ Every question is asked by id: ``step_id``, ``masks``, ``permitted_id``,
 automaton per license, so every caller shares it, for the 512 licenses
 asked for most recently.  An evicted license's automaton is built again
 and numbers its subsets afresh, so a caller that keeps ids keeps the
-automaton they came from.
+automaton they came from.  The parsers give equal license texts one
+object (:mod:`lict.parsing`), so a parsed license's lookup hits by identity,
+on its kept hash, without walking the tree; an equal license built apart
+still hits, by comparison.
 """
 
 from __future__ import annotations

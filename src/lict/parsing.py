@@ -10,12 +10,25 @@ a regex that splits each line's ``@<time>`` from the text after it; each
 distinct such text is parsed once per file.  ``#`` starts a comment
 anywhere.  Reserved words (``pay render bot issue true P O X G F U``) cannot
 be used as license names.
+
+Every license is parsed through one process-wide map from its token texts
+(joined by one blank) to one ``License`` object: a run line's license, an
+``issue(n, L)`` atom's and ``parse_license``'s text.  Equal license texts,
+in a run file, in a formula or in a later call, give one shared (immutable)
+object, whose hash is computed once and which the automata and the
+evaluator meet by identity.
+Where a license's end is known before it is parsed (the end of a run line,
+the ``)`` that closes ``issue(`` at depth 0), its tokens are looked up
+first.  Only texts that parsed as a whole license are stored, so no error
+depends on what was parsed before.  The map keeps the 512 texts used most
+recently.
 """
 
 from __future__ import annotations
 
 import re
 from decimal import Decimal
+from functools import lru_cache
 from typing import NamedTuple
 
 from .digitalrights import DrLicense, Exactly, Single, Upto
@@ -271,8 +284,48 @@ def _license(tokens: list[str], pos: int) -> tuple[License, int]:
             union, concat = groups.pop()
 
 
+# One license object per distinct license text (see the module docstring),
+# bounded like ``padded_nfa``.  The key is the token texts joined by one
+# blank, which no token holds.  A text that does not parse as a whole
+# license raises, so it is not stored.
+@lru_cache(maxsize=512)
+def _license_of(key: str) -> License:
+    tokens = key.split(" ")
+    tokens.append("")
+    lic, pos = _license(tokens, 0)
+    _expect_end(tokens, pos)
+    return lic
+
+
+def _shared_license(tokens: list[str], pos: int, end: int) -> tuple[License, int]:
+    """The license at ``pos``, and the position after it, where it should end at ``end``.
+
+    The tokens before ``end`` are looked up as one license text.  Where they
+    are not one, the license is parsed in place, so the error is met where
+    it stands.
+    """
+    try:
+        return _license_of(" ".join(tokens[pos:end])), end
+    except _Syntax:
+        return _license(tokens, pos)
+
+
+def _closing(tokens: list[str], pos: int) -> int:
+    """The index of the first ``)`` from ``pos`` on that no ``(`` from ``pos`` on opens, else of the end."""
+    depth = 0  # the "(" seen and not yet closed
+    for close in range(pos, len(tokens)):
+        token = tokens[close]
+        if token == ")":
+            if not depth:
+                return close
+            depth -= 1
+        elif token == "(":
+            depth += 1
+    return len(tokens) - 1
+
+
 def parse_license(text: str) -> License:
-    return _read(text, _license)
+    return _read(text, lambda tokens, pos: _shared_license(tokens, pos, len(tokens) - 1))
 
 
 # Formula grammar, loosest to tightest: ->, |, &, U, unary (! X G F), atoms.
@@ -363,7 +416,7 @@ def _formula_atom(tokens: list[str], pos: int) -> tuple[Formula, int]:
         _expect(tokens, pos + 1, "(")
         name = _name(tokens, pos + 2)
         _expect(tokens, pos + 3, ",")
-        lic, pos = _license(tokens, pos + 4)
+        lic, pos = _shared_license(tokens, pos + 4, _closing(tokens, pos + 4))
         return Issue(name, lic), _expect(tokens, pos, ")")
     if token == "P":
         expr, pos = _action_pair(tokens, pos + 1)
@@ -403,7 +456,7 @@ def _run_entry(tokens: list[str], pos: int) -> tuple[bool, str, License | Action
     if keyword == "issue":
         name = _name(tokens, pos + 1)
         _expect(tokens, pos + 2, "=")
-        payload, pos = _license(tokens, pos + 3)
+        payload, pos = _shared_license(tokens, pos + 3, len(tokens) - 1)  # to the end of the line
     elif keyword == "do":
         name = _name(tokens, pos + 1)
         payload, pos = _action(tokens, pos + 2)

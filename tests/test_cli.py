@@ -17,12 +17,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lict import cli, repl
+from lict import automata, cli, parsing, repl
 from lict.cli import main
 from lict.repl import NESTED_TOO_DEEPLY, step_repl
-from lict import BOT, Exactly, Pay, Render, Single, compile_dr, parse_dr, parse_run
+from lict import BOT, Exactly, Pay, Render, Single, compile_dr, parse_dr, parse_run, pretty_license
 from lict.digitalrights import DEFAULT_DR_CAP
 from lict.automata import build_nfa
+from lict.licenses import Node
 from lict.reference import accepts, dr_traces, traces
 
 from gen import parse_compiled, repeating_run_text, subset_blowup_text
@@ -137,6 +138,33 @@ class TestCheckSpec:
         code, out = invoke(capsys, "check-spec", run, prop, "--at", "-1")
         assert code == 2
         assert out.splitlines()[0] == "result=error"
+
+    def test_each_license_text_is_built_and_compared_once(self, tmp_path, capsys, monkeypatch):
+        licenses = {
+            "a": "(pay[7.01] bot* render[w,d] | bot)*",
+            "b": "(pay[7.02] bot bot | bot pay[7.03] bot)*",
+            "c": "bot* render[v,e]",
+        }
+        run = write(tmp_path, "r.run", "".join(f"@0 issue {n} = {lic}\n" for n, lic in licenses.items())
+                    + "@1 do a pay[7.01]\n@2 do b pay[7.02]\n@3 do c render[v,e]\n")
+        prop = write(tmp_path, "p.lic", " & ".join(
+            f"(issue({n}, {lic}) -> G((bot, {n}) -> P(bot, {n})))" for n, lic in licenses.items()))
+        built = []
+        monkeypatch.setattr(automata, "build_nfa", lambda lic, padded=False: built.append(lic)
+                            or build_nfa(lic, padded))
+        compared = []
+        node_eq = Node.__eq__
+        monkeypatch.setattr(Node, "__eq__", lambda self, other: self is other
+                            or compared.append((self, other)) or node_eq(self, other))
+        parsing._license_of.cache_clear()
+        automata.padded_nfa.cache_clear()
+        for repeat in (False, True):
+            code, out = invoke(capsys, "check-spec", run, prop)
+            assert (code, out.splitlines()[0]) == (0, "result=holds")
+            # one automaton per distinct text, and none built again
+            assert sorted(map(pretty_license, built)) == ([] if repeat else sorted(licenses.values()))
+            built.clear()
+        assert compared == []
 
     def test_module_run_goes_through_the_entry_point(self):
         env = dict(os.environ)

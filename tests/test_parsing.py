@@ -406,9 +406,8 @@ _ORACLE_MUTATIONS = _MUTATIONS + ("é", "٣")
 class TestParserOracles:
     """Every parser gives the tree, or the message, line and column, that its oracle gives."""
 
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-    @given(data=st.data())
-    def test_values_and_errors_match_the_reference(self, data):
+    @staticmethod
+    def _mutated_inputs_match(data, warm: bool):
         text = data.draw(st.one_of(
             st.sampled_from(_samples()),
             licenses().map(pretty_license),
@@ -417,11 +416,24 @@ class TestParserOracles:
         if data.draw(st.booleans()):
             start = data.draw(st.integers(0, len(text)))
             text = text[start : data.draw(st.integers(start, len(text)))]
+        if warm:  # every license the unmutated text holds is met again below
+            for parse, _ in _PARSERS:
+                _outcome(parse, text)
         for _ in range(data.draw(st.integers(0, 4))):
             at = data.draw(st.integers(0, len(text)))
             text = text[:at] + data.draw(st.sampled_from(_ORACLE_MUTATIONS)) + text[at:]
         for parse, oracle in _PARSERS:
             assert _outcome(parse, text) == _outcome(oracle, text)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_values_and_errors_match_the_reference(self, data):
+        self._mutated_inputs_match(data, warm=False)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_values_and_errors_match_the_reference_after_the_unmutated_text(self, data):
+        self._mutated_inputs_match(data, warm=True)
 
     @pytest.mark.parametrize("text", [
         "", "#", "bot #", "pay[1.00", "render[w,d]]", "(bot", "bot)", "@", "@0", "@0 do", "@ 7 do n bot",
@@ -438,6 +450,56 @@ class TestParserOracles:
     def test_edges_match_the_reference(self, text):
         for parse, oracle in _PARSERS:
             assert _outcome(parse, text) == _outcome(oracle, text)
+
+
+class TestSharedLicenses:
+    """Equal license texts parse to one object, and no error depends on what was parsed before."""
+
+    @staticmethod
+    def _respaced(text: str, blank: str) -> str:
+        return blank.join(parsing._token_texts(text)[:-1]) + blank + "# comment"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(lic=licenses(), blank=st.sampled_from((" ", "  ", "\t", " \t ")))
+    def test_equal_texts_are_one_object(self, lic, blank):
+        text = pretty_license(lic)
+        first = parse_license(text)
+        assert parse_license(text) is first
+        assert parse_license(self._respaced(text, blank)) is first
+        assert first == reference.parse_license(text)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(lic=licenses(), run_first=st.booleans())
+    def test_a_formula_shares_its_runs_license(self, lic, run_first):
+        text = pretty_license(lic)
+        parses = [lambda: parse_run(f"@0 issue n = {text}").issuances[0][2],
+                  lambda: parse_formula(f"issue(n, {text})").license]
+        if not run_first:
+            parses.reverse()
+        assert parses[0]() is parses[1]()
+
+    def test_the_map_is_bounded(self):
+        bound = parsing._license_of.cache_info().maxsize
+        texts = [f"pay[{i}.00] bot*" for i in range(bound + 10)]
+        first, kept = parse_license(texts[0]), parse_license(texts[1])
+        for text in texts[2:]:
+            assert parse_license(texts[1]) is kept  # used most recently, so never evicted
+            parse_license(text)
+        assert parsing._license_of.cache_info().currsize == bound
+        again = parse_license(texts[0])  # evicted, so parsed afresh
+        assert again == first and again is not first
+
+    @pytest.mark.parametrize("parse, oracle, text", [
+        (parse_formula, reference.parse_formula, "issue(n, bot*) &"),
+        (parse_run, reference.parse_run, "@0 issue n = bot* )"),
+        (parse_run, reference.parse_run, "@0 issue n = bot* bot*]"),
+    ])
+    def test_errors_after_the_license_was_met(self, parse, oracle, text):
+        parsing._license_of.cache_clear()
+        cold = _outcome(parse, text)
+        assert isinstance(cold, tuple)  # (message, line, column)
+        assert parse_license("bot*") is parse_license("bot*")
+        assert _outcome(parse, text) == cold == _outcome(oracle, text)
 
 
 def _line_by_line(text: str):
