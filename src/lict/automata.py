@@ -20,8 +20,8 @@ a row of successor ids by letter and its permitted set as a bitmask.
 Every question is asked by id: ``step_id``, ``masks``, ``permitted_id``,
 ``bot_lasso`` and ``reachable_subsets`` all answer through that memo, and
 ``subsets[i]`` gives the states behind id ``i``.  ``padded_nfa`` keeps one
-automaton per license, so every caller shares it, for the 512 licenses
-asked for most recently.  An evicted license's automaton is built again
+automaton per license, so every caller shares it, for the
+``LICENSES_KEPT`` licenses asked for most recently.  An evicted license's automaton is built again
 and numbers its subsets afresh, so a caller that keeps ids keeps the
 automaton they came from.  The parsers give equal license texts one
 object (:mod:`lict.parsing`), so a parsed license's lookup hits by identity,
@@ -48,6 +48,12 @@ from .licenses import (
 )
 
 SubsetState = frozenset  # frozenset[int]
+# How many licenses each process-wide license cache keeps, the least recently
+# used evicted first: ``padded_nfa``'s automata and the parsers' license
+# objects (:mod:`lict.parsing`).  Far above the handful of licenses one
+# command reads, and bounded, so a long session or library caller does not
+# grow without end.
+LICENSES_KEPT = 512
 _NO_EDGES: dict = {}  # the transitions of a state the automaton does not have
 
 
@@ -240,9 +246,7 @@ def build_nfa(lic: License, padded: bool = False) -> Nfa:
     return Nfa(alive, {0} & alive, finals, letters, transitions, pad)
 
 
-# far above the handful of licenses one command reads, and bounded, so a long
-# session or library caller does not grow without end
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=LICENSES_KEPT)
 def padded_nfa(lic: License) -> Nfa:
     """The license's padded automaton: one per license, so its memos are shared."""
     return build_nfa(lic, padded=True)

@@ -20,8 +20,9 @@ evaluator meet by identity.
 Where a license's end is known before it is parsed (the end of a run line,
 the ``)`` that closes ``issue(`` at depth 0), its tokens are looked up
 first.  Only texts that parsed as a whole license are stored, so no error
-depends on what was parsed before.  The map keeps the 512 texts used most
-recently.
+depends on what was parsed before.  The map keeps the
+``automata.LICENSES_KEPT`` texts used most recently, the bound of
+``padded_nfa`` too.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from decimal import Decimal
 from functools import lru_cache
 from typing import NamedTuple
 
+from .automata import LICENSES_KEPT
 from .digitalrights import DrLicense, Exactly, Single, Upto
 from .formulas import (
     Act,
@@ -285,10 +287,10 @@ def _license(tokens: list[str], pos: int) -> tuple[License, int]:
 
 
 # One license object per distinct license text (see the module docstring),
-# bounded like ``padded_nfa``.  The key is the token texts joined by one
+# bounded as ``padded_nfa`` is.  The key is the token texts joined by one
 # blank, which no token holds.  A text that does not parse as a whole
 # license raises, so it is not stored.
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=LICENSES_KEPT)
 def _license_of(key: str) -> License:
     tokens = key.split(" ")
     tokens.append("")

@@ -49,6 +49,7 @@ from lict.licsat import (
 )
 from lict.ltl import Done, Permitted, build_vocabulary, implicit_restrictions
 from lict.reference import finiteness_restriction, lifo_tableau, ltl_sat, name_props, state_atoms
+from lict.reference import parse_license as reference_parse_license
 from lict import tableau as tableau_module
 from lict.tableau import build_tableau, to_nnf
 
@@ -247,14 +248,22 @@ def _expand(space) -> set[int]:
     return reached
 
 
+def _issue_parsed_apart(atom):
+    """The atom, an issue atom with its license rebuilt from its text.
+
+    The reference parser builds it, so it equals the atom's license but is
+    never the same object, which the parsers' shared map would give.
+    """
+    if not isinstance(atom, Issue):
+        return atom
+    twin = reference_parse_license(pretty_license(atom.license))
+    assert twin == atom.license and twin is not atom.license
+    return Issue(atom.name, twin)
+
+
 def _licenses_parsed_apart(formula):
-    """The formula with each issue atom's license rebuilt from its text."""
-    return map_atoms(
-        formula,
-        lambda atom: Issue(atom.name, parse_license(pretty_license(atom.license)))
-        if isinstance(atom, Issue)
-        else atom,
-    )
+    """The formula with each issue atom's license rebuilt from its text, apart."""
+    return map_atoms(formula, _issue_parsed_apart)
 
 
 def _check_option_labels(formula, vocab) -> tuple[int, int, int]:
@@ -315,13 +324,23 @@ class TestProductMoves:
     def test_option_labels_when_only_another_action_meets_the_formula(self):
         # Not bot, not the journal's pay or render: at time 0 the name does
         # the "other" action, whose label carries its status's and
-        # issuance's bits but no Done bit.  The journal is parsed once per
-        # issue atom, so the two atoms hold equal, distinct licenses.
+        # issuance's bits but no Done bit.  Each issue atom's journal is
+        # rebuilt apart, so the two atoms hold equal, distinct licenses.
         text = (
             f"issue(n, {JOURNAL_TEXT}) & (~bot, n) & !(pay[1.00], n) & !(render[journal,d], n)"
             f" & P(pay[1.00], n) & X (G !issue(n, {JOURNAL_TEXT}) & !P(pay[1.00], n))"
         )
-        formula = parse_formula(text)
+        issues = []
+
+        def apart(atom):
+            atom = _issue_parsed_apart(atom)
+            if isinstance(atom, Issue):
+                issues.append(atom)
+            return atom
+
+        formula = map_atoms(parse_formula(text), apart)
+        first, second = issues
+        assert first.license == second.license and first.license is not second.license
         issued, _, other = _check_option_labels(formula, build_vocabulary(formula))
         assert issued > 0 and other > 0
         report = lic_sat(formula)

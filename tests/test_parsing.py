@@ -105,7 +105,10 @@ class TestLicenses:
         for text in (nest, flat):
             lic = parse_license(text)
             assert pretty_license(lic) == text
-            assert parse_license(text) == lic
+            # a twin built apart of the shared map, so == walks both trees
+            twin = reference.parse_license(text)
+            assert twin is not lic and twin == lic
+            assert parse_license(text) is lic
 
     # Malformed licenses with the message, line and column each must give; an
     # action read again from the parse's memo must not move any of them.
