@@ -19,19 +19,15 @@ asked for: every subset reached gets a small int id, 0 the empty one, with
 a row of successor ids by letter and its permitted set as a bitmask.
 Every question is asked by id: ``step_id``, ``masks``, ``permitted_id``,
 ``bot_lasso`` and ``reachable_subsets`` all answer through that memo, and
-``subsets[i]`` gives the states behind id ``i``.  ``padded_nfa`` keeps one
-automaton per license, so every caller shares it, for the
-``LICENSES_KEPT`` licenses asked for most recently.  An evicted license's automaton is built again
-and numbers its subsets afresh, so a caller that keeps ids keeps the
-automaton they came from.  The parsers give equal license texts one
-object (:mod:`lict.parsing`), so a parsed license's lookup hits by identity,
-on its kept hash, without walking the tree; an equal license built apart
-still hits, by comparison.
+``subsets[i]`` gives the states behind id ``i``.  ``padded_nfa`` builds a
+license's automaton on first use and keeps it on the license object, so
+every caller that holds the license shares one automaton and its ids, and
+the automaton lives exactly as long as the license.  The parsers give equal
+license texts one object (:mod:`lict.parsing`), so they share one automaton
+too; an equal license built apart builds its own.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .licenses import (
     BOT,
@@ -48,12 +44,6 @@ from .licenses import (
 )
 
 SubsetState = frozenset  # frozenset[int]
-# How many licenses each process-wide license cache keeps, the least recently
-# used evicted first: ``padded_nfa``'s automata and the parsers' license
-# objects (:mod:`lict.parsing`).  Far above the handful of licenses one
-# command reads, and bounded, so a long session or library caller does not
-# grow without end.
-LICENSES_KEPT = 512
 _NO_EDGES: dict = {}  # the transitions of a state the automaton does not have
 
 
@@ -74,7 +64,7 @@ class Nfa:
     """
 
     __slots__ = ("states", "starts", "finals", "pad_state", "letters", "start", "subsets",
-                 "rows", "masks", "_letter_of", "_edges", "_targets", "_out", "_ids", "_permitted")
+                 "rows", "masks", "_letter_of", "_edges", "_targets", "_out", "_ids")
 
     def __init__(self, states, starts, finals, letters, edges, pad_state=None):
         """``letters`` sorted by ``action_key``, bot first; ``edges`` (source, letter, target)."""
@@ -102,7 +92,6 @@ class Nfa:
         self._ids = {empty: 0}
         self.rows: list[list] = [[0] * (len(self.letters) + 1)]
         self.masks = [1]
-        self._permitted: list = [None]
         self.start = self.subset_id(self.starts)
 
     @property
@@ -126,7 +115,6 @@ class Nfa:
                 mask |= self._out.get(state, 0)
             self.masks.append(mask)
             self.rows.append([None] * len(self.letters) + [0])
-            self._permitted.append(None)
         return found
 
     def step_id(self, subset: int, letter: int) -> int:
@@ -147,10 +135,7 @@ class Nfa:
         state (the license may be complete, so doing nothing stays viable);
         the empty (violated) subset permits exactly bot.
         """
-        found = self._permitted[subset]
-        if found is None:
-            found = self._permitted[subset] = mask_actions(self.letters, self.masks[subset])
-        return found
+        return mask_actions(self.letters, self.masks[subset])
 
     def bot_lasso(self, subset: int) -> tuple[list[int], list[int]]:
         """The bot-evolution of ``subset`` as prefix and loop ids.
@@ -246,10 +231,14 @@ def build_nfa(lic: License, padded: bool = False) -> Nfa:
     return Nfa(alive, {0} & alive, finals, letters, transitions, pad)
 
 
-@lru_cache(maxsize=LICENSES_KEPT)
 def padded_nfa(lic: License) -> Nfa:
-    """The license's padded automaton: one per license, so its memos are shared."""
-    return build_nfa(lic, padded=True)
+    """The license's padded automaton, built on first use and kept on the license object."""
+    try:
+        return lic._nfa
+    except AttributeError:  # not built yet
+        nfa = build_nfa(lic, padded=True)
+        object.__setattr__(lic, "_nfa", nfa)
+        return nfa
 
 
 def reachable_subsets(nfa: Nfa, actions, limit: int | None = None) -> dict[int, dict[Action, int]]:

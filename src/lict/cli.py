@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ from .licenses import pretty_license
 from .licsat import lic_sat, lic_valid
 from .ltl import SubsetLimitExceeded, implicit_restrictions, translate
 from .parsing import ParseError, parse_dr, parse_formula, parse_run
-from .repl import NESTED_TOO_DEEPLY, printable, step_repl
+from .repl import NESTED_TOO_DEEPLY, TOO_LARGE, printable, step_repl
 from .runs import compute_permissions, permission_line, pretty_run
 from .tableau import DEFAULT_BUDGET
 
@@ -214,24 +215,33 @@ def main(argv=None) -> int:
             outcome = _Outcome("error", EXIT_USAGE, str(exc))
     except RecursionError:
         outcome = _Outcome("error", EXIT_USAGE, NESTED_TOO_DEEPLY)
-    if args.format == "json":
-        payload = {
-            "command": args.command,
-            "result": outcome.result,
-            "detail": outcome.detail,
-        }
-        if outcome.counterexample is not None:
-            payload["counterexample"] = outcome.counterexample
-        print(json.dumps(payload))
-    else:
-        _print(f"result={outcome.result}")
-        if outcome.detail:
-            _print(outcome.detail)
+    except (OverflowError, MemoryError):
+        outcome = _Outcome("error", EXIT_USAGE, TOO_LARGE)
+    try:
+        if args.format == "json":
+            payload = {"command": args.command, "result": outcome.result, "detail": outcome.detail}
+            if outcome.counterexample is not None:
+                payload["counterexample"] = outcome.counterexample
+            print(json.dumps(payload))
+        else:
+            _print(f"result={outcome.result}")
+            if outcome.detail:
+                _print(outcome.detail)
+    except BrokenPipeError:
+        pass  # the reader has stopped reading, which ends the output, not the command
     return outcome.exit_code
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered has no reader: send it nowhere, not to a failing flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

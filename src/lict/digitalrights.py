@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import accumulate
 
 from .licenses import (
     BOT,
@@ -199,5 +200,6 @@ def compile_dr(dr: DrLicense, cap: int = DEFAULT_DR_CAP) -> License:
     elif isinstance(dr.repetition, Exactly):
         lic = _license_power(period, dr.repetition.count)
     else:
-        lic = fold_balanced([_license_power(period, n) for n in range(dr.repetition.count + 1)], union)
+        # each power extends the one before, so all share its nodes
+        lic = fold_balanced(list(accumulate([period] * dr.repetition.count, concat, initial=ONE)), union)
     return lic

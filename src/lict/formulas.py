@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .automata import mask_actions
 from .licenses import (
     BOT,
     Action,
@@ -300,7 +299,7 @@ def evaluate(run: Run, perms: PermissionInterpretation, t: int, formula: Formula
     ``perms`` must be the permission interpretation computed from ``run``;
     the model is the run's ultimately periodic extension.  Each atom is
     labelled from time masks: per name, the times of each recorded action,
-    and lazily the times of each permitted set.
+    and lazily the times of each permitted bitmask over the name's letters.
     """
     size = perms.prefix_len + perms.loop_len
     full = (1 << size) - 1
@@ -309,19 +308,17 @@ def evaluate(run: Run, perms: PermissionInterpretation, t: int, formula: Formula
     for time, name, action in run.actions:
         masks = done.setdefault(name, {})
         masks[action] = masks.get(action, 0) | 1 << time
-    permits: dict[str, list[tuple]] = {}
+    permits: dict[str, tuple] = {}
 
-    def permitted_times(name: str) -> list[tuple]:
-        """(permitted set, times) per distinct permitted set of the name."""
+    def permitted_times(name: str) -> tuple:
+        """The name's letters, and the times of each distinct permitted bitmask over them."""
         found = permits.get(name)
         if found is None:
             letters, column = perms.permitted_masks(name, size)
             times: dict[int, int] = {}
             for time, mask in enumerate(column):
                 times[mask] = times.get(mask, 0) | 1 << time
-            found = permits[name] = [
-                (mask_actions(letters, mask), bits) for mask, bits in times.items()
-            ]
+            found = permits[name] = (letters, times)
         return found
 
     def atom_label(node: Formula) -> int:
@@ -342,15 +339,12 @@ def evaluate(run: Run, perms: PermissionInterpretation, t: int, formula: Formula
             return label if expr.positive else full ^ label
         if isinstance(node, Perm):
             expr = node.expr
-            label = 0
-            for permitted, mask in permitted_times(expr.name):
-                if expr.positive:
-                    holds = expr.action in permitted
-                else:
-                    holds = any(action != expr.action for action in permitted)
-                if holds:
-                    label |= mask
-            return label
+            letters, times = permitted_times(expr.name)
+            # the action's letter bit; an action outside the letters has none
+            bit = sum(1 << letter for letter, action in enumerate(letters) if action == expr.action)
+            # the times, disjoint per mask, permitting the action, or for its complement another one
+            return sum(when for permitted, when in times.items()
+                       if (permitted & bit if expr.positive else permitted & ~bit))
         raise TypeError(f"not a license-logic formula: {node!r}")
 
     return lasso_eval(perms.prefix_len, perms.loop_len, atom_label, t, formula)

@@ -153,6 +153,10 @@ class Node:
 class License(Node):
     """A license node."""
 
+    # the padded automaton, once ``automata.padded_nfa`` builds it; a slot, since an instance
+    # attribute that only some nodes of a class set widens the class's later instance dicts
+    __slots__ = ("_nfa",)
+
 
 @dataclass(frozen=True, eq=False)
 class Atom(License):

@@ -111,11 +111,11 @@ class _RunSpace:
     an ``issued`` bit off the license it issues, a ``done`` bit off its act.
     """
 
-    __slots__ = ("automata", "alphabet", "act_bits", "issued", "columns", "atom_letters",
+    __slots__ = ("licenses", "automata", "alphabet", "act_bits", "issued", "columns", "atom_letters",
                  "statuses", "numbers", "cores", "rows")
 
-    def __init__(self, automata, bits: dict[Formula, int]):
-        """``automata`` pairs each license issued to the name with the automaton whose ids it keeps."""
+    def __init__(self, licenses, bits: dict[Formula, int]):
+        """``licenses`` are the licenses issued to the name."""
         issued, done, permitted, obligated = [], {}, [], []
         actions = {BOT}
         for atom, bit in bits.items():
@@ -127,21 +127,22 @@ class _RunSpace:
                 done[atom.action] = bit
             else:
                 (permitted if isinstance(atom, Permitted) else obligated).append((atom.action, bit))
-        for _, nfa in automata:
+        self.licenses = licenses
+        automata = self.automata = [padded_nfa(lic) for lic in licenses]
+        for nfa in automata:
             actions.update(nfa.letters)
         self.alphabet = tuple(sorted(actions, key=action_key)) + (OTHER,)
         self.act_bits = [done.get(act, 0) for act in self.alphabet]
-        self.automata = automata
         # equal licenses parsed apart share one atom, so match by equality
-        self.issued = [sum(bit for lic, bit in issued if lic == issue) for issue, _ in automata]
+        self.issued = [sum(bit for lic, bit in issued if lic == issue) for issue in licenses]
         # per license: each act's letter (OTHER's is the column outside the
         # alphabet, which steps to 0), and the permitted and obligated atoms'
         # bits by letter mask
-        self.columns = [[nfa.letter(act) for act in self.alphabet[:-1]] + [len(nfa.letters)] for _, nfa in automata]
+        self.columns = [[nfa.letter(act) for act in self.alphabet[:-1]] + [len(nfa.letters)] for nfa in automata]
         self.atom_letters = [
             ([(1 << nfa.letter(act), bit) for act, bit in permitted],
              [(1 << nfa.letter(act), bit) for act, bit in obligated])
-            for _, nfa in automata
+            for nfa in automata
         ]
         self.statuses: list[tuple | None] = [None, None]  # (license index, subset id) per status
         self.numbers: dict[tuple, int] = {}
@@ -168,7 +169,7 @@ class _RunSpace:
         core = self.cores[status]
         if core is None:
             license_index, subset = self.statuses[status]
-            nfa = self.automata[license_index][1]
+            nfa = self.automata[license_index]
             mask = nfa.masks[subset]
             permitted, obligated = self.atom_letters[license_index]
             label = sum(bit for letter, bit in permitted if mask & letter)
@@ -186,7 +187,7 @@ class _RunSpace:
         label, successors = self._core(status)
         lic = None
         if license_index is not None:
-            lic = self.automata[license_index][0]
+            lic = self.licenses[license_index]
             label |= self.issued[license_index]
         return [
             (lic, act, label | act_bit, successor, lic is None and act == BOT)
@@ -197,19 +198,14 @@ class _RunSpace:
         """Fill ``rows[status]``; issuing a license enters its start subset's status."""
         row = self._options(status, None)
         if status == 0:
-            for index, (_, nfa) in enumerate(self.automata):
+            for index, nfa in enumerate(self.automata):
                 row += self._options(self._number(index, nfa.start), index)
         self.rows[status] = row
 
 
 def _run_spaces(vocab: Vocabulary, atom_bits: dict[str, dict[Formula, int]]) -> list[_RunSpace]:
     """The run space of each of ``vocab.names``, in order, with no row built yet."""
-    # each space keeps the automata whose subset ids it holds: the shared
-    # cache may evict and rebuild a license's automaton, numbering it afresh
-    return [
-        _RunSpace(tuple((lic, padded_nfa(lic)) for lic in vocab.licenses_of(name)), atom_bits.get(name, {}))
-        for name in vocab.names
-    ]
+    return [_RunSpace(vocab.licenses_of(name), atom_bits.get(name, {})) for name in vocab.names]
 
 
 @dataclass

@@ -274,12 +274,12 @@ def _automaton_formula(name: str, lic: License, vocab: Vocabulary) -> Formula:
 
     step_parts = []
     for subset in ids:
-        allowed = nfa.permitted_id(subset)
+        allowed = nfa.masks[subset]  # over the letters, which are in action_key order
         conjuncts: list[Formula] = [
-            Permitted(action, name) for action in sorted(allowed, key=action_key)
+            Permitted(action, name) for letter, action in enumerate(nfa.letters) if allowed >> letter & 1
         ]
         for action in vocab.actions:
-            if action in allowed:
+            if allowed >> nfa.letter(action) & 1:
                 successor = graph[subset][action]
                 target = in_state[successor] if successor else over
                 conjuncts.append(f_implies(Done(action, name), Next(target)))

@@ -8,8 +8,8 @@ reports any other character first, a non-ASCII letter or digit too, as a
 ``ParseError`` at its line and column.  A run file is scanned in one pass by
 a regex that splits each line's ``@<time>`` from the text after it; each
 distinct such text is parsed once per file.  ``#`` starts a comment
-anywhere.  Reserved words (``pay render bot issue true P O X G F U``) cannot
-be used as license names.
+anywhere.  Reserved words (``pay render bot issue do true P O X G F U``)
+cannot be used as license names, works or devices.
 
 Every license is parsed through one process-wide map from its token texts
 (joined by one blank) to one ``License`` object: a run line's license, an
@@ -20,9 +20,9 @@ evaluator meet by identity.
 Where a license's end is known before it is parsed (the end of a run line,
 the ``)`` that closes ``issue(`` at depth 0), its tokens are looked up
 first.  Only texts that parsed as a whole license are stored, so no error
-depends on what was parsed before.  The map keeps the
-``automata.LICENSES_KEPT`` texts used most recently, the bound of
-``padded_nfa`` too.
+depends on what was parsed before.  The map keeps the ``LICENSES_KEPT``
+texts used most recently, and with them their automata, which each license
+object keeps (:func:`lict.automata.padded_nfa`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from decimal import Decimal
 from functools import lru_cache
 from typing import NamedTuple
 
-from .automata import LICENSES_KEPT
 from .digitalrights import DrLicense, Exactly, Single, Upto
 from .formulas import (
     Act,
@@ -286,10 +285,15 @@ def _license(tokens: list[str], pos: int) -> tuple[License, int]:
             union, concat = groups.pop()
 
 
-# One license object per distinct license text (see the module docstring),
-# bounded as ``padded_nfa`` is.  The key is the token texts joined by one
-# blank, which no token holds.  A text that does not parse as a whole
-# license raises, so it is not stored.
+# How many license texts the map keeps, the least recently used evicted
+# first: far above the handful of licenses one command reads, and bounded,
+# so a long session or library caller does not grow without end.
+LICENSES_KEPT = 512
+
+
+# One license object per distinct license text (see the module docstring).
+# The key is the token texts joined by one blank, which no token holds.  A
+# text that does not parse as a whole license raises, so it is not stored.
 @lru_cache(maxsize=LICENSES_KEPT)
 def _license_of(key: str) -> License:
     tokens = key.split(" ")

@@ -1,6 +1,8 @@
 """Position automata: language agreement, subset stepping, padding, lassos."""
 
+import gc
 import random
+import weakref
 from decimal import Decimal
 
 import pytest
@@ -16,8 +18,9 @@ from lict import (
     Union,
     parse_license,
 )
+from lict import parsing, reference
 from lict.automata import build_nfa, dump_dot, mask_actions, padded_nfa, reachable_subsets
-from lict.licenses import action_key
+from lict.licenses import action_key, pretty_license
 from lict.reference import (
     accepts,
     license_size,
@@ -31,6 +34,7 @@ from lict.reference import (
 from gen import POOL, SMALL_POOL, licenses, random_action, random_license, random_trace, small_license
 
 PAY = Pay(Decimal("1.00"))
+RENDER = Render("w", "d")
 JOURNAL = parse_license("((pay[1.00] bot* render[journal,d]) | bot)*")
 
 
@@ -118,13 +122,36 @@ class TestOnePassConstruction:
         assert not accepts(nfa, trace[:-1])
 
     def test_the_cache_is_bounded(self):
-        bound = padded_nfa.cache_info().maxsize
-        assert bound is not None
+        # An automaton lives on its license, so the parsers' map bounds the
+        # automata of the licenses no caller holds.
+        bound = parsing.LICENSES_KEPT
+        alive = []
         for cents in range(bound + 100):
-            lic = Atom(Pay(Decimal(cents) / 100))
+            lic = parse_license(f"pay[{cents}.00] render[w,d]*")
             nfa = padded_nfa(lic)
-            assert padded_nfa(lic) is nfa
-        assert padded_nfa.cache_info().currsize <= bound
+            assert padded_nfa(lic) is nfa and lic._nfa is nfa
+            alive.append(weakref.ref(lic))
+        del lic, nfa
+        gc.collect()
+        assert sum(ref() is not None for ref in alive) <= bound
+
+    def test_a_license_keeps_its_automaton(self):
+        lic = parse_license("(pay[1.00] render[w,d] | bot)*")
+        nfa = padded_nfa(lic)
+        traces = [(), (PAY,), (PAY, RENDER), (BOT, PAY), (RENDER,)]
+        ids = [walk(nfa, trace) for trace in traces]
+        subsets = list(nfa.subsets)
+        for cents in range(600):
+            padded_nfa(parse_license(f"pay[{cents}.00] bot*"))
+        assert padded_nfa(lic) is nfa
+        assert [walk(nfa, trace) for trace in traces] == ids
+        assert nfa.subsets == subsets
+        # an equal license built apart builds an automaton of its own, alike
+        twin = reference.parse_license(pretty_license(lic))
+        assert twin == lic and twin is not lic
+        own = padded_nfa(twin)
+        assert own is not nfa
+        assert (own.letters, own.transitions) == (nfa.letters, nfa.transitions)
 
 
 def walk(nfa, trace, subset=None) -> int:

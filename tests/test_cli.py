@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from lict import automata, cli, parsing, repl
 from lict.cli import main
-from lict.repl import NESTED_TOO_DEEPLY, step_repl
-from lict import BOT, Exactly, Pay, Render, Single, compile_dr, parse_dr, parse_run, pretty_license
+from lict.repl import NESTED_TOO_DEEPLY, TOO_LARGE, ReplSession, step_repl
+from lict import BOT, Exactly, Pay, Render, Single, compile_dr, parse_dr, parse_license, parse_run, pretty_license
 from lict.digitalrights import DEFAULT_DR_CAP
 from lict.automata import build_nfa
 from lict.licenses import Node
@@ -156,8 +156,7 @@ class TestCheckSpec:
         node_eq = Node.__eq__
         monkeypatch.setattr(Node, "__eq__", lambda self, other: self is other
                             or compared.append((self, other)) or node_eq(self, other))
-        parsing._license_of.cache_clear()
-        automata.padded_nfa.cache_clear()
+        parsing._license_of.cache_clear()  # so each text is parsed, and its automaton built, afresh
         for repeat in (False, True):
             code, out = invoke(capsys, "check-spec", run, prop)
             assert (code, out.splitlines()[0]) == (0, "result=holds")
@@ -462,6 +461,101 @@ class TestDeepInput:
         code, out = invoke(capsys, "check-spec", run_path, encoding, "--at", "0")
         assert code == 0
         assert out.splitlines()[0] == "result=holds"
+
+
+# a time past the largest length a list can have
+HUGE_TIME = "99999999999999999999"
+
+
+class TestTooLarge:
+    """Numbers too large to lay a run out are one error, exit 2, never a traceback."""
+
+    def test_a_huge_time_in_a_run(self, tmp_path, capsys):
+        run = write(tmp_path, "r.run", f"@0 issue n = bot*\n@{HUGE_TIME} do n bot\n")
+        prop = write(tmp_path, "p.lic", "P(bot, n)")
+        for argv in (("permissions", run), ("check-spec", run, prop), ("encode-run", run)):
+            assert invoke(capsys, *argv) == (2, f"result=error\n{TOO_LARGE}\n"), argv
+
+    def test_a_huge_horizon(self, tmp_path, capsys):
+        run = write(tmp_path, "r.run", "@0 issue n = bot*\n")
+        assert invoke(capsys, "permissions", "--horizon", HUGE_TIME, run) == (2, f"result=error\n{TOO_LARGE}\n")
+
+    def test_memory_error_is_a_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, "f.lic", "true")
+        with mock.patch.object(cli, "lic_sat", side_effect=MemoryError):
+            assert invoke(capsys, "sat", path) == (2, f"result=error\n{TOO_LARGE}\n")
+
+    def test_show_at_a_huge_time_session_continues(self, tmp_path, capsys):
+        run = write(tmp_path, "r.run", f"@0 issue n = bot*\n@{HUGE_TIME} do n bot\n")
+        script = io.StringIO("show\nissue m bot*\neval true\nundo\nquit\n")
+        with mock.patch("sys.stdin", script):
+            code, out = invoke(capsys, "step", run)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines.count(f"lict> error: {TOO_LARGE}") == 2
+        assert f"lict> issued m at t={int(HUGE_TIME) + 1}" in lines
+        assert "lict> undone" in lines
+
+    def test_a_memory_error_in_the_session(self, tmp_path, capsys):
+        run = write(tmp_path, "r.run", "")
+        script = io.StringIO("issue n pay[1.00]\neval true\nshow\nquit\n")
+        with mock.patch("sys.stdin", script), mock.patch.object(repl, "evaluate", side_effect=MemoryError):
+            code, out = invoke(capsys, "step", run)
+        assert code == 0
+        lines = out.splitlines()
+        assert f"lict> error: {TOO_LARGE}" in lines
+        assert "  n=n permits={pay[1.00]} obligated=pay[1.00]" in lines
+
+
+class _ClosedAfter(io.StringIO):
+    """A standard output whose reader goes away after ``limit`` characters."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, text: str) -> int:
+        if self.tell() + len(text) > self.limit:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+class TestClosedPipe:
+    """A reader that stops early ends the output, not the command: no traceback, its own exit code."""
+
+    LONG_RUN = "@0 issue n = bot*\n" + "".join(f"@{t} do n bot\n" for t in range(1, 20000))
+
+    @pytest.mark.parametrize("json_format", [False, True])
+    def test_main_returns_the_command_code(self, tmp_path, capsys, json_format):
+        run = write(tmp_path, "long.run", self.LONG_RUN)
+        stream = _ClosedAfter(100)
+        with contextlib.redirect_stdout(stream):
+            code = main(["--format=json"] * json_format + ["permissions", run])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert json_format or stream.getvalue() == "result=ok\n"
+
+    def test_the_entry_point_exits_with_the_command_code(self, tmp_path):
+        run = write(tmp_path, "long.run", self.LONG_RUN)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stream, contextlib.redirect_stdout(stream), \
+                mock.patch("sys.argv", ["lict", "permissions", run]), pytest.raises(SystemExit) as exit_info:
+            cli.entry_point()
+        assert exit_info.value.code == 0
+
+    def test_a_pipe_closed_after_the_first_line(self, tmp_path):
+        run = write(tmp_path, "long.run", self.LONG_RUN)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "lict.cli", "permissions", run],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = child.stdout.readline()
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert (first, child.returncode, err) == (b"result=ok\n", 0, b"")
 
 
 def invoke_ascii(*argv) -> tuple[int, str]:
@@ -801,6 +895,28 @@ class TestRepl:
         out = io.StringIO()
         step_repl(parse_run(base), io.StringIO(script), out)
         return out.getvalue()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(base=st.sampled_from(["", "@0 issue n = bot*", "@0 issue n = bot*\n@3 do n bot", "@2 issue k = bot*"]),
+           edits=st.lists(st.tuples(st.sampled_from(["issue", "do", "undo"]), st.sampled_from(["n", "m"])),
+                          max_size=20))
+    def test_every_recorded_action_lies_before_the_clock(self, base, edits):
+        session = ReplSession(parse_run(base))
+        lic = parse_license("bot*")
+        for kind, name in edits:
+            if kind == "issue":
+                try:
+                    session.issue(name, lic)
+                except ValueError:  # a name reused
+                    continue
+            elif kind == "do":
+                session.do(name, Pay(Decimal(1)))
+            else:
+                session.undo()
+            run = session.current_run()  # raises on an edit a run refuses
+            assert all(t < session.time for t, _, _ in run.actions)
+            assert len(run.actions) == len(session.base.actions) + sum(
+                event[0] == "do" for event in session.events)
 
     def test_issue_then_show_obligation(self):
         out = self.run_session("issue n pay[1.00]\nshow\nquit\n")

@@ -37,7 +37,7 @@ from lict import (
     pretty_run,
     translate,
 )
-from lict.automata import Nfa, build_nfa, padded_nfa, reachable_subsets
+from lict.automata import Nfa, build_nfa, reachable_subsets
 from lict.formulas import formula_atoms, map_atoms
 from lict.licsat import (
     OTHER,
@@ -50,6 +50,7 @@ from lict.licsat import (
 from lict.ltl import Done, Permitted, build_vocabulary, implicit_restrictions
 from lict.reference import finiteness_restriction, lifo_tableau, ltl_sat, name_props, state_atoms
 from lict.reference import parse_license as reference_parse_license
+from lict import parsing
 from lict import tableau as tableau_module
 from lict.tableau import build_tableau, to_nnf
 
@@ -189,10 +190,10 @@ def _two_pays(cents: int) -> str:
 
 
 class TestEvictedAutomata:
-    """The automaton cache is bounded, so a license's automaton may be
-    evicted and rebuilt while one formula's run spaces are in use; the
-    rebuilt one numbers its subsets afresh, and each run space must keep
-    reading ids through the automaton it was built with."""
+    """Each run space reads a license's automaton once and keeps reading ids
+    through it: an automaton source that keeps one automaton, and numbers
+    subsets afresh each time it builds again, gives the same status, and so
+    does a name with more licenses than the parsers' map keeps."""
 
     ONE_NAME = [
         f"(issue(n, {_two_pays(100)}) | issue(n, {_two_pays(200)})) & X P(pay[2.00], n)",
@@ -216,10 +217,9 @@ class TestEvictedAutomata:
         assert lic_sat(formula).status == expected
 
     def test_more_licenses_for_one_name_than_the_cache_holds(self):
-        count = padded_nfa.cache_info().maxsize + 1
+        count = parsing.LICENSES_KEPT + 1
         others = " & ".join(f"!issue(n, {_two_pays(cents)})" for cents in range(100, 100 * (count + 1), 100))
         formula = parse_formula(f"issue(n, {_two_pays(100)}) | ({others} & X P(pay[2.00], n))")
-        padded_nfa.cache_clear()
         report = lic_sat(formula)
         assert report.status == "sat"
         assert holds(report.run, formula)
@@ -230,7 +230,7 @@ def _entered(space, status) -> tuple:
     if status < 2:
         return (None, frozenset({BOT})) if status == 0 else (frozenset(), frozenset({BOT}))
     license_index, subset = space.statuses[status]
-    nfa = space.automata[license_index][1]
+    nfa = space.automata[license_index]
     return nfa.subsets[subset], nfa.permitted_id(subset)
 
 
@@ -282,11 +282,11 @@ def _check_option_labels(formula, vocab) -> tuple[int, int, int]:
         reached = _expand(space)
         # a license's start status is entered at issuance, whose option's
         # next status is the start's successor
-        starts = {id(lic): space.numbers.get((index, nfa.start), 1) for index, (lic, nfa) in enumerate(space.automata)}
+        starts = {id(lic): space.numbers.get((index, nfa.start), 1) for index, (lic, nfa) in enumerate(zip(space.licenses, space.automata))}
         assert reached | {1} | set(starts.values()) == set(range(len(space.rows)))
         assert set(space.statuses[2:]) == {
             (index, subset)
-            for index, (_, nfa) in enumerate(space.automata)
+            for index, nfa in enumerate(space.automata)
             for subset in reachable_subsets(nfa, vocab.actions)
         }
         for status, row in enumerate(space.rows):
