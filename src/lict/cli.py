@@ -2,9 +2,9 @@
 
 Exit codes: 0 the property holds / formula satisfiable / valid / success,
 1 fails / unsat / invalid, 2 usage or parse error, 3 budget exceeded.
-Every command prints one machine-readable ``result=...`` line first, then
-human-readable detail; ``--format=json`` emits a single structured object
-instead.
+Every command but ``step`` prints one machine-readable ``result=...`` line
+first, then human-readable detail; ``step`` prints it after the session, on
+a line of its own.  ``--format=json`` emits a single structured object instead.
 """
 
 from __future__ import annotations

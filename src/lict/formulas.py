@@ -19,8 +19,9 @@ int bit vector per subformula.
 Every walk over a formula here (printing, atom mapping, labelling) goes
 through the node walk and DAG printer of :mod:`lict.licenses`, which run on
 explicit stacks, so depth costs no recursion: a run's encoding nests twice
-as deep as the run is long.  This module supplies only each node's children
-and layout.
+as deep as the run is long.  A connective's shape is its ``_arity`` and its
+fields, read through :func:`lict.licenses.children`; this module supplies
+only each node's layout.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .licenses import (
     Action,
     License,
     Node,
+    children,
     dag_text,
     fold_balanced,
     post_order,
@@ -105,39 +107,34 @@ class Perm(Formula):
 
 @dataclass(frozen=True, eq=False)
 class Not(Formula):
-    _arity = 1
+    _arity, _fields = 1, lambda self: (self.operand,)
     operand: Formula
 
 
 @dataclass(frozen=True, eq=False)
 class And(Formula):
-    _arity = 2
+    _arity, _fields = 2, lambda self: (self.left, self.right)
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True, eq=False)
 class Next(Formula):
-    _arity = 1
+    _arity, _fields = 1, lambda self: (self.operand,)
     operand: Formula
 
 
 @dataclass(frozen=True, eq=False)
 class Always(Formula):
-    _arity = 1
+    _arity, _fields = 1, lambda self: (self.operand,)
     operand: Formula
 
 
 @dataclass(frozen=True, eq=False)
 class Until(Formula):
-    _arity = 2
+    _arity, _fields = 2, lambda self: (self.left, self.right)
     left: Formula
     right: Formula
-
-
-_UNARY_NODES = (Not, Next, Always)
-_BINARY_NODES = (And, Until)
-_CONNECTIVES = (Truth, *_UNARY_NODES, *_BINARY_NODES)
 
 
 # Derived forms normalize to the core connectives at construction time; the
@@ -172,30 +169,18 @@ def f_nexts(formula: Formula, count: int) -> Formula:
     return formula
 
 
-def _children(node: Formula) -> tuple:
-    kind = type(node)
-    if kind is And:
-        return (node.left, node.right)
-    if kind is Next or kind is Not or kind is Always:
-        return (node.operand,)
-    if kind is Until:
-        return (node.left, node.right)
-    return ()
-
-
 def formula_atoms(formula: Formula) -> frozenset[Formula]:
     """Every atom of the formula: each leaf other than ``Truth``."""
-    return frozenset(node for node in post_order(formula, _children) if not isinstance(node, _CONNECTIVES))
+    return frozenset(node for node in post_order(formula) if not (children(node) or isinstance(node, Truth)))
 
 
 def map_atoms(formula: Formula, atom_map: Callable[[Formula], Formula]) -> Formula:
     """The formula with every atom replaced by its image; connectives kept."""
     images: dict[int, Formula] = {}
-    for node in post_order(formula, _children):
-        if isinstance(node, _UNARY_NODES):
-            image = type(node)(images[id(node.operand)])
-        elif isinstance(node, _BINARY_NODES):
-            image = type(node)(images[id(node.left)], images[id(node.right)])
+    for node in post_order(formula):
+        parts = children(node)
+        if parts:
+            image = type(node)(*[images[id(part)] for part in parts])
         elif isinstance(node, Truth):
             image = node
         else:
@@ -226,7 +211,7 @@ def lasso_labels(
     loop_mask = full ^ prefix_mask
     labels: dict[int, int] = {}
     atoms: dict[Formula, int] = {}
-    for node in post_order(formula, _children):
+    for node in post_order(formula):
         if isinstance(node, Not):
             label = full ^ labels[id(node.operand)]
         elif isinstance(node, And):
@@ -407,7 +392,7 @@ _IMPLIES, _OR, _AND, _UNTIL, _UNARY, _ATOM = range(6)
 
 def pretty_formula(formula: Formula) -> str:
     """Render a formula of either logic, re-sugaring O, F, |, and ->."""
-    return dag_text(formula, _IMPLIES, _layout, _children)
+    return dag_text(formula, _IMPLIES, _layout)
 
 
 def _pair(expr: ActionExpr) -> str:

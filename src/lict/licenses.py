@@ -9,8 +9,9 @@ through their position automata (:mod:`lict.automata`); the trace semantics
 itself (enumeration, derivatives, viability) is the oracle in
 :mod:`lict.reference`.
 
-This module also holds the DAG layer that licenses and formulas share: one
-node walk (:func:`post_order`) and one printer (:func:`dag_text`).
+This module also holds the DAG layer that licenses and formulas share: the
+node base with :func:`children`, one node walk (:func:`post_order`) and one
+printer (:func:`dag_text`).
 """
 
 from __future__ import annotations
@@ -83,19 +84,23 @@ def action_key(action: Action):
 class Node:
     """A frozen dataclass node, equal to another of the same class and fields.
 
-    Licenses and formulas share it.  Hashing and comparing run on explicit
-    stacks, so a long chain costs no recursion.  ``_arity`` counts a node's
-    children: a binary node's are its fields ``left`` and ``right``, a unary
-    node's is its one field, and a leaf (arity 0) is hashed and compared by
-    its fields as they are.  Each class's ``_fields`` gives a node's fields
-    as a tuple.  A node's hash is computed once, from its children's, and
-    kept; it is the hash of the tuple of its fields, as a frozen
-    dataclass's would be.
+    Licenses and formulas share it.  A class states its shape once: ``_arity``
+    is nonzero on a connective, all of whose fields are its children, and
+    ``_fields()`` gives a node's fields, read directly on a connective for
+    speed.  :func:`children` is derived from the two when the class is
+    defined, and hashing, comparing, the walk, the printer and atom mapping
+    read it, on explicit stacks, so a long chain costs no recursion.  A
+    node's hash is computed once, from its children's, and kept: the hash of
+    the tuple of its fields, as a frozen dataclass's would be.
     """
 
     _hash = None
     _arity = 0
-    _fields = staticmethod(lambda node: tuple(map(node.__getattribute__, node.__match_args__)))
+    _fields = lambda self: tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._children_of = cls._fields if cls._arity else lambda self: ()
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -103,23 +108,13 @@ class Node:
             while stack:
                 # the node on top is hashed once its children are
                 node = stack[-1]
-                arity = node._arity
-                if arity == 2:
-                    left, right = node.left, node.right
-                    if left._hash is None:
-                        stack.append(left)
-                        continue
-                    if right._hash is None:
-                        stack.append(right)
-                        continue
-                    fields = (left, right)
+                for child in children(node):
+                    if child._hash is None:
+                        stack.append(child)
+                        break
                 else:
-                    fields = node._fields(node)
-                    if arity and fields[0]._hash is None:
-                        stack.append(fields[0])
-                        continue
-                stack.pop()
-                object.__setattr__(node, "_hash", hash(fields))
+                    stack.pop()
+                    object.__setattr__(node, "_hash", hash(node._fields()))
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -127,26 +122,28 @@ class Node:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        if self._hash is not None and other._hash is not None and self._hash != other._hash:
-            return False
-        pairs = [(self, other)]
-        while pairs:
-            left, right = pairs.pop()
+        mine, theirs = [self], [other]  # the pairs still to compare, one side each
+        while mine:
+            left, right = mine.pop(), theirs.pop()
             if left is right:
                 continue
-            kind = type(left)
-            if kind is not type(right):
+            if type(left) is not type(right):
                 return False
-            arity = kind._arity
-            if arity == 2:
-                # left operands first, as a dataclass compares its fields
-                pairs.append((left.right, right.right))
-                pairs.append((left.left, right.left))
-            elif arity:
-                pairs.append((kind._fields(left)[0], kind._fields(right)[0]))
-            elif kind._fields(left) != kind._fields(right):
+            if left._hash is not None and right._hash is not None and left._hash != right._hash:
+                return False
+            parts = children(left)
+            if parts:
+                # left children first, as a dataclass compares its fields
+                mine += parts[::-1]
+                theirs += children(right)[::-1]
+            elif left._fields() != right._fields():
                 return False
         return True
+
+
+def children(node) -> tuple:
+    """A connective's child nodes, left first, and ``()`` for a leaf."""
+    return node._children_of()
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,28 +157,27 @@ class License(Node):
 
 @dataclass(frozen=True, eq=False)
 class Atom(License):
-    _fields = staticmethod(lambda node: (node.action,))
+    _fields = lambda self: (self.action,)
     action: Action
 
 
 @dataclass(frozen=True, eq=False)
 class Concat(License):
-    _arity = 2
+    _arity, _fields = 2, lambda self: (self.left, self.right)
     left: License
     right: License
 
 
 @dataclass(frozen=True, eq=False)
 class Union(License):
-    _arity = 2
+    _arity, _fields = 2, lambda self: (self.left, self.right)
     left: License
     right: License
 
 
 @dataclass(frozen=True, eq=False)
 class Star(License):
-    _arity = 1
-    _fields = staticmethod(lambda node: (node.body,))
+    _arity, _fields = 1, lambda self: (self.body,)
     body: License
 
 
@@ -193,17 +189,6 @@ class Zero(License):
 @dataclass(frozen=True, eq=False)
 class One(License):
     """The license whose sole trace is empty.  Internal only, never parsed."""
-
-
-def _children(node: License) -> tuple:
-    kind = type(node)
-    if kind is Concat or kind is Union:
-        return (node.left, node.right)
-    if kind is Star:
-        return (node.body,)
-    if kind is Atom or kind is Zero or kind is One:
-        return ()
-    raise TypeError(f"not a license: {node!r}")
 
 
 ZERO = Zero()
@@ -243,34 +228,37 @@ def fold_balanced(parts: list, combine):
 
 
 # One DAG layer serves both ASTs, licenses here and formulas in
-# :mod:`lict.formulas`: a walk and a printer, each given the AST's children
-# function.  Both run on explicit stacks, so depth costs no recursion, and
-# both key nodes by ``id``, so a node object reached from several parents is
-# handled once.
+# :mod:`lict.formulas`: a walk and a printer, each reading a node's
+# :func:`children`.  Both run on explicit stacks, so depth costs no
+# recursion, and both key nodes by ``id``, so a node object reached from
+# several parents is handled once.
 
 _EXIT = object()  # marks where a node's children end on the walk's stack
 
 
-def post_order(root, children) -> list:
+def post_order(root) -> list:
     """Each distinct node object once, children before parents, left first."""
     order = []
     seen: set[int] = set()
     stack = [root]
+    pop, push, add, emit = stack.pop, stack.append, seen.add, order.append
     while stack:
-        node = stack.pop()
+        node = pop()
         if node is _EXIT:
-            order.append(stack.pop())
-            continue
-        key = id(node)
-        if key not in seen:
-            seen.add(key)
-            stack.append(node)
-            stack.append(_EXIT)
-            stack += reversed(children(node))
+            emit(pop())
+        elif id(node) not in seen:
+            add(id(node))
+            parts = children(node)
+            if parts:
+                push(node)
+                push(_EXIT)
+                stack += parts[::-1]
+            else:
+                emit(node)
     return order
 
 
-def dag_text(root, top_level: int, layout, children) -> str:
+def dag_text(root, top_level: int, layout) -> str:
     """The text of a license or formula, each shared node object laid out once.
 
     ``layout(node)`` gives the node's precedence level and its pieces: text,
@@ -299,8 +287,9 @@ def dag_text(root, top_level: int, layout, children) -> str:
     out: list[str] = []
     outer: list[list[str]] = []  # the enclosing texts of shared nodes being laid out
     stack = [(root, top_level)]
+    pop = stack.pop
     while stack:
-        item = stack.pop()
+        item = pop()
         kind = type(item)
         if kind is tuple:  # a (node, minimum) slot, the commonest item
             node, minimum = item
@@ -344,7 +333,7 @@ _LEVEL_ATOM = 3
 
 def pretty_license(lic: License) -> str:
     """Render a license in the surface grammar (0/1 only for internal forms)."""
-    return dag_text(lic, _LEVEL_UNION, _layout, _children)
+    return dag_text(lic, _LEVEL_UNION, _layout)
 
 
 def _layout(lic: License) -> tuple[int, tuple]:

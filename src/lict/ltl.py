@@ -72,17 +72,14 @@ class _ActionAtom(Formula):
         return f"{type(self).__name__.lower()}({pretty_action(self.action)}, {self.name})"
 
 
-@dataclass(frozen=True)
 class Done(_ActionAtom):
     pass
 
 
-@dataclass(frozen=True)
 class Permitted(_ActionAtom):
     pass
 
 
-@dataclass(frozen=True)
 class Obligated(_ActionAtom):
     pass
 

@@ -56,7 +56,6 @@ from .formulas import (
     Perm,
     Truth,
     Until,
-    _children,
     f_and_all,
     f_eventually,
     f_implies,
@@ -78,8 +77,8 @@ from .licenses import (
     Star,
     Union,
     Zero,
-    _children as license_children,
     action_key,
+    children,
     concat,
     post_order,
     union,
@@ -168,7 +167,7 @@ def first_actions(lic: License) -> frozenset[Action]:
 
 def license_actions(lic: License) -> frozenset[Action]:
     """Every action literally occurring in the license."""
-    return frozenset(node.action for node in post_order(lic, license_children) if type(node) is Atom)
+    return frozenset(node.action for node in post_order(lic) if type(node) is Atom)
 
 
 def derivative(lic: License, action: Action) -> License:
@@ -445,8 +444,8 @@ def license_size(lic: License) -> int:
 def tree_size(lic: License) -> int:
     """``license_size`` in one visit per distinct node object, on an explicit stack."""
     sizes: dict[int, int] = {}
-    for node in post_order(lic, license_children):
-        sizes[id(node)] = sum(map(sizes.__getitem__, map(id, license_children(node))), 1)
+    for node in post_order(lic):
+        sizes[id(node)] = sum(map(sizes.__getitem__, map(id, children(node))), 1)
     return sizes[id(lic)]
 
 
@@ -456,7 +455,7 @@ def formula_size(formula: Formula) -> int:
     stack = [formula]
     while stack:
         size += 1
-        stack.extend(_children(stack.pop()))
+        stack.extend(children(stack.pop()))
     return size
 
 

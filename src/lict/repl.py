@@ -96,15 +96,14 @@ def step_repl(base: Run, infile, outfile) -> None:
     while True:
         emit("lict> ", end="")
         line = infile.readline()
-        if not line:
-            break
         words = line.strip().split(None, 2)
+        if not line or words[:1] == ["quit"]:
+            emit("")  # end the last prompt's line, so what follows stands alone
+            break
         if not words:
             continue
         command = words[0]
         try:
-            if command == "quit":
-                break
             if command == "help":
                 emit(_HELP)
             elif command == "issue":

@@ -967,6 +967,19 @@ class TestRepl:
         assert "error: unexpected character '\u00b2' (line 1, column 5)" in out
         assert "n=n permits={pay[1.00]} obligated=pay[1.00]" in out
 
+    @pytest.mark.parametrize("script", ["show\nquit\n", "show\n"], ids=["quit", "end-of-input"])
+    def test_the_result_line_follows_the_last_prompt_on_its_own(self, capsys, script):
+        path = os.path.join(SAMPLES, "journal.run")
+        with mock.patch("sys.stdin", io.StringIO(script)):
+            code, out = invoke(capsys, "step", path)
+        assert code == 0
+        assert out.splitlines()[-2:] == ["lict> ", "result=ok"]
+        with mock.patch("sys.stdin", io.StringIO(script)):
+            code, out = invoke(capsys, "--format=json", "step", path)
+        assert code == 0
+        payload = json.loads(out.splitlines()[-1])
+        assert (payload["command"], payload["result"]) == ("step", "ok")
+
     def test_ascii_output_escapes_and_session_continues(self):
         raw = io.BytesIO()
         out = io.TextIOWrapper(raw, encoding="ascii")

@@ -21,7 +21,7 @@ from lict import (
 )
 from lict import digitalrights
 from lict.digitalrights import DR_SIZE_LIMIT, SCHEDULES, DrCapExceeded, compiled_size
-from lict.licenses import _children, post_order, pretty_license
+from lict.licenses import post_order, pretty_license
 from lict.reference import dr_traces, license_size, traces, tree_size
 
 from gen import parse_compiled
@@ -176,9 +176,9 @@ class TestSharing:
     def test_upto_powers_share_their_nodes(self, schedule, count):
         # each power extends the one before: one concatenation and one union
         # per period, and the empty license, on top of one period's nodes
-        period = post_order(compile_dr(parse_dr(f"for 3 pay 1.00 {schedule} for {{w,v}} on {{d}}")), _children)
+        period = post_order(compile_dr(parse_dr(f"for 3 pay 1.00 {schedule} for {{w,v}} on {{d}}")))
         entry = parse_dr(f"for upto {count} 3 pay 1.00 {schedule} for {{w,v}} on {{d}}")
-        assert len(post_order(compile_dr(entry, cap=3 * count), _children)) <= len(period) + 2 * count + 1
+        assert len(post_order(compile_dr(entry, cap=3 * count))) <= len(period) + 2 * count + 1
 
     @pytest.mark.parametrize(
         "text",

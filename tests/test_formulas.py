@@ -42,7 +42,7 @@ from lict import (
 )
 from lict import formulas
 from lict.formulas import formula_atoms
-from lict.licenses import post_order
+from lict.licenses import children, post_order
 from lict.ltl import Done, Obligated, Permitted
 from lict.reference import lasso_eval as reference_lasso_eval
 from lict.reference import (
@@ -412,10 +412,17 @@ class _Hashed:
 def _dataclass_hash(formula) -> int:
     """The hash a frozen dataclass connective would have, children first, without recursion."""
     hashes: dict[int, int] = {}
-    for node in post_order(formula, formulas._children):
-        children = formulas._children(node)
-        hashes[id(node)] = hash(tuple(_Hashed(hashes[id(child)]) for child in children)) if children else hash(node)
+    for node in post_order(formula):
+        parts = children(node)
+        hashes[id(node)] = hash(tuple(_Hashed(hashes[id(child)]) for child in parts)) if parts else hash(node)
     return hashes[id(formula)]
+
+
+def _shared_formula(seed: int, steps: int = 6, pool=POOL):
+    """:func:`gen.shared_formula` over two names, with a shared license issued under one."""
+    rng = random.Random(seed)
+    licenses = [("n", shared_license(rng, steps=3, pool=pool))]
+    return shared_formula(rng, steps, names=("n", "m"), pool=pool, licenses=licenses)
 
 
 class TestConnectiveHashing:
@@ -449,6 +456,44 @@ class TestConnectiveHashing:
             assert formula == again and hash(formula) == hash(again) == _dataclass_hash(formula)
             assert (formula == previous) is (pretty_formula(formula) == pretty_formula(previous))
             previous = formula
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        pair=st.one_of(
+            st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)).map(
+                lambda seeds: tuple(_shared_formula(seed, steps=2, pool=POOL[:2]) for seed in seeds)
+            ),
+            st.integers(0, 2**32 - 1).map(_shared_formula).map(lambda formula: (formula, unshared(formula))),
+        ),
+        hashed=st.sampled_from(((), (0,), (1,), (0, 1))),
+    )
+    def test_equal_exactly_when_printed_alike(self, pair, hashed):
+        # Parsing a formula's text gives that formula back, so equal texts
+        # mean equal formulas.  Hashing first caches hashes the comparison
+        # may read.
+        for index in hashed:
+            hash(pair[index])
+        a, b = pair
+        alike = pretty_formula(a) == pretty_formula(b)
+        assert (a == b) is alike
+        assert (b == a) is alike
+        assert (a != b) is not alike
+        if alike:
+            assert hash(a) == hash(b)
+
+    def test_a_difference_deep_inside_a_shared_subterm(self):
+        def built(name):
+            shared = f_nexts(And(Perm(ActionExpr(False, BOT, "n")), Act(ActionExpr(True, PAY, name))), 500)
+            return shared, And(Until(shared, Not(shared)), Always(shared))
+
+        # hashes cached on neither side, on either, on both roots, and on the shared subterms alone
+        for hashed in ((), (1,), (3,), (1, 3), (0, 2)):
+            parts = (*built("n"), *built("m"))
+            for index in hashed:
+                hash(parts[index])
+            a, b = parts[1], parts[3]
+            assert a != b and b != a
+            assert a == built("n")[1] and b == built("m")[1]
 
 
 class TestPretty:

@@ -1,7 +1,10 @@
 """Target-logic layer: translation, structures, and route agreement."""
 
+import dataclasses
 import random
 from decimal import Decimal
+
+import pytest
 
 from lict import (
     BOT,
@@ -71,6 +74,22 @@ class TestTranslate:
         for _ in range(100):
             formula = random_formula(rng, 5, names=("n", "m"))
             assert formula_size(translate(formula)) <= 2 * formula_size(formula)
+
+
+class TestActionAtoms:
+    """``Done``, ``Permitted`` and ``Obligated`` take every dataclass method from ``_ActionAtom``."""
+
+    def test_equal_by_class_and_fields_and_frozen(self):
+        for kind in (Done, Permitted, Obligated):
+            atom = kind(PAY, "n")
+            assert atom == kind(Pay(Decimal("1.0")), "n") and hash(atom) == hash(kind(PAY, "n"))
+            assert atom != kind(PAY, "m") and atom != kind(BOT, "n")
+            assert repr(atom) == f"{kind.__name__}(action={PAY!r}, name='n')"
+            assert dataclasses.is_dataclass(atom)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                atom.name = "m"
+        assert Done(PAY, "n") != Permitted(PAY, "n") and Permitted(PAY, "n") != Obligated(PAY, "n")
+        assert len({Done(PAY, "n"), Permitted(PAY, "n"), Obligated(PAY, "n")}) == 3
 
 
 class TestLtlEval:
