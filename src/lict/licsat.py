@@ -345,28 +345,26 @@ def _product_sat(formula: Formula, vocab: Vocabulary, budget: int, other: Action
     # choice of options meeting its literals, is an edge ``(target, state,
     # choice)`` into the state's own mask and the options' next statuses, so
     # a witness can be read back as run events; every joint choice is one
-    # budget tick.  ``edges[node]`` keeps the first edge into each target.
-    # ``quiet[node]`` lists the quiet edges (no issuance, all names doing
-    # bot), at most one per state as each status has one quiet option: only
-    # they may form the lasso loop, which keeps every witness a finite run.
-    # The move of a (state, statuses) pair is built once, on first use, and
-    # replayed for every later node reaching it; a replay is charged its
-    # joint choices again, as if they were enumerated anew.  A name's row of
-    # a status is built when a node first holds the status, which only a
-    # charged joint choice (or the start) leads to, so rows cost no ticks of
-    # their own: a group builds at most ticks x names + 1 of them.
+    # budget tick.  Nodes are explored breadth-first and ``parent`` keeps the
+    # first edge into each, the tree the lasso search reads.  ``quiet[node]``
+    # lists the quiet edges (no issuance, all names doing bot), at most one
+    # per state as each status has one quiet option: only they may form the
+    # lasso loop, which keeps every witness a finite run.  The move of a
+    # (state, statuses) pair is built once, on first use, and replayed for
+    # every later node reaching it; a replay is charged its joint choices
+    # again, as if they were enumerated anew.  A name's row of a status is
+    # built when a node first holds the status, which only a charged joint
+    # choice (or the start) leads to, so rows cost no ticks of their own: a
+    # group builds at most ticks x names + 1 of them.
     next_mask = {state: id(successors) for state, successors in tableau.edges.items()}
     start = (id(tableau.initial), (0,) * len(tables))
-    edges: dict[tuple, dict] = {}
+    parent: dict[tuple, tuple | None] = {start: None}
+    nodes = [start]  # breadth-first: read while it grows
     quiet: dict[tuple, list] = {}
     moves: dict[tuple, list] = {}  # per statuses, each state's move or None
-    worklist = [start]
-    seen = {start}
     ticks = 0
-    while worklist:
-        node = worklist.pop()
+    for node in nodes:
         mask, statuses = node
-        node_edges = edges[node] = {}
         node_quiet = quiet[node] = []
         row_moves = moves.get(statuses)
         if row_moves is None:
@@ -395,18 +393,13 @@ def _product_sat(formula: Formula, vocab: Vocabulary, budget: int, other: Action
             if ticks > budget:
                 return LicSatResult("budget")
             for edge in move_edges:
-                target = edge[0]
-                if target not in node_edges:
-                    node_edges[target] = edge
-                    if target not in seen:
-                        seen.add(target)
-                        worklist.append(target)
+                if edge[0] not in parent:
+                    parent[edge[0]] = (node, edge)
+                    nodes.append(edge[0])
             if quiet_edge is not None:
                 node_quiet.append(quiet_edge)
 
-    lasso = accepting_lasso(
-        [start], lambda node: edges[node].values(), quiet.__getitem__, tableau.accept_sets
-    )
+    lasso = accepting_lasso(parent, quiet.__getitem__, tableau.accept_sets)
     if lasso is None:
         return LicSatResult("unsat")
     prefix, loop = lasso

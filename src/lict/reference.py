@@ -762,7 +762,14 @@ def ltl_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> SatResult:
         targets = tableau.initial if state is None else tableau.edges[state]
         return [(target, target) for target in targets]
 
-    lasso = accepting_lasso([None], successors, successors, tableau.accept_sets)
+    parent = {None: None}  # the breadth-first tree from the start node
+    nodes = [None]
+    for state in nodes:
+        for edge in successors(state):
+            if edge[0] not in parent:
+                parent[edge[0]] = (state, edge)
+                nodes.append(edge[0])
+    lasso = accepting_lasso(parent, successors, tableau.accept_sets)
     if lasso is None:
         return SatResult("unsat")
     prefix, loop = lasso

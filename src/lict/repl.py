@@ -98,7 +98,8 @@ def step_repl(base: Run, infile, outfile) -> None:
         line = infile.readline()
         words = line.strip().split(None, 2)
         if not line or words[:1] == ["quit"]:
-            emit("")  # end the last prompt's line, so what follows stands alone
+            if not line or not infile.isatty():  # a terminal has echoed the typed newline
+                emit("")  # end the last prompt's line, so what follows stands alone
             break
         if not words:
             continue

@@ -18,9 +18,10 @@ A state of the graph is one distinct cube, and it is a transition out of
 every mask whose successor list holds it; a model is a reachable lasso
 whose cycle takes a transition from every acceptance set.
 
-:mod:`lict.licsat` runs this search over the product with its run space;
-deciding a target formula on the tableau alone is the oracle
-``lict.reference.ltl_sat``.
+The lasso search reads the breadth-first tree its caller's exploration
+built and stops at the first accepting component Tarjan's algorithm closes.
+:mod:`lict.licsat` runs it over the product with its run space; deciding a
+target formula on the tableau alone is the oracle ``lict.reference.ltl_sat``.
 
 Construction work is metered: each product of two cube sets costs its
 cube pairs, and each cube put into a set costs the cubes it is checked
@@ -319,15 +320,15 @@ def build_tableau(closure: _Closure, budget: int = DEFAULT_BUDGET) -> Tableau:
 
 
 # ---------------------------------------------------------------------------
-# Lasso search (generalized Buchi emptiness over explicit edge-labelled graphs)
+# Lasso search (generalized Buchi emptiness over an explicit graph's BFS tree)
 
 
 def _tarjan(nodes, successors):
+    """Yield the strongly connected components reachable from ``nodes``, each as it closes."""
     index: dict = {}
     low: dict = {}
     onstack: set = set()
     stack: list = []
-    sccs: list[list] = []
     counter = 0
     for root in nodes:
         if root in index:
@@ -365,8 +366,7 @@ def _tarjan(nodes, successors):
                     component.append(member)
                     if member == node:
                         break
-                sccs.append(component)
-    return sccs
+                yield component
 
 
 def _bfs_path(source, successors, allowed, goal):
@@ -390,34 +390,20 @@ def _bfs_path(source, successors, allowed, goal):
     return None
 
 
-def accepting_lasso(initial, succ_all, succ_loop, accept_sets):
-    """Find a lasso: any path to a cycle of loop edges whose labels meet every accept set.
+def accepting_lasso(parent, succ_loop, accept_sets):
+    """Find a lasso: a tree path to a cycle of loop edges whose labels meet every accept set.
 
-    An edge is a tuple ``(target, label, ...)``; any further items ride
-    along.  ``succ_loop(node)`` lists a node's loop edges, whose targets must
-    be among those of ``succ_all(node)``, and an accept set holds labels.
-    Returns (prefix edges, cycle edges): the prefix leads from an initial
-    node to the cycle's first node and the cycle returns to it; or None when
+    ``parent`` is a breadth-first tree of the graph, a dict in the order its
+    nodes were met, mapping each node to ``(previous node, edge into it)``,
+    or to None for a root.  An edge is a tuple ``(target, label, ...)``; any
+    further items ride along.  ``succ_loop(node)`` lists a node's loop
+    edges, whose targets must be in the tree, and an accept set holds
+    labels.  Returns (prefix edges, cycle edges): the prefix leads from a
+    root to the cycle's first node and the cycle returns to it; or None when
     no such lasso exists.
     """
-    order: dict = {}
-    parent: dict = {}  # node -> (previous node, edge into it), None when initial
-    queue = deque()
-    for node in initial:
-        if node not in order:
-            order[node] = len(order)
-            parent[node] = None
-            queue.append(node)
-    while queue:
-        node = queue.popleft()
-        for edge in succ_all(node):
-            if edge[0] not in order:
-                order[edge[0]] = len(order)
-                parent[edge[0]] = (node, edge)
-                queue.append(edge[0])
-
     chosen = None
-    for component in _tarjan(list(order), lambda node: [edge[0] for edge in succ_loop(node)]):
+    for component in _tarjan(parent, lambda node: [edge[0] for edge in succ_loop(node)]):
         members = set(component)
         # every edge inside a strongly connected component lies on a cycle
         labels = {edge[1] for node in component for edge in succ_loop(node) if edge[0] in members}
@@ -427,8 +413,8 @@ def accepting_lasso(initial, succ_all, succ_loop, accept_sets):
     if chosen is None:
         return None
 
-    # BFS numbers nodes level by level, so the first in order is the shallowest
-    entry = min(chosen, key=order.get)
+    # the tree lists nodes level by level, so its first member is the shallowest
+    entry = next(node for node in parent if node in chosen)
     prefix = []
     walker = entry
     while parent[walker] is not None:

@@ -980,6 +980,16 @@ class TestRepl:
         payload = json.loads(out.splitlines()[-1])
         assert (payload["command"], payload["result"]) == ("step", "ok")
 
+    @pytest.mark.parametrize("script, ending", [("show\nquit\n", "lict> "), ("show\n", "lict> \n")],
+                             ids=["quit", "end-of-input"])
+    def test_a_terminal_echoes_the_newline_of_quit(self, script, ending):
+        # a terminal shows the typed quit and its newline, so only end of input ends the prompt's line
+        terminal = io.StringIO(script)
+        terminal.isatty = lambda: True
+        out = io.StringIO()
+        step_repl(parse_run(""), terminal, out)
+        assert out.getvalue().endswith("t=0\n  (nothing issued)\n" + ending)
+
     def test_ascii_output_escapes_and_session_continues(self):
         raw = io.BytesIO()
         out = io.TextIOWrapper(raw, encoding="ascii")

@@ -164,26 +164,56 @@ class TestBudget:
         assert sum(compared) <= budget
 
 
-def _labelled_graph(triples):
-    """The successor function of a graph given as (source, label, target) triples."""
+def _labelled_graph(triples, roots):
+    """The BFS tree from ``roots`` and the successor function of (source, label, target) triples."""
     successors = {}
     for source, label, target in triples:
         successors.setdefault(source, []).append((target, label))
         successors.setdefault(target, [])
-    return successors.__getitem__
+    parent = dict.fromkeys(roots)
+    nodes = list(parent)
+    for node in nodes:
+        for edge in successors[node]:
+            if edge[0] not in parent:
+                parent[edge[0]] = (node, edge)
+                nodes.append(edge[0])
+    return parent, successors.__getitem__
 
 
 class TestAcceptingLasso:
     def test_takes_the_accepting_one_of_two_parallel_edges(self):
-        successors = _labelled_graph([("s", "t", "a"), ("a", "p", "b"), ("a", "q", "b"), ("b", "r", "a")])
-        prefix, cycle = accepting_lasso(["s"], successors, successors, [{"q"}])
+        triples = [("s", "t", "a"), ("a", "p", "b"), ("a", "q", "b"), ("b", "r", "a")]
+        parent, successors = _labelled_graph(triples, ["s"])
+        prefix, cycle = accepting_lasso(parent, successors, [{"q"}])
         assert prefix == [("a", "t")]
         assert cycle == [("b", "q"), ("a", "r")]
 
     def test_an_accepting_label_on_an_edge_leaving_the_component_is_not_enough(self):
         # "b" labels the edge into the looping node b, never an edge inside a cycle
-        successors = _labelled_graph([("a", "x", "a"), ("a", "b", "b"), ("b", "y", "b")])
-        assert accepting_lasso(["a"], successors, successors, [{"b"}]) is None
+        parent, successors = _labelled_graph([("a", "x", "a"), ("a", "b", "b"), ("b", "y", "b")], ["a"])
+        assert accepting_lasso(parent, successors, [{"b"}]) is None
+
+    def test_the_prefix_enters_the_component_at_its_shallowest_node(self):
+        # the accepting cycle c <-> d is reached at depth 1 (c) and depth 3 (d)
+        triples = [("s", "1", "c"), ("s", "2", "x"), ("x", "3", "y"), ("y", "4", "d"),
+                   ("c", "5", "d"), ("d", "acc", "c")]
+        parent, successors = _labelled_graph(triples, ["s"])
+        prefix, cycle = accepting_lasso(parent, successors, [{"acc"}])
+        assert prefix == [("c", "1")]
+        assert cycle == [("d", "5"), ("c", "acc")]
+
+    def test_the_search_stops_at_the_first_accepting_component(self):
+        # a's accepting quiet self-loop closes first, so b is never asked for its loop edges
+        parent, successors = _labelled_graph([("a", "acc", "a"), ("b", "x", "b")], ["a", "b"])
+        asked = []
+
+        def succ_loop(node):
+            asked.append(node)
+            return successors(node)
+
+        prefix, cycle = accepting_lasso(parent, succ_loop, [{"acc"}])
+        assert (prefix, cycle) == ([], [("a", "acc")])
+        assert "b" not in asked
 
 
 class TestAgainstBruteForce:

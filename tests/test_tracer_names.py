@@ -45,7 +45,15 @@ def test_traced_sat_counts_the_tableau(capsys):
     assert counts["tableau.edges"] > 0
 
 
-def _traced_counts(argv, capsys) -> dict:
+def test_traced_sat_times_the_lasso_search(capsys):
+    # lict.licsat calls accepting_lasso through its own namespace, where the
+    # tracer wraps it; a call that bypassed the name would time nothing.
+    self_time, _ = _traced(["sat", SAMPLE], capsys)
+    assert self_time["tableau.lasso"] > 0
+
+
+def _traced(argv, capsys) -> tuple[dict, dict]:
+    """(self seconds per layer, counts) of one traced command."""
     tracer = _tracing().Tracer()
     tracer.install()
     try:
@@ -53,7 +61,7 @@ def _traced_counts(argv, capsys) -> dict:
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    return tracer.collect()[1]
+    return tracer.collect()
 
 
 def test_traced_sat_counts_the_license_automata(capsys):
@@ -61,7 +69,7 @@ def test_traced_sat_counts_the_license_automata(capsys):
     # traced run that bypassed them would count zero.  It steps their
     # subsets row by row, as the product reaches them, so it builds no
     # subset graph for the tracer to count.
-    counts = _traced_counts(["sat", os.path.join(SAMPLES, "journal-noviolation.lic")], capsys)
+    _, counts = _traced(["sat", os.path.join(SAMPLES, "journal-noviolation.lic")], capsys)
     assert counts["automata.nfa_states"] > 0
     assert counts["automata.subsets"] == 0
 
@@ -70,6 +78,6 @@ def test_traced_restrictions_count_the_subset_graphs(capsys):
     # The restriction formulas embed each license's whole subset graph,
     # built through lict.ltl's names.
     argv = ["translate-ltl", "--with-restrictions", os.path.join(SAMPLES, "journal-noviolation.lic")]
-    counts = _traced_counts(argv, capsys)
+    _, counts = _traced(argv, capsys)
     assert counts["automata.nfa_states"] > 0
     assert counts["automata.subsets"] > 0
