@@ -12,7 +12,6 @@ translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import accumulate
 
@@ -25,6 +24,7 @@ from .licenses import (
     License,
     Pay,
     Render,
+    Value,
     concat,
     fold_balanced,
     union,
@@ -45,54 +45,65 @@ class DrCapExceeded(ValueError):
     """The license spans more time units than the cap, or compiles to more nodes than the limit."""
 
 
-@dataclass(frozen=True)
-class Single:
+class Single(Value):
     """One period of the given length."""
 
-    period: int
+    __slots__ = ("period",)
+
+    def __init__(self, period: int) -> None:
+        _single_period(self, period)
 
 
-@dataclass(frozen=True)
-class Exactly:
+class Exactly(Value):
     """Exactly ``count`` consecutive periods."""
 
-    count: int
-    period: int
+    __slots__ = ("count", "period")
+
+    def __init__(self, count: int, period: int) -> None:
+        _exactly_count(self, count)
+        _exactly_period(self, period)
 
 
-@dataclass(frozen=True)
-class Upto:
+class Upto(Value):
     """Any number of consecutive periods from zero up to ``count``."""
 
-    count: int
-    period: int
+    __slots__ = ("count", "period")
+
+    def __init__(self, count: int, period: int) -> None:
+        _upto_count(self, count)
+        _upto_period(self, period)
 
 
 Repetition = Single | Exactly | Upto
 
 
-@dataclass(frozen=True)
-class DrLicense:
-    repetition: Repetition
-    amount: Decimal
-    schedule: str
-    works: frozenset[str]
-    devices: frozenset[str]
+class DrLicense(Value):
+    __slots__ = ("repetition", "amount", "schedule", "works", "devices")
 
-    def __post_init__(self):
-        amount = self.amount
+    def __init__(
+        self,
+        repetition: Repetition,
+        amount: Decimal,
+        schedule: str,
+        works: frozenset[str],
+        devices: frozenset[str],
+    ) -> None:
         if not isinstance(amount, Decimal):
             amount = Decimal(str(amount))
-        object.__setattr__(self, "amount", Pay(amount).amount)
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"unknown payment schedule {self.schedule!r}")
+        _dr_repetition(self, repetition)
+        _dr_amount(self, Pay(amount).amount)
+        _dr_schedule(self, schedule)
+        _dr_works(self, works)
+        _dr_devices(self, devices)
+        if schedule not in SCHEDULES:
+            raise ValueError(f"unknown payment schedule {schedule!r}")
         if self.period < 1:
             raise ValueError("period length must be at least 1")
-        if isinstance(self.repetition, (Exactly, Upto)) and self.repetition.count < 1:
+        if isinstance(repetition, (Exactly, Upto)) and repetition.count < 1:
             raise ValueError("period count must be at least 1")
-        if not self.works:
+        if not works:
             raise ValueError("the set of works must not be empty")
-        if not self.devices:
+        if not devices:
             raise ValueError("the set of devices must not be empty")
 
     @property
@@ -104,6 +115,12 @@ class DrLicense:
         if isinstance(self.repetition, Single):
             return self.repetition.period
         return self.repetition.count * self.repetition.period
+
+
+_single_period, _exactly_count, _exactly_period = Single.period.__set__, Exactly.count.__set__, Exactly.period.__set__
+_upto_count, _upto_period = Upto.count.__set__, Upto.period.__set__
+_dr_repetition, _dr_amount, _dr_schedule = DrLicense.repetition.__set__, DrLicense.amount.__set__, DrLicense.schedule.__set__
+_dr_works, _dr_devices = DrLicense.works.__set__, DrLicense.devices.__set__
 
 
 def _render_slots(dr: DrLicense) -> list[Action]:

@@ -26,7 +26,6 @@ only each node's layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .licenses import (
@@ -34,6 +33,8 @@ from .licenses import (
     Action,
     License,
     Node,
+    Value,
+    _set_hash,
     children,
     dag_text,
     fold_balanced,
@@ -44,97 +45,138 @@ from .licenses import (
 from .runs import PermissionInterpretation, Run, compute_permissions
 
 
-@dataclass(frozen=True)
-class ActionExpr:
+class ActionExpr(Value):
     """An action paired with a license name, or its per-name complement.
 
     The complement of (a, n) covers every action other than a done with
     respect to the same name n; it never says anything about other names.
     """
 
-    positive: bool
-    action: Action
-    name: str
+    __slots__ = ("positive", "action", "name")
+    _fields = lambda self: (self.positive, self.action, self.name)
+
+    def __init__(self, positive: bool, action: Action, name: str) -> None:
+        _expr_positive(self, positive)
+        _expr_action(self, action)
+        _expr_name(self, name)
 
 
-@dataclass(frozen=True, eq=False)
 class Formula(Node):
     """A formula node.
 
-    The connectives hash and compare on explicit stacks; each atom is a
-    frozen dataclass with the dataclass's own hash and equality.
+    Connectives and atoms alike hash and compare as :class:`Node` does: on
+    explicit stacks, each node keeping its hash once computed.
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Truth(Formula):
     """The constant true formula (the empty conjunction)."""
+
+    __slots__ = ()
 
     def pretty(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
 class Issue(Formula):
     """A license is being issued right now under the given name."""
 
-    name: str
-    license: License
+    __slots__ = ("name", "license")
+    _fields = lambda self: (self.name, self.license)
+
+    def __init__(self, name: str, license: License) -> None:
+        _set_hash(self, None)
+        _issue_name(self, name)
+        _issue_license(self, license)
 
     def pretty(self) -> str:
         return f"issue({self.name}, {pretty_license(self.license)})"
 
 
-@dataclass(frozen=True)
 class Act(Formula):
     """The client performs an action matching the expression right now."""
 
-    expr: ActionExpr
+    __slots__ = ("expr",)
+    _fields = lambda self: (self.expr,)
+
+    def __init__(self, expr: ActionExpr) -> None:
+        _set_hash(self, None)
+        _act_expr(self, expr)
 
     def pretty(self) -> str:
         return _pair(self.expr)
 
 
-@dataclass(frozen=True)
 class Perm(Formula):
     """Some action matching the expression is permitted right now."""
 
-    expr: ActionExpr
+    __slots__ = ("expr",)
+    _fields = lambda self: (self.expr,)
+
+    def __init__(self, expr: ActionExpr) -> None:
+        _set_hash(self, None)
+        _perm_expr(self, expr)
 
     def pretty(self) -> str:
         return f"P{_pair(self.expr)}"
 
 
-@dataclass(frozen=True, eq=False)
 class Not(Formula):
+    __slots__ = ("operand",)
     _arity, _fields = 1, lambda self: (self.operand,)
-    operand: Formula
+
+    def __init__(self, operand: Formula) -> None:
+        _set_hash(self, None)
+        _not_operand(self, operand)
 
 
-@dataclass(frozen=True, eq=False)
 class And(Formula):
+    __slots__ = ("left", "right")
     _arity, _fields = 2, lambda self: (self.left, self.right)
-    left: Formula
-    right: Formula
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set_hash(self, None)
+        _and_left(self, left)
+        _and_right(self, right)
 
 
-@dataclass(frozen=True, eq=False)
 class Next(Formula):
+    __slots__ = ("operand",)
     _arity, _fields = 1, lambda self: (self.operand,)
-    operand: Formula
+
+    def __init__(self, operand: Formula) -> None:
+        _set_hash(self, None)
+        _next_operand(self, operand)
 
 
-@dataclass(frozen=True, eq=False)
 class Always(Formula):
+    __slots__ = ("operand",)
     _arity, _fields = 1, lambda self: (self.operand,)
-    operand: Formula
+
+    def __init__(self, operand: Formula) -> None:
+        _set_hash(self, None)
+        _always_operand(self, operand)
 
 
-@dataclass(frozen=True, eq=False)
 class Until(Formula):
+    __slots__ = ("left", "right")
     _arity, _fields = 2, lambda self: (self.left, self.right)
-    left: Formula
-    right: Formula
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set_hash(self, None)
+        _until_left(self, left)
+        _until_right(self, right)
+
+
+_expr_positive, _expr_action, _expr_name = (
+    ActionExpr.positive.__set__, ActionExpr.action.__set__, ActionExpr.name.__set__)
+_issue_name, _issue_license = Issue.name.__set__, Issue.license.__set__
+_act_expr, _perm_expr = Act.expr.__set__, Perm.expr.__set__
+_not_operand, _next_operand, _always_operand = Not.operand.__set__, Next.operand.__set__, Always.operand.__set__
+_and_left, _and_right = And.left.__set__, And.right.__set__
+_until_left, _until_right = Until.left.__set__, Until.right.__set__
 
 
 # Derived forms normalize to the core connectives at construction time; the
@@ -352,17 +394,30 @@ def encode_run(run: Run) -> Formula:
     nested, ``s0 & X (s1 & X (... & X G idle))`` with ``st`` the state at
     time t, so its size as a tree is linear in the horizon and its depth
     twice it.  The states are read from per-name columns, one list per
-    name of its action at each time.  Each distinct state is built once and
+    name of the int code of its action at each time, so a state is keyed by
+    a tuple of ints.  Each distinct state is built once and
     every time in that state shares its one object, so the formula's DAG is
     the linear spine with the distinct states as its only branches.
     """
     names = sorted(run.names)
     size = run.horizon + 1
+    # Each distinct action, found by equality, has one code, its index here,
+    # and each action object is looked up once; bot is 0.
+    distinct: list[Action] = [BOT]
+    codes: dict[Action, int] = {BOT: 0}
+    by_object: dict[int, int] = {}  # by the id of the action object
     columns = []
     for name in names:
-        column = [BOT] * size
+        column = [0] * size
         for time, action in run.actions_of(name).items():
-            column[time] = action
+            code = by_object.get(id(action))
+            if code is None:
+                code = codes.get(action)
+                if code is None:
+                    code = codes[action] = len(distinct)
+                    distinct.append(action)
+                by_object[id(action)] = code
+            column[time] = code
         columns.append(column)
     rows = list(zip(*columns)) if names else [()] * size
     issued: dict[int, list[Formula]] = {}
@@ -379,7 +434,7 @@ def encode_run(run: Run) -> Formula:
         state = states.get(key)
         if state is None:
             conjuncts: list[Formula] = [
-                Act(ActionExpr(True, action, name)) for name, action in zip(names, actions)
+                Act(ActionExpr(True, distinct[code], name)) for name, code in zip(names, actions)
             ]
             conjuncts += issued.get(time, ())
             state = states[key] = f_and_all(conjuncts)

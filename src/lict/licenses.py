@@ -16,7 +16,6 @@ printer (:func:`dag_text`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 
 _CENT = Decimal("0.01")
@@ -25,26 +24,76 @@ _CENT = Decimal("0.01")
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-@dataclass(frozen=True)
-class Render:
+class Value:
+    """A frozen value, equal to another of its class with equal fields.
+
+    A class states its fields once, as the names in its ``__slots__`` that
+    do not start with ``_`` (base classes' first), and sets them in its
+    ``__init__`` through the slots' descriptors; ``_fields()`` reads them
+    back, in order, and a class that is hashed or compared often states it
+    directly for speed.  The base supplies the rest: ``repr`` as
+    ``Name(field=value, ...)``, equality by class and fields, the hash of
+    the tuple of the fields, copying and pickling by rebuilding from the
+    fields, weak references, and a ``__setattr__`` that refuses every
+    assignment.
+    """
+
+    __slots__ = ("__weakref__",)
+    __match_args__ = ()
+    _fields = lambda self: tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = tuple(
+            name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ()) if name[0] != "_"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields()))
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Render(Value):
     """Render a work on a device."""
 
-    work: str
-    device: str
+    __slots__ = ("work", "device")
+    _fields = lambda self: (self.work, self.device)
+
+    def __init__(self, work: str, device: str) -> None:
+        _render_work(self, work)
+        _render_device(self, device)
 
 
-@dataclass(frozen=True)
-class Pay:
+class Pay(Value):
     """Pay an exact, non-negative amount of any size (fixed point, two fractional digits).
 
     Amounts are compared by exact value; ``Pay("1.5")`` and ``Pay("1.50")``
     denote the same action.
     """
 
-    amount: Decimal
+    __slots__ = ("amount",)
+    _fields = lambda self: (self.amount,)
 
-    def __post_init__(self) -> None:
-        amount = self.amount
+    def __init__(self, amount: Decimal) -> None:
         if not isinstance(amount, Decimal):
             amount = Decimal(str(amount))
         quantized = amount.quantize(_CENT, context=EXACT)
@@ -52,14 +101,17 @@ class Pay:
             raise ValueError(f"pay amount {amount} has more than two fractional digits")
         if quantized < 0:
             raise ValueError(f"pay amount {amount} is negative")
-        object.__setattr__(self, "amount", quantized)
+        _pay_amount(self, quantized)
 
 
-@dataclass(frozen=True)
-class Bot:
+class Bot(Value):
     """The null ("do nothing") action."""
 
+    __slots__ = ()
+    _fields = lambda self: ()
 
+
+_render_work, _render_device, _pay_amount = Render.work.__set__, Render.device.__set__, Pay.amount.__set__
 BOT = Bot()
 
 Action = Render | Pay | Bot
@@ -81,8 +133,8 @@ def action_key(action: Action):
     return (2, action.work, action.device)
 
 
-class Node:
-    """A frozen dataclass node, equal to another of the same class and fields.
+class Node(Value):
+    """A node of a license or formula, equal to another of the same class and fields.
 
     Licenses and formulas share it.  A class states its shape once: ``_arity``
     is nonzero on a connective, all of whose fields are its children, and
@@ -90,17 +142,20 @@ class Node:
     speed.  :func:`children` is derived from the two when the class is
     defined, and hashing, comparing, the walk, the printer and atom mapping
     read it, on explicit stacks, so a long chain costs no recursion.  A
-    node's hash is computed once, from its children's, and kept: the hash of
-    the tuple of its fields, as a frozen dataclass's would be.
+    node's hash is computed once, from its children's, and kept in the
+    ``_hash`` slot, which every ``__init__`` sets to None first: the hash
+    of the tuple of its fields, as for any :class:`Value`.
     """
 
-    _hash = None
+    __slots__ = ("_hash",)
     _arity = 0
-    _fields = lambda self: tuple(map(self.__getattribute__, self.__match_args__))
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._children_of = cls._fields if cls._arity else lambda self: ()
+
+    def __init__(self) -> None:
+        _set_hash(self, None)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -114,7 +169,7 @@ class Node:
                         break
                 else:
                     stack.pop()
-                    object.__setattr__(node, "_hash", hash(node._fields()))
+                    _set_hash(node, hash(node._fields()))
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -122,6 +177,8 @@ class Node:
             return True
         if type(other) is not type(self):
             return NotImplemented
+        if not self._arity:
+            return self._fields() == other._fields()
         mine, theirs = [self], [other]  # the pairs still to compare, one side each
         while mine:
             left, right = mine.pop(), theirs.pop()
@@ -133,7 +190,7 @@ class Node:
                 return False
             parts = children(left)
             if parts:
-                # left children first, as a dataclass compares its fields
+                # left children first, as a tuple of the fields compares
                 mine += parts[::-1]
                 theirs += children(right)[::-1]
             elif left._fields() != right._fields():
@@ -141,56 +198,74 @@ class Node:
         return True
 
 
+_set_hash = Node._hash.__set__
+
+
 def children(node) -> tuple:
     """A connective's child nodes, left first, and ``()`` for a leaf."""
     return node._children_of()
 
 
-@dataclass(frozen=True, eq=False)
 class License(Node):
     """A license node."""
 
-    # the padded automaton, once ``automata.padded_nfa`` builds it; a slot, since an instance
-    # attribute that only some nodes of a class set widens the class's later instance dicts
+    # the padded automaton, once ``automata.padded_nfa`` builds it
     __slots__ = ("_nfa",)
 
 
-@dataclass(frozen=True, eq=False)
 class Atom(License):
+    __slots__ = ("action",)
     _fields = lambda self: (self.action,)
-    action: Action
+
+    def __init__(self, action: Action) -> None:
+        _set_hash(self, None)
+        _atom_action(self, action)
 
 
-@dataclass(frozen=True, eq=False)
 class Concat(License):
+    __slots__ = ("left", "right")
     _arity, _fields = 2, lambda self: (self.left, self.right)
-    left: License
-    right: License
+
+    def __init__(self, left: License, right: License) -> None:
+        _set_hash(self, None)
+        _concat_left(self, left)
+        _concat_right(self, right)
 
 
-@dataclass(frozen=True, eq=False)
 class Union(License):
+    __slots__ = ("left", "right")
     _arity, _fields = 2, lambda self: (self.left, self.right)
-    left: License
-    right: License
+
+    def __init__(self, left: License, right: License) -> None:
+        _set_hash(self, None)
+        _union_left(self, left)
+        _union_right(self, right)
 
 
-@dataclass(frozen=True, eq=False)
 class Star(License):
+    __slots__ = ("body",)
     _arity, _fields = 1, lambda self: (self.body,)
-    body: License
+
+    def __init__(self, body: License) -> None:
+        _set_hash(self, None)
+        _star_body(self, body)
 
 
-@dataclass(frozen=True, eq=False)
 class Zero(License):
     """The license with no traces at all.  Internal only, never parsed."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False)
+
 class One(License):
     """The license whose sole trace is empty.  Internal only, never parsed."""
 
+    __slots__ = ()
 
+
+_atom_action, _star_body = Atom.action.__set__, Star.body.__set__
+_concat_left, _concat_right = Concat.left.__set__, Concat.right.__set__
+_union_left, _union_right = Union.left.__set__, Union.right.__set__
 ZERO = Zero()
 ONE = One()
 

@@ -44,7 +44,6 @@ group's vocabulary mentions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import reduce
 from itertools import product
@@ -55,7 +54,7 @@ from .automata import padded_nfa
 # of perfbench/tracing.py, which looks the name up in this module.
 from .automata import reachable_subsets
 from .formulas import And, Formula, Issue, Not, evaluate, formula_atoms
-from .licenses import BOT, EXACT, Action, Pay, action_key
+from .licenses import BOT, EXACT, Action, Pay, Value, action_key
 from .ltl import Done, Issued, Permitted, Vocabulary, translate, vocabulary_of
 from .runs import Run, compute_permissions, make_run
 from .tableau import (
@@ -208,16 +207,24 @@ def _run_spaces(vocab: Vocabulary, atom_bits: dict[str, dict[Formula, int]]) -> 
     return [_RunSpace(vocab.licenses_of(name), atom_bits.get(name, {})) for name in vocab.names]
 
 
-@dataclass
-class LicSatResult:
-    status: str  # "sat" | "unsat" | "budget"
-    run: Run | None = None
+class LicSatResult(Value):
+    __slots__ = ("status", "run")
+
+    def __init__(self, status: str, run: Run | None = None) -> None:
+        _sat_status(self, status)  # "sat" | "unsat" | "budget"
+        _sat_run(self, run)
 
 
-@dataclass
-class ValidityResult:
-    status: str  # "valid" | "invalid" | "budget"
-    counterexample: Run | None = None
+class ValidityResult(Value):
+    __slots__ = ("status", "counterexample")
+
+    def __init__(self, status: str, counterexample: Run | None = None) -> None:
+        _valid_status(self, status)  # "valid" | "invalid" | "budget"
+        _valid_counterexample(self, counterexample)
+
+
+_sat_status, _sat_run = LicSatResult.status.__set__, LicSatResult.run.__set__
+_valid_status, _valid_counterexample = ValidityResult.status.__set__, ValidityResult.counterexample.__set__
 
 
 def _components(formula: Formula) -> tuple[bool, list[tuple[Formula, frozenset]]]:

@@ -16,7 +16,6 @@ the restrictions (with the finiteness restriction) are the oracles in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .automata import SubsetState, padded_nfa, reachable_subsets
@@ -41,6 +40,8 @@ from .licenses import (
     BOT,
     Action,
     License,
+    Value,
+    _set_hash,
     action_key,
     pretty_action,
     pretty_license,
@@ -54,51 +55,72 @@ from .runs import compute_permissions
 # Target atoms
 
 
-@dataclass(frozen=True)
 class Issued(Formula):
-    name: str
-    license: License
+    __slots__ = ("name", "license")
+    _fields = lambda self: (self.name, self.license)
+
+    def __init__(self, name: str, license: License) -> None:
+        _set_hash(self, None)
+        _issued_name(self, name)
+        _issued_license(self, license)
 
     def pretty(self) -> str:
         return f"issued({self.name}, {pretty_license(self.license)})"
 
 
-@dataclass(frozen=True)
 class _ActionAtom(Formula):
-    action: Action
-    name: str
+    __slots__ = ("action", "name")
+    _fields = lambda self: (self.action, self.name)
+
+    def __init__(self, action: Action, name: str) -> None:
+        _set_hash(self, None)
+        _atom_action(self, action)
+        _atom_name(self, name)
 
     def pretty(self) -> str:
         return f"{type(self).__name__.lower()}({pretty_action(self.action)}, {self.name})"
 
 
 class Done(_ActionAtom):
-    pass
+    __slots__ = ()
 
 
 class Permitted(_ActionAtom):
-    pass
+    __slots__ = ()
 
 
 class Obligated(_ActionAtom):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class InState(Formula):
-    name: str
-    subset: SubsetState
+    __slots__ = ("name", "subset")
+    _fields = lambda self: (self.name, self.subset)
+
+    def __init__(self, name: str, subset: SubsetState) -> None:
+        _set_hash(self, None)
+        _instate_name(self, name)
+        _instate_subset(self, subset)
 
     def pretty(self) -> str:
         return f"instate({self.name}, {subset_label(self.subset)})"
 
 
-@dataclass(frozen=True)
 class Over(Formula):
-    name: str
+    __slots__ = ("name",)
+    _fields = lambda self: (self.name,)
+
+    def __init__(self, name: str) -> None:
+        _set_hash(self, None)
+        _over_name(self, name)
 
     def pretty(self) -> str:
         return f"over({self.name})"
+
+
+_issued_name, _issued_license = Issued.name.__set__, Issued.license.__set__
+_atom_action, _atom_name = _ActionAtom.action.__set__, _ActionAtom.name.__set__
+_instate_name, _instate_subset, _over_name = InState.name.__set__, InState.subset.__set__, Over.name.__set__
 
 
 def subset_label(subset: SubsetState) -> str:
@@ -131,16 +153,24 @@ def translate(formula: Formula) -> Formula:
 # The vocabulary a formula lives in
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Value):
     """The finite slice of the world a formula can talk about."""
 
-    names: tuple[str, ...]
-    named_licenses: tuple[tuple[str, License], ...]
-    actions: tuple[Action, ...]
+    __slots__ = ("names", "named_licenses", "actions")
+
+    def __init__(
+        self, names: tuple[str, ...], named_licenses: tuple[tuple[str, License], ...], actions: tuple[Action, ...]
+    ) -> None:
+        _vocabulary_names(self, names)
+        _vocabulary_named_licenses(self, named_licenses)
+        _vocabulary_actions(self, actions)
 
     def licenses_of(self, name: str) -> tuple[License, ...]:
         return tuple(lic for n, lic in self.named_licenses if n == name)
+
+
+_vocabulary_names, _vocabulary_named_licenses, _vocabulary_actions = (
+    Vocabulary.names.__set__, Vocabulary.named_licenses.__set__, Vocabulary.actions.__set__)
 
 
 def build_vocabulary(formula: Formula) -> Vocabulary:

@@ -24,7 +24,6 @@ grammar whose trees and errors ``lict.parsing``'s parsers must match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
 from itertools import count, product
@@ -76,6 +75,7 @@ from .licenses import (
     Render,
     Star,
     Union,
+    Value,
     Zero,
     action_key,
     children,
@@ -603,16 +603,16 @@ def run_atom_holds(run: Run, perms: PermissionInterpretation, time: int, atom: F
 Prop = Issued | Done | Permitted | Obligated | InState | Over
 
 
-@dataclass(frozen=True)
-class LinearStructure:
+class LinearStructure(Value):
     """An ultimately periodic model: labeled prefix states plus a loop."""
 
-    prefix: tuple[frozenset, ...]
-    loop: tuple[frozenset, ...]
+    __slots__ = ("prefix", "loop")
 
-    def __post_init__(self):
-        if not self.loop:
+    def __init__(self, prefix: tuple[frozenset, ...], loop: tuple[frozenset, ...]) -> None:
+        if not loop:
             raise ValueError("a linear structure needs a nonempty loop")
+        _structure_prefix(self, prefix)
+        _structure_loop(self, loop)
 
     @property
     def prefix_len(self) -> int:
@@ -736,10 +736,16 @@ def check_run_validity_ltl(run: Run, formula: Formula) -> bool:
     return ltl_eval(structure, 0, Always(translate(formula)))
 
 
-@dataclass
-class SatResult:
-    status: str  # "sat" | "unsat" | "budget"
-    witness: LinearStructure | None = None
+class SatResult(Value):
+    __slots__ = ("status", "witness")
+
+    def __init__(self, status: str, witness: LinearStructure | None = None) -> None:
+        _sat_status(self, status)  # "sat" | "unsat" | "budget"
+        _sat_witness(self, witness)
+
+
+_structure_prefix, _structure_loop = LinearStructure.prefix.__set__, LinearStructure.loop.__set__
+_sat_status, _sat_witness = SatResult.status.__set__, SatResult.witness.__set__
 
 
 def ltl_sat(formula: Formula, budget: int = DEFAULT_BUDGET) -> SatResult:

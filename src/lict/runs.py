@@ -18,16 +18,14 @@ time, for callers that group times by what they permit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .automata import padded_nfa
-from .licenses import BOT, Action, License, action_key, pretty_action, pretty_license
+from .licenses import BOT, Action, License, Value, action_key, pretty_action, pretty_license
 
 _ONLY_BOT = frozenset({BOT})
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(Value):
     """A finite timeline of issuances and client actions.
 
     ``issuances`` holds (time, name, license) with each name issued at most
@@ -36,32 +34,38 @@ class Run:
     bot, and so does everything after the horizon.
     """
 
-    horizon: int
-    issuances: tuple[tuple[int, str, License], ...]
-    actions: tuple[tuple[int, str, Action], ...]
+    __slots__ = ("horizon", "issuances", "actions", "_issuance_map", "_actions_by_name")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        horizon: int,
+        issuances: tuple[tuple[int, str, License], ...],
+        actions: tuple[tuple[int, str, Action], ...],
+    ) -> None:
+        _run_horizon(self, horizon)
+        _run_issuances(self, issuances)
+        _run_actions(self, actions)
         issuance_map: dict[str, tuple[int, License]] = {}
-        for time, name, lic in self.issuances:
+        for time, name, lic in issuances:
             if time < 0:
                 raise ValueError(f"issuance of {name} at negative time {time}")
-            if time > self.horizon:
+            if time > horizon:
                 raise ValueError(f"issuance of {name} at {time} is past the horizon")
             if name in issuance_map:
                 raise ValueError(f"name reused: {name} is issued more than once")
             issuance_map[name] = (time, lic)
         by_name: dict[str, dict[int, Action]] = {}  # each name's actions by time
-        for time, name, action in self.actions:
+        for time, name, action in actions:
             if time < 0:
                 raise ValueError(f"action for {name} at negative time {time}")
-            if time > self.horizon:
+            if time > horizon:
                 raise ValueError(f"action for {name} at {time} is past the horizon")
             timeline = by_name.setdefault(name, {})
             if time in timeline:
                 raise ValueError(f"two actions for {name} at time {time}")
             timeline[time] = action
-        object.__setattr__(self, "_issuance_map", issuance_map)
-        object.__setattr__(self, "_actions_by_name", by_name)
+        _run_issuance_map(self, issuance_map)
+        _run_actions_by_name(self, by_name)
 
     @property
     def names(self) -> frozenset[str]:
@@ -78,6 +82,10 @@ class Run:
 
     def issuance(self, name: str) -> tuple[int, License] | None:
         return self._issuance_map.get(name)
+
+
+_run_horizon, _run_issuances, _run_actions = Run.horizon.__set__, Run.issuances.__set__, Run.actions.__set__
+_run_issuance_map, _run_actions_by_name = Run._issuance_map.__set__, Run._actions_by_name.__set__
 
 
 def make_run(issuances, actions, horizon: int | None = None) -> Run:

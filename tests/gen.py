@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import fields, replace
 from decimal import Decimal
 
 from hypothesis import strategies as st
@@ -328,12 +327,9 @@ def unshared(node):
     place, so the copy is a tree equal to the original.  Recursive, for the
     small inputs of the tests.
     """
-    changes = {}
-    for field in fields(node):
-        value = getattr(node, field.name)
-        if isinstance(value, (Formula, License)):
-            changes[field.name] = unshared(value)
-    return replace(node, **changes)
+    return type(node)(*[
+        unshared(value) if isinstance(value, (Formula, License)) else value for value in node._fields()
+    ])
 
 
 def shared_license(rng: random.Random, steps: int = 6, pool=POOL):

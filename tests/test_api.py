@@ -53,6 +53,15 @@ def test_cli_import_leaves_reference_unloaded():
     assert completed.returncode == 0, completed.stderr
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # the node and value classes are plain slotted classes, so no import pays for dataclasses
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    check = "import sys, lict.cli; sys.exit('dataclasses' in sys.modules)"
+    completed = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert completed.returncode == 0, completed.stderr
+
+
 def _imports_reference(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         return any(alias.name == "lict.reference" for alias in node.names)

@@ -1,7 +1,6 @@
 """Runs and the permission interpretation against the viability definition."""
 
 import random
-from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -184,7 +183,7 @@ class TestDenseSubsets:
                 action = data.draw(st.none() | st.sampled_from(POOL + OUTSIDE))
                 if action is not None:
                     if data.draw(st.booleans()):
-                        action = replace(action)  # equal, but another object
+                        action = type(action)(*action._fields())  # equal, but another object
                     actions.append((t, name, action))
         run = make_run(issuances, actions, horizon=horizon)
         perms = compute_permissions(run)
