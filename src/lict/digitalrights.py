@@ -50,28 +50,17 @@ class Single(Value):
 
     __slots__ = ("period",)
 
-    def __init__(self, period: int) -> None:
-        _single_period(self, period)
-
 
 class Exactly(Value):
     """Exactly ``count`` consecutive periods."""
 
     __slots__ = ("count", "period")
 
-    def __init__(self, count: int, period: int) -> None:
-        _exactly_count(self, count)
-        _exactly_period(self, period)
-
 
 class Upto(Value):
     """Any number of consecutive periods from zero up to ``count``."""
 
     __slots__ = ("count", "period")
-
-    def __init__(self, count: int, period: int) -> None:
-        _upto_count(self, count)
-        _upto_period(self, period)
 
 
 Repetition = Single | Exactly | Upto
@@ -117,8 +106,6 @@ class DrLicense(Value):
         return self.repetition.count * self.repetition.period
 
 
-_single_period, _exactly_count, _exactly_period = Single.period.__set__, Exactly.count.__set__, Exactly.period.__set__
-_upto_count, _upto_period = Upto.count.__set__, Upto.period.__set__
 _dr_repetition, _dr_amount, _dr_schedule = DrLicense.repetition.__set__, DrLicense.amount.__set__, DrLicense.schedule.__set__
 _dr_works, _dr_devices = DrLicense.works.__set__, DrLicense.devices.__set__
 

@@ -31,10 +31,8 @@ from typing import Callable, Iterable
 from .licenses import (
     BOT,
     Action,
-    License,
     Node,
     Value,
-    _set_hash,
     children,
     dag_text,
     fold_balanced,
@@ -53,12 +51,6 @@ class ActionExpr(Value):
     """
 
     __slots__ = ("positive", "action", "name")
-    _fields = lambda self: (self.positive, self.action, self.name)
-
-    def __init__(self, positive: bool, action: Action, name: str) -> None:
-        _expr_positive(self, positive)
-        _expr_action(self, action)
-        _expr_name(self, name)
 
 
 class Formula(Node):
@@ -84,12 +76,6 @@ class Issue(Formula):
     """A license is being issued right now under the given name."""
 
     __slots__ = ("name", "license")
-    _fields = lambda self: (self.name, self.license)
-
-    def __init__(self, name: str, license: License) -> None:
-        _set_hash(self, None)
-        _issue_name(self, name)
-        _issue_license(self, license)
 
     def pretty(self) -> str:
         return f"issue({self.name}, {pretty_license(self.license)})"
@@ -99,11 +85,6 @@ class Act(Formula):
     """The client performs an action matching the expression right now."""
 
     __slots__ = ("expr",)
-    _fields = lambda self: (self.expr,)
-
-    def __init__(self, expr: ActionExpr) -> None:
-        _set_hash(self, None)
-        _act_expr(self, expr)
 
     def pretty(self) -> str:
         return _pair(self.expr)
@@ -113,11 +94,6 @@ class Perm(Formula):
     """Some action matching the expression is permitted right now."""
 
     __slots__ = ("expr",)
-    _fields = lambda self: (self.expr,)
-
-    def __init__(self, expr: ActionExpr) -> None:
-        _set_hash(self, None)
-        _perm_expr(self, expr)
 
     def pretty(self) -> str:
         return f"P{_pair(self.expr)}"
@@ -125,58 +101,27 @@ class Perm(Formula):
 
 class Not(Formula):
     __slots__ = ("operand",)
-    _arity, _fields = 1, lambda self: (self.operand,)
-
-    def __init__(self, operand: Formula) -> None:
-        _set_hash(self, None)
-        _not_operand(self, operand)
+    _arity = 1
 
 
 class And(Formula):
     __slots__ = ("left", "right")
-    _arity, _fields = 2, lambda self: (self.left, self.right)
-
-    def __init__(self, left: Formula, right: Formula) -> None:
-        _set_hash(self, None)
-        _and_left(self, left)
-        _and_right(self, right)
+    _arity = 2
 
 
 class Next(Formula):
     __slots__ = ("operand",)
-    _arity, _fields = 1, lambda self: (self.operand,)
-
-    def __init__(self, operand: Formula) -> None:
-        _set_hash(self, None)
-        _next_operand(self, operand)
+    _arity = 1
 
 
 class Always(Formula):
     __slots__ = ("operand",)
-    _arity, _fields = 1, lambda self: (self.operand,)
-
-    def __init__(self, operand: Formula) -> None:
-        _set_hash(self, None)
-        _always_operand(self, operand)
+    _arity = 1
 
 
 class Until(Formula):
     __slots__ = ("left", "right")
-    _arity, _fields = 2, lambda self: (self.left, self.right)
-
-    def __init__(self, left: Formula, right: Formula) -> None:
-        _set_hash(self, None)
-        _until_left(self, left)
-        _until_right(self, right)
-
-
-_expr_positive, _expr_action, _expr_name = (
-    ActionExpr.positive.__set__, ActionExpr.action.__set__, ActionExpr.name.__set__)
-_issue_name, _issue_license = Issue.name.__set__, Issue.license.__set__
-_act_expr, _perm_expr = Act.expr.__set__, Perm.expr.__set__
-_not_operand, _next_operand, _always_operand = Not.operand.__set__, Next.operand.__set__, Always.operand.__set__
-_and_left, _and_right = And.left.__set__, And.right.__set__
-_until_left, _until_right = Until.left.__set__, Until.right.__set__
+    _arity = 2
 
 
 # Derived forms normalize to the core connectives at construction time; the

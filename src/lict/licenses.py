@@ -28,10 +28,12 @@ class Value:
     """A frozen value, equal to another of its class with equal fields.
 
     A class states its fields once, as the names in its ``__slots__`` that
-    do not start with ``_`` (base classes' first), and sets them in its
-    ``__init__`` through the slots' descriptors; ``_fields()`` reads them
-    back, in order, and a class that is hashed or compared often states it
-    directly for speed.  The base supplies the rest: ``repr`` as
+    do not start with ``_`` (base classes' first).  From them, when the
+    class is defined, the base writes its ``__init__``, which takes the
+    fields in order, without type annotations, and sets each through its
+    slot's descriptor (a node's ``_hash`` slot to None first), and its
+    ``_fields()``, which reads them back as a tuple; a class whose body
+    states either keeps its own.  The base supplies the rest: ``repr`` as
     ``Name(field=value, ...)``, equality by class and fields, the hash of
     the tuple of the fields, copying and pickling by rebuilding from the
     fields, weak references, and a ``__setattr__`` that refuses every
@@ -40,13 +42,27 @@ class Value:
 
     __slots__ = ("__weakref__",)
     __match_args__ = ()
-    _fields = lambda self: tuple(map(self.__getattribute__, self.__match_args__))
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.__match_args__ = tuple(
-            name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ()) if name[0] != "_"
-        )
+        slots = [name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ())]
+        fields = cls.__match_args__ = tuple(name for name in slots if name[0] != "_")
+        # one source per class, run once, as namedtuple and dataclasses do
+        sets = ("_hash",) * ("_hash" in slots) + fields
+        source = []
+        if "__init__" not in vars(cls):
+            source.append(f"def __init__(self{''.join(', ' + name for name in fields)}):")
+            source += [f"    _set_{name}(self, {name if name in fields else 'None'})" for name in sets] or ["    pass"]
+        if "_fields" not in vars(cls):
+            source.append(f"_fields = lambda self: ({''.join(f'self.{name}, ' for name in fields)})")
+        if source:
+            namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in sets}
+            exec("\n".join(source), namespace)
+            if "__init__" in namespace:
+                init = cls.__init__ = namespace["__init__"]
+                init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+            if "_fields" in namespace:
+                cls._fields = namespace["_fields"]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
@@ -76,11 +92,6 @@ class Render(Value):
     """Render a work on a device."""
 
     __slots__ = ("work", "device")
-    _fields = lambda self: (self.work, self.device)
-
-    def __init__(self, work: str, device: str) -> None:
-        _render_work(self, work)
-        _render_device(self, device)
 
 
 class Pay(Value):
@@ -91,7 +102,6 @@ class Pay(Value):
     """
 
     __slots__ = ("amount",)
-    _fields = lambda self: (self.amount,)
 
     def __init__(self, amount: Decimal) -> None:
         if not isinstance(amount, Decimal):
@@ -108,10 +118,9 @@ class Bot(Value):
     """The null ("do nothing") action."""
 
     __slots__ = ()
-    _fields = lambda self: ()
 
 
-_render_work, _render_device, _pay_amount = Render.work.__set__, Render.device.__set__, Pay.amount.__set__
+_pay_amount = Pay.amount.__set__
 BOT = Bot()
 
 Action = Render | Pay | Bot
@@ -138,24 +147,24 @@ class Node(Value):
 
     Licenses and formulas share it.  A class states its shape once: ``_arity``
     is nonzero on a connective, all of whose fields are its children, and
-    ``_fields()`` gives a node's fields, read directly on a connective for
-    speed.  :func:`children` is derived from the two when the class is
-    defined, and hashing, comparing, the walk, the printer and atom mapping
-    read it, on explicit stacks, so a long chain costs no recursion.  A
-    node's hash is computed once, from its children's, and kept in the
-    ``_hash`` slot, which every ``__init__`` sets to None first: the hash
-    of the tuple of its fields, as for any :class:`Value`.
+    ``_fields()`` gives a node's fields, as :class:`Value` writes it.
+    :func:`children` is derived from the two when the class is defined, and
+    hashing, comparing, the walk, the printer and atom mapping read it, on
+    explicit stacks, so a long chain costs no recursion.  A node's hash is
+    computed once, from its children's, and kept in the ``_hash`` slot,
+    which the written ``__init__`` sets to None first: the hash of the
+    tuple of its fields, as for any :class:`Value`.  Nodes of different
+    classes are unequal, so a lookup among atoms that hash alike (``Act``
+    and ``Perm`` of one expression) compares each pair once.
     """
 
     __slots__ = ("_hash",)
     _arity = 0
+    _children_of = lambda self: ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._children_of = cls._fields if cls._arity else lambda self: ()
-
-    def __init__(self) -> None:
-        _set_hash(self, None)
+        cls._children_of = cls._fields if cls._arity else Node._children_of
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -176,7 +185,7 @@ class Node(Value):
         if self is other:
             return True
         if type(other) is not type(self):
-            return NotImplemented
+            return False if isinstance(other, Node) else NotImplemented
         if not self._arity:
             return self._fields() == other._fields()
         mine, theirs = [self], [other]  # the pairs still to compare, one side each
@@ -215,40 +224,21 @@ class License(Node):
 
 class Atom(License):
     __slots__ = ("action",)
-    _fields = lambda self: (self.action,)
-
-    def __init__(self, action: Action) -> None:
-        _set_hash(self, None)
-        _atom_action(self, action)
 
 
 class Concat(License):
     __slots__ = ("left", "right")
-    _arity, _fields = 2, lambda self: (self.left, self.right)
-
-    def __init__(self, left: License, right: License) -> None:
-        _set_hash(self, None)
-        _concat_left(self, left)
-        _concat_right(self, right)
+    _arity = 2
 
 
 class Union(License):
     __slots__ = ("left", "right")
-    _arity, _fields = 2, lambda self: (self.left, self.right)
-
-    def __init__(self, left: License, right: License) -> None:
-        _set_hash(self, None)
-        _union_left(self, left)
-        _union_right(self, right)
+    _arity = 2
 
 
 class Star(License):
     __slots__ = ("body",)
-    _arity, _fields = 1, lambda self: (self.body,)
-
-    def __init__(self, body: License) -> None:
-        _set_hash(self, None)
-        _star_body(self, body)
+    _arity = 1
 
 
 class Zero(License):
@@ -263,9 +253,6 @@ class One(License):
     __slots__ = ()
 
 
-_atom_action, _star_body = Atom.action.__set__, Star.body.__set__
-_concat_left, _concat_right = Concat.left.__set__, Concat.right.__set__
-_union_left, _union_right = Union.left.__set__, Union.right.__set__
 ZERO = Zero()
 ONE = One()
 

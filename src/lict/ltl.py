@@ -38,10 +38,8 @@ from .formulas import (
 )
 from .licenses import (
     BOT,
-    Action,
     License,
     Value,
-    _set_hash,
     action_key,
     pretty_action,
     pretty_license,
@@ -57,12 +55,6 @@ from .runs import compute_permissions
 
 class Issued(Formula):
     __slots__ = ("name", "license")
-    _fields = lambda self: (self.name, self.license)
-
-    def __init__(self, name: str, license: License) -> None:
-        _set_hash(self, None)
-        _issued_name(self, name)
-        _issued_license(self, license)
 
     def pretty(self) -> str:
         return f"issued({self.name}, {pretty_license(self.license)})"
@@ -70,12 +62,6 @@ class Issued(Formula):
 
 class _ActionAtom(Formula):
     __slots__ = ("action", "name")
-    _fields = lambda self: (self.action, self.name)
-
-    def __init__(self, action: Action, name: str) -> None:
-        _set_hash(self, None)
-        _atom_action(self, action)
-        _atom_name(self, name)
 
     def pretty(self) -> str:
         return f"{type(self).__name__.lower()}({pretty_action(self.action)}, {self.name})"
@@ -95,12 +81,6 @@ class Obligated(_ActionAtom):
 
 class InState(Formula):
     __slots__ = ("name", "subset")
-    _fields = lambda self: (self.name, self.subset)
-
-    def __init__(self, name: str, subset: SubsetState) -> None:
-        _set_hash(self, None)
-        _instate_name(self, name)
-        _instate_subset(self, subset)
 
     def pretty(self) -> str:
         return f"instate({self.name}, {subset_label(self.subset)})"
@@ -108,19 +88,9 @@ class InState(Formula):
 
 class Over(Formula):
     __slots__ = ("name",)
-    _fields = lambda self: (self.name,)
-
-    def __init__(self, name: str) -> None:
-        _set_hash(self, None)
-        _over_name(self, name)
 
     def pretty(self) -> str:
         return f"over({self.name})"
-
-
-_issued_name, _issued_license = Issued.name.__set__, Issued.license.__set__
-_atom_action, _atom_name = _ActionAtom.action.__set__, _ActionAtom.name.__set__
-_instate_name, _instate_subset, _over_name = InState.name.__set__, InState.subset.__set__, Over.name.__set__
 
 
 def subset_label(subset: SubsetState) -> str:
@@ -158,19 +128,8 @@ class Vocabulary(Value):
 
     __slots__ = ("names", "named_licenses", "actions")
 
-    def __init__(
-        self, names: tuple[str, ...], named_licenses: tuple[tuple[str, License], ...], actions: tuple[Action, ...]
-    ) -> None:
-        _vocabulary_names(self, names)
-        _vocabulary_named_licenses(self, named_licenses)
-        _vocabulary_actions(self, actions)
-
     def licenses_of(self, name: str) -> tuple[License, ...]:
         return tuple(lic for n, lic in self.named_licenses if n == name)
-
-
-_vocabulary_names, _vocabulary_named_licenses, _vocabulary_actions = (
-    Vocabulary.names.__set__, Vocabulary.named_licenses.__set__, Vocabulary.actions.__set__)
 
 
 def build_vocabulary(formula: Formula) -> Vocabulary:

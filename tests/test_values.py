@@ -1,21 +1,26 @@
 """The node and value classes: slotted, frozen, and hashed as the tuple of their fields.
 
-Every class below is a plain class with ``__slots__`` and an explicit
-``__init__``; :class:`lict.licenses.Value` and :class:`lict.licenses.Node`
-supply the rest.  Each must keep the field names and order, the ``repr``
+Every class below is a plain class whose ``__slots__`` name its fields;
+:class:`lict.licenses.Value` writes its ``__init__`` (without type
+annotations) and its ``_fields`` from them, unless the class states its
+own, and it and :class:`lict.licenses.Node` supply the rest.  Each must keep the field names and order, the ``repr``
 and the hash values it had as a frozen dataclass.
 """
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 import weakref
 from decimal import Decimal
 
 import pytest
 
+import lict
 from lict.digitalrights import DrLicense, Exactly, Single, Upto
 from lict.formulas import Act, ActionExpr, Always, And, Formula, Issue, Next, Not, Perm, Truth, Until
-from lict.licenses import BOT, Atom, Bot, Concat, License, One, Pay, Render, Star, Union, Zero
+from lict.licenses import BOT, Atom, Bot, Concat, License, Node, One, Pay, Render, Star, Union, Zero, Value
 from lict.licsat import LicSatResult, ValidityResult
 from lict.ltl import Done, InState, Issued, Obligated, Over, Permitted, Vocabulary, _ActionAtom
 from lict.reference import LinearStructure, SatResult
@@ -33,6 +38,7 @@ CASES = [
     (Render, ("work", "device"), ("w", "d")),
     (Pay, ("amount",), (Decimal("1.50"),)),
     (Bot, (), ()),
+    (Node, (), ()),
     (License, (), ()),
     (Atom, ("action",), (PAY,)),
     (Concat, ("left", "right"), (Atom(PAY), LIC)),
@@ -77,6 +83,8 @@ class TestEveryClass:
     def test_fields_in_order_by_position_and_keyword(self, kind, names, values):
         value = kind(*values)
         assert value.__match_args__ == names
+        # keyword construction, as ``ltl.vocabulary_of`` builds a Vocabulary, reads these names
+        assert tuple(inspect.signature(kind).parameters) == names
         assert value._fields() == values == tuple(getattr(value, name) for name in names)
         assert kind(**dict(zip(names, values))) == value
 
@@ -111,3 +119,92 @@ class TestEveryClass:
         assert not hasattr(value, "__dict__")
         assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
         assert weakref.ref(value)() is value
+
+
+def test_every_value_class_is_checked():
+    for module in pkgutil.iter_modules(lict.__path__):
+        importlib.import_module(f"lict.{module.name}")
+    found, stack = set(), [Value]
+    while stack:
+        for kind in stack.pop().__subclasses__():
+            stack.append(kind)
+            if kind.__module__.startswith("lict."):
+                found.add(kind)
+    assert found == {kind for kind, _, _ in CASES}
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(Act(EXPR), Perm(EXPR)), (Done(PAY, "n"), Permitted(PAY, "n")), (Permitted(PAY, "n"), Obligated(PAY, "n"))],
+    ids=["Act-Perm", "Done-Permitted", "Permitted-Obligated"],
+)
+def test_atoms_that_hash_alike_are_compared_once(monkeypatch, first, second):
+    assert hash(first) == hash(second)
+    calls = []
+    compare = Node.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return compare(self, other)
+
+    monkeypatch.setattr(Node, "__eq__", counted)
+    assert second not in {first: None}
+    assert len(calls) == 1
+    assert first != second and second != first
+    assert compare(first, "not a node") is NotImplemented
+
+
+class TestWrittenMembers:
+    """The ``__init__`` and ``_fields`` that :class:`Value` writes, on classes defined here."""
+
+    def test_inherited_fields_come_first(self):
+        class Base(Value):
+            __slots__ = ("first",)
+
+        class Derived(Base):
+            __slots__ = ("_private", "second")
+
+        value = Derived(1, second=2)
+        assert Derived.__match_args__ == ("first", "second")
+        assert tuple(inspect.signature(Derived).parameters) == ("first", "second")
+        assert value._fields() == (1, 2) and not hasattr(value, "_private")
+
+    def test_one_field_is_a_one_tuple(self):
+        class Box(Value):
+            __slots__ = ("item",)
+
+        class Empty(Value):
+            __slots__ = ()
+
+        assert Box((1, 2))._fields() == ((1, 2),)
+        assert Empty()._fields() == ()
+
+    def test_a_node_starts_unhashed_and_hashes_as_its_fields(self):
+        class Pair(Node):
+            __slots__ = ("left", "right")
+
+        pair = Pair("a", "b")
+        assert pair._hash is None
+        assert hash(pair) == hash(("a", "b")) == pair._hash
+
+    def test_stated_members_are_kept(self):
+        class Doubled(Value):
+            __slots__ = ("count",)
+            _fields = lambda self: (self.count, "stated")
+
+            def __init__(self, count):
+                Doubled.count.__set__(self, 2 * count)
+
+        assert Doubled(2).count == 4 and Doubled(2)._fields() == (4, "stated")
+        assert Pay("1.5") == Pay(Decimal("1.50"))
+        assert inspect.getsourcefile(Pay.__init__).endswith("licenses.py")
+
+    def test_written_init_is_named_for_its_class(self):
+        class Local(Value):
+            __slots__ = ("item",)
+
+        assert Local.__init__.__qualname__ == f"{Local.__qualname__}.__init__"
+        assert (And.__init__.__qualname__, And.__init__.__module__) == ("And.__init__", "lict.formulas")
+        assert And.__init__.__annotations__ == {}
+        with pytest.raises(TypeError, match=r"^And\.__init__\(\) missing 1 required positional argument: 'right'$"):
+            And(Truth())
